@@ -34,15 +34,18 @@ rng = np.random.default_rng(5)
 data = rng.normal(size=(16, 16, 1))
 m = DenseFeatureMap(1, data)
 p = (0.63, -1.21)
-value, grads = bilinear_sample(m, spec, p)
-print(f"sample at {p}: value {value[0]:+.4f}, "
-      f"{len(grads)} supporting cells")
+pt = np.array([p])
+value, sup = bilinear_sample(m, spec, pt)
+corners = np.nonzero(sup.inside[0])[0]
+print(f"sample at {p}: value {value[0, 0]:+.4f}, "
+      f"{len(corners)} supporting cells")
 analytic = np.zeros_like(data)
-for (iy, ix), w in grads:
+for k in corners:
+    iy, ix, w = sup.iy[0, k], sup.ix[0, k], sup.weight[0, k]
     analytic[iy, ix, 0] = w
     print(f"  cell (iy={iy}, ix={ix}) weight {w:.4f}")
 fd = finite_difference_grad(
-    lambda x: bilinear_sample(DenseFeatureMap(1, x), spec, p)[0][0], data)
+    lambda x: bilinear_sample(DenseFeatureMap(1, x), spec, pt)[0][0, 0], data)
 print(f"max |analytic - finite difference| over all {data.size} entries: "
       f"{np.abs(analytic - fd).max():.2e}")
 

@@ -8,7 +8,7 @@ brute-force oracles on synthetic scenes.
 """
 
 from .geometry import (Box3D, RotatedRect2D, project_to_bev, point_in_rect,
-                       rotated_iou_bev, iou_3d)
+                       rotated_iou_bev, iou_3d, iou_3d_matrix)
 from .grid import (GridSpec, PointCloud, SparsePillarVolume, DenseFeatureMap,
                    pillarize, sparse_conv2d, densify, sparsify,
                    backbone_forward, BackboneFeatures)
@@ -17,8 +17,8 @@ from .rpn import (Detection, HeadOutput, RpnTargets, encode_targets, rpn_loss,
                   rpn_forward, decode_proposals, rectify, rectify_detections,
                   nms_3d)
 from .rcnn import (RoiPoolConfig, SampledProposals, LossReport, roi_grid_points,
-                   bilinear_sample, rcnn_forward, sample_proposals,
-                   aux_seg_labels, rcnn_loss, refine)
+                   BilinearSupport, bilinear_sample, rcnn_forward,
+                   sample_proposals, aux_seg_labels, rcnn_loss, refine)
 from .metrics import (EvalConfig, ClassMetrics, split_difficulty,
                       compute_ap_aph, evaluate_levels)
 from .synth import SceneSpec, JitterSpec, generate_scene, jitter_detections
@@ -28,7 +28,7 @@ from .weights import WeightStore
 
 __all__ = [
     "Box3D", "RotatedRect2D", "project_to_bev", "point_in_rect",
-    "rotated_iou_bev", "iou_3d",
+    "rotated_iou_bev", "iou_3d", "iou_3d_matrix",
     "GridSpec", "PointCloud", "SparsePillarVolume", "DenseFeatureMap",
     "pillarize", "sparse_conv2d", "densify", "sparsify",
     "backbone_forward", "BackboneFeatures",
@@ -37,8 +37,8 @@ __all__ = [
     "rpn_forward", "decode_proposals", "rectify", "rectify_detections",
     "nms_3d",
     "RoiPoolConfig", "SampledProposals", "LossReport", "roi_grid_points",
-    "bilinear_sample", "rcnn_forward", "sample_proposals", "aux_seg_labels",
-    "rcnn_loss", "refine",
+    "BilinearSupport", "bilinear_sample", "rcnn_forward", "sample_proposals",
+    "aux_seg_labels", "rcnn_loss", "refine",
     "EvalConfig", "ClassMetrics", "split_difficulty", "compute_ap_aph",
     "evaluate_levels",
     "SceneSpec", "JitterSpec", "generate_scene", "jitter_detections",

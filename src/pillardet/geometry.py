@@ -221,114 +221,19 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     return min(1.0, inter / union)
 
 
-# --------------------------------------------------------------------------
-# Batched variants. Same clipping algorithm as the scalar path, vectorized
-# over pairs with a padded-vertex representation; used where per-pair Python
-# overhead would dominate (proposal sampling, bulk scoring).
-# --------------------------------------------------------------------------
+def iou_3d_matrix(boxes_a: Sequence[Box3D],
+                  boxes_b: Sequence[Box3D]) -> np.ndarray:
+    """Full (N, M) matrix of :func:`iou_3d` values.
 
-
-def boxes_as_array(boxes: Sequence[Box3D]) -> np.ndarray:
-    """Pack boxes into an (N, 7) float array [cx, cy, cz, l, w, h, yaw]."""
-    out = np.empty((len(boxes), 7), dtype=np.float64)
-    for i, b in enumerate(boxes):
-        out[i] = (b.cx, b.cy, b.cz, b.length, b.width, b.height, b.yaw)
+    Pairs whose BEV circumcircles cannot touch are skipped without
+    clipping, as in ``nms_3d``; their IoU is exactly zero.
+    """
+    out = np.zeros((len(boxes_a), len(boxes_b)))
+    radii_b = [0.5 * b.bev_diagonal for b in boxes_b]
+    for i, a in enumerate(boxes_a):
+        radius = 0.5 * a.bev_diagonal
+        for j, (b, rb) in enumerate(zip(boxes_b, radii_b)):
+            reach = radius + rb
+            if (a.cx - b.cx) ** 2 + (a.cy - b.cy) ** 2 <= reach * reach:
+                out[i, j] = iou_3d(a, b)
     return out
-
-
-def rect_corners_batch(rects: np.ndarray) -> np.ndarray:
-    """Corners of (N, 5) rects [cx, cy, l, w, yaw] as (N, 4, 2), CCW."""
-    cx, cy, length, width, yaw = (rects[:, i] for i in range(5))
-    hl, hw = 0.5 * length, 0.5 * width
-    c, s = np.cos(yaw), np.sin(yaw)
-    local = np.stack([
-        np.stack([hl, hw], axis=-1),
-        np.stack([-hl, hw], axis=-1),
-        np.stack([-hl, -hw], axis=-1),
-        np.stack([hl, -hw], axis=-1),
-    ], axis=1)  # (N, 4, 2)
-    x = cx[:, None] + c[:, None] * local[..., 0] - s[:, None] * local[..., 1]
-    y = cy[:, None] + s[:, None] * local[..., 0] + c[:, None] * local[..., 1]
-    return np.stack([x, y], axis=-1)
-
-
-def _clip_batch(poly: np.ndarray, count: np.ndarray,
-                p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clip padded polygons (B, V, 2) against one half-plane per row."""
-    n_batch, n_vert = poly.shape[:2]
-    idx = np.arange(n_vert)
-    safe = np.maximum(count, 1)
-    nxt_idx = (idx[None, :] + 1) % safe[:, None]
-    edge = p2 - p1
-    rel = poly - p1[:, None, :]
-    side = edge[:, None, 0] * rel[..., 1] - edge[:, None, 1] * rel[..., 0]
-    side_nxt = np.take_along_axis(side, nxt_idx, axis=1)
-    nxt = np.take_along_axis(poly, nxt_idx[..., None], axis=1)
-
-    valid = idx[None, :] < count[:, None]
-    emit_cur = valid & (side >= 0.0)
-    crossing = valid & (((side > 0.0) & (side_nxt < 0.0))
-                        | ((side < 0.0) & (side_nxt > 0.0)))
-    denom = np.where(crossing, side - side_nxt, 1.0)
-    t = np.where(crossing, side / denom, 0.0)
-    inter = poly + t[..., None] * (nxt - poly)
-
-    pts = np.stack([poly, inter], axis=2).reshape(n_batch, 2 * n_vert, 2)
-    mask = np.stack([emit_cur, crossing], axis=2).reshape(n_batch, 2 * n_vert)
-    new_count = mask.sum(axis=1)
-
-    out = np.zeros((n_batch, n_vert + 1, 2), dtype=poly.dtype)
-    b_idx, slot = np.nonzero(mask)
-    pos = np.cumsum(mask, axis=1)[b_idx, slot] - 1
-    out[b_idx, pos] = pts[b_idx, slot]
-    return out, new_count
-
-
-def _polygon_area_batch(poly: np.ndarray, count: np.ndarray) -> np.ndarray:
-    n_batch, n_vert = poly.shape[:2]
-    idx = np.arange(n_vert)
-    safe = np.maximum(count, 1)
-    nxt_idx = (idx[None, :] + 1) % safe[:, None]
-    nxt = np.take_along_axis(poly, nxt_idx[..., None], axis=1)
-    cross = poly[..., 0] * nxt[..., 1] - nxt[..., 0] * poly[..., 1]
-    cross = np.where(idx[None, :] < count[:, None], cross, 0.0)
-    area = 0.5 * np.abs(cross.sum(axis=1))
-    return np.where(count >= 3, area, 0.0)
-
-
-def rect_intersection_area_batch(rects_a: np.ndarray,
-                                 rects_b: np.ndarray) -> np.ndarray:
-    """Pairwise intersection areas for aligned (N, 5) rect arrays."""
-    poly = rect_corners_batch(rects_a)
-    count = np.full(len(rects_a), 4, dtype=np.int64)
-    clip = rect_corners_batch(rects_b)
-    for e in range(4):
-        poly, count = _clip_batch(poly, count, clip[:, e], clip[:, (e + 1) % 4])
-    return _polygon_area_batch(poly, count)
-
-
-def iou_3d_pairs(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    """Elementwise 3D IoU of aligned (N, 7) box arrays."""
-    rect_cols = [0, 1, 3, 4, 6]
-    inter_bev = rect_intersection_area_batch(boxes_a[:, rect_cols],
-                                             boxes_b[:, rect_cols])
-    top = np.minimum(boxes_a[:, 2] + 0.5 * boxes_a[:, 5],
-                     boxes_b[:, 2] + 0.5 * boxes_b[:, 5])
-    bot = np.maximum(boxes_a[:, 2] - 0.5 * boxes_a[:, 5],
-                     boxes_b[:, 2] - 0.5 * boxes_b[:, 5])
-    inter = inter_bev * np.maximum(0.0, top - bot)
-    vol_a = boxes_a[:, 3] * boxes_a[:, 4] * boxes_a[:, 5]
-    vol_b = boxes_b[:, 3] * boxes_b[:, 4] * boxes_b[:, 5]
-    union = vol_a + vol_b - inter
-    iou = np.where(union > 0.0, inter / np.maximum(union, 1e-300), 0.0)
-    return np.clip(iou, 0.0, 1.0)
-
-
-def iou_3d_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    """Full (N, M) 3D IoU matrix between two (·, 7) box arrays."""
-    n, m = len(boxes_a), len(boxes_b)
-    if n == 0 or m == 0:
-        return np.zeros((n, m), dtype=np.float64)
-    a = np.repeat(boxes_a, m, axis=0)
-    b = np.tile(boxes_b, (n, 1))
-    return iou_3d_pairs(a, b).reshape(n, m)

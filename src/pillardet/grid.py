@@ -262,25 +262,9 @@ def sparse_conv2d(v: SparsePillarVolume, weight: np.ndarray, bias: np.ndarray,
     nx_out, ny_out = _out_dim(v.nx, stride), _out_dim(v.ny, stride)
     ix, iy = v.coords[:, 0], v.coords[:, 1]
 
-    if submanifold:
-        out_coords = v.coords
-        out_keys = v.keys()
-    else:
-        cand = []
-        for ky in range(3):
-            for kx in range(3):
-                ox_num = ix + 1 - kx
-                oy_num = iy + 1 - ky
-                ok = (ox_num % stride == 0) & (oy_num % stride == 0)
-                ox = ox_num // stride
-                oy = oy_num // stride
-                ok &= (ox >= 0) & (ox < nx_out) & (oy >= 0) & (oy < ny_out)
-                cand.append(ox[ok] * ny_out + oy[ok])
-        out_keys = (np.unique(np.concatenate(cand)) if v.n_active
-                    else np.zeros(0, np.int64))
-        out_coords = np.stack([out_keys // ny_out, out_keys % ny_out], axis=1)
-
-    out_feats = np.zeros((len(out_keys), c_out))
+    # rulebook: per kernel offset, which inputs contribute and to which
+    # output key; shared by the output-set build and the accumulation
+    rules = []
     for ky in range(3):
         for kx in range(3):
             ox_num = ix + 1 - kx
@@ -289,20 +273,26 @@ def sparse_conv2d(v: SparsePillarVolume, weight: np.ndarray, bias: np.ndarray,
             ox = ox_num // stride
             oy = oy_num // stride
             ok &= (ox >= 0) & (ox < nx_out) & (oy >= 0) & (oy < ny_out)
-            if not np.any(ok):
-                continue
-            key = ox[ok] * ny_out + oy[ok]
-            pos = np.searchsorted(out_keys, key)
-            if submanifold:
-                hit = (pos < len(out_keys))
-                hit[hit] = out_keys[pos[hit]] == key[hit]
-            else:
-                hit = np.ones(len(key), dtype=bool)  # candidates are active by construction
-            if not np.any(hit):
-                continue
-            # per offset the input -> output map is injective, plain add is safe
-            contrib = v.features[ok][hit] @ weight[ky, kx]
-            out_feats[pos[hit]] += contrib
+            rules.append((weight[ky, kx], ok, ox[ok] * ny_out + oy[ok]))
+
+    if submanifold:
+        out_coords = v.coords
+        out_keys = v.keys()
+    else:
+        out_keys = np.unique(np.concatenate([key for _, _, key in rules]))
+        out_coords = np.stack([out_keys // ny_out, out_keys % ny_out], axis=1)
+
+    out_feats = np.zeros((len(out_keys), c_out))
+    for w, ok, key in rules:
+        pos = np.searchsorted(out_keys, key)
+        src = v.features[ok]
+        if submanifold:
+            # regular-mode keys are active by construction; here some miss
+            hit = pos < len(out_keys)
+            hit[hit] = out_keys[pos[hit]] == key[hit]
+            pos, src = pos[hit], src[hit]
+        # per offset the input -> output map is injective, plain add is safe
+        out_feats[pos] += src @ w
     if len(out_keys):
         out_feats += bias
     return SparsePillarVolume(stride * v.stride, nx_out, ny_out,

@@ -58,19 +58,18 @@ class ClassMetrics:
     valid: bool                    # False when the class has no ground truth
 
 
+def _keep_mask(gt: Sequence[Box3D], level: str) -> list[bool]:
+    """Which boxes count at ``level``: LEVEL_1 needs more than five LiDAR
+    points, LEVEL_2 at least one."""
+    if level not in LEVELS:
+        raise ValueError(f"unknown difficulty level '{level}'")
+    fewest = 6 if level == "L1" else 1
+    return [b.num_points >= fewest for b in gt]
+
+
 def split_difficulty(gt: Sequence[Box3D], level: str) -> list[Box3D]:
     """Filter ground truth by LiDAR point count for a difficulty level."""
-    if level == "L1":
-        return [b for b in gt if b.num_points > 5]
-    if level == "L2":
-        return [b for b in gt if b.num_points >= 1]
-    raise ValueError(f"unknown difficulty level '{level}'")
-
-
-def _keep_mask(gt: Sequence[Box3D], level: str) -> list[bool]:
-    if level == "L1":
-        return [b.num_points > 5 for b in gt]
-    return [b.num_points >= 1 for b in gt]
+    return [b for b, keep in zip(gt, _keep_mask(gt, level)) if keep]
 
 
 def match_detections(dets: Sequence[Detection], gt: Sequence[Box3D],

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (Box3D, boxes_as_array, iou_3d_matrix, normalize_angle,
-                       point_in_rect, project_to_bev)
+from .geometry import (Box3D, iou_3d_matrix, normalize_angle, point_in_rect,
+                       project_to_bev)
 from .grid import DenseFeatureMap, GridSpec, relu
 from .rpn import Detection, _sigmoid
 from .weights import WeightStore
@@ -68,52 +68,50 @@ def roi_grid_points(roi: Box3D, grid_size: int) -> np.ndarray:
     return np.stack([gx, gy], axis=-1)
 
 
-def bilinear_sample(m: DenseFeatureMap, spec: GridSpec,
-                    p: tuple[float, float]) -> tuple[np.ndarray, list]:
-    """Interpolate the map at a BEV point; cell centers form the lattice.
+@dataclass(frozen=True)
+class BilinearSupport:
+    """The four lattice cells under each sampled point, as (M, 4) arrays.
 
-    Points outside the map blend with zeros. Also returns the analytic
-    gradient of the output w.r.t. the supporting cells as a list of
-    ((iy, ix), weight) pairs (in-bounds cells only), one weight shared by
-    every channel.
+    Corner k of point i is cell (``iy[i, k]``, ``ix[i, k]``) with weight
+    ``weight[i, k]``; ``inside`` marks the corners that lie on the map.
+    The sample is linear in the map, so each inside weight is also the
+    analytic gradient of every output channel w.r.t. that cell.
     """
-    cell = spec.cell_size(m.stride)
-    u = (p[0] - spec.x_min) / cell - 0.5
-    v = (p[1] - spec.y_min) / cell - 0.5
-    ix0, iy0 = math.floor(u), math.floor(v)
-    tx, ty = u - ix0, v - iy0
-    supports = (
-        (iy0, ix0, (1 - ty) * (1 - tx)),
-        (iy0, ix0 + 1, (1 - ty) * tx),
-        (iy0 + 1, ix0, ty * (1 - tx)),
-        (iy0 + 1, ix0 + 1, ty * tx),
-    )
-    value = np.zeros(m.channels)
-    grads = []
-    for iy, ix, w in supports:
-        if 0 <= iy < m.height and 0 <= ix < m.width:
-            value += w * m.data[iy, ix]
-            grads.append(((iy, ix), w))
-    return value, grads
+
+    iy: np.ndarray
+    ix: np.ndarray
+    weight: np.ndarray
+    inside: np.ndarray
 
 
-def _bilinear_batch(m: DenseFeatureMap, spec: GridSpec,
-                    pts: np.ndarray) -> np.ndarray:
-    """Vectorized bilinear sampling of (M, 2) points -> (M, C)."""
+def bilinear_sample(m: DenseFeatureMap, spec: GridSpec,
+                    pts: np.ndarray) -> tuple[np.ndarray, BilinearSupport]:
+    """Interpolate the map at (M, 2) BEV points -> (M, C) values.
+
+    Cell centers form the lattice; corners off the map blend with zeros.
+    Also returns the corners and weights used, which double as the
+    analytic gradient.
+    """
     cell = spec.cell_size(m.stride)
     u = (pts[:, 0] - spec.x_min) / cell - 0.5
     v = (pts[:, 1] - spec.y_min) / cell - 0.5
     ix0 = np.floor(u).astype(np.int64)
     iy0 = np.floor(v).astype(np.int64)
     tx, ty = u - ix0, v - iy0
+    iy = iy0[:, None] + np.array([0, 0, 1, 1])
+    ix = ix0[:, None] + np.array([0, 1, 0, 1])
+    weight = np.stack([(1 - ty) * (1 - tx), (1 - ty) * tx,
+                       ty * (1 - tx), ty * tx], axis=1)
+    inside = (iy >= 0) & (iy < m.height) & (ix >= 0) & (ix < m.width)
+    # accumulate corner by corner, scaling each gather in place: an
+    # (M, 4, C) temporary would be too large
     out = np.zeros((len(pts), m.channels))
-    for dy, dx, w in ((0, 0, (1 - ty) * (1 - tx)), (0, 1, (1 - ty) * tx),
-                      (1, 0, ty * (1 - tx)), (1, 1, ty * tx)):
-        iy, ix = iy0 + dy, ix0 + dx
-        ok = (iy >= 0) & (iy < m.height) & (ix >= 0) & (ix < m.width)
-        if np.any(ok):
-            out[ok] += w[ok, None] * m.data[iy[ok], ix[ok]]
-    return out
+    for k in range(4):
+        ok = inside[:, k]
+        corner = m.data[iy[ok, k], ix[ok, k]]
+        corner *= weight[ok, k, None]
+        out[ok] += corner
+    return out, BilinearSupport(iy, ix, weight, inside)
 
 
 def pool_roi_features(rois: list[Box3D], m: DenseFeatureMap, spec: GridSpec,
@@ -123,7 +121,7 @@ def pool_roi_features(rois: list[Box3D], m: DenseFeatureMap, spec: GridSpec,
         return np.zeros((0, grid_size, grid_size, m.channels))
     pts = np.concatenate([roi_grid_points(r, grid_size).reshape(-1, 2)
                           for r in rois])
-    feats = _bilinear_batch(m, spec, pts)
+    feats, _ = bilinear_sample(m, spec, pts)
     return feats.reshape(len(rois), grid_size, grid_size, m.channels)
 
 
@@ -202,7 +200,7 @@ def sample_proposals(proposals: list[Box3D], gt: list[Box3D], seed: int,
         iou = np.zeros(n)
         gt_idx = np.full(n, -1, dtype=np.int64)
     else:
-        matrix = iou_3d_matrix(boxes_as_array(proposals), boxes_as_array(gt))
+        matrix = iou_3d_matrix(proposals, gt)
         iou = matrix.max(axis=1)
         gt_idx = matrix.argmax(axis=1)
     positive = iou >= pos_iou

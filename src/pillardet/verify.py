@@ -148,13 +148,13 @@ def bilinear_suite(samples: int = 200, seed: int = 3,
     for _ in range(samples):
         data = rng.normal(size=(8, 8, 1))
         m = DenseFeatureMap(1, data)
-        p = (rng.uniform(-0.1, 0.9), rng.uniform(-0.1, 0.9))
-        _, grads = bilinear_sample(m, spec, p)
+        p = rng.uniform(-0.1, 0.9, size=(1, 2))
+        _, sup = bilinear_sample(m, spec, p)
         analytic = np.zeros((8, 8, 1))
-        for (iy, ix), w in grads:
-            analytic[iy, ix, 0] = w
+        for k in np.nonzero(sup.inside[0])[0]:
+            analytic[sup.iy[0, k], sup.ix[0, k], 0] = sup.weight[0, k]
         fd = finite_difference_grad(
-            lambda x: bilinear_sample(DenseFeatureMap(1, x), spec, p)[0][0],
+            lambda x: bilinear_sample(DenseFeatureMap(1, x), spec, p)[0][0, 0],
             data, h=1e-3)
         denom = np.maximum(np.abs(fd), 1e-6)
         rel = np.abs(analytic - fd) / denom

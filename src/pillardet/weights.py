@@ -23,6 +23,8 @@ class WeightStore:
 
     def put(self, name: str, arr: np.ndarray) -> None:
         a = np.asarray(arr, dtype=np.float64).copy()
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"weight tensor '{name}' contains non-finite values")
         a.setflags(write=False)
         self._tensors[name] = a
 

@@ -1,12 +1,15 @@
 import json
 import os
+import struct
 
 import pytest
 
 from conftest import SMALL_CONFIG_DICT
 from pillardet import fileio
 from pillardet.cli import main
+from pillardet.config import config_from_dict
 from pillardet.grid import PointCloud
+from pillardet.pipeline import build_weights
 
 
 @pytest.fixture
@@ -75,6 +78,44 @@ class TestDetect:
         assert main(["detect", "--config", config_path,
                      "--out", str(tmp_path / "d"), str(scene)]) == 2
         assert "magic" in capsys.readouterr().err
+
+    def test_non_finite_weights_rejected(self, tmp_path, capsys):
+        store = build_weights(config_from_dict(SMALL_CONFIG_DICT))
+        weights = tmp_path / "nan.pwt"
+        fileio.save_weights(str(weights), store)
+        # overwrite the first value of the first tensor with NaN
+        name = store.names()[0]
+        offset = 8 + 2 + len(name.encode("utf-8")) + 1 + 4 * store.get(name).ndim
+        blob = bytearray(weights.read_bytes())
+        blob[offset:offset + 4] = struct.pack("<f", float("nan"))
+        weights.write_bytes(bytes(blob))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG_DICT,
+                                   "weights_path": str(weights)}))
+        scene = tmp_path / "empty.pbk"
+        fileio.save_point_cloud(str(scene), PointCloud.empty())
+        assert main(["detect", "--config", str(cfg), "--out",
+                     str(tmp_path / "d"), str(scene)]) == 1
+        err = capsys.readouterr().err
+        assert name in err and "non-finite" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    def test_jobs_output_matches_serial(self, tmp_path, config_path):
+        scenes = tmp_path / "scenes"
+        assert main(["synth", "--config", config_path, "--scenes", "2",
+                     "--out", str(scenes)]) == 0
+        scene_files = sorted(str(scenes / n) for n in os.listdir(scenes)
+                             if n.endswith(".pbk"))
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        assert main(["detect", "--config", config_path, "--out", str(serial),
+                     *scene_files]) == 0
+        assert main(["detect", "--config", config_path, "--jobs", "2",
+                     "--out", str(parallel), *scene_files]) == 0
+        names = sorted(os.listdir(serial))
+        assert names == sorted(os.listdir(parallel)) and len(names) == 2
+        assert any(read_bytes(serial / n) for n in names)
+        for n in names:
+            assert read_bytes(serial / n) == read_bytes(parallel / n), n
 
     def test_shapes_logged(self, tmp_path, config_path, capsys):
         scene = tmp_path / "empty.pbk"

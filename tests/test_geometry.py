@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pillardet.geometry import (Box3D, RotatedRect2D, boxes_as_array,
-                                heading_delta, iou_3d, iou_3d_matrix,
-                                iou_3d_pairs, point_in_rect, polygon_area,
+from pillardet.geometry import (Box3D, RotatedRect2D, heading_delta, iou_3d,
+                                iou_3d_matrix, point_in_rect, polygon_area,
                                 project_to_bev, rotated_iou_bev)
 from pillardet.oracles import mc_rotated_iou
 
@@ -171,19 +170,34 @@ class TestIou3D:
             a, b = random_box(rng), random_box(rng)
             assert iou_3d(a, b) == iou_3d(b, a)
 
-    def test_batched_paths_match_scalar(self):
+    def test_matrix_matches_elementwise(self):
         rng = np.random.default_rng(7)
-        boxes_a = [random_box(rng) for _ in range(120)]
-        boxes_b = [random_box(rng) for _ in range(120)]
-        arr_a, arr_b = boxes_as_array(boxes_a), boxes_as_array(boxes_b)
-        pair = iou_3d_pairs(arr_a, arr_b)
-        scalar = np.array([iou_3d(a, b) for a, b in zip(boxes_a, boxes_b)])
-        np.testing.assert_allclose(pair, scalar, atol=1e-12)
-        matrix = iou_3d_matrix(arr_a[:10], arr_b[:7])
-        for i in range(10):
-            for j in range(7):
-                assert matrix[i, j] == pytest.approx(
-                    iou_3d(boxes_a[i], boxes_b[j]), abs=1e-12)
+        boxes_a = [random_box(rng) for _ in range(40)]
+        boxes_b = [random_box(rng) for _ in range(30)]
+        # far pairs: every circumcircle test rejects them
+        boxes_b += [Box3D(50.0 + 3 * k, -40.0, 0.0, 4.0, 2.0, 1.5, 0.1 * k)
+                    for k in range(5)]
+        # pairs whose circumcircles just touch (3-4-5 boxes: radius 2.5),
+        # corner to corner, a hair apart and a hair overlapping
+        corner_yaw = -math.atan2(2.0, 1.5)
+        boxes_a.append(Box3D(0.0, 0.0, 0.0, 3.0, 4.0, 1.0, corner_yaw))
+        for eps in (0.0, 1e-12, -1e-12, 1e-9, -1e-9):
+            boxes_b.append(Box3D(5.0 + eps, 0.0, 0.0, 3.0, 4.0, 1.0, corner_yaw))
+        for _ in range(20):
+            t = rng.uniform(-math.pi, math.pi)
+            a, b = random_box(rng), random_box(rng)
+            reach = 0.5 * (a.bev_diagonal + b.bev_diagonal)
+            boxes_a.append(a)
+            boxes_b.append(Box3D(a.cx + reach * math.cos(t), a.cy + reach * math.sin(t),
+                                 b.cz, b.length, b.width, b.height, b.yaw))
+        matrix = iou_3d_matrix(boxes_a, boxes_b)
+        assert matrix.shape == (len(boxes_a), len(boxes_b))
+        for i, a in enumerate(boxes_a):
+            for j, b in enumerate(boxes_b):
+                assert matrix[i, j] == iou_3d(a, b)  # exact, not approximate
+        assert not matrix[:, 30:35].any()
+        assert matrix.any()
+        assert iou_3d_matrix([], boxes_b).shape == (0, len(boxes_b))
 
 
 class TestHeadingDelta:

@@ -60,42 +60,47 @@ class TestBilinear:
     def map_of(self, rng, h=8, w=8, c=3):
         return DenseFeatureMap(1, rng.normal(size=(h, w, c)))
 
+    def support_weights(self, sup, i=0):
+        """{(iy, ix): weight} over the on-map corners of point ``i``."""
+        return {(int(sup.iy[i, k]), int(sup.ix[i, k])): sup.weight[i, k]
+                for k in range(4) if sup.inside[i, k]}
+
     def test_exact_at_cell_center(self):
         rng = np.random.default_rng(1)
         m = self.map_of(rng)
         # cell (ix=2, iy=5) center
-        p = (SPEC.x_min + (2 + 0.5) * 0.5, SPEC.y_min + (5 + 0.5) * 0.5)
-        value, grads = bilinear_sample(m, SPEC, p)
-        np.testing.assert_allclose(value, m.data[5, 2], atol=1e-12)
-        weights = {pos: w for pos, w in grads}
-        assert weights[(5, 2)] == pytest.approx(1.0)
+        p = np.array([[SPEC.x_min + (2 + 0.5) * 0.5, SPEC.y_min + (5 + 0.5) * 0.5]])
+        value, sup = bilinear_sample(m, SPEC, p)
+        np.testing.assert_allclose(value[0], m.data[5, 2], atol=1e-12)
+        assert self.support_weights(sup)[(5, 2)] == pytest.approx(1.0)
 
     def test_midpoint_of_four_cells(self):
         rng = np.random.default_rng(2)
         m = self.map_of(rng)
-        p = (SPEC.x_min + 2.0 * 0.5, SPEC.y_min + 3.0 * 0.5)  # corner of 4 cells
+        # shared corner of 4 cells
+        p = np.array([[SPEC.x_min + 2.0 * 0.5, SPEC.y_min + 3.0 * 0.5]])
         value, _ = bilinear_sample(m, SPEC, p)
         mean4 = m.data[2:4, 1:3].mean(axis=(0, 1))
-        np.testing.assert_allclose(value, mean4, atol=1e-12)
+        np.testing.assert_allclose(value[0], mean4, atol=1e-12)
 
     def test_far_outside_samples_zero(self):
         rng = np.random.default_rng(3)
         m = self.map_of(rng)
-        value, grads = bilinear_sample(m, SPEC, (100.0, 100.0))
-        assert not value.any() and grads == []
+        value, sup = bilinear_sample(m, SPEC, np.array([[100.0, 100.0]]))
+        assert not value.any() and self.support_weights(sup) == {}
 
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(4)
         worst = 0.0
         for _ in range(50):
             data = rng.normal(size=(6, 6, 1))
-            p = (rng.uniform(-4.2, 4.2), rng.uniform(-4.2, 4.2))
-            _, grads = bilinear_sample(DenseFeatureMap(1, data), SPEC, p)
+            p = rng.uniform(-4.2, 4.2, size=(1, 2))
+            _, sup = bilinear_sample(DenseFeatureMap(1, data), SPEC, p)
             analytic = np.zeros((6, 6, 1))
-            for (iy, ix), w in grads:
+            for (iy, ix), w in self.support_weights(sup).items():
                 analytic[iy, ix, 0] = w
             fd = finite_difference_grad(
-                lambda x: bilinear_sample(DenseFeatureMap(1, x), SPEC, p)[0][0],
+                lambda x: bilinear_sample(DenseFeatureMap(1, x), SPEC, p)[0][0, 0],
                 data, h=1e-3)
             sig = np.abs(fd) > 1e-9
             if np.any(sig):
@@ -104,16 +109,6 @@ class TestBilinear:
             # entries the FD says are zero must be zero analytically too
             np.testing.assert_allclose(analytic[~sig], 0.0, atol=1e-9)
         assert worst < 1e-4
-
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(5)
-        m = self.map_of(rng, c=4)
-        pts = rng.uniform(-5, 5, size=(200, 2))
-        from pillardet.rcnn import _bilinear_batch
-        batch = _bilinear_batch(m, SPEC, pts)
-        for i in range(len(pts)):
-            scalar, _ = bilinear_sample(m, SPEC, (pts[i, 0], pts[i, 1]))
-            np.testing.assert_allclose(batch[i], scalar, atol=1e-12)
 
 
 class TestResiduals:
