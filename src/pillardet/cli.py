@@ -100,23 +100,34 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+# the pipeline of a ``detect --jobs`` worker process, installed once per worker
+_worker_pipeline: DetectionPipeline | None = None
+
+
+def _init_detect_worker(pipeline: DetectionPipeline) -> None:
+    global _worker_pipeline
+    _worker_pipeline = pipeline
+
+
 def _detect_one(payload) -> str:
-    cfg, scene_path, out_dir = payload
-    return _detect_one_with(DetectionPipeline(cfg), scene_path, out_dir)
+    scene_path, out_dir = payload
+    return _detect_one_with(_worker_pipeline, scene_path, out_dir)
 
 
 def cmd_detect(args) -> int:
     cfg = _load(args)
     os.makedirs(args.out, exist_ok=True)
-    payloads = [(cfg, path, args.out) for path in args.scenes]
-    if args.jobs <= 1:
-        # reuse one pipeline (weight build) across scenes
-        pipeline = DetectionPipeline(cfg)
-        for cfg_, path, out_dir in payloads:
-            print(_detect_one_with(pipeline, path, out_dir))
+    # built once, here: a bad config or weight file fails before any worker
+    # starts, and workers receive the weights instead of rebuilding them
+    pipeline = DetectionPipeline(cfg)
+    if args.jobs <= 1 or len(args.scenes) <= 1:
+        lines = (_detect_one_with(pipeline, path, args.out)
+                 for path in args.scenes)
     else:
-        for line in _map_jobs(_detect_one, payloads, args.jobs):
-            print(line)
+        lines = _map_jobs(_detect_one, [(path, args.out) for path in args.scenes],
+                          args.jobs, _init_detect_worker, (pipeline,))
+    for line in lines:
+        print(line)
     return EXIT_OK
 
 
@@ -190,10 +201,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _map_jobs(fn, payloads, jobs: int):
+def _map_jobs(fn, payloads, jobs: int, initializer=None, initargs=()):
+    """``fn`` over payloads, in worker processes when ``jobs`` > 1.
+
+    Workers are spawned, not forked, so no BLAS thread state is inherited;
+    ``initializer(*initargs)`` runs once in each worker.
+    """
     if jobs <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
-    with multiprocessing.Pool(min(jobs, len(payloads))) as pool:
+    ctx = multiprocessing.get_context("spawn")
+    with ctx.Pool(min(jobs, len(payloads)), initializer, initargs) as pool:
         return pool.map(fn, payloads)
 
 

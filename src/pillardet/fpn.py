@@ -5,6 +5,13 @@ with a stride-2 deconvolution, densify the spatially precise sparse volume
 at the target stride, concatenate [top-down, bottom-up], and blend with a
 3x3 convolution. Concatenation (rather than addition) keeps the mostly
 empty bottom-up channels from washing out the semantics.
+
+The concat + conv is evaluated without building the concatenation: a
+convolution is linear in its input channels, so the kernel splits by
+channel. A dense conv runs over the upsampled half and a scatter conv
+adds the bottom-up half from its active sites only (a few percent of the
+cells); bias and ReLU follow once. This is the same operation, checked
+against the per-pixel oracle on the concatenated input by ``verify``.
 """
 
 from __future__ import annotations
@@ -13,8 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (BackboneFeatures, DenseFeatureMap, SparsePillarVolume,
-                   deconv2x2, dense_conv2d, densify, relu, sparse_conv2d)
+# densify stays importable here: traced runs patch this module's call sites
+from .grid import (BackboneFeatures, DenseFeatureMap, SparsePillarVolume,  # noqa: F401
+                   deconv2x2, dense_conv2d, densify, relu, scatter_conv2d,
+                   sparse_conv2d)
 from .weights import WeightStore
 
 
@@ -26,6 +35,28 @@ class FeaturePyramid:
 
     def __getitem__(self, stride: int) -> DenseFeatureMap:
         return self.levels[stride]
+
+
+def split_lateral_conv(up: np.ndarray, bottom_up: list[SparsePillarVolume],
+                       weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``relu(conv3x3(concat([up] + [densify(v) for v in bottom_up])))``.
+
+    Kernel input channels are sliced in concat order: ``up`` takes the
+    first ``up.shape[2]``, each volume the next ``v.channels``. An empty
+    ``bottom_up`` list convolves ``up`` alone with its slice.
+    """
+    c_in = up.shape[2] + sum(v.channels for v in bottom_up)
+    if weight.shape[:3] != (3, 3, c_in):
+        raise ValueError(f"kernel shape {weight.shape} incompatible with "
+                         f"{c_in} concatenated input channels")
+    c_out = weight.shape[3]
+    out = dense_conv2d(up, weight[:, :, :up.shape[2]], np.zeros(c_out))
+    start = up.shape[2]
+    for v in bottom_up:
+        scatter_conv2d(out, v, weight[:, :, start:start + v.channels])
+        start += v.channels
+    out += bias
+    return np.maximum(out, 0.0, out=out)
 
 
 def lateral_merge(top_down: DenseFeatureMap, bottom_up: SparsePillarVolume,
@@ -47,10 +78,8 @@ def lateral_merge(top_down: DenseFeatureMap, bottom_up: SparsePillarVolume,
             f"upsampled dims {up.shape[:2]} do not match bottom-up grid "
             f"({bottom_up.ny}, {bottom_up.nx})"
         )
-    dense_bu = densify(bottom_up)
-    merged = np.concatenate([up, dense_bu.data], axis=-1)
-    out = relu(dense_conv2d(merged, weights.get(f"{prefix}.conv.w"),
-                            weights.get(f"{prefix}.conv.b")))
+    out = split_lateral_conv(up, [bottom_up], weights.get(f"{prefix}.conv.w"),
+                             weights.get(f"{prefix}.conv.b"))
     return DenseFeatureMap(bottom_up.stride, out)
 
 
@@ -85,7 +114,8 @@ def build_pooling_map(backbone: BackboneFeatures, pyramid: FeaturePyramid,
     pooling stride (a pyramid level when present, else C5). Each bottom-up
     volume is brought to the pooling stride with stride-2 sparse convs
     (identity when already there) and densified; ``use_bottom_up=False``
-    zeroes that branch, leaving the semantics-only ablation.
+    zeroes that branch, leaving the semantics-only ablation: the branch
+    becomes an empty volume, so its scatter half adds nothing.
     """
     if pool_stride not in (2, 4, 8):
         raise ValueError(f"pool_stride must be one of 2, 4, 8, got {pool_stride}")
@@ -108,18 +138,17 @@ def build_pooling_map(backbone: BackboneFeatures, pyramid: FeaturePyramid,
     up = relu(deconv2x2(semantic.data, weights.get("neck.pool.deconv.w"),
                         weights.get("neck.pool.deconv.b")))
 
-    branches = [up]
+    branches = []
     for s in bottom_up_strides:
         vol = _downsample_chain(backbone.volume_at(s), pool_stride, weights,
                                 f"neck.pool.s{s}")
-        dense = densify(vol).data
-        if not use_bottom_up:
-            dense = np.zeros_like(dense)
-        if dense.shape[:2] != up.shape[:2]:
+        if (vol.ny, vol.nx) != up.shape[:2]:
             raise ValueError("bottom-up branch dims do not match upsampled map")
-        branches.append(dense)
+        if not use_bottom_up:
+            vol = SparsePillarVolume.empty(vol.stride, vol.nx, vol.ny,
+                                           vol.channels)
+        branches.append(vol)
 
-    merged = np.concatenate(branches, axis=-1)
-    out = relu(dense_conv2d(merged, weights.get("neck.pool.conv.w"),
-                            weights.get("neck.pool.conv.b")))
+    out = split_lateral_conv(up, branches, weights.get("neck.pool.conv.w"),
+                             weights.get("neck.pool.conv.b"))
     return DenseFeatureMap(pool_stride, out)

@@ -28,6 +28,18 @@ def normalize_angle(angle: float) -> float:
     return a
 
 
+# Decoded log-extents are clamped to this magnitude before ``exp``, as
+# CenterPoint clamps its size regression: an extreme weight then yields a
+# huge (e^10 ~ 22 km) or tiny but finite, positive extent instead of a
+# float overflow or a zero extent. Trained heads stay far inside it.
+LOG_EXTENT_LIMIT = 10.0
+
+
+def exp_extent(log_extent: float) -> float:
+    """``exp`` of a decoded log-extent clamped to +-LOG_EXTENT_LIMIT."""
+    return math.exp(min(max(log_extent, -LOG_EXTENT_LIMIT), LOG_EXTENT_LIMIT))
+
+
 def heading_delta(a: float, b: float) -> float:
     """Absolute heading difference in [0, pi]."""
     d = abs(math.remainder(a - b, TWO_PI))

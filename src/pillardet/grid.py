@@ -240,6 +240,27 @@ def _out_dim(n: int, stride: int) -> int:
     return (n - 1) // stride + 1
 
 
+def _rulebook(v: SparsePillarVolume, stride: int, nx_out: int, ny_out: int):
+    """Per 3x3 kernel offset, which active sites feed which output cells.
+
+    Input (ix, iy) feeds output ((ix + 1 - kx) / stride, (iy + 1 - ky) / stride)
+    through ``weight[ky, kx]`` when that divides exactly and lands inside the
+    output grid. Yields ``(ky, kx, ok, ox, oy)``: the mask of contributing
+    inputs and their output cells. Per offset the map is injective, so
+    accumulating with a plain fancy-index add is safe.
+    """
+    ix, iy = v.coords[:, 0], v.coords[:, 1]
+    for ky in range(3):
+        for kx in range(3):
+            ox_num = ix + 1 - kx
+            oy_num = iy + 1 - ky
+            ok = (ox_num % stride == 0) & (oy_num % stride == 0)
+            ox = ox_num // stride
+            oy = oy_num // stride
+            ok &= (ox >= 0) & (ox < nx_out) & (oy >= 0) & (oy < ny_out)
+            yield ky, kx, ok, ox[ok], oy[ok]
+
+
 def sparse_conv2d(v: SparsePillarVolume, weight: np.ndarray, bias: np.ndarray,
                   stride: int = 1, submanifold: bool = False) -> SparsePillarVolume:
     """3x3 sparse convolution with zero padding.
@@ -260,20 +281,9 @@ def sparse_conv2d(v: SparsePillarVolume, weight: np.ndarray, bias: np.ndarray,
 
     c_out = weight.shape[3]
     nx_out, ny_out = _out_dim(v.nx, stride), _out_dim(v.ny, stride)
-    ix, iy = v.coords[:, 0], v.coords[:, 1]
-
-    # rulebook: per kernel offset, which inputs contribute and to which
-    # output key; shared by the output-set build and the accumulation
-    rules = []
-    for ky in range(3):
-        for kx in range(3):
-            ox_num = ix + 1 - kx
-            oy_num = iy + 1 - ky
-            ok = (ox_num % stride == 0) & (oy_num % stride == 0)
-            ox = ox_num // stride
-            oy = oy_num // stride
-            ok &= (ox >= 0) & (ox < nx_out) & (oy >= 0) & (oy < ny_out)
-            rules.append((weight[ky, kx], ok, ox[ok] * ny_out + oy[ok]))
+    # built once, shared by the output-set build and the accumulation
+    rules = [(weight[ky, kx], ok, ox * ny_out + oy)
+             for ky, kx, ok, ox, oy in _rulebook(v, stride, nx_out, ny_out)]
 
     if submanifold:
         out_coords = v.coords
@@ -291,12 +301,29 @@ def sparse_conv2d(v: SparsePillarVolume, weight: np.ndarray, bias: np.ndarray,
             hit = pos < len(out_keys)
             hit[hit] = out_keys[pos[hit]] == key[hit]
             pos, src = pos[hit], src[hit]
-        # per offset the input -> output map is injective, plain add is safe
         out_feats[pos] += src @ w
     if len(out_keys):
         out_feats += bias
     return SparsePillarVolume(stride * v.stride, nx_out, ny_out,
                               out_coords, out_feats)
+
+
+def scatter_conv2d(acc: np.ndarray, v: SparsePillarVolume,
+                   weight: np.ndarray) -> None:
+    """Add the stride-1 3x3 conv of ``densify(v)`` into ``acc`` in place.
+
+    Work starts only from the active sites, so the dense map is never
+    built: ``acc`` is the (ny, nx, c_out) output grid and receives no bias.
+    """
+    if weight.shape[:3] != (3, 3, v.channels):
+        raise ValueError(
+            f"kernel shape {weight.shape} incompatible with {v.channels} input channels"
+        )
+    if acc.shape != (v.ny, v.nx, weight.shape[3]):
+        raise ValueError(f"output grid {acc.shape} does not match volume "
+                         f"({v.ny}, {v.nx}) x {weight.shape[3]} channels")
+    for ky, kx, ok, ox, oy in _rulebook(v, 1, v.nx, v.ny):
+        acc[oy, ox] += v.features[ok] @ weight[ky, kx]
 
 
 def densify(v: SparsePillarVolume) -> DenseFeatureMap:
@@ -317,24 +344,66 @@ def sparsify(m: DenseFeatureMap, threshold: float = 0.0) -> SparsePillarVolume:
                               m.data[iy[order], ix[order]])
 
 
+# pixel rows of one accumulation band: a band's product and accumulator
+# stay in cache while the nine offsets add into it
+_BAND_ROWS = 512
+
+
 def dense_conv2d(data: np.ndarray, weight: np.ndarray, bias: np.ndarray,
                  stride: int = 1) -> np.ndarray:
-    """Dense 3x3 convolution, zero padding 1, via shift-and-matmul."""
+    """Dense 3x3 convolution, zero padding 1, via shift-and-matmul.
+
+    The padded input is split into stride x stride phase planes (one plane
+    at stride 1), each stored as flat pixel rows of one common width. Output
+    pixel (oy, ox) then reads offset (ky, kx) at a fixed row distance in
+    plane (ky % stride, kx % stride), so each offset's GEMM operand is a
+    contiguous row range and nothing is copied per offset. Outputs are
+    computed over the plane width and the extra columns dropped; rows are
+    accumulated band by band.
+    """
     h, w_in, c_in = data.shape
     if weight.shape[:3] != (3, 3, c_in):
         raise ValueError(f"kernel shape {weight.shape} incompatible with input")
+    if stride not in (1, 2):
+        raise ValueError(f"unsupported stride {stride}")
     c_out = weight.shape[3]
-    h_out, w_out = _out_dim(h, stride), _out_dim(w_in, stride)
-    padded = np.zeros((h + 2, w_in + 2, c_in))
-    padded[1:-1, 1:-1] = data
-    acc = np.zeros((h_out * w_out, c_out))
-    for ky in range(3):
-        for kx in range(3):
-            window = padded[ky:ky + (h_out - 1) * stride + 1:stride,
-                            kx:kx + (w_out - 1) * stride + 1:stride]
-            acc += window.reshape(-1, c_in) @ weight[ky, kx]
-    acc += bias
-    return acc.reshape(h_out, w_out, c_out)
+    s = stride
+    h_out, w_out = _out_dim(h, s), _out_dim(w_in, s)
+    reach = 2 // s  # largest plane shift of a kernel offset
+    width = w_out + reach
+    # one spare row: the last band's shifted row range ends up to `reach`
+    # pixels past the padded plane
+    rows = h_out + reach + 1
+    planes = np.zeros((s, s, rows, width, c_in))
+    for py in range(s):
+        for px in range(s):
+            # padded pixel (s*i + py, s*j + px) is data pixel (s*i + py - 1, ...)
+            dy, dx = (py - 1) % s, (px - 1) % s
+            src = data[dy::s, dx::s]
+            iy, ix = (dy + 1 - py) // s, (dx + 1 - px) // s
+            planes[py, px, iy:iy + src.shape[0], ix:ix + src.shape[1]] = src
+    flat = planes.reshape(s, s, rows * width, c_in)
+
+    out = np.empty((h_out, w_out, c_out))
+    band = max(1, _BAND_ROWS // width)
+    acc = np.empty((band * width, c_out))
+    tmp = np.empty_like(acc)
+    for y0 in range(0, h_out, band):
+        y1 = min(h_out, y0 + band)
+        n = (y1 - y0) * width
+        a, t = acc[:n], tmp[:n]
+        for ky in range(3):
+            for kx in range(3):
+                start = (y0 + ky // s) * width + kx // s
+                src = flat[ky % s, kx % s, start:start + n]
+                if ky == kx == 0:
+                    np.matmul(src, weight[ky, kx], out=a)
+                else:
+                    np.matmul(src, weight[ky, kx], out=t)
+                    a += t
+        a += bias
+        out[y0:y1] = a.reshape(y1 - y0, width, c_out)[:, :w_out]
+    return out
 
 
 def deconv2x2(data: np.ndarray, weight: np.ndarray,

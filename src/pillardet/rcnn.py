@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (Box3D, iou_3d_matrix, normalize_angle, point_in_rect,
-                       project_to_bev)
+from .geometry import (Box3D, exp_extent, iou_3d_matrix, normalize_angle,
+                       point_in_rect, project_to_bev)
 from .grid import DenseFeatureMap, GridSpec, relu
 from .rpn import Detection, _sigmoid
 from .weights import WeightStore
@@ -145,12 +145,14 @@ def encode_residuals(roi: Box3D, target: Box3D) -> np.ndarray:
 
 
 def decode_residuals(roi: Box3D, residuals: np.ndarray) -> Box3D:
+    """Inverse of :func:`encode_residuals`; log ratios go through the
+    clamped :func:`~pillardet.geometry.exp_extent`."""
     d = roi.bev_diagonal
     r = residuals
     return Box3D(roi.cx + r[0] * d, roi.cy + r[1] * d,
                  roi.cz + r[2] * roi.height,
-                 roi.length * math.exp(r[3]), roi.width * math.exp(r[4]),
-                 roi.height * math.exp(r[5]),
+                 roi.length * exp_extent(r[3]), roi.width * exp_extent(r[4]),
+                 roi.height * exp_extent(r[5]),
                  roi.yaw + r[6], class_id=roi.class_id)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Box3D, iou_3d
+from .geometry import Box3D, exp_extent, iou_3d
 from .grid import GridSpec, dense_conv2d, relu
 from .fpn import FeaturePyramid
 from .weights import WeightStore
@@ -225,7 +225,8 @@ def decode_proposals(heads: dict[int, HeadOutput], spec: GridSpec,
     """Decode per-class peaks into boxes.
 
     A peak's center decodes as (cell + offset) * cell_size + range_min,
-    so a zero offset lands on the cell's minimum corner. The predicted-IoU
+    so a zero offset lands on the cell's minimum corner. Log extents are
+    clamped by :func:`~pillardet.geometry.exp_extent`. The predicted-IoU
     channel is squashed through a sigmoid when read.
     """
     dets: list[Detection] = []
@@ -246,7 +247,8 @@ def decode_proposals(heads: dict[int, HeadOutput], spec: GridSpec,
                 cx = spec.x_min + (c + reg[0]) * cell
                 cy = spec.y_min + (r + reg[1]) * cell
                 box = Box3D(cx, cy, float(reg[2]),
-                            math.exp(reg[3]), math.exp(reg[4]), math.exp(reg[5]),
+                            exp_extent(reg[3]), exp_extent(reg[4]),
+                            exp_extent(reg[5]),
                             math.atan2(reg[6], reg[7]), class_id=class_id)
                 w_iou = float(_sigmoid(head.iou[r, c, 0]))
                 dets.append(Detection(box, class_id, float(scores[idx]), w_iou))

@@ -2,7 +2,9 @@
 
 Shipped with the library (not only the test tree) so a deployment can
 re-run the correctness gates in the field: rotated IoU against Monte
-Carlo, sparse against dense convolution, greedy against exhaustive NMS,
+Carlo, sparse against dense convolution, the split lateral convolution
+against a dense convolution of the concatenated input, greedy against
+exhaustive NMS,
 analytic against finite-difference bilinear gradients, and segmentation
 labels against direct point-in-rect evaluation. Budgets are fixed;
 everything is seeded.
@@ -17,7 +19,9 @@ import numpy as np
 
 from .geometry import (Box3D, RotatedRect2D, iou_3d, point_in_rect,
                        project_to_bev, rotated_iou_bev)
-from .grid import DenseFeatureMap, GridSpec, SparsePillarVolume, densify, sparse_conv2d
+from .fpn import split_lateral_conv
+from .grid import (DenseFeatureMap, GridSpec, SparsePillarVolume, densify, relu,
+                   sparse_conv2d)
 from .oracles import (dense_conv_reference, exhaustive_nms,
                       finite_difference_grad, mc_rotated_iou)
 from .rcnn import aux_seg_labels, bilinear_sample, roi_grid_points
@@ -113,6 +117,58 @@ def sparse_dense_suite(volumes: int = 40, seed: int = 1,
                        f"max abs diff {worst:.2e}")
 
 
+def border_volume(rng: np.random.Generator, nx: int, ny: int,
+                  channels: int) -> SparsePillarVolume:
+    """Active sites on the outermost ring of cells only, corners included."""
+    ring = [(ix, iy) for ix in range(nx) for iy in range(ny)
+            if ix in (0, nx - 1) or iy in (0, ny - 1)]
+    coords = np.array(sorted(ring), dtype=np.int64)
+    return SparsePillarVolume(1, nx, ny, coords,
+                              rng.normal(size=(len(coords), channels)))
+
+
+def split_lateral_suite(maps: int = 40, seed: int = 5,
+                        tolerance: float = 1e-5,
+                        corrupt: bool = False) -> SuiteResult:
+    """Split lateral conv vs the per-pixel dense conv of the concatenation.
+
+    Each case has one or two bottom-up volumes, each random, empty or
+    touching only the map border. ``corrupt`` perturbs one bottom-up
+    kernel weight on the split side only, a negative control that must
+    make the suite fail.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for k in range(maps):
+        h, w = int(rng.integers(1, 15)), int(rng.integers(1, 15))
+        c_up, c_out = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        vols = []
+        for _ in range(int(rng.integers(1, 3))):
+            c = int(rng.integers(1, 4))
+            kind = (k + len(vols)) % 3
+            if kind == 0:
+                vols.append(SparsePillarVolume.empty(1, w, h, c))
+            elif kind == 1:
+                vols.append(border_volume(rng, w, h, c))
+            else:
+                vols.append(random_volume(rng, w, h, c,
+                                          density=float(rng.uniform(0.02, 0.3))))
+        up = rng.normal(size=(h, w, c_up))
+        c_in = c_up + sum(v.channels for v in vols)
+        weight = rng.normal(size=(3, 3, c_in, c_out))
+        bias = rng.normal(size=c_out)
+        w_split = weight.copy()
+        if corrupt:
+            w_split[1, 1, c_up, 0] += 1e-3
+        fast = split_lateral_conv(up, vols, w_split, bias)
+        merged = np.concatenate([up] + [densify(v).data for v in vols], axis=-1)
+        ref = relu(dense_conv_reference(merged, weight) + bias)
+        worst = max(worst, float(np.abs(fast - ref).max()))
+    return SuiteResult("split-lateral", worst < tolerance, worst,
+                       f"{maps} maps, random/empty/border volumes",
+                       f"max abs diff {worst:.2e}")
+
+
 def nms_suite(scenes: int = 30, boxes_per_scene: int = 60,
               seed: int = 2) -> SuiteResult:
     """Greedy NMS must match the exhaustive-matrix oracle exactly."""
@@ -189,6 +245,7 @@ def run_all(corrupt: bool = False) -> list[SuiteResult]:
     return [
         geometry_suite(),
         sparse_dense_suite(corrupt=corrupt),
+        split_lateral_suite(corrupt=corrupt),
         nms_suite(),
         bilinear_suite(),
         aux_label_suite(),

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import struct
 
+import numpy as np
 import pytest
 
 from conftest import SMALL_CONFIG_DICT
@@ -10,6 +12,7 @@ from pillardet.cli import main
 from pillardet.config import config_from_dict
 from pillardet.grid import PointCloud
 from pillardet.pipeline import build_weights
+from pillardet.weights import WeightStore
 
 
 @pytest.fixture
@@ -100,6 +103,35 @@ class TestDetect:
         assert name in err and "non-finite" in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("tensor,value", [("rpn.s8.reg.b", 1000.0),
+                                              ("rpn.s8.reg.b", -1000.0),
+                                              ("rcnn.reg.b", 1000.0)])
+    def test_extreme_log_extent_is_clamped(self, tmp_path, config_path,
+                                           capsys, tensor, value):
+        store = build_weights(config_from_dict(SMALL_CONFIG_DICT))
+        tensors = dict(store.items())
+        bias = tensors[tensor].copy()
+        bias[3] = value  # log-length channel
+        tensors[tensor] = bias
+        weights = tmp_path / "extreme.pwt"
+        fileio.save_weights(str(weights), WeightStore(tensors))
+        cfg = tmp_path / "extreme.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG_DICT,
+                                   "weights_path": str(weights)}))
+        scenes = tmp_path / "scenes"
+        assert main(["synth", "--config", config_path, "--scenes", "1",
+                     "--out", str(scenes)]) == 0
+        out = tmp_path / "dets"
+        assert main(["detect", "--config", str(cfg), "--out", str(out),
+                     str(scenes / "scene_0000.pbk")]) == 0
+        assert capsys.readouterr().err == ""
+        dets = fileio.load_detections(str(out / "scene_0000.det.txt"))
+        assert dets
+        lengths = np.array([d.box.length for d in dets])
+        assert np.all(np.isfinite(lengths)) and np.all(lengths > 0)
+        # the clamp bounds each decode stage's factor by e^10
+        assert lengths.max() <= math.exp(20.0)
+
     def test_jobs_output_matches_serial(self, tmp_path, config_path):
         scenes = tmp_path / "scenes"
         assert main(["synth", "--config", config_path, "--scenes", "2",
@@ -168,8 +200,8 @@ class TestVerify:
     def test_default_budgets_pass(self, config_path, capsys):
         assert main(["verify", "--config", config_path]) == 0
         out = capsys.readouterr().out
-        for suite in ("geometry-mc-iou", "sparse-dense-conv", "nms-brute-force",
-                      "bilinear-fd-grad", "aux-seg-labels"):
+        for suite in ("geometry-mc-iou", "sparse-dense-conv", "split-lateral",
+                      "nms-brute-force", "bilinear-fd-grad", "aux-seg-labels"):
             assert suite in out and "max_err" in out
         assert "all suites passed" in out
 
@@ -177,3 +209,4 @@ class TestVerify:
         assert main(["verify", "--config", config_path, "--corrupt"]) == 1
         out = capsys.readouterr().out
         assert "sparse-dense-conv  FAIL" in out
+        assert "split-lateral      FAIL" in out

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from pillardet.config import config_from_dict, weight_layout
-from pillardet.fpn import build_pooling_map, build_pyramid, lateral_merge
+from pillardet.fpn import (_downsample_chain, build_pooling_map, build_pyramid,
+                           lateral_merge, split_lateral_conv)
 from pillardet.grid import (PointCloud, SparsePillarVolume,
                             backbone_forward, deconv2x2, dense_conv2d,
                             densify, pillarize, relu)
+from pillardet.oracles import dense_conv_reference
 from pillardet.weights import WeightStore
 
 
@@ -62,6 +64,26 @@ class TestLateralMerge:
         np.testing.assert_array_equal(merged.data, manual)
 
 
+    def test_matches_concat_formula(self):
+        cfg = tiny_config()
+        store, backbone = forward_to_backbone(cfg)
+        p4 = lateral_merge(backbone.c5, backbone.c4, store, "neck.p4")
+        assert backbone.c3.n_active > 0
+        p3 = lateral_merge(p4, backbone.c3, store, "neck.p3")
+        up = relu(deconv2x2(p4.data, store.get("neck.p3.deconv.w"),
+                            store.get("neck.p3.deconv.b")))
+        merged = np.concatenate([up, densify(backbone.c3).data], axis=-1)
+        expected = relu(dense_conv_reference(merged, store.get("neck.p3.conv.w"))
+                        + store.get("neck.p3.conv.b"))
+        np.testing.assert_allclose(p3.data, expected, atol=1e-10)
+
+    def test_split_conv_rejects_channel_mismatch(self):
+        v = SparsePillarVolume.empty(1, 4, 3, 2)
+        with pytest.raises(ValueError, match="concatenated"):
+            split_lateral_conv(np.zeros((3, 4, 5)), [v],
+                               np.zeros((3, 3, 6, 1)), np.zeros(1))
+
+
 class TestPyramid:
     def test_level_dims_and_channels(self):
         cfg = tiny_config()
@@ -104,6 +126,22 @@ class TestPoolingMap:
         pool = build_pooling_map(backbone, build_pyramid(backbone, store),
                                  store, 2, cfg.bottom_up_strides)
         assert (pool.height, pool.width) == (cfg.grid.ny // 2, cfg.grid.nx // 2)
+
+    def test_stride_two_two_branches_match_concat_formula(self):
+        cfg = tiny_config(pool_stride=2, pool_bottom_up_strides=[1, 2])
+        store, backbone = forward_to_backbone(cfg)
+        pyramid = build_pyramid(backbone, store)
+        pool = build_pooling_map(backbone, pyramid, store, 2,
+                                 cfg.bottom_up_strides)
+        up = relu(deconv2x2(pyramid[4].data, store.get("neck.pool.deconv.w"),
+                            store.get("neck.pool.deconv.b")))
+        branches = [densify(_downsample_chain(backbone.volume_at(s), 2, store,
+                                              f"neck.pool.s{s}")).data
+                    for s in (1, 2)]
+        merged = np.concatenate([up] + branches, axis=-1)
+        expected = relu(dense_conv_reference(merged, store.get("neck.pool.conv.w"))
+                        + store.get("neck.pool.conv.b"))
+        np.testing.assert_allclose(pool.data, expected, atol=1e-10)
 
     def test_invalid_stride_rejected(self):
         cfg = tiny_config()

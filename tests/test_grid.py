@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_volume
+from pillardet import grid
 from pillardet.grid import (GridSpec, PointCloud, SparsePillarVolume,
                             backbone_forward, deconv2x2, dense_conv2d,
                             densify, pillarize, sparse_conv2d, sparsify)
@@ -184,6 +185,57 @@ class TestDenseOps:
             fast = dense_conv2d(x, w, b, stride=stride)
             np.testing.assert_allclose(
                 fast, dense_conv_reference(x, w, stride=stride) + b, atol=1e-10)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("h,w", [(1, 1), (2, 3), (7, 5), (4, 9)])
+    def test_dense_conv_small_and_odd_shapes(self, stride, h, w):
+        rng = np.random.default_rng(h * 10 + w)
+        x = rng.normal(size=(h, w, 3))
+        wt = rng.normal(size=(3, 3, 3, 2))
+        b = rng.normal(size=2)
+        np.testing.assert_allclose(dense_conv2d(x, wt, b, stride=stride),
+                                   dense_conv_reference(x, wt, stride=stride) + b,
+                                   atol=1e-10)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_dense_conv_across_row_bands(self, stride):
+        # tall enough for two full accumulation bands plus a partial one
+        w = 5
+        width = (w - 1) // stride + 1 + 2 // stride
+        band = max(1, grid._BAND_ROWS // width)
+        h = stride * (2 * band + 1) + 1
+        rng = np.random.default_rng(stride)
+        x = rng.normal(size=(h, w, 2))
+        wt = rng.normal(size=(3, 3, 2, 3))
+        b = rng.normal(size=3)
+        out = dense_conv2d(x, wt, b, stride=stride)
+        assert out.shape[0] > 2 * band
+        np.testing.assert_allclose(out, dense_conv_reference(x, wt, stride=stride)
+                                   + b, atol=1e-10)
+
+    def test_dense_conv_takes_channel_slice_of_kernel(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(6, 7, 3))
+        full = rng.normal(size=(3, 3, 5, 4))
+        for wt in (full[:, :, :3], full[:, :, 2:]):
+            assert not wt.flags.c_contiguous
+            np.testing.assert_allclose(dense_conv2d(x, wt, np.zeros(4)),
+                                       dense_conv_reference(x, np.ascontiguousarray(wt)),
+                                       atol=1e-10)
+
+    def test_dense_conv_rejects_unsupported_stride(self):
+        with pytest.raises(ValueError, match="stride"):
+            dense_conv2d(np.zeros((4, 4, 1)), np.zeros((3, 3, 1, 1)),
+                         np.zeros(1), stride=3)
+
+    def test_scatter_conv_matches_dense_of_densified(self):
+        rng = np.random.default_rng(9)
+        v = make_volume(rng, 9, 6, 3, density=0.2)
+        wt = rng.normal(size=(3, 3, 3, 2))
+        acc = rng.normal(size=(6, 9, 2))
+        expected = acc + dense_conv_reference(densify(v).data, wt)
+        grid.scatter_conv2d(acc, v, wt)
+        np.testing.assert_allclose(acc, expected, atol=1e-10)
 
     def test_deconv_doubles_dims(self):
         rng = np.random.default_rng(7)
