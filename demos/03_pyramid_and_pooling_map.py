@@ -3,7 +3,9 @@
 
 Shows the two places the same merge recipe (deconv the coarse semantic
 map, densify the sparse volume, concatenate, blend with a 3x3 conv) is
-used, and what the bottom-up branch contributes.
+used, and what the bottom-up branch contributes. The pyramid is built
+densely; the pooling map is evaluated only at the cells asked for, here
+every cell so the two variants can be compared.
 """
 
 import numpy as np
@@ -40,12 +42,19 @@ pool = build_pooling_map(backbone, pyramid, weights, cfg.pool_stride,
                          cfg.bottom_up_strides)
 print(f"pooling map: {pool.height}x{pool.width} @ stride {cfg.pool_stride} "
       f"({cfg.grid.cell_size(cfg.pool_stride):.1f} m cells), "
-      f"{pool.channels} channels")
+      f"{pool.channels} channels, nothing computed yet")
+iy, ix = np.meshgrid(np.arange(pool.height), np.arange(pool.width),
+                     indexing="ij")
+iy, ix = iy.ravel(), ix.ravel()
+corner = pool.at(np.array([0]), np.array([0]))
+print(f"pool.at(0, 0) evaluates one cell: {corner.shape[1]} channels, "
+      f"max {corner.max():.4f}")
 
 print("\n== what the bottom-up branch adds ==")
 ablated = build_pooling_map(backbone, pyramid, weights, cfg.pool_stride,
                             cfg.bottom_up_strides, use_bottom_up=False)
-diff = np.abs(pool.data - ablated.data)
+shape = (pool.height, pool.width, pool.channels)
+diff = np.abs(pool.at(iy, ix) - ablated.at(iy, ix)).reshape(shape)
 occupied = np.zeros((pool.height, pool.width), dtype=bool)
 c3 = backbone.c3
 occupied[c3.coords[:, 1], c3.coords[:, 0]] = True

@@ -226,7 +226,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ConfigError, ValueError, KeyError, RuntimeError) as exc:
+    except (ConfigError, ValueError, KeyError, RuntimeError,
+            ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

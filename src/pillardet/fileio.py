@@ -6,11 +6,15 @@ intensity). Weight archives use magic ``PWT1``: a u32 tensor count, then
 per tensor a u16 name length, the UTF-8 name, a u8 rank, rank u32 dims,
 and the f32 payload. Ground truth and detections are line-oriented text
 with six decimal places. All writers go through a temp-file rename so
-readers never observe partial files.
+readers never observe partial files. Every structural problem a reader
+finds (bad magic, truncation, non-UTF-8 text, a malformed or non-finite
+field) raises :class:`FormatError` naming the file, and the line for text.
 """
 
 from __future__ import annotations
 
+import io
+import math
 import os
 import struct
 import tempfile
@@ -69,6 +73,8 @@ def load_point_cloud(path: str) -> PointCloud:
     if len(blob) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, found {len(blob)}")
     data = np.frombuffer(blob, dtype="<f4", offset=8).reshape(count, 4)
+    if not np.all(np.isfinite(data)):
+        raise FormatError(f"{path}: non-finite point coordinates")
     return PointCloud(data.astype(np.float64))
 
 
@@ -93,10 +99,10 @@ def load_weights(path: str) -> WeightStore:
         blob = f.read()
     if blob[:4] != WEIGHTS_MAGIC:
         raise FormatError(f"{path}: bad weight-archive magic {blob[:4]!r}")
-    (count,) = struct.unpack_from("<I", blob, 4)
     offset = 8
     tensors: dict[str, np.ndarray] = {}
     try:
+        (count,) = struct.unpack_from("<I", blob, 4)
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", blob, offset)
             offset += 2
@@ -133,19 +139,40 @@ def save_gt(path: str, boxes: Sequence[Box3D]) -> None:
     atomic_write_text(path, format_gt(boxes))
 
 
+def _records(path: str, n_fields: int):
+    """``(line number, fields)`` of each non-blank line of a text file."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = blob.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}:{line_no}: not UTF-8 text") from None
+    for line_no, line in enumerate(io.StringIO(text, newline=None), 1):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != n_fields:
+            raise FormatError(f"{path}:{line_no}: expected {n_fields} fields, "
+                              f"got {len(fields)}")
+        yield line_no, fields
+
+
+def _finite(fields: Sequence[str]) -> list[float]:
+    values = [float(v) for v in fields]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("non-finite value")
+    return values
+
+
 def load_gt(path: str) -> list[Box3D]:
     boxes = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 9:
-                raise FormatError(f"{path}:{line_no}: expected 9 fields, "
-                                  f"got {len(fields)}")
-            boxes.append(Box3D(*(float(v) for v in fields[1:8]),
-                               class_id=int(fields[0]),
+    for line_no, fields in _records(path, 9):
+        try:
+            boxes.append(Box3D(*_finite(fields[1:8]), class_id=int(fields[0]),
                                num_points=int(fields[8])))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{line_no}: {exc}") from None
     return boxes
 
 
@@ -169,16 +196,12 @@ def save_detections(path: str, dets: Sequence[Detection]) -> None:
 
 def load_detections(path: str) -> list[Detection]:
     dets = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 11:
-                raise FormatError(f"{path}:{line_no}: expected 11 fields, "
-                                  f"got {len(fields)}")
-            box = Box3D(*(float(v) for v in fields[1:8]),
-                        class_id=int(fields[0]))
-            dets.append(Detection(box, int(fields[0]), float(fields[8]),
-                                  float(fields[9]), float(fields[10])))
+    for line_no, fields in _records(path, 11):
+        try:
+            class_id = int(fields[0])
+            values = _finite(fields[1:])
+            dets.append(Detection(Box3D(*values[:7], class_id=class_id),
+                                  class_id, *values[7:]))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{line_no}: {exc}") from None
     return dets

@@ -12,6 +12,13 @@ channel. A dense conv runs over the upsampled half and a scatter conv
 adds the bottom-up half from its active sites only (a few percent of the
 cells); bias and ReLU follow once. This is the same operation, checked
 against the per-pixel oracle on the concatenated input by ``verify``.
+
+The pyramid levels are read everywhere by the center heads, so they are
+built densely. The pooling map is only read under the RoI grids (a few
+percent of its cells on a full-range scene), so it is never built:
+:class:`PoolingMap` holds its inputs and evaluates the same recipe at the
+cells asked for, deconvolving only the parents of their 3x3
+neighbourhoods.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ import numpy as np
 
 # densify stays importable here: traced runs patch this module's call sites
 from .grid import (BackboneFeatures, DenseFeatureMap, SparsePillarVolume,  # noqa: F401
-                   deconv2x2, dense_conv2d, densify, relu, scatter_conv2d,
-                   sparse_conv2d)
+                   deconv2x2, deconv2x2_at, dense_conv2d, densify,
+                   gather_conv2d, relu, scatter_conv2d, sparse_conv2d)
 from .weights import WeightStore
 
 
@@ -71,8 +78,9 @@ def lateral_merge(top_down: DenseFeatureMap, bottom_up: SparsePillarVolume,
             f"top-down stride {top_down.stride} must be twice bottom-up "
             f"stride {bottom_up.stride}"
         )
-    up = relu(deconv2x2(top_down.data, weights.get(f"{prefix}.deconv.w"),
-                        weights.get(f"{prefix}.deconv.b")))
+    up = deconv2x2(top_down.data, weights.get(f"{prefix}.deconv.w"),
+                   weights.get(f"{prefix}.deconv.b"))
+    np.maximum(up, 0.0, out=up)
     if up.shape[:2] != (bottom_up.ny, bottom_up.nx):
         raise ValueError(
             f"upsampled dims {up.shape[:2]} do not match bottom-up grid "
@@ -104,18 +112,107 @@ def _downsample_chain(volume: SparsePillarVolume, target_stride: int,
     return v
 
 
+# (dy, dx) of a 3x3 neighbourhood
+_NEIGHBOURS = np.array([(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
+
+
+@dataclass(frozen=True, eq=False)
+class PoolingMap:
+    """The R-CNN pooling map, evaluated only at the cells asked for.
+
+    Its value at a cell is ``relu(conv3x3(concat([relu(deconv2x2(semantic))]
+    + [densify(v) for v in bottom_up])) + conv_b)``, one stride below
+    ``semantic``. Nothing is computed until :meth:`at` is called.
+    """
+
+    semantic: DenseFeatureMap
+    bottom_up: tuple[SparsePillarVolume, ...]
+    deconv_w: np.ndarray
+    deconv_b: np.ndarray
+    conv_w: np.ndarray
+    conv_b: np.ndarray
+
+    def __post_init__(self):
+        c_sem = self.semantic.channels
+        if self.deconv_w.shape[:3] != (2, 2, c_sem):
+            raise ValueError(f"deconv kernel shape {self.deconv_w.shape} "
+                             f"incompatible with {c_sem} semantic channels")
+        c_in = self.deconv_w.shape[3] + sum(v.channels for v in self.bottom_up)
+        if self.conv_w.shape[:3] != (3, 3, c_in):
+            raise ValueError(f"kernel shape {self.conv_w.shape} incompatible "
+                             f"with {c_in} concatenated input channels")
+        for v in self.bottom_up:
+            if (v.ny, v.nx) != (self.height, self.width):
+                raise ValueError("bottom-up branch dims do not match upsampled map")
+
+    @property
+    def stride(self) -> int:
+        return self.semantic.stride // 2
+
+    @property
+    def height(self) -> int:
+        return 2 * self.semantic.height
+
+    @property
+    def width(self) -> int:
+        return 2 * self.semantic.width
+
+    @property
+    def channels(self) -> int:
+        return self.conv_w.shape[3]
+
+    def at(self, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
+        """Map values at cells (``iy[k]``, ``ix[k]``) -> (K, C).
+
+        The upsampled cells under the queries' 3x3 neighbourhoods form a
+        small sparse volume; it and each bottom-up volume are convolved
+        onto the sorted distinct query cells through the rulebook, in the
+        order the dense conv adds them: up-half offsets in (ky, kx) order,
+        each bottom-up volume, then bias and ReLU.
+        """
+        iy = np.asarray(iy, dtype=np.int64).reshape(-1)
+        ix = np.asarray(ix, dtype=np.int64).reshape(-1)
+        h, w = self.height, self.width
+        if len(iy) and (min(iy.min(), ix.min()) < 0 or iy.max() >= h
+                        or ix.max() >= w):
+            raise IndexError(f"cells outside the {h}x{w} pooling map")
+        keys, slot = np.unique(ix * h + iy, return_inverse=True)
+        qy = keys[:, None] % h + _NEIGHBOURS[:, 0]
+        qx = keys[:, None] // h + _NEIGHBOURS[:, 1]
+        on = (qy >= 0) & (qy < h) & (qx >= 0) & (qx < w)
+        up_keys = np.unique(qx[on] * h + qy[on])
+        ux, uy = up_keys // h, up_keys % h
+        up_feats = deconv2x2_at(self.semantic.data, self.deconv_w,
+                                self.deconv_b, uy, ux)
+        np.maximum(up_feats, 0.0, out=up_feats)
+        c_up = up_feats.shape[1]
+        up = SparsePillarVolume(self.stride, w, h, np.stack([ux, uy], axis=1),
+                                up_feats)
+
+        out = np.zeros((len(keys), self.channels))
+        gather_conv2d(out, keys, up, self.conv_w[:, :, :c_up])
+        start = c_up
+        for v in self.bottom_up:
+            gather_conv2d(out, keys, v, self.conv_w[:, :, start:start + v.channels])
+            start += v.channels
+        out += self.conv_b
+        np.maximum(out, 0.0, out=out)
+        return out[slot.reshape(-1)]
+
+
 def build_pooling_map(backbone: BackboneFeatures, pyramid: FeaturePyramid,
                       weights: WeightStore, pool_stride: int = 4,
                       bottom_up_strides: tuple[int, ...] | None = None,
-                      use_bottom_up: bool = True) -> DenseFeatureMap:
-    """Class-agnostic dense map the R-CNN stage pools from.
+                      use_bottom_up: bool = True) -> PoolingMap:
+    """Class-agnostic map the R-CNN stage pools from, evaluated lazily.
 
     The top-down branch deconvolves the semantic map one level above the
     pooling stride (a pyramid level when present, else C5). Each bottom-up
-    volume is brought to the pooling stride with stride-2 sparse convs
-    (identity when already there) and densified; ``use_bottom_up=False``
-    zeroes that branch, leaving the semantics-only ablation: the branch
-    becomes an empty volume, so its scatter half adds nothing.
+    volume is brought to the pooling stride here, with stride-2 sparse
+    convs (identity when already there); ``use_bottom_up=False`` zeroes
+    that branch, leaving the semantics-only ablation: the branch becomes
+    an empty volume, so it adds nothing. The deconv and the 3x3 conv run
+    only when :meth:`PoolingMap.at` asks for cells.
     """
     if pool_stride not in (2, 4, 8):
         raise ValueError(f"pool_stride must be one of 2, 4, 8, got {pool_stride}")
@@ -135,20 +232,18 @@ def build_pooling_map(backbone: BackboneFeatures, pyramid: FeaturePyramid,
             f"no semantic map at stride {semantic_stride} for pooling "
             f"stride {pool_stride}"
         )
-    up = relu(deconv2x2(semantic.data, weights.get("neck.pool.deconv.w"),
-                        weights.get("neck.pool.deconv.b")))
 
     branches = []
     for s in bottom_up_strides:
         vol = _downsample_chain(backbone.volume_at(s), pool_stride, weights,
                                 f"neck.pool.s{s}")
-        if (vol.ny, vol.nx) != up.shape[:2]:
-            raise ValueError("bottom-up branch dims do not match upsampled map")
         if not use_bottom_up:
             vol = SparsePillarVolume.empty(vol.stride, vol.nx, vol.ny,
                                            vol.channels)
         branches.append(vol)
 
-    out = split_lateral_conv(up, branches, weights.get("neck.pool.conv.w"),
-                             weights.get("neck.pool.conv.b"))
-    return DenseFeatureMap(pool_stride, out)
+    return PoolingMap(semantic, tuple(branches),
+                      weights.get("neck.pool.deconv.w"),
+                      weights.get("neck.pool.deconv.b"),
+                      weights.get("neck.pool.conv.w"),
+                      weights.get("neck.pool.conv.b"))

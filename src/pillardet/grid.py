@@ -179,6 +179,10 @@ class DenseFeatureMap:
     def channels(self) -> int:
         return self.data.shape[2]
 
+    def at(self, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
+        """Values at cells (``iy[k]``, ``ix[k]``) -> (K, C)."""
+        return self.data[iy, ix]
+
 
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
@@ -261,6 +265,25 @@ def _rulebook(v: SparsePillarVolume, stride: int, nx_out: int, ny_out: int):
             yield ky, kx, ok, ox[ok], oy[ok]
 
 
+def _accumulate(acc: np.ndarray, out_keys: np.ndarray, features: np.ndarray,
+                rules, all_hit: bool) -> None:
+    """``acc[i] += features[ok] @ w`` over the rules ``(w, ok, key)``.
+
+    Row i of ``acc`` is output cell ``out_keys[i]`` (sorted flat keys).
+    Unless ``all_hit``, inputs whose key is not among ``out_keys`` are
+    dropped before the multiply.
+    """
+    for w, ok, key in rules:
+        pos = np.searchsorted(out_keys, key)
+        if all_hit:
+            src = features[ok]
+        else:
+            hit = pos < len(out_keys)
+            hit[hit] = out_keys[pos[hit]] == key[hit]
+            pos, src = pos[hit], features[np.flatnonzero(ok)[hit]]
+        acc[pos] += src @ w
+
+
 def sparse_conv2d(v: SparsePillarVolume, weight: np.ndarray, bias: np.ndarray,
                   stride: int = 1, submanifold: bool = False) -> SparsePillarVolume:
     """3x3 sparse convolution with zero padding.
@@ -293,15 +316,8 @@ def sparse_conv2d(v: SparsePillarVolume, weight: np.ndarray, bias: np.ndarray,
         out_coords = np.stack([out_keys // ny_out, out_keys % ny_out], axis=1)
 
     out_feats = np.zeros((len(out_keys), c_out))
-    for w, ok, key in rules:
-        pos = np.searchsorted(out_keys, key)
-        src = v.features[ok]
-        if submanifold:
-            # regular-mode keys are active by construction; here some miss
-            hit = pos < len(out_keys)
-            hit[hit] = out_keys[pos[hit]] == key[hit]
-            pos, src = pos[hit], src[hit]
-        out_feats[pos] += src @ w
+    # regular-mode keys are active by construction; submanifold ones may miss
+    _accumulate(out_feats, out_keys, v.features, rules, all_hit=not submanifold)
     if len(out_keys):
         out_feats += bias
     return SparsePillarVolume(stride * v.stride, nx_out, ny_out,
@@ -326,6 +342,27 @@ def scatter_conv2d(acc: np.ndarray, v: SparsePillarVolume,
         acc[oy, ox] += v.features[ok] @ weight[ky, kx]
 
 
+def gather_conv2d(acc: np.ndarray, keys: np.ndarray, v: SparsePillarVolume,
+                  weight: np.ndarray) -> None:
+    """Add the stride-1 3x3 conv of ``densify(v)`` at chosen cells into ``acc``.
+
+    ``keys`` are sorted, unique flat cells ``ix * ny + iy`` of the volume's
+    grid and ``acc`` is their (len(keys), c_out) output, receiving no bias.
+    Only the site/offset pairs that land on a chosen cell are multiplied;
+    offsets add in (ky, kx) order, as in :func:`dense_conv2d`.
+    """
+    if weight.shape[:3] != (3, 3, v.channels):
+        raise ValueError(
+            f"kernel shape {weight.shape} incompatible with {v.channels} input channels"
+        )
+    if acc.shape != (len(keys), weight.shape[3]):
+        raise ValueError(f"output rows {acc.shape} do not match {len(keys)} "
+                         f"cells x {weight.shape[3]} channels")
+    rules = ((weight[ky, kx], ok, ox * v.ny + oy)
+             for ky, kx, ok, ox, oy in _rulebook(v, 1, v.nx, v.ny))
+    _accumulate(acc, keys, v.features, rules, all_hit=False)
+
+
 def densify(v: SparsePillarVolume) -> DenseFeatureMap:
     """Scatter active sites into a zero-initialized dense map."""
     data = np.zeros((v.ny, v.nx, v.channels))
@@ -344,8 +381,9 @@ def sparsify(m: DenseFeatureMap, threshold: float = 0.0) -> SparsePillarVolume:
                               m.data[iy[order], ix[order]])
 
 
-# pixel rows of one accumulation band: a band's product and accumulator
-# stay in cache while the nine offsets add into it
+# pixel rows of one band of a dense conv or deconv: a conv band's product
+# and accumulator stay in cache while the nine offsets add into it, and a
+# deconv needs no full-size product next to its output
 _BAND_ROWS = 512
 
 
@@ -406,19 +444,59 @@ def dense_conv2d(data: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     return out
 
 
-def deconv2x2(data: np.ndarray, weight: np.ndarray,
-              bias: np.ndarray) -> np.ndarray:
-    """Stride-2 transposed convolution with a 2x2 kernel: exact 2x upsample."""
-    h, w_in, c_in = data.shape
+def _deconv_kernel(weight: np.ndarray, c_in: int) -> np.ndarray:
+    """A 2x2 deconv kernel laid out for one GEMM: (c_in, 4 * c_out).
+
+    Column block ``2 * dy + dx`` holds ``weight[dy, dx]``, so a pixel's
+    product row lists its four output cells in (dy, dx) order.
+    """
     if weight.shape[:3] != (2, 2, c_in):
         raise ValueError(f"deconv kernel shape {weight.shape} incompatible with input")
+    return weight.transpose(2, 0, 1, 3).reshape(c_in, 4 * weight.shape[3])
+
+
+def _deconv_rows(x: np.ndarray, kernel: np.ndarray,
+                 bias: np.ndarray) -> np.ndarray:
+    """Deconv outputs of (N, c_in) input pixels -> (N, 4, c_out)."""
+    y = (x @ kernel).reshape(len(x), 4, len(bias))
+    y += bias
+    return y
+
+
+def deconv2x2(data: np.ndarray, weight: np.ndarray,
+              bias: np.ndarray) -> np.ndarray:
+    """Stride-2 transposed convolution with a 2x2 kernel: exact 2x upsample.
+
+    Each band of input rows is one GEMM against the (c_in, 4 * c_out)
+    kernel, interleaved into the output as it is written; no full-size
+    temporary is made.
+    """
+    h, w_in, c_in = data.shape
+    kernel = _deconv_kernel(weight, c_in)
     c_out = weight.shape[3]
-    out = np.empty((2 * h, 2 * w_in, c_out))
     flat = data.reshape(-1, c_in)
-    for dy in range(2):
-        for dx in range(2):
-            out[dy::2, dx::2] = (flat @ weight[dy, dx] + bias).reshape(h, w_in, c_out)
-    return out
+    out = np.empty((h, 2, w_in, 2, c_out))
+    band = max(1, _BAND_ROWS // w_in)
+    for y0 in range(0, h, band):
+        y1 = min(h, y0 + band)
+        y = _deconv_rows(flat[y0 * w_in:y1 * w_in], kernel, bias)
+        # (y, x, dy, dx) -> (y, dy, x, dx), i.e. output pixel (2y + dy, 2x + dx)
+        out[y0:y1] = y.reshape(y1 - y0, w_in, 2, 2, c_out).transpose(0, 2, 1, 3, 4)
+    return out.reshape(2 * h, 2 * w_in, c_out)
+
+
+def deconv2x2_at(data: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                 iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
+    """Rows ``deconv2x2(data, weight, bias)[iy, ix]``, as (K, c_out).
+
+    Only the input pixels under the requested output cells are
+    deconvolved, one GEMM row per distinct parent pixel.
+    """
+    w_in, c_in = data.shape[1], data.shape[2]
+    kernel = _deconv_kernel(weight, c_in)
+    parents, slot = np.unique((iy // 2) * w_in + ix // 2, return_inverse=True)
+    y = _deconv_rows(data[parents // w_in, parents % w_in], kernel, bias)
+    return y[slot.reshape(-1), 2 * (iy % 2) + ix % 2]
 
 
 @dataclass(frozen=True)

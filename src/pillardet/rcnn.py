@@ -1,8 +1,11 @@
 """Second-stage refinement: rotated RoI grid pooling on the BEV plane.
 
 A G x G lattice of points is placed inside each proposal's rotated
-footprint, features are bilinearly interpolated from the dense pooling
-map, and a small MLP predicts a confidence logit plus seven box residuals.
+footprint, features are bilinearly interpolated from the pooling map, and
+a small MLP predicts a confidence logit plus seven box residuals. The
+sampler asks the map for its values once, at the distinct cells under
+the grid points, so a lazily evaluated :class:`~pillardet.fpn.PoolingMap`
+computes only those cells.
 An auxiliary per-grid-point segmentation head (training only) checks that
 the pooled features carry enough structure to separate foreground from
 background.
@@ -17,9 +20,13 @@ import numpy as np
 
 from .geometry import (Box3D, exp_extent, iou_3d_matrix, normalize_angle,
                        point_in_rect, project_to_bev)
+from .fpn import PoolingMap
 from .grid import DenseFeatureMap, GridSpec, relu
 from .rpn import Detection, _sigmoid
 from .weights import WeightStore
+
+# anything with stride, height, width, channels and ``at(iy, ix) -> (K, C)``
+FeatureSource = DenseFeatureMap | PoolingMap
 
 N_RESIDUALS = 7  # dx/d, dy/d, dz/h, log-size ratios (3), dyaw
 
@@ -84,11 +91,12 @@ class BilinearSupport:
     inside: np.ndarray
 
 
-def bilinear_sample(m: DenseFeatureMap, spec: GridSpec,
+def bilinear_sample(m: FeatureSource, spec: GridSpec,
                     pts: np.ndarray) -> tuple[np.ndarray, BilinearSupport]:
     """Interpolate the map at (M, 2) BEV points -> (M, C) values.
 
     Cell centers form the lattice; corners off the map blend with zeros.
+    The distinct on-map corner cells are looked up with one ``m.at`` call.
     Also returns the corners and weights used, which double as the
     analytic gradient.
     """
@@ -103,18 +111,24 @@ def bilinear_sample(m: DenseFeatureMap, spec: GridSpec,
     weight = np.stack([(1 - ty) * (1 - tx), (1 - ty) * tx,
                        ty * (1 - tx), ty * tx], axis=1)
     inside = (iy >= 0) & (iy < m.height) & (ix >= 0) & (ix < m.width)
+    cells, slot = np.unique(iy[inside] * m.width + ix[inside],
+                            return_inverse=True)
+    # one extra zero row stands for every corner off the map
+    values = np.zeros((len(cells) + 1, m.channels))
+    values[:-1] = m.at(cells // m.width, cells % m.width)
+    corner_slot = np.full(inside.shape, len(cells), dtype=np.int64)
+    corner_slot[inside] = slot.reshape(-1)
     # accumulate corner by corner, scaling each gather in place: an
     # (M, 4, C) temporary would be too large
     out = np.zeros((len(pts), m.channels))
     for k in range(4):
-        ok = inside[:, k]
-        corner = m.data[iy[ok, k], ix[ok, k]]
-        corner *= weight[ok, k, None]
-        out[ok] += corner
+        corner = values[corner_slot[:, k]]
+        corner *= weight[:, k, None]
+        out += corner
     return out, BilinearSupport(iy, ix, weight, inside)
 
 
-def pool_roi_features(rois: list[Box3D], m: DenseFeatureMap, spec: GridSpec,
+def pool_roi_features(rois: list[Box3D], m: FeatureSource, spec: GridSpec,
                       grid_size: int) -> np.ndarray:
     """Pooled grid-point features for every RoI: (N, G, G, C)."""
     if not rois:
@@ -156,7 +170,7 @@ def decode_residuals(roi: Box3D, residuals: np.ndarray) -> Box3D:
                  roi.yaw + r[6], class_id=roi.class_id)
 
 
-def rcnn_forward(rois: list[Box3D], m: DenseFeatureMap, spec: GridSpec,
+def rcnn_forward(rois: list[Box3D], m: FeatureSource, spec: GridSpec,
                  weights: WeightStore, cfg: RoiPoolConfig
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shared MLP over flattened RoI grids.
@@ -311,9 +325,12 @@ class LossReport:
                    rcnn, rcnn_parts.seg, total)
 
 
-def refine(proposals: list[Detection], m: DenseFeatureMap, spec: GridSpec,
+def refine(proposals: list[Detection], m: FeatureSource, spec: GridSpec,
            weights: WeightStore, cfg: RoiPoolConfig) -> list[Detection]:
-    """Decode residuals onto the proposals and rescore with the MLP head."""
+    """Decode residuals onto the proposals and rescore with the MLP head.
+
+    Without proposals the map is never read.
+    """
     if not proposals:
         return []
     boxes = [d.box for d in proposals]

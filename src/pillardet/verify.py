@@ -3,11 +3,10 @@
 Shipped with the library (not only the test tree) so a deployment can
 re-run the correctness gates in the field: rotated IoU against Monte
 Carlo, sparse against dense convolution, the split lateral convolution
-against a dense convolution of the concatenated input, greedy against
-exhaustive NMS,
-analytic against finite-difference bilinear gradients, and segmentation
-labels against direct point-in-rect evaluation. Budgets are fixed;
-everything is seeded.
+and the lazily evaluated pooling map against a dense convolution of the
+concatenated input, greedy against exhaustive NMS, analytic against
+finite-difference bilinear gradients, and segmentation labels against
+direct point-in-rect evaluation. Budgets are fixed; everything is seeded.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import numpy as np
 
 from .geometry import (Box3D, RotatedRect2D, iou_3d, point_in_rect,
                        project_to_bev, rotated_iou_bev)
-from .fpn import split_lateral_conv
+from .fpn import PoolingMap, split_lateral_conv
 from .grid import (DenseFeatureMap, GridSpec, SparsePillarVolume, densify, relu,
                    sparse_conv2d)
 from .oracles import (dense_conv_reference, exhaustive_nms,
@@ -127,6 +126,23 @@ def border_volume(rng: np.random.Generator, nx: int, ny: int,
                               rng.normal(size=(len(coords), channels)))
 
 
+def bottom_up_volumes(rng: np.random.Generator, k: int, nx: int,
+                      ny: int) -> list[SparsePillarVolume]:
+    """One or two volumes, each empty, border-only or random by turns."""
+    vols = []
+    for _ in range(int(rng.integers(1, 3))):
+        c = int(rng.integers(1, 4))
+        kind = (k + len(vols)) % 3
+        if kind == 0:
+            vols.append(SparsePillarVolume.empty(1, nx, ny, c))
+        elif kind == 1:
+            vols.append(border_volume(rng, nx, ny, c))
+        else:
+            vols.append(random_volume(rng, nx, ny, c,
+                                      density=float(rng.uniform(0.02, 0.3))))
+    return vols
+
+
 def split_lateral_suite(maps: int = 40, seed: int = 5,
                         tolerance: float = 1e-5,
                         corrupt: bool = False) -> SuiteResult:
@@ -142,17 +158,7 @@ def split_lateral_suite(maps: int = 40, seed: int = 5,
     for k in range(maps):
         h, w = int(rng.integers(1, 15)), int(rng.integers(1, 15))
         c_up, c_out = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        vols = []
-        for _ in range(int(rng.integers(1, 3))):
-            c = int(rng.integers(1, 4))
-            kind = (k + len(vols)) % 3
-            if kind == 0:
-                vols.append(SparsePillarVolume.empty(1, w, h, c))
-            elif kind == 1:
-                vols.append(border_volume(rng, w, h, c))
-            else:
-                vols.append(random_volume(rng, w, h, c,
-                                          density=float(rng.uniform(0.02, 0.3))))
+        vols = bottom_up_volumes(rng, k, w, h)
         up = rng.normal(size=(h, w, c_up))
         c_in = c_up + sum(v.channels for v in vols)
         weight = rng.normal(size=(3, 3, c_in, c_out))
@@ -166,6 +172,72 @@ def split_lateral_suite(maps: int = 40, seed: int = 5,
         worst = max(worst, float(np.abs(fast - ref).max()))
     return SuiteResult("split-lateral", worst < tolerance, worst,
                        f"{maps} maps, random/empty/border volumes",
+                       f"max abs diff {worst:.2e}")
+
+
+def _deconv_per_pixel(data: np.ndarray, weight: np.ndarray,
+                      bias: np.ndarray) -> np.ndarray:
+    """2x2 stride-2 transposed conv, one output pixel at a time."""
+    h, w, _ = data.shape
+    out = np.empty((2 * h, 2 * w, weight.shape[3]))
+    for y in range(2 * h):
+        for x in range(2 * w):
+            out[y, x] = data[y // 2, x // 2] @ weight[y % 2, x % 2] + bias
+    return out
+
+
+def pooling_at_cells_suite(maps: int = 40, seed: int = 6,
+                           tolerance: float = 1e-5,
+                           corrupt: bool = False) -> SuiteResult:
+    """Lazy pooling map at chosen cells vs the dense concatenation formula.
+
+    The reference deconvolves the whole semantic map pixel by pixel,
+    concatenates the densified volumes and convolves per pixel. Cell sets
+    are by turns a random subset with repeats, the border ring, every cell
+    and no cell; volumes are as in the split-lateral suite. ``corrupt``
+    perturbs one upsampled-half kernel weight on the lazy side only, a
+    negative control that must make the suite fail.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for k in range(maps):
+        hs, ws = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        h, w = 2 * hs, 2 * ws
+        c_sem, c_up = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        c_out = int(rng.integers(1, 5))
+        vols = bottom_up_volumes(rng, k, w, h)
+        semantic = rng.normal(size=(hs, ws, c_sem))
+        deconv_w = rng.normal(size=(2, 2, c_sem, c_up))
+        deconv_b = rng.normal(size=c_up)
+        c_in = c_up + sum(v.channels for v in vols)
+        conv_w = rng.normal(size=(3, 3, c_in, c_out))
+        conv_b = rng.normal(size=c_out)
+        w_lazy = conv_w.copy()
+        if corrupt:
+            w_lazy[1, 1, 0, 0] += 1e-3
+        pool = PoolingMap(DenseFeatureMap(2, semantic), tuple(vols), deconv_w,
+                          deconv_b, w_lazy, conv_b)
+        up = relu(_deconv_per_pixel(semantic, deconv_w, deconv_b))
+        merged = np.concatenate([up] + [densify(v).data for v in vols], axis=-1)
+        ref = relu(dense_conv_reference(merged, conv_w) + conv_b)
+
+        iy, ix = np.nonzero(np.ones((h, w), dtype=bool))
+        kind = k % 4
+        if kind == 0:
+            pick = rng.integers(0, h * w, int(rng.integers(1, 2 * h * w)))
+            iy, ix = iy[pick], ix[pick]
+        elif kind == 1:
+            ring = (iy == 0) | (iy == h - 1) | (ix == 0) | (ix == w - 1)
+            iy, ix = iy[ring], ix[ring]
+        elif kind == 3:
+            iy, ix = iy[:0], ix[:0]
+        got = pool.at(iy, ix)
+        if got.shape != (len(iy), c_out):
+            worst = math.inf
+        elif len(iy):
+            worst = max(worst, float(np.abs(got - ref[iy, ix]).max()))
+    return SuiteResult("pooling-at-cells", worst < tolerance, worst,
+                       f"{maps} maps, random/border/all/no cells",
                        f"max abs diff {worst:.2e}")
 
 
@@ -246,6 +318,7 @@ def run_all(corrupt: bool = False) -> list[SuiteResult]:
         geometry_suite(),
         sparse_dense_suite(corrupt=corrupt),
         split_lateral_suite(corrupt=corrupt),
+        pooling_at_cells_suite(corrupt=corrupt),
         nms_suite(),
         bilinear_suite(),
         aux_label_suite(),

@@ -201,7 +201,8 @@ class TestVerify:
         assert main(["verify", "--config", config_path]) == 0
         out = capsys.readouterr().out
         for suite in ("geometry-mc-iou", "sparse-dense-conv", "split-lateral",
-                      "nms-brute-force", "bilinear-fd-grad", "aux-seg-labels"):
+                      "pooling-at-cells", "nms-brute-force", "bilinear-fd-grad",
+                      "aux-seg-labels"):
             assert suite in out and "max_err" in out
         assert "all suites passed" in out
 
@@ -210,3 +211,4 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "sparse-dense-conv  FAIL" in out
         assert "split-lateral      FAIL" in out
+        assert "pooling-at-cells   FAIL" in out

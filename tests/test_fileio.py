@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -111,6 +112,56 @@ class TestTextFormats:
             f.write("0 1.0 2.0\n")
         with pytest.raises(fileio.FormatError, match="expected 9 fields"):
             fileio.load_gt(path)
+
+
+    def test_non_utf8_text_names_file_and_line(self, tmp_path):
+        for name, loader in (("bad.gt.txt", fileio.load_gt),
+                             ("bad.det.txt", fileio.load_detections)):
+            path = str(tmp_path / name)
+            with open(path, "wb") as f:
+                f.write(b"\n\xff\xfe 1 2\n")
+            with pytest.raises(fileio.FormatError,
+                               match=f"{name}:2: not UTF-8"):
+                loader(path)
+
+    def test_non_numeric_class_names_file_and_line(self, tmp_path):
+        path = str(tmp_path / "bad.det.txt")
+        with open(path, "w") as f:
+            f.write("car 1 2 0 4 2 1.5 0 0.5 0.5 0.5\n")
+        with pytest.raises(fileio.FormatError, match="bad.det.txt:1: .*'car'"):
+            fileio.load_detections(path)
+
+    @pytest.mark.parametrize("field", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_field_rejected(self, tmp_path, field):
+        path = str(tmp_path / "bad.gt.txt")
+        with open(path, "w") as f:
+            f.write(f"0 1.0 2.0 0.0 {field} 2.0 1.5 0.0 10\n")
+        with pytest.raises(fileio.FormatError, match="bad.gt.txt:1: non-finite"):
+            fileio.load_gt(path)
+
+    def test_out_of_range_score_is_format_error(self, tmp_path):
+        path = str(tmp_path / "bad.det.txt")
+        with open(path, "w") as f:
+            f.write("0 1 2 0 4 2 1.5 0 1.5 0.5 0.5\n")
+        with pytest.raises(fileio.FormatError, match="bad.det.txt:1: score"):
+            fileio.load_detections(path)
+
+
+class TestBinaryCorruption:
+    def test_non_finite_point_rejected(self, tmp_path):
+        path = str(tmp_path / "nan.pbk")
+        with open(path, "wb") as f:
+            f.write(fileio.POINT_CLOUD_MAGIC + struct.pack("<I", 1)
+                    + struct.pack("<4f", 0.0, float("nan"), 0.0, 0.0))
+        with pytest.raises(fileio.FormatError, match="non-finite"):
+            fileio.load_point_cloud(path)
+
+    def test_weight_archive_without_count(self, tmp_path):
+        path = str(tmp_path / "short.pwt")
+        with open(path, "wb") as f:
+            f.write(fileio.WEIGHTS_MAGIC + b"\x01")
+        with pytest.raises(fileio.FormatError, match="truncated"):
+            fileio.load_weights(path)
 
 
 class TestAtomicity:

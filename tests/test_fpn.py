@@ -24,6 +24,14 @@ def tiny_config(extent=3.2, **overrides):
     return config_from_dict(raw)
 
 
+def dense_values(pool):
+    """The lazy pooling map evaluated at every cell, as (H, W, C)."""
+    iy, ix = np.meshgrid(np.arange(pool.height), np.arange(pool.width),
+                         indexing="ij")
+    return pool.at(iy.ravel(), ix.ravel()).reshape(pool.height, pool.width,
+                                                   pool.channels)
+
+
 def forward_to_backbone(cfg, seed=0, n_points=150):
     store = WeightStore.seeded(weight_layout(cfg), cfg.seed)
     rng = np.random.default_rng(seed)
@@ -141,7 +149,50 @@ class TestPoolingMap:
         merged = np.concatenate([up] + branches, axis=-1)
         expected = relu(dense_conv_reference(merged, store.get("neck.pool.conv.w"))
                         + store.get("neck.pool.conv.b"))
-        np.testing.assert_allclose(pool.data, expected, atol=1e-10)
+        np.testing.assert_allclose(dense_values(pool), expected, atol=1e-10)
+
+    def test_default_stride_matches_concat_formula(self):
+        cfg = tiny_config()
+        store, backbone = forward_to_backbone(cfg)
+        pyramid = build_pyramid(backbone, store)
+        pool = build_pooling_map(backbone, pyramid, store, 4,
+                                 cfg.bottom_up_strides)
+        up = relu(deconv2x2(pyramid[8].data, store.get("neck.pool.deconv.w"),
+                            store.get("neck.pool.deconv.b")))
+        merged = np.concatenate([up, densify(backbone.c3).data], axis=-1)
+        expected = relu(dense_conv_reference(merged, store.get("neck.pool.conv.w"))
+                        + store.get("neck.pool.conv.b"))
+        np.testing.assert_allclose(dense_values(pool), expected, atol=1e-10)
+
+    def test_cell_subset_in_any_order_matches_all_cells(self):
+        cfg = tiny_config()
+        store, backbone = forward_to_backbone(cfg)
+        pool = build_pooling_map(backbone, build_pyramid(backbone, store),
+                                 store, 4, cfg.bottom_up_strides)
+        full = dense_values(pool)
+        rng = np.random.default_rng(3)
+        iy = rng.integers(0, pool.height, 40)
+        ix = rng.integers(0, pool.width, 40)
+        iy[:3], ix[:3] = [0, pool.height - 1, iy[3]], [0, pool.width - 1, ix[3]]
+        np.testing.assert_array_equal(pool.at(iy, ix), full[iy, ix])
+
+    def test_empty_cell_set(self):
+        cfg = tiny_config()
+        store, backbone = forward_to_backbone(cfg)
+        pool = build_pooling_map(backbone, build_pyramid(backbone, store),
+                                 store, 4, cfg.bottom_up_strides)
+        none = np.zeros(0, dtype=np.int64)
+        assert pool.at(none, none).shape == (0, cfg.pool_channels)
+
+    def test_cells_off_the_map_rejected(self):
+        cfg = tiny_config()
+        store, backbone = forward_to_backbone(cfg)
+        pool = build_pooling_map(backbone, build_pyramid(backbone, store),
+                                 store, 4, cfg.bottom_up_strides)
+        with pytest.raises(IndexError):
+            pool.at(np.array([0]), np.array([pool.width]))
+        with pytest.raises(IndexError):
+            pool.at(np.array([-1]), np.array([0]))
 
     def test_invalid_stride_rejected(self):
         cfg = tiny_config()
@@ -158,8 +209,8 @@ class TestPoolingMap:
                                     cfg.bottom_up_strides, use_bottom_up=True)
         without = build_pooling_map(backbone, pyramid, store, 4,
                                     cfg.bottom_up_strides, use_bottom_up=False)
-        assert without.data.shape == with_bu.data.shape
-        assert not np.array_equal(without.data, with_bu.data)
+        assert (without.height, without.width) == (with_bu.height, with_bu.width)
+        assert not np.array_equal(dense_values(without), dense_values(with_bu))
 
     def test_perturbation_stays_within_receptive_field(self):
         # 512-cell grid; composed 3x3/deconv footprints bound the reach of a
@@ -184,7 +235,7 @@ class TestPoolingMap:
 
         base = pool_for(None)
         perturbed = pool_for(np.array([[0.05, 0.05, 1.0, 0.9]]))  # cell (256, 256)
-        diff = np.any(base.data != perturbed.data, axis=-1)
+        diff = np.any(dense_values(base) != dense_values(perturbed), axis=-1)
         ys, xs = np.nonzero(diff)
         assert len(ys) > 0  # the new pillar must matter somewhere
         center = 256 // 4

@@ -251,6 +251,39 @@ class TestDenseOps:
         np.testing.assert_array_equal(out[:2, :2, 0], [[0, 1], [2, 3]])
         assert not out[2:, 2:].any()
 
+    def test_deconv_matches_per_pixel_formula(self):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(3, 5, 4))
+        w, b = rng.normal(size=(2, 2, 4, 3)), rng.normal(size=3)
+        out = deconv2x2(x, w, b)
+        for y in range(6):
+            for xx in range(10):
+                np.testing.assert_allclose(
+                    out[y, xx], x[y // 2, xx // 2] @ w[y % 2, xx % 2] + b,
+                    atol=1e-12)
+
+    def test_deconv_at_cells_equals_full_map_rows(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(4, 6, 5))
+        w, b = rng.normal(size=(2, 2, 5, 3)), rng.normal(size=3)
+        iy = rng.integers(0, 8, 30)
+        ix = rng.integers(0, 12, 30)
+        np.testing.assert_array_equal(grid.deconv2x2_at(x, w, b, iy, ix),
+                                      deconv2x2(x, w, b)[iy, ix])
+        none = np.zeros(0, dtype=np.int64)
+        assert grid.deconv2x2_at(x, w, b, none, none).shape == (0, 3)
+
+    def test_gather_conv_matches_dense_of_densified_at_chosen_cells(self):
+        rng = np.random.default_rng(12)
+        v = make_volume(rng, 9, 6, 3, density=0.2)
+        wt = rng.normal(size=(3, 3, 3, 2))
+        keys = np.sort(rng.choice(9 * 6, size=20, replace=False))
+        acc = rng.normal(size=(20, 2))
+        ref = dense_conv_reference(densify(v).data, wt)
+        expected = acc + ref[keys % 6, keys // 6]
+        grid.gather_conv2d(acc, keys, v, wt)
+        np.testing.assert_allclose(acc, expected, atol=1e-10)
+
 
 def backbone_store(plan, seed=0):
     layout = {"pfe.linear.w": (4, plan[0]), "pfe.linear.b": (plan[0],),

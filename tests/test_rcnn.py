@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_volume
+from pillardet.fpn import PoolingMap
 from pillardet.geometry import Box3D, iou_3d, point_in_rect, project_to_bev
 from pillardet.grid import DenseFeatureMap, GridSpec
 from pillardet.oracles import finite_difference_grad
@@ -88,6 +90,22 @@ class TestBilinear:
         m = self.map_of(rng)
         value, sup = bilinear_sample(m, SPEC, np.array([[100.0, 100.0]]))
         assert not value.any() and self.support_weights(sup) == {}
+
+    def test_dense_map_matches_direct_corner_gather(self):
+        # the sampling formula read straight off the dense array, corner by
+        # corner: looking cells up through ``at`` must not change a bit
+        rng = np.random.default_rng(5)
+        m = self.map_of(rng, h=9, w=7, c=4)
+        pts = rng.uniform(-4.5, 4.5, size=(300, 2))
+        value, sup = bilinear_sample(m, SPEC, pts)
+        expected = np.zeros_like(value)
+        for k in range(4):
+            ok = sup.inside[:, k]
+            corner = m.data[sup.iy[ok, k], sup.ix[ok, k]]
+            corner *= sup.weight[ok, k, None]
+            expected[ok] += corner
+        assert not sup.inside.all() and sup.inside.any()
+        np.testing.assert_array_equal(value, expected)
 
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -178,6 +196,22 @@ class TestForward:
         turned = pool_roi_features([roi_rot], DenseFeatureMap(1, rotated),
                                    SPEC, 5)
         np.testing.assert_allclose(turned, base, atol=1e-9)
+
+
+    def test_lazy_pooling_map_pools_like_its_dense_values(self):
+        rng = np.random.default_rng(9)
+        vol = make_volume(rng, 16, 16, 2)
+        pool = PoolingMap(DenseFeatureMap(2, rng.normal(size=(8, 8, 3))),
+                          (vol,), rng.normal(size=(2, 2, 3, 4)),
+                          rng.normal(size=4), rng.normal(size=(3, 3, 6, 5)),
+                          rng.normal(size=5))
+        iy, ix = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
+        dense = DenseFeatureMap(1, pool.at(iy.ravel(), ix.ravel())
+                                .reshape(16, 16, 5))
+        rois = [Box3D(1.1, -0.7, 0.0, 2.3, 1.2, 1.0, 0.4),
+                Box3D(-3.5, 3.6, 0.0, 3.0, 1.5, 1.0, -1.2)]  # over the edge
+        np.testing.assert_array_equal(pool_roi_features(rois, pool, SPEC, 5),
+                                      pool_roi_features(rois, dense, SPEC, 5))
 
 
 class TestSampling:
@@ -366,6 +400,16 @@ class TestRefine:
         store = rcnn_store(2, cfg)
         m = DenseFeatureMap(1, np.zeros((16, 16, 2)))
         assert refine([], m, SPEC, store, cfg) == []
+
+    def test_no_proposals_never_evaluate_the_map(self):
+        class Unreadable:
+            stride, height, width, channels = 1, 16, 16, 2
+
+            def at(self, iy, ix):
+                raise AssertionError("pooling map evaluated")
+
+        cfg = RoiPoolConfig(grid_size=3, mlp_channels=(8, 8), seg_hidden=4)
+        assert refine([], Unreadable(), SPEC, rcnn_store(2, cfg), cfg) == []
 
     def test_seg_head_shapes(self):
         cfg = RoiPoolConfig(grid_size=4, mlp_channels=(8, 8), seg_hidden=4)
