@@ -17,8 +17,10 @@ The pyramid levels are read everywhere by the center heads, so they are
 built densely. The pooling map is only read under the RoI grids (a few
 percent of its cells on a full-range scene), so it is never built:
 :class:`PoolingMap` holds its inputs and evaluates the same recipe at the
-cells asked for, deconvolving only the parents of their 3x3
-neighbourhoods.
+cells asked for. Its up half is one dense conv over a canvas packed with
+haloed strips of the map around those cells (about 3.5 cells computed
+per cell asked for on a full-range scene, against 22 for the whole map),
+deconvolving only the parents of the strips' cells.
 """
 
 from __future__ import annotations
@@ -112,8 +114,45 @@ def _downsample_chain(volume: SparsePillarVolume, target_stride: int,
     return v
 
 
-# (dy, dx) of a 3x3 neighbourhood
-_NEIGHBOURS = np.array([(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
+# rows of the map bands the queried cells are cut into, and the width of
+# the canvas their strips are packed into for the up half's dense conv
+_STRIP_ROWS = 4
+_CANVAS_WIDTH = 512
+
+
+def _pack_strips(qy: np.ndarray, qx: np.ndarray):
+    """Cover cells (``qy``, ``qx``) with strips and pack them into a canvas.
+
+    The map is cut into bands of ``_STRIP_ROWS`` rows; within a band, the
+    queried columns form runs (gaps of up to two columns are bridged, as
+    cheap as two more halo columns), and each run is a strip. A strip
+    keeps a one-cell halo all round, so its inner cells' 3x3
+    neighbourhoods lie inside it. Strips fill shelves of
+    ``_STRIP_ROWS + 2`` canvas rows left to right. Returns, per strip,
+    the map cell of its top-left halo corner, its width with halo, and
+    its canvas corner; then each query's strip, and the canvas width.
+    """
+    t = _STRIP_ROWS
+    band = qy // t
+    order = np.lexsort((qx, band))
+    b, x = band[order], qx[order]
+    new = np.r_[True, (b[1:] != b[:-1]) | (np.diff(x) > 3)]
+    strip_of = np.empty(len(qy), dtype=np.int64)
+    strip_of[order] = np.cumsum(new) - 1
+    first = np.flatnonzero(new)
+    last = np.r_[first[1:], len(x)] - 1
+    map_y, map_x = b[first] * t - 1, x[first] - 1
+    widths = x[last] - x[first] + 3
+    canvas_w = max(_CANVAS_WIDTH, int(widths.max()))
+    canvas_y = np.empty(len(first), dtype=np.int64)
+    canvas_x = np.empty(len(first), dtype=np.int64)
+    shelf = pos = 0
+    for i, width in enumerate(widths.tolist()):
+        if pos + width > canvas_w:
+            shelf, pos = shelf + 1, 0
+        canvas_y[i], canvas_x[i] = shelf * (t + 2), pos
+        pos += width
+    return map_y, map_x, widths, canvas_y, canvas_x, strip_of, canvas_w
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,11 +203,10 @@ class PoolingMap:
     def at(self, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
         """Map values at cells (``iy[k]``, ``ix[k]``) -> (K, C).
 
-        The upsampled cells under the queries' 3x3 neighbourhoods form a
-        small sparse volume; it and each bottom-up volume are convolved
-        onto the sorted distinct query cells through the rulebook, in the
-        order the dense conv adds them: up-half offsets in (ky, kx) order,
-        each bottom-up volume, then bias and ReLU.
+        The up half is one dense conv over packed strips of the map (see
+        :meth:`_up_half`); each bottom-up volume is added onto the sorted
+        distinct query cells through the rulebook, then bias and ReLU:
+        the order the dense lateral conv adds them in.
         """
         iy = np.asarray(iy, dtype=np.int64).reshape(-1)
         ix = np.asarray(ix, dtype=np.int64).reshape(-1)
@@ -176,28 +214,47 @@ class PoolingMap:
         if len(iy) and (min(iy.min(), ix.min()) < 0 or iy.max() >= h
                         or ix.max() >= w):
             raise IndexError(f"cells outside the {h}x{w} pooling map")
+        if not len(iy):
+            return np.zeros((0, self.channels))
         keys, slot = np.unique(ix * h + iy, return_inverse=True)
-        qy = keys[:, None] % h + _NEIGHBOURS[:, 0]
-        qx = keys[:, None] // h + _NEIGHBOURS[:, 1]
-        on = (qy >= 0) & (qy < h) & (qx >= 0) & (qx < w)
-        up_keys = np.unique(qx[on] * h + qy[on])
-        ux, uy = up_keys // h, up_keys % h
-        up_feats = deconv2x2_at(self.semantic.data, self.deconv_w,
-                                self.deconv_b, uy, ux)
-        np.maximum(up_feats, 0.0, out=up_feats)
-        c_up = up_feats.shape[1]
-        up = SparsePillarVolume(self.stride, w, h, np.stack([ux, uy], axis=1),
-                                up_feats)
-
-        out = np.zeros((len(keys), self.channels))
-        gather_conv2d(out, keys, up, self.conv_w[:, :, :c_up])
-        start = c_up
+        out = self._up_half(keys % h, keys // h)
+        start = self.deconv_w.shape[3]
         for v in self.bottom_up:
             gather_conv2d(out, keys, v, self.conv_w[:, :, start:start + v.channels])
             start += v.channels
         out += self.conv_b
         np.maximum(out, 0.0, out=out)
         return out[slot.reshape(-1)]
+
+    def _up_half(self, qy: np.ndarray, qx: np.ndarray) -> np.ndarray:
+        """The up half's conv, without bias, at cells (``qy``, ``qx``).
+
+        One dense conv runs over a canvas of strips that cover the cells
+        (see :func:`_pack_strips`), holding the upsampled map, zero off the
+        map. A strip's inner cells read only their own strip, so they get
+        exactly the full map's values. Only the parents of the strips'
+        cells are deconvolved.
+        """
+        h, w, rows = self.height, self.width, _STRIP_ROWS + 2
+        map_y, map_x, widths, canvas_y, canvas_x, strip_of, canvas_w = \
+            _pack_strips(qy, qx)
+        # every strip cell: its strip, row and column within the strip
+        s = np.repeat(np.arange(len(widths)), widths)
+        col = np.arange(len(s)) - np.repeat(np.cumsum(widths) - widths, widths)
+        row = np.arange(rows)[:, None]
+        my, mx = map_y[s] + row, map_x[s] + col
+        cy, cx = canvas_y[s] + row, canvas_x[s] + col
+        my, mx, cy, cx = np.broadcast_arrays(my, mx, cy, cx)
+        on = (my >= 0) & (my < h) & (mx >= 0) & (mx < w)
+        c_up = self.deconv_w.shape[3]
+        canvas = np.zeros((canvas_y.max() + rows, canvas_w, c_up))
+        canvas[cy[on], cx[on]] = deconv2x2_at(
+            self.semantic.data, self.deconv_w, self.deconv_b, my[on], mx[on])
+        np.maximum(canvas, 0.0, out=canvas)
+        conv = dense_conv2d(canvas, self.conv_w[:, :, :c_up],
+                            np.zeros(self.channels))
+        return conv[canvas_y[strip_of] + qy - map_y[strip_of],
+                    canvas_x[strip_of] + qx - map_x[strip_of]]
 
 
 def build_pooling_map(backbone: BackboneFeatures, pyramid: FeaturePyramid,

@@ -193,15 +193,20 @@ def pooling_at_cells_suite(maps: int = 40, seed: int = 6,
 
     The reference deconvolves the whole semantic map pixel by pixel,
     concatenates the densified volumes and convolves per pixel. Cell sets
-    are by turns a random subset with repeats, the border ring, every cell
-    and no cell; volumes are as in the split-lateral suite. ``corrupt``
+    are by turns a random subset with repeats, the border ring, every cell,
+    no cell and every fourth column of a 64x64 map (more strips than one
+    canvas row holds); volumes are as in the split-lateral suite. ``corrupt``
     perturbs one upsampled-half kernel weight on the lazy side only, a
     negative control that must make the suite fail.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for k in range(maps):
-        hs, ws = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        kind = k % 5
+        if kind == 4:
+            hs = ws = 32
+        else:
+            hs, ws = int(rng.integers(1, 8)), int(rng.integers(1, 8))
         h, w = 2 * hs, 2 * ws
         c_sem, c_up = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         c_out = int(rng.integers(1, 5))
@@ -222,7 +227,6 @@ def pooling_at_cells_suite(maps: int = 40, seed: int = 6,
         ref = relu(dense_conv_reference(merged, conv_w) + conv_b)
 
         iy, ix = np.nonzero(np.ones((h, w), dtype=bool))
-        kind = k % 4
         if kind == 0:
             pick = rng.integers(0, h * w, int(rng.integers(1, 2 * h * w)))
             iy, ix = iy[pick], ix[pick]
@@ -231,13 +235,15 @@ def pooling_at_cells_suite(maps: int = 40, seed: int = 6,
             iy, ix = iy[ring], ix[ring]
         elif kind == 3:
             iy, ix = iy[:0], ix[:0]
+        elif kind == 4:
+            iy, ix = iy[ix % 4 == 1], ix[ix % 4 == 1]
         got = pool.at(iy, ix)
         if got.shape != (len(iy), c_out):
             worst = math.inf
         elif len(iy):
             worst = max(worst, float(np.abs(got - ref[iy, ix]).max()))
     return SuiteResult("pooling-at-cells", worst < tolerance, worst,
-                       f"{maps} maps, random/border/all/no cells",
+                       f"{maps} maps, random/border/all/no/strided cells",
                        f"max abs diff {worst:.2e}")
 
 

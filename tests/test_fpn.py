@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pillardet.config import config_from_dict, weight_layout
-from pillardet.fpn import (_downsample_chain, build_pooling_map, build_pyramid,
-                           lateral_merge, split_lateral_conv)
+from pillardet.fpn import (_downsample_chain, _pack_strips, build_pooling_map,
+                           build_pyramid, lateral_merge, split_lateral_conv)
 from pillardet.grid import (PointCloud, SparsePillarVolume,
                             backbone_forward, deconv2x2, dense_conv2d,
                             densify, pillarize, relu)
@@ -175,6 +175,27 @@ class TestPoolingMap:
         ix = rng.integers(0, pool.width, 40)
         iy[:3], ix[:3] = [0, pool.height - 1, iy[3]], [0, pool.width - 1, ix[3]]
         np.testing.assert_array_equal(pool.at(iy, ix), full[iy, ix])
+
+    def test_strips_over_several_canvas_shelves_match_concat_formula(self):
+        # every fourth column of a 128x128 map: one strip per run of a
+        # single column, more of them than one canvas row of strips holds
+        cfg = tiny_config(extent=25.6)
+        store, backbone = forward_to_backbone(cfg, n_points=600)
+        pyramid = build_pyramid(backbone, store)
+        pool = build_pooling_map(backbone, pyramid, store, 4,
+                                 cfg.bottom_up_strides)
+        up = relu(deconv2x2(pyramid[8].data, store.get("neck.pool.deconv.w"),
+                            store.get("neck.pool.deconv.b")))
+        merged = np.concatenate([up, densify(backbone.c3).data], axis=-1)
+        expected = relu(dense_conv_reference(merged, store.get("neck.pool.conv.w"))
+                        + store.get("neck.pool.conv.b"))
+        iy, ix = np.meshgrid(np.arange(pool.height),
+                             np.arange(1, pool.width, 4), indexing="ij")
+        iy, ix = iy.ravel(), ix.ravel()
+        canvas_y = _pack_strips(iy, ix)[3]
+        assert canvas_y.max() > 0
+        np.testing.assert_allclose(pool.at(iy, ix), expected[iy, ix], atol=1e-10)
+        np.testing.assert_allclose(dense_values(pool), expected, atol=1e-10)
 
     def test_empty_cell_set(self):
         cfg = tiny_config()
