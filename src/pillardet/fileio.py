@@ -4,11 +4,12 @@ Binary layouts are little-endian throughout. Point clouds use magic
 ``PBK1``: a u32 point count followed by count x 4 f32 (x, y, z,
 intensity). Weight archives use magic ``PWT1``: a u32 tensor count, then
 per tensor a u16 name length, the UTF-8 name, a u8 rank, rank u32 dims,
-and the f32 payload. Ground truth and detections are line-oriented text
-with six decimal places. All writers go through a temp-file rename so
-readers never observe partial files. Every structural problem a reader
-finds (bad magic, truncation, non-UTF-8 text, a malformed or non-finite
-field) raises :class:`FormatError` naming the file, and the line for text.
+and the f32 payload, loaded as float32. Ground truth and detections are
+line-oriented text with six decimal places. All writers go through a
+temp-file rename so readers never observe partial files. Every structural
+problem a reader finds (bad magic, truncation, non-UTF-8 text, a
+malformed or non-finite field or weight value) raises
+:class:`FormatError` naming the file, and the line for text.
 """
 
 from __future__ import annotations
@@ -115,11 +116,15 @@ def load_weights(path: str) -> WeightStore:
             size = int(np.prod(dims)) if rank else 1
             arr = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
             offset += 4 * size
-            tensors[name] = arr.reshape(dims).astype(np.float64)
+            tensors[name] = arr.reshape(dims).astype(np.float32)
     except (struct.error, ValueError) as exc:
         raise FormatError(f"{path}: truncated weight archive") from exc
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
+    for name, arr in tensors.items():
+        if not np.all(np.isfinite(arr)):
+            raise FormatError(f"{path}: weight tensor '{name}' contains "
+                              "non-finite values")
     return WeightStore(tensors)
 
 

@@ -52,14 +52,17 @@ def split_lateral_conv(up: np.ndarray, bottom_up: list[SparsePillarVolume],
 
     Kernel input channels are sliced in concat order: ``up`` takes the
     first ``up.shape[2]``, each volume the next ``v.channels``. An empty
-    ``bottom_up`` list convolves ``up`` alone with its slice.
+    ``bottom_up`` list convolves ``up`` alone with its slice. The output
+    takes the dtype all inputs promote to.
     """
     c_in = up.shape[2] + sum(v.channels for v in bottom_up)
     if weight.shape[:3] != (3, 3, c_in):
         raise ValueError(f"kernel shape {weight.shape} incompatible with "
                          f"{c_in} concatenated input channels")
     c_out = weight.shape[3]
-    out = dense_conv2d(up, weight[:, :, :up.shape[2]], np.zeros(c_out))
+    # the zero bias carries the output dtype into the dense conv
+    dtype = np.result_type(up, weight, bias, *(v.features for v in bottom_up))
+    out = dense_conv2d(up, weight[:, :, :up.shape[2]], np.zeros(c_out, dtype))
     start = up.shape[2]
     for v in bottom_up:
         scatter_conv2d(out, v, weight[:, :, start:start + v.channels])
@@ -200,6 +203,13 @@ class PoolingMap:
     def channels(self) -> int:
         return self.conv_w.shape[3]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype all its inputs promote to, that of :meth:`at`."""
+        return np.result_type(self.semantic.data, self.deconv_w, self.deconv_b,
+                              self.conv_w, self.conv_b,
+                              *(v.features for v in self.bottom_up))
+
     def at(self, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
         """Map values at cells (``iy[k]``, ``ix[k]``) -> (K, C).
 
@@ -215,7 +225,7 @@ class PoolingMap:
                         or ix.max() >= w):
             raise IndexError(f"cells outside the {h}x{w} pooling map")
         if not len(iy):
-            return np.zeros((0, self.channels))
+            return np.zeros((0, self.channels), self.dtype)
         keys, slot = np.unique(ix * h + iy, return_inverse=True)
         out = self._up_half(keys % h, keys // h)
         start = self.deconv_w.shape[3]
@@ -246,13 +256,13 @@ class PoolingMap:
         cy, cx = canvas_y[s] + row, canvas_x[s] + col
         my, mx, cy, cx = np.broadcast_arrays(my, mx, cy, cx)
         on = (my >= 0) & (my < h) & (mx >= 0) & (mx < w)
-        c_up = self.deconv_w.shape[3]
-        canvas = np.zeros((canvas_y.max() + rows, canvas_w, c_up))
+        c_up, dtype = self.deconv_w.shape[3], self.dtype
+        canvas = np.zeros((canvas_y.max() + rows, canvas_w, c_up), dtype)
         canvas[cy[on], cx[on]] = deconv2x2_at(
             self.semantic.data, self.deconv_w, self.deconv_b, my[on], mx[on])
         np.maximum(canvas, 0.0, out=canvas)
         conv = dense_conv2d(canvas, self.conv_w[:, :, :c_up],
-                            np.zeros(self.channels))
+                            np.zeros(self.channels, dtype))
         return conv[canvas_y[strip_of] + qy - map_y[strip_of],
                     canvas_x[strip_of] + qx - map_x[strip_of]]
 
@@ -296,7 +306,7 @@ def build_pooling_map(backbone: BackboneFeatures, pyramid: FeaturePyramid,
                                 f"neck.pool.s{s}")
         if not use_bottom_up:
             vol = SparsePillarVolume.empty(vol.stride, vol.nx, vol.ny,
-                                           vol.channels)
+                                           vol.channels, vol.features.dtype)
         branches.append(vol)
 
     return PoolingMap(semantic, tuple(branches),

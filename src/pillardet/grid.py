@@ -4,7 +4,9 @@ Point clouds are collapsed into a sparse set of occupied BEV pillars; the
 backbone then runs four sparse stages and one dense stage, producing
 feature volumes/maps at strides 1, 2, 4, 8, 16 in a single forward pass.
 Everything is forward-only: weights come from a store (or a seeded
-initializer), never from training.
+initializer), never from training. Kernels compute in the dtype their
+inputs promote to (``np.result_type``), so float32 weights give float32
+maps; point clouds and geometry stay float64.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import WeightStore
+from .weights import WeightStore, as_float
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,8 @@ class SparsePillarVolume:
 
     ``coords`` is (N, 2) int64 of unique (ix, iy) cell indices, sorted
     lexicographically by ix then iy; ``features`` is the aligned (N, C)
-    float array. ``nx``/``ny`` are the grid dims at this stride.
+    float32 or float64 array (see :func:`~pillardet.weights.as_float`).
+    ``nx``/``ny`` are the grid dims at this stride.
     """
 
     stride: int
@@ -119,7 +122,7 @@ class SparsePillarVolume:
 
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=np.int64).reshape(-1, 2)
-        feats = np.asarray(self.features, dtype=np.float64)
+        feats = as_float(self.features)
         if feats.ndim != 2 or len(feats) != len(coords):
             raise ValueError("features must be (N, C) aligned with coords")
         if len(coords):
@@ -145,9 +148,10 @@ class SparsePillarVolume:
         return self.coords[:, 0] * self.ny + self.coords[:, 1]
 
     @classmethod
-    def empty(cls, stride: int, nx: int, ny: int, channels: int) -> "SparsePillarVolume":
+    def empty(cls, stride: int, nx: int, ny: int, channels: int,
+              dtype=np.float64) -> "SparsePillarVolume":
         return cls(stride, nx, ny, np.zeros((0, 2), np.int64),
-                   np.zeros((0, channels)))
+                   np.zeros((0, channels), dtype))
 
 
 @dataclass(frozen=True)
@@ -162,7 +166,7 @@ class DenseFeatureMap:
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
+        data = as_float(self.data)
         if data.ndim != 3:
             raise ValueError(f"expected (H, W, C) data, got shape {data.shape}")
         object.__setattr__(self, "data", _freeze(data))
@@ -178,6 +182,10 @@ class DenseFeatureMap:
     @property
     def channels(self) -> int:
         return self.data.shape[2]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
 
     def at(self, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
         """Values at cells (``iy[k]``, ``ix[k]``) -> (K, C)."""
@@ -195,7 +203,8 @@ def pillarize(points: PointCloud, spec: GridSpec,
     Each in-range point is encoded as [x - cell_center_x, y - cell_center_y,
     z, intensity], pushed through one linear layer + ReLU, and max-pooled
     over its cell. Unoccupied cells stay implicit. The max makes the result
-    independent of point order.
+    independent of point order. The encoder input is cast to the weights'
+    dtype, so the features come out in it.
     """
     nx, ny = spec.nx, spec.ny
     w = weights.get("pfe.linear.w")
@@ -204,7 +213,7 @@ def pillarize(points: PointCloud, spec: GridSpec,
 
     data = points.data
     if len(data) == 0:
-        return SparsePillarVolume.empty(1, nx, ny, channels)
+        return SparsePillarVolume.empty(1, nx, ny, channels, w.dtype)
 
     x, y, z = data[:, 0], data[:, 1], data[:, 2]
     keep = ((x >= spec.x_min) & (x < spec.x_max)
@@ -212,7 +221,7 @@ def pillarize(points: PointCloud, spec: GridSpec,
             & (z >= spec.z_min) & (z < spec.z_max))
     data = data[keep]
     if len(data) == 0:
-        return SparsePillarVolume.empty(1, nx, ny, channels)
+        return SparsePillarVolume.empty(1, nx, ny, channels, w.dtype)
 
     p = spec.pillar_size
     ix = np.floor((data[:, 0] - spec.x_min) / p).astype(np.int64)
@@ -226,7 +235,7 @@ def pillarize(points: PointCloud, spec: GridSpec,
         data[:, 1] - (spec.y_min + (iy + 0.5) * p),
         data[:, 2],
         data[:, 3],
-    ], axis=1)
+    ], axis=1).astype(w.dtype)
     enc = relu(enc_in @ w + b)
 
     key = ix * ny + iy
@@ -315,7 +324,8 @@ def sparse_conv2d(v: SparsePillarVolume, weight: np.ndarray, bias: np.ndarray,
         out_keys = np.unique(np.concatenate([key for _, _, key in rules]))
         out_coords = np.stack([out_keys // ny_out, out_keys % ny_out], axis=1)
 
-    out_feats = np.zeros((len(out_keys), c_out))
+    out_feats = np.zeros((len(out_keys), c_out),
+                         np.result_type(v.features, weight, bias))
     # regular-mode keys are active by construction; submanifold ones may miss
     _accumulate(out_feats, out_keys, v.features, rules, all_hit=not submanifold)
     if len(out_keys):
@@ -365,7 +375,7 @@ def gather_conv2d(acc: np.ndarray, keys: np.ndarray, v: SparsePillarVolume,
 
 def densify(v: SparsePillarVolume) -> DenseFeatureMap:
     """Scatter active sites into a zero-initialized dense map."""
-    data = np.zeros((v.ny, v.nx, v.channels))
+    data = np.zeros((v.ny, v.nx, v.channels), v.features.dtype)
     if v.n_active:
         data[v.coords[:, 1], v.coords[:, 0]] = v.features
     return DenseFeatureMap(v.stride, data)
@@ -405,6 +415,7 @@ def dense_conv2d(data: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     if stride not in (1, 2):
         raise ValueError(f"unsupported stride {stride}")
     c_out = weight.shape[3]
+    dtype = np.result_type(data, weight, bias)
     s = stride
     h_out, w_out = _out_dim(h, s), _out_dim(w_in, s)
     reach = 2 // s  # largest plane shift of a kernel offset
@@ -412,7 +423,7 @@ def dense_conv2d(data: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     # one spare row: the last band's shifted row range ends up to `reach`
     # pixels past the padded plane
     rows = h_out + reach + 1
-    planes = np.zeros((s, s, rows, width, c_in))
+    planes = np.zeros((s, s, rows, width, c_in), dtype)
     for py in range(s):
         for px in range(s):
             # padded pixel (s*i + py, s*j + px) is data pixel (s*i + py - 1, ...)
@@ -422,9 +433,9 @@ def dense_conv2d(data: np.ndarray, weight: np.ndarray, bias: np.ndarray,
             planes[py, px, iy:iy + src.shape[0], ix:ix + src.shape[1]] = src
     flat = planes.reshape(s, s, rows * width, c_in)
 
-    out = np.empty((h_out, w_out, c_out))
+    out = np.empty((h_out, w_out, c_out), dtype)
     band = max(1, _BAND_ROWS // width)
-    acc = np.empty((band * width, c_out))
+    acc = np.empty((band * width, c_out), dtype)
     tmp = np.empty_like(acc)
     for y0 in range(0, h_out, band):
         y1 = min(h_out, y0 + band)
@@ -475,7 +486,7 @@ def deconv2x2(data: np.ndarray, weight: np.ndarray,
     kernel = _deconv_kernel(weight, c_in)
     c_out = weight.shape[3]
     flat = data.reshape(-1, c_in)
-    out = np.empty((h, 2, w_in, 2, c_out))
+    out = np.empty((h, 2, w_in, 2, c_out), np.result_type(data, weight, bias))
     band = max(1, _BAND_ROWS // w_in)
     for y0 in range(0, h, band):
         y1 = min(h, y0 + band)

@@ -64,14 +64,18 @@ def mc_rotated_iou(a: RotatedRect2D, b: RotatedRect2D,
 
 def dense_conv_reference(data: np.ndarray, weight: np.ndarray,
                          stride: int = 1) -> np.ndarray:
-    """Per-output-pixel 3x3 convolution with zero padding 1 (no bias)."""
+    """Per-output-pixel 3x3 convolution with zero padding 1 (no bias).
+
+    Computed in the dtype ``data`` and ``weight`` promote to.
+    """
     h, w_in, c_in = data.shape
     c_out = weight.shape[3]
     h_out = (h - 1) // stride + 1
     w_out = (w_in - 1) // stride + 1
-    padded = np.zeros((h + 2, w_in + 2, c_in))
+    dtype = np.result_type(data, weight)
+    padded = np.zeros((h + 2, w_in + 2, c_in), dtype)
     padded[1:-1, 1:-1] = data
-    out = np.empty((h_out, w_out, c_out))
+    out = np.empty((h_out, w_out, c_out), dtype)
     for oy in range(h_out):
         for ox in range(w_out):
             window = padded[oy * stride:oy * stride + 3,

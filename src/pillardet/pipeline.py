@@ -4,13 +4,17 @@ Stage order: pillarize -> backbone -> pyramid -> center heads -> proposal
 decoding -> IoU-aware rescoring -> NMS -> pooling map -> RoI refinement.
 Every produced map's dims are asserted against the grid arithmetic
 (dims = cells / stride) so a wiring mistake fails loudly instead of
-producing plausible nonsense.
+producing plausible nonsense. Maps are computed in the weights' dtype;
+extreme weights can overflow it, so overflow warnings are silenced and
+the head maps and R-CNN outputs are checked to be finite instead.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import fileio
 from .config import PipelineConfig, weight_layout
@@ -53,6 +57,7 @@ class DetectionPipeline:
         self.weights = weights if weights is not None else build_weights(config)
         self.weights.validate(weight_layout(config))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def run(self, cloud: PointCloud) -> PipelineResult:
         cfg = self.config
         spec = cfg.grid
@@ -76,6 +81,11 @@ class DetectionPipeline:
         shapes["P4"] = (pyramid[8].height, pyramid[8].width)
         heads = clock("heads", lambda: rpn_forward(
             pyramid, self.weights, cfg.level_classes, cfg.head_channels))
+        for stride, head in heads.items():
+            if not all(np.isfinite(a).all()
+                       for a in (head.heatmap, head.reg, head.iou)):
+                raise ValueError(f"heads: the stride-{stride} head maps hold "
+                                 "non-finite values")
         # a cloud with no occupied pillar carries no evidence; bias
         # propagation still texture-fills the maps, so gate the decode
         proposals = clock("decode", lambda: decode_proposals(

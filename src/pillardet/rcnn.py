@@ -25,7 +25,8 @@ from .grid import DenseFeatureMap, GridSpec, relu
 from .rpn import Detection, _sigmoid
 from .weights import WeightStore
 
-# anything with stride, height, width, channels and ``at(iy, ix) -> (K, C)``
+# anything with stride, height, width, channels, dtype and
+# ``at(iy, ix) -> (K, C)``
 FeatureSource = DenseFeatureMap | PoolingMap
 
 N_RESIDUALS = 7  # dx/d, dy/d, dz/h, log-size ratios (3), dyaw
@@ -98,11 +99,14 @@ def bilinear_sample(m: FeatureSource, spec: GridSpec,
     Cell centers form the lattice; corners off the map blend with zeros.
     The distinct on-map corner cells are looked up with one ``m.at`` call.
     Also returns the corners and weights used, which double as the
-    analytic gradient.
+    analytic gradient. Values blend in the map's dtype.
     """
     cell = spec.cell_size(m.stride)
-    u = (pts[:, 0] - spec.x_min) / cell - 0.5
-    v = (pts[:, 1] - spec.y_min) / cell - 0.5
+    # lattice coordinates are clipped to one cell beyond the map, so a
+    # far-away point casts to an integer without overflow; beyond that
+    # cell a point blends zeros with or without the clip
+    u = np.clip((pts[:, 0] - spec.x_min) / cell - 0.5, -1.0, m.width)
+    v = np.clip((pts[:, 1] - spec.y_min) / cell - 0.5, -1.0, m.height)
     ix0 = np.floor(u).astype(np.int64)
     iy0 = np.floor(v).astype(np.int64)
     tx, ty = u - ix0, v - iy0
@@ -114,13 +118,13 @@ def bilinear_sample(m: FeatureSource, spec: GridSpec,
     cells, slot = np.unique(iy[inside] * m.width + ix[inside],
                             return_inverse=True)
     # one extra zero row stands for every corner off the map
-    values = np.zeros((len(cells) + 1, m.channels))
+    values = np.zeros((len(cells) + 1, m.channels), m.dtype)
     values[:-1] = m.at(cells // m.width, cells % m.width)
     corner_slot = np.full(inside.shape, len(cells), dtype=np.int64)
     corner_slot[inside] = slot.reshape(-1)
     # accumulate corner by corner, scaling each gather in place: an
     # (M, 4, C) temporary would be too large
-    out = np.zeros((len(pts), m.channels))
+    out = np.zeros((len(pts), m.channels), m.dtype)
     for k in range(4):
         corner = values[corner_slot[:, k]]
         corner *= weight[:, k, None]
@@ -132,7 +136,7 @@ def pool_roi_features(rois: list[Box3D], m: FeatureSource, spec: GridSpec,
                       grid_size: int) -> np.ndarray:
     """Pooled grid-point features for every RoI: (N, G, G, C)."""
     if not rois:
-        return np.zeros((0, grid_size, grid_size, m.channels))
+        return np.zeros((0, grid_size, grid_size, m.channels), m.dtype)
     pts = np.concatenate([roi_grid_points(r, grid_size).reshape(-1, 2)
                           for r in rois])
     feats, _ = bilinear_sample(m, spec, pts)
@@ -160,9 +164,10 @@ def encode_residuals(roi: Box3D, target: Box3D) -> np.ndarray:
 
 def decode_residuals(roi: Box3D, residuals: np.ndarray) -> Box3D:
     """Inverse of :func:`encode_residuals`; log ratios go through the
-    clamped :func:`~pillardet.geometry.exp_extent`."""
+    clamped :func:`~pillardet.geometry.exp_extent`. Residuals are read as
+    Python floats, so the box is float64 whatever their dtype."""
     d = roi.bev_diagonal
-    r = residuals
+    r = np.asarray(residuals, dtype=np.float64).tolist()
     return Box3D(roi.cx + r[0] * d, roi.cy + r[1] * d,
                  roi.cz + r[2] * roi.height,
                  roi.length * exp_extent(r[3]), roi.width * exp_extent(r[4]),
@@ -329,12 +334,16 @@ def refine(proposals: list[Detection], m: FeatureSource, spec: GridSpec,
            weights: WeightStore, cfg: RoiPoolConfig) -> list[Detection]:
     """Decode residuals onto the proposals and rescore with the MLP head.
 
-    Without proposals the map is never read.
+    Without proposals the map is never read. Non-finite head outputs
+    (extreme weights overflowing the maps' dtype) raise ``ValueError``.
     """
     if not proposals:
         return []
     boxes = [d.box for d in proposals]
     logits, residuals, _ = rcnn_forward(boxes, m, spec, weights, cfg)
+    if not (np.isfinite(logits).all() and np.isfinite(residuals).all()):
+        raise ValueError("refine: the R-CNN logits or residuals hold "
+                         "non-finite values")
     out = []
     for d, logit, r in zip(proposals, logits, residuals):
         refined = decode_residuals(d.box, r)

@@ -209,7 +209,7 @@ def _local_peaks(hm: np.ndarray) -> np.ndarray:
     decode to an empty proposal list.
     """
     h, w = hm.shape
-    padded = np.full((h + 2, w + 2), -np.inf)
+    padded = np.full((h + 2, w + 2), -np.inf, hm.dtype)
     padded[1:-1, 1:-1] = hm
     nbr = np.full_like(hm, -np.inf)
     for dy in (-1, 0, 1):
@@ -227,7 +227,8 @@ def decode_proposals(heads: dict[int, HeadOutput], spec: GridSpec,
     A peak's center decodes as (cell + offset) * cell_size + range_min,
     so a zero offset lands on the cell's minimum corner. Log extents are
     clamped by :func:`~pillardet.geometry.exp_extent`. The predicted-IoU
-    channel is squashed through a sigmoid when read.
+    channel is squashed through a sigmoid when read. Map values are read
+    as Python floats, so boxes are float64 whatever the maps' dtype.
     """
     dets: list[Detection] = []
     for stride in sorted(heads):
@@ -243,10 +244,10 @@ def decode_proposals(heads: dict[int, HeadOutput], spec: GridSpec,
             order = np.lexsort((ix, iy, -scores))[:top_k[class_id]]
             for idx in order:
                 r, c = int(iy[idx]), int(ix[idx])
-                reg = head.reg[r, c]
+                reg = head.reg[r, c].tolist()
                 cx = spec.x_min + (c + reg[0]) * cell
                 cy = spec.y_min + (r + reg[1]) * cell
-                box = Box3D(cx, cy, float(reg[2]),
+                box = Box3D(cx, cy, reg[2],
                             exp_extent(reg[3]), exp_extent(reg[4]),
                             exp_extent(reg[5]),
                             math.atan2(reg[6], reg[7]), class_id=class_id)

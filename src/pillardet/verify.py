@@ -5,26 +5,33 @@ re-run the correctness gates in the field: rotated IoU against Monte
 Carlo, sparse against dense convolution, the split lateral convolution
 and the lazily evaluated pooling map against a dense convolution of the
 concatenated input, greedy against exhaustive NMS, analytic against
-finite-difference bilinear gradients, and segmentation labels against
-direct point-in-rect evaluation. Budgets are fixed; everything is seeded.
+finite-difference bilinear gradients, segmentation labels against direct
+point-in-rect evaluation, and the float32 pipeline against its float64
+upcast. Budgets are fixed; everything is seeded.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geometry import (Box3D, RotatedRect2D, iou_3d, point_in_rect,
                        project_to_bev, rotated_iou_bev)
-from .fpn import PoolingMap, split_lateral_conv
-from .grid import (DenseFeatureMap, GridSpec, SparsePillarVolume, densify, relu,
-                   sparse_conv2d)
+from .config import PipelineConfig, weight_layout
+from .fpn import PoolingMap, build_pooling_map, build_pyramid, split_lateral_conv
+from .grid import (DenseFeatureMap, GridSpec, SparsePillarVolume,
+                   backbone_forward, densify, pillarize, relu, sparse_conv2d)
 from .oracles import (dense_conv_reference, exhaustive_nms,
                       finite_difference_grad, mc_rotated_iou)
-from .rcnn import aux_seg_labels, bilinear_sample, roi_grid_points
-from .rpn import Detection, nms_3d
+from .pipeline import DetectionPipeline
+from .rcnn import (RoiPoolConfig, aux_seg_labels, bilinear_sample, rcnn_forward,
+                   roi_grid_points)
+from .rpn import (Detection, decode_proposals, nms_3d, rectify_detections,
+                  rpn_forward)
+from .synth import SceneSpec, generate_scene, scene_seed
+from .weights import WeightStore
 
 
 @dataclass(frozen=True)
@@ -319,6 +326,81 @@ def aux_label_suite(rois: int = 100, seed: int = 4) -> SuiteResult:
                        f"{rois} RoIs", f"{mismatches} mismatching grid points")
 
 
+def _detection_row(d: Detection) -> list[float]:
+    b = d.box
+    return [b.cx, b.cy, b.cz, b.length, b.width, b.height, b.yaw, d.score]
+
+
+def float32_suite(scenes: int = 2, seed: int = 7, tolerance: float = 1e-6,
+                  corrupt: bool = False) -> SuiteResult:
+    """The float32 pipeline vs its float64 upcast, through the same code.
+
+    The default config on a +-12.8 m grid runs with a seeded float32 store
+    and with the same values upcast to float64, so the two differ only in
+    the rounding of their maps. At identical inputs the suite compares the
+    head maps, then the pooled features, logits and residuals of one fixed
+    proposal list (the float64 run's): every value must agree within
+    ``tolerance`` absolute, about eight float32 ulps of 1 (heatmaps lie in
+    [0, 1], the pooled features and R-CNN outputs below it). The share of
+    float32 detections with a float64 twin (same class, every box field
+    and score within 1e-3) is reported, not gated: near-tied peaks of
+    seeded weights may swap at the top-k cut. ``corrupt`` perturbs one
+    heatmap bias on the float32 side only, a negative control that must
+    make the suite fail.
+    """
+    cfg = replace(PipelineConfig(), grid=GridSpec(
+        x_min=-12.8, x_max=12.8, y_min=-12.8, y_max=12.8))
+    store32 = WeightStore.seeded(weight_layout(cfg), seed)
+    store64 = WeightStore({n: a.astype(np.float64) for n, a in store32.items()})
+    if corrupt:
+        tensors = dict(store32.items())
+        tensors["rpn.s4.hm.b"] = tensors["rpn.s4.hm.b"] + np.float32(1e-3)
+        store32 = WeightStore(tensors)
+    roi_cfg = RoiPoolConfig(cfg.roi_grid_size, cfg.pool_stride,
+                            cfg.mlp_channels, cfg.seg_hidden)
+    worst = 0.0
+    twins = total = 0
+    for k in range(scenes):
+        cloud, _ = generate_scene(SceneSpec(seed=scene_seed(seed, k)), cfg.grid)
+        runs = []
+        for store in (store32, store64):
+            backbone = backbone_forward(pillarize(cloud, cfg.grid, store), store,
+                                        cfg.backbone_channels)
+            pyramid = build_pyramid(backbone, store)
+            heads = rpn_forward(pyramid, store, cfg.level_classes,
+                                cfg.head_channels)
+            pool = build_pooling_map(backbone, pyramid, store, cfg.pool_stride,
+                                     cfg.bottom_up_strides,
+                                     cfg.use_pool_bottom_up)
+            runs.append((store, heads, pool))
+        (s32, h32, p32), (s64, h64, p64) = runs
+        proposals = nms_3d(rectify_detections(
+            decode_proposals(h64, cfg.grid, cfg.top_k), cfg.beta), cfg.nms_iou)
+        rois = [d.box for d in proposals]
+        pairs = [(getattr(h32[s], f), getattr(h64[s], f))
+                 for s in h64 for f in ("heatmap", "reg", "iou")]
+        pairs += zip(rcnn_forward(rois, p32, cfg.grid, s32, roi_cfg),
+                     rcnn_forward(rois, p64, cfg.grid, s64, roi_cfg))
+        for a, b in pairs:
+            if a.dtype != np.float32 or b.dtype != np.float64:
+                worst = math.inf
+            elif a.size:
+                worst = max(worst, float(np.abs(a - b).max()))
+
+        dets32 = DetectionPipeline(cfg, store32).run(cloud).detections
+        dets64 = DetectionPipeline(cfg, store64).run(cloud).detections
+        rows64 = np.array([_detection_row(d) for d in dets64]).reshape(-1, 8)
+        cls64 = np.array([d.class_id for d in dets64])
+        for d in dets32:
+            near = np.abs(rows64 - _detection_row(d)).max(axis=1) <= 1e-3
+            twins += bool(np.any(near & (cls64 == d.class_id)))
+        total += len(dets32)
+    return SuiteResult("float32", worst <= tolerance, worst,
+                       f"{scenes} scenes, head maps + R-CNN at fixed proposals",
+                       f"max abs diff {worst:.2e}; {twins}/{total} detections "
+                       "with a float64 twin within 1e-3")
+
+
 def run_all(corrupt: bool = False) -> list[SuiteResult]:
     return [
         geometry_suite(),
@@ -328,4 +410,5 @@ def run_all(corrupt: bool = False) -> list[SuiteResult]:
         nms_suite(),
         bilinear_suite(),
         aux_label_suite(),
+        float32_suite(corrupt=corrupt),
     ]

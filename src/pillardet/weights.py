@@ -4,6 +4,10 @@ The store is a flat mapping from dotted tensor names to float arrays.
 Forward passes never mutate it; when no trained weights exist, a seeded
 uniform initializer fills the same layout so every shape-sensitive test
 runs hermetically.
+
+Feature maps are computed in the dtype of the weights: float32 for
+archives and seeded stores (the archive format holds f4 values), float64
+for a store built from float64 arrays. :func:`as_float` is the one rule.
 """
 
 from __future__ import annotations
@@ -13,8 +17,18 @@ import math
 import numpy as np
 
 
+def as_float(arr) -> np.ndarray:
+    """``arr`` as float32 when it is float32 already, else as float64.
+
+    The dtype rule of every stored tensor and feature array: float32
+    stays float32, anything else (float64, ints, lists) becomes float64.
+    """
+    arr = np.asarray(arr)
+    return arr if arr.dtype == np.float32 else arr.astype(np.float64, copy=False)
+
+
 class WeightStore:
-    """Immutable-by-convention map from tensor name to float64 array."""
+    """Immutable-by-convention map from tensor name to float array."""
 
     def __init__(self, tensors: dict[str, np.ndarray] | None = None):
         self._tensors: dict[str, np.ndarray] = {}
@@ -22,7 +36,7 @@ class WeightStore:
             self.put(name, arr)
 
     def put(self, name: str, arr: np.ndarray) -> None:
-        a = np.asarray(arr, dtype=np.float64).copy()
+        a = as_float(arr).copy()
         if not np.all(np.isfinite(a)):
             raise ValueError(f"weight tensor '{name}' contains non-finite values")
         a.setflags(write=False)
@@ -58,7 +72,9 @@ class WeightStore:
 
         Biases borrow the fan-in of their sibling ``.w`` tensor. Tensor
         order is fixed (sorted by name), so a given (layout, seed) pair
-        always produces identical values.
+        always produces identical values. The float64 draws are rounded
+        to float32, the precision a weight archive stores, so a saved and
+        reloaded store is bit-equal to this one.
         """
         rng = np.random.default_rng(seed)
         tensors = {}
@@ -66,7 +82,7 @@ class WeightStore:
             shape = tuple(layout[name])
             fan_in = _fan_in(name, shape, layout)
             k = 1.0 / math.sqrt(fan_in)
-            tensors[name] = rng.uniform(-k, k, size=shape)
+            tensors[name] = rng.uniform(-k, k, size=shape).astype(np.float32)
         return cls(tensors)
 
 

@@ -83,6 +83,7 @@ class TestDetect:
         assert "magic" in capsys.readouterr().err
 
     def test_non_finite_weights_rejected(self, tmp_path, capsys):
+        # a NaN in a well-formed archive is a corrupt file, like a NaN point
         store = build_weights(config_from_dict(SMALL_CONFIG_DICT))
         weights = tmp_path / "nan.pwt"
         fileio.save_weights(str(weights), store)
@@ -98,7 +99,7 @@ class TestDetect:
         scene = tmp_path / "empty.pbk"
         fileio.save_point_cloud(str(scene), PointCloud.empty())
         assert main(["detect", "--config", str(cfg), "--out",
-                     str(tmp_path / "d"), str(scene)]) == 1
+                     str(tmp_path / "d"), str(scene)]) == 2
         err = capsys.readouterr().err
         assert name in err and "non-finite" in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
@@ -202,7 +203,7 @@ class TestVerify:
         out = capsys.readouterr().out
         for suite in ("geometry-mc-iou", "sparse-dense-conv", "split-lateral",
                       "pooling-at-cells", "nms-brute-force", "bilinear-fd-grad",
-                      "aux-seg-labels"):
+                      "aux-seg-labels", "float32"):
             assert suite in out and "max_err" in out
         assert "all suites passed" in out
 
@@ -212,3 +213,4 @@ class TestVerify:
         assert "sparse-dense-conv  FAIL" in out
         assert "split-lateral      FAIL" in out
         assert "pooling-at-cells   FAIL" in out
+        assert "float32            FAIL" in out

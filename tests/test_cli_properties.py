@@ -3,12 +3,15 @@
 Whatever bytes a ``.pbk``, ``.pwt``, ``.gt.txt`` or ``.det.txt`` file
 holds, ``cli.main`` returns 2 exactly when the file's loader rejects it
 with ``FormatError``, prints a one-line error for any non-zero exit, and
-never lets an exception escape.
+never lets an exception escape. Extreme but finite weights, which can
+overflow the float32 maps, end in exit 0 or one error line.
 """
 
 import io
 import json
+import math
 import struct
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -18,9 +21,11 @@ from hypothesis import strategies as st
 
 from conftest import SMALL_CONFIG_DICT
 from pillardet import cli, fileio
+from pillardet.config import config_from_dict, weight_layout
 from pillardet.geometry import Box3D
 from pillardet.grid import PointCloud
 from pillardet.rpn import Detection
+from pillardet.synth import SceneSpec, generate_scene
 from pillardet.weights import WeightStore
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -29,6 +34,30 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
 # field tokens that parse, parse to something invalid, or do not parse
 TOKENS = ["0", "1", "2", "7", "-1", "0.5", "1.5", "-2.25", "40", "1e3",
           "1e-300", "inf", "-inf", "nan", "1e400", "car", "0x1", "1_0"]
+
+
+# a well-formed archive that does not match the config's layout
+VALID_WEIGHTS = {"a.w": np.ones((2, 3)), "a.b": np.zeros(3)}
+VALID_WEIGHTS_SIZE = sum(a.size for a in VALID_WEIGHTS.values())
+
+
+# extreme-weight runs use a tiny +-6.4 m grid (128x128 pillars) to stay cheap
+TINY_CONFIG = {**SMALL_CONFIG_DICT, "grid": {
+    **SMALL_CONFIG_DICT["grid"], "x_min": -6.4, "x_max": 6.4,
+    "y_min": -6.4, "y_max": 6.4}}
+TINY_TENSORS = sorted(weight_layout(config_from_dict(TINY_CONFIG)))
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+def value_offsets(tensors: dict) -> list[int]:
+    """Byte offset of every tensor value in the tensors' ``.pwt`` file."""
+    offsets, pos = [], 8
+    for name in sorted(tensors):
+        arr = tensors[name]
+        pos += 2 + len(name.encode("utf-8")) + 1 + 4 * arr.ndim
+        offsets += range(pos, pos + 4 * arr.size, 4)
+        pos += 4 * arr.size
+    return offsets
 
 
 def run_cli(argv) -> tuple[int, str]:
@@ -66,9 +95,7 @@ def files(tmp_path_factory):
     fileio.save_point_cloud(str(empty_scene), PointCloud.empty())
     points = np.random.default_rng(0).uniform(-12, 12, size=(6, 4))
     fileio.save_point_cloud(str(root / "valid.pbk"), PointCloud(points))
-    # a well-formed archive that does not match the config's layout
-    fileio.save_weights(str(root / "valid.pwt"), WeightStore(
-        {"a.w": np.ones((2, 3)), "a.b": np.zeros(3)}))
+    fileio.save_weights(str(root / "valid.pwt"), WeightStore(VALID_WEIGHTS))
     box = Box3D(1.0, 2.0, 0.0, 4.0, 2.0, 1.5, 0.3, class_id=0, num_points=20)
     fileio.save_gt(str(root / "valid.gt.txt"), [box])
     fileio.save_detections(str(root / "valid.det.txt"),
@@ -128,7 +155,8 @@ class TestWeightFiles:
         code, err = run_cli(["detect", "--config", files["weights_config"],
                              "--out", str(files["root"] / "dets"),
                              files["empty_scene"]])
-        # an archive that parses still lacks the config's tensors
+        # an archive that parses (finite values included) still lacks the
+        # config's tensors
         assert code == (2 if rejects(fileio.load_weights, str(weights)) else 1)
         assert_reported(code, err)
 
@@ -147,6 +175,64 @@ class TestWeightFiles:
     def test_truncated_file(self, files, cut):
         blob = valid_bytes(files, "valid.pwt")
         self.detect(files, blob[:min(cut, len(blob) - 1)])
+
+    @PROPERTY
+    @given(index=st.integers(0, VALID_WEIGHTS_SIZE - 1),
+           bits=st.integers(0, 2 ** 32 - 1))
+    def test_arbitrary_tensor_value(self, files, index, bits):
+        # any f4 bit pattern as one value of a well-formed archive: a NaN
+        # or an infinity is a corrupt file (exit 2), like a NaN point
+        blob = bytearray(valid_bytes(files, "valid.pwt"))
+        at = value_offsets(VALID_WEIGHTS)[index]
+        blob[at:at + 4] = struct.pack("<I", bits)
+        self.detect(files, bytes(blob))
+        (value,) = struct.unpack_from("<f", blob, at)
+        assert rejects(fileio.load_weights, str(files["root"] / "w.pwt")) == (
+            not math.isfinite(value))
+
+
+@pytest.fixture(scope="module")
+def extreme(tmp_path_factory):
+    root = tmp_path_factory.mktemp("extreme")
+    config = config_from_dict(TINY_CONFIG)
+    (root / "config.json").write_text(json.dumps(
+        {**TINY_CONFIG, "weights_path": str(root / "w.pwt")}))
+    cloud, _ = generate_scene(SceneSpec(seed=5, counts={0: 2, 1: 3, 2: 2}),
+                              config.grid)
+    fileio.save_point_cloud(str(root / "scene.pbk"), cloud)
+    return root, WeightStore.seeded(weight_layout(config), config.seed)
+
+
+class TestExtremeWeights:
+    """One tensor scaled by 10^k (k <= 38, finite in float32, as seeded
+    values lie in [-1, 1]) or set to +-float32 max: the run exits 0
+    and writes only finite detections, or exits 1 with one error line.
+    Overflow never surfaces as a warning."""
+
+    @settings(PROPERTY, max_examples=30)
+    @given(name=st.sampled_from(TINY_TENSORS), k=st.integers(0, 38),
+           sign=st.sampled_from([1.0, -1.0]), saturate=st.booleans())
+    def test_exit_code_and_finite_output(self, extreme, name, k, sign,
+                                         saturate):
+        root, store = extreme
+        tensors = dict(store.items())
+        t = tensors[name]
+        tensors[name] = (np.full_like(t, sign * F32_MAX) if saturate
+                         else t * np.float32(sign * 10.0 ** k))
+        fileio.save_weights(str(root / "w.pwt"), WeightStore(tensors))
+        dets = root / "dets" / "scene.det.txt"
+        dets.unlink(missing_ok=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = run_cli(["detect", "--config", str(root / "config.json"),
+                                 "--out", str(root / "dets"),
+                                 str(root / "scene.pbk")])
+        assert not caught, [str(w.message) for w in caught]
+        assert code in (0, 1)
+        assert_reported(code, err)
+        if code == 0:
+            for line in dets.read_text().splitlines():
+                assert all(math.isfinite(float(v)) for v in line.split()), line
 
 
 class TestTextFiles:

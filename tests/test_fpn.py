@@ -32,8 +32,17 @@ def dense_values(pool):
                                                    pool.channels)
 
 
-def forward_to_backbone(cfg, seed=0, n_points=150):
+# the formula cases run with the seeded float32 store and its float64
+# upcast, and build the formula in the store's dtype. The per-pixel
+# reference sums in another order than the kernels, so float32 results
+# agree to float32 rounding (~2e-8 on these maps), float64 ones to 1e-10.
+STORE_DTYPES = [np.float32, np.float64]
+FORMULA_ATOL = {np.float32: 1e-6, np.float64: 1e-10}
+
+
+def forward_to_backbone(cfg, seed=0, n_points=150, dtype=np.float32):
     store = WeightStore.seeded(weight_layout(cfg), cfg.seed)
+    store = WeightStore({n: a.astype(dtype) for n, a in store.items()})
     rng = np.random.default_rng(seed)
     g = cfg.grid
     pts = np.column_stack([rng.uniform(g.x_min, g.x_max, n_points),
@@ -59,31 +68,34 @@ class TestLateralMerge:
             lateral_merge(backbone.c5, backbone.c3, store, "neck.p4")
 
     def test_empty_bottom_up_equals_zero_padded_branch(self):
-        cfg = tiny_config()
-        store, backbone = forward_to_backbone(cfg)
-        empty = SparsePillarVolume.empty(8, backbone.c4.nx, backbone.c4.ny,
-                                         backbone.c4.channels)
-        merged = lateral_merge(backbone.c5, empty, store, "neck.p4")
-        up = relu(deconv2x2(backbone.c5.data, store.get("neck.p4.deconv.w"),
-                            store.get("neck.p4.deconv.b")))
-        manual = relu(dense_conv2d(
-            np.concatenate([up, np.zeros_like(densify(empty).data)], axis=-1),
-            store.get("neck.p4.conv.w"), store.get("neck.p4.conv.b")))
-        np.testing.assert_array_equal(merged.data, manual)
-
+        for dtype in STORE_DTYPES:
+            cfg = tiny_config()
+            store, backbone = forward_to_backbone(cfg, dtype=dtype)
+            empty = SparsePillarVolume.empty(8, backbone.c4.nx, backbone.c4.ny,
+                                             backbone.c4.channels, dtype)
+            merged = lateral_merge(backbone.c5, empty, store, "neck.p4")
+            up = relu(deconv2x2(backbone.c5.data, store.get("neck.p4.deconv.w"),
+                                store.get("neck.p4.deconv.b")))
+            manual = relu(dense_conv2d(
+                np.concatenate([up, np.zeros_like(densify(empty).data)], axis=-1),
+                store.get("neck.p4.conv.w"), store.get("neck.p4.conv.b")))
+            assert merged.data.dtype == dtype
+            np.testing.assert_array_equal(merged.data, manual)
 
     def test_matches_concat_formula(self):
-        cfg = tiny_config()
-        store, backbone = forward_to_backbone(cfg)
-        p4 = lateral_merge(backbone.c5, backbone.c4, store, "neck.p4")
-        assert backbone.c3.n_active > 0
-        p3 = lateral_merge(p4, backbone.c3, store, "neck.p3")
-        up = relu(deconv2x2(p4.data, store.get("neck.p3.deconv.w"),
-                            store.get("neck.p3.deconv.b")))
-        merged = np.concatenate([up, densify(backbone.c3).data], axis=-1)
-        expected = relu(dense_conv_reference(merged, store.get("neck.p3.conv.w"))
-                        + store.get("neck.p3.conv.b"))
-        np.testing.assert_allclose(p3.data, expected, atol=1e-10)
+        for dtype in STORE_DTYPES:
+            cfg = tiny_config()
+            store, backbone = forward_to_backbone(cfg, dtype=dtype)
+            p4 = lateral_merge(backbone.c5, backbone.c4, store, "neck.p4")
+            assert backbone.c3.n_active > 0
+            p3 = lateral_merge(p4, backbone.c3, store, "neck.p3")
+            up = relu(deconv2x2(p4.data, store.get("neck.p3.deconv.w"),
+                                store.get("neck.p3.deconv.b")))
+            merged = np.concatenate([up, densify(backbone.c3).data], axis=-1)
+            expected = relu(dense_conv_reference(merged, store.get("neck.p3.conv.w"))
+                            + store.get("neck.p3.conv.b"))
+            assert p3.data.dtype == expected.dtype == dtype
+            np.testing.assert_allclose(p3.data, expected, atol=FORMULA_ATOL[dtype])
 
     def test_split_conv_rejects_channel_mismatch(self):
         v = SparsePillarVolume.empty(1, 4, 3, 2)
@@ -136,33 +148,39 @@ class TestPoolingMap:
         assert (pool.height, pool.width) == (cfg.grid.ny // 2, cfg.grid.nx // 2)
 
     def test_stride_two_two_branches_match_concat_formula(self):
-        cfg = tiny_config(pool_stride=2, pool_bottom_up_strides=[1, 2])
-        store, backbone = forward_to_backbone(cfg)
-        pyramid = build_pyramid(backbone, store)
-        pool = build_pooling_map(backbone, pyramid, store, 2,
-                                 cfg.bottom_up_strides)
-        up = relu(deconv2x2(pyramid[4].data, store.get("neck.pool.deconv.w"),
-                            store.get("neck.pool.deconv.b")))
-        branches = [densify(_downsample_chain(backbone.volume_at(s), 2, store,
-                                              f"neck.pool.s{s}")).data
-                    for s in (1, 2)]
-        merged = np.concatenate([up] + branches, axis=-1)
-        expected = relu(dense_conv_reference(merged, store.get("neck.pool.conv.w"))
-                        + store.get("neck.pool.conv.b"))
-        np.testing.assert_allclose(dense_values(pool), expected, atol=1e-10)
+        for dtype in STORE_DTYPES:
+            cfg = tiny_config(pool_stride=2, pool_bottom_up_strides=[1, 2])
+            store, backbone = forward_to_backbone(cfg, dtype=dtype)
+            pyramid = build_pyramid(backbone, store)
+            pool = build_pooling_map(backbone, pyramid, store, 2,
+                                     cfg.bottom_up_strides)
+            up = relu(deconv2x2(pyramid[4].data, store.get("neck.pool.deconv.w"),
+                                store.get("neck.pool.deconv.b")))
+            branches = [densify(_downsample_chain(backbone.volume_at(s), 2, store,
+                                                  f"neck.pool.s{s}")).data
+                        for s in (1, 2)]
+            merged = np.concatenate([up] + branches, axis=-1)
+            expected = relu(dense_conv_reference(merged, store.get("neck.pool.conv.w"))
+                            + store.get("neck.pool.conv.b"))
+            assert expected.dtype == dtype
+            np.testing.assert_allclose(dense_values(pool), expected,
+                                       atol=FORMULA_ATOL[dtype])
 
     def test_default_stride_matches_concat_formula(self):
-        cfg = tiny_config()
-        store, backbone = forward_to_backbone(cfg)
-        pyramid = build_pyramid(backbone, store)
-        pool = build_pooling_map(backbone, pyramid, store, 4,
-                                 cfg.bottom_up_strides)
-        up = relu(deconv2x2(pyramid[8].data, store.get("neck.pool.deconv.w"),
-                            store.get("neck.pool.deconv.b")))
-        merged = np.concatenate([up, densify(backbone.c3).data], axis=-1)
-        expected = relu(dense_conv_reference(merged, store.get("neck.pool.conv.w"))
-                        + store.get("neck.pool.conv.b"))
-        np.testing.assert_allclose(dense_values(pool), expected, atol=1e-10)
+        for dtype in STORE_DTYPES:
+            cfg = tiny_config()
+            store, backbone = forward_to_backbone(cfg, dtype=dtype)
+            pyramid = build_pyramid(backbone, store)
+            pool = build_pooling_map(backbone, pyramid, store, 4,
+                                     cfg.bottom_up_strides)
+            up = relu(deconv2x2(pyramid[8].data, store.get("neck.pool.deconv.w"),
+                                store.get("neck.pool.deconv.b")))
+            merged = np.concatenate([up, densify(backbone.c3).data], axis=-1)
+            expected = relu(dense_conv_reference(merged, store.get("neck.pool.conv.w"))
+                            + store.get("neck.pool.conv.b"))
+            assert expected.dtype == dtype
+            np.testing.assert_allclose(dense_values(pool), expected,
+                                       atol=FORMULA_ATOL[dtype])
 
     def test_cell_subset_in_any_order_matches_all_cells(self):
         cfg = tiny_config()
@@ -179,23 +197,26 @@ class TestPoolingMap:
     def test_strips_over_several_canvas_shelves_match_concat_formula(self):
         # every fourth column of a 128x128 map: one strip per run of a
         # single column, more of them than one canvas row of strips holds
-        cfg = tiny_config(extent=25.6)
-        store, backbone = forward_to_backbone(cfg, n_points=600)
-        pyramid = build_pyramid(backbone, store)
-        pool = build_pooling_map(backbone, pyramid, store, 4,
-                                 cfg.bottom_up_strides)
-        up = relu(deconv2x2(pyramid[8].data, store.get("neck.pool.deconv.w"),
-                            store.get("neck.pool.deconv.b")))
-        merged = np.concatenate([up, densify(backbone.c3).data], axis=-1)
-        expected = relu(dense_conv_reference(merged, store.get("neck.pool.conv.w"))
-                        + store.get("neck.pool.conv.b"))
-        iy, ix = np.meshgrid(np.arange(pool.height),
-                             np.arange(1, pool.width, 4), indexing="ij")
-        iy, ix = iy.ravel(), ix.ravel()
-        canvas_y = _pack_strips(iy, ix)[3]
-        assert canvas_y.max() > 0
-        np.testing.assert_allclose(pool.at(iy, ix), expected[iy, ix], atol=1e-10)
-        np.testing.assert_allclose(dense_values(pool), expected, atol=1e-10)
+        for dtype in STORE_DTYPES:
+            cfg = tiny_config(extent=25.6)
+            store, backbone = forward_to_backbone(cfg, n_points=600, dtype=dtype)
+            pyramid = build_pyramid(backbone, store)
+            pool = build_pooling_map(backbone, pyramid, store, 4,
+                                     cfg.bottom_up_strides)
+            up = relu(deconv2x2(pyramid[8].data, store.get("neck.pool.deconv.w"),
+                                store.get("neck.pool.deconv.b")))
+            merged = np.concatenate([up, densify(backbone.c3).data], axis=-1)
+            expected = relu(dense_conv_reference(merged, store.get("neck.pool.conv.w"))
+                            + store.get("neck.pool.conv.b"))
+            iy, ix = np.meshgrid(np.arange(pool.height),
+                                 np.arange(1, pool.width, 4), indexing="ij")
+            iy, ix = iy.ravel(), ix.ravel()
+            canvas_y = _pack_strips(iy, ix)[3]
+            assert canvas_y.max() > 0
+            atol = FORMULA_ATOL[dtype]
+            assert expected.dtype == dtype
+            np.testing.assert_allclose(pool.at(iy, ix), expected[iy, ix], atol=atol)
+            np.testing.assert_allclose(dense_values(pool), expected, atol=atol)
 
     def test_empty_cell_set(self):
         cfg = tiny_config()
