@@ -10,8 +10,8 @@ brute-force oracles on synthetic scenes.
 from .geometry import (Box3D, RotatedRect2D, project_to_bev, point_in_rect,
                        rotated_iou_bev, iou_3d, iou_3d_matrix)
 from .grid import (GridSpec, PointCloud, SparsePillarVolume, DenseFeatureMap,
-                   pillarize, sparse_conv2d, densify, sparsify,
-                   backbone_forward, BackboneFeatures)
+                   pillarize, sparse_conv2d, densify, backbone_forward,
+                   BackboneFeatures)
 from .fpn import FeaturePyramid, lateral_merge, build_pyramid, build_pooling_map
 from .rpn import (Detection, HeadOutput, RpnTargets, encode_targets, rpn_loss,
                   rpn_forward, decode_proposals, rectify, rectify_detections,
@@ -30,8 +30,8 @@ __all__ = [
     "Box3D", "RotatedRect2D", "project_to_bev", "point_in_rect",
     "rotated_iou_bev", "iou_3d", "iou_3d_matrix",
     "GridSpec", "PointCloud", "SparsePillarVolume", "DenseFeatureMap",
-    "pillarize", "sparse_conv2d", "densify", "sparsify",
-    "backbone_forward", "BackboneFeatures",
+    "pillarize", "sparse_conv2d", "densify", "backbone_forward",
+    "BackboneFeatures",
     "FeaturePyramid", "lateral_merge", "build_pyramid", "build_pooling_map",
     "Detection", "HeadOutput", "RpnTargets", "encode_targets", "rpn_loss",
     "rpn_forward", "decode_proposals", "rectify", "rectify_detections",

@@ -5,7 +5,9 @@ Binary layouts are little-endian throughout. Point clouds use magic
 intensity). Weight archives use magic ``PWT1``: a u32 tensor count, then
 per tensor a u16 name length, the UTF-8 name, a u8 rank, rank u32 dims,
 and the f32 payload, loaded as float32. Ground truth and detections are
-line-oriented text with six decimal places. All writers go through a
+line-oriented text whose floats are written in Python's shortest
+round-trip form (``repr``), so loading gives back every field bit-equal,
+however small or large. All writers go through a
 temp-file rename so readers never observe partial files. Every structural
 problem a reader finds (bad magic, truncation, non-UTF-8 text, a
 malformed or non-finite field or weight value) raises
@@ -131,13 +133,18 @@ def load_weights(path: str) -> WeightStore:
 # -- ground-truth boxes -----------------------------------------------------
 
 
+def _floats(*values: float) -> str:
+    """Space-separated shortest round-trip forms of ``values``."""
+    return " ".join(repr(float(v)) for v in values)
+
+
+def _box_fields(b: Box3D) -> str:
+    return _floats(b.cx, b.cy, b.cz, b.length, b.width, b.height, b.yaw)
+
+
 def format_gt(boxes: Sequence[Box3D]) -> str:
-    lines = []
-    for b in boxes:
-        lines.append(f"{b.class_id} {b.cx:.6f} {b.cy:.6f} {b.cz:.6f} "
-                     f"{b.length:.6f} {b.width:.6f} {b.height:.6f} "
-                     f"{b.yaw:.6f} {b.num_points}")
-    return "".join(line + "\n" for line in lines)
+    return "".join(f"{b.class_id} {_box_fields(b)} {b.num_points}\n"
+                   for b in boxes)
 
 
 def save_gt(path: str, boxes: Sequence[Box3D]) -> None:
@@ -185,14 +192,9 @@ def load_gt(path: str) -> list[Box3D]:
 
 
 def format_detections(dets: Sequence[Detection]) -> str:
-    lines = []
-    for d in dets:
-        b = d.box
-        lines.append(f"{d.class_id} {b.cx:.6f} {b.cy:.6f} {b.cz:.6f} "
-                     f"{b.length:.6f} {b.width:.6f} {b.height:.6f} "
-                     f"{b.yaw:.6f} {d.score:.6f} {d.iou_score:.6f} "
-                     f"{d.rectified_score:.6f}")
-    return "".join(line + "\n" for line in lines)
+    return "".join(f"{d.class_id} {_box_fields(d.box)} "
+                   f"{_floats(d.score, d.iou_score, d.rectified_score)}\n"
+                   for d in dets)
 
 
 def save_detections(path: str, dets: Sequence[Detection]) -> None:

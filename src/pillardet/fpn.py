@@ -8,9 +8,10 @@ empty bottom-up channels from washing out the semantics.
 
 The concat + conv is evaluated without building the concatenation: a
 convolution is linear in its input channels, so the kernel splits by
-channel. A dense conv runs over the upsampled half and a scatter conv
-adds the bottom-up half from its active sites only (a few percent of the
-cells); bias and ReLU follow once. This is the same operation, checked
+channel. A dense conv runs over the upsampled half, and the bottom-up
+half is added by :func:`~pillardet.grid.conv3x3_at` at the cells its
+active sites reach (a few percent of the map); bias and ReLU follow once.
+This is the same operation up to the order of float additions, checked
 against the per-pixel oracle on the concatenated input by ``verify``.
 
 The pyramid levels are read everywhere by the center heads, so they are
@@ -31,8 +32,8 @@ import numpy as np
 
 # densify stays importable here: traced runs patch this module's call sites
 from .grid import (BackboneFeatures, DenseFeatureMap, SparsePillarVolume,  # noqa: F401
-                   deconv2x2, deconv2x2_at, dense_conv2d, densify,
-                   gather_conv2d, relu, scatter_conv2d, sparse_conv2d)
+                   conv3x3_at, deconv2x2, deconv2x2_at, dense_conv2d, densify,
+                   reached_cells, relu, sparse_conv2d)
 from .weights import WeightStore
 
 
@@ -52,8 +53,9 @@ def split_lateral_conv(up: np.ndarray, bottom_up: list[SparsePillarVolume],
 
     Kernel input channels are sliced in concat order: ``up`` takes the
     first ``up.shape[2]``, each volume the next ``v.channels``. An empty
-    ``bottom_up`` list convolves ``up`` alone with its slice. The output
-    takes the dtype all inputs promote to.
+    ``bottom_up`` list convolves ``up`` alone with its slice. Each volume's
+    conv is computed only at the cells its active sites reach and added
+    there. The output takes the dtype all inputs promote to.
     """
     c_in = up.shape[2] + sum(v.channels for v in bottom_up)
     if weight.shape[:3] != (3, 3, c_in):
@@ -65,7 +67,12 @@ def split_lateral_conv(up: np.ndarray, bottom_up: list[SparsePillarVolume],
     out = dense_conv2d(up, weight[:, :, :up.shape[2]], np.zeros(c_out, dtype))
     start = up.shape[2]
     for v in bottom_up:
-        scatter_conv2d(out, v, weight[:, :, start:start + v.channels])
+        if (v.ny, v.nx) != up.shape[:2]:
+            raise ValueError(f"bottom-up grid ({v.ny}, {v.nx}) does not match "
+                             f"the upsampled map {up.shape[:2]}")
+        cells = reached_cells(v)
+        out[cells % v.ny, cells // v.ny] += conv3x3_at(
+            v, weight[:, :, start:start + v.channels], cells)
         start += v.channels
     out += bias
     return np.maximum(out, 0.0, out=out)
@@ -214,9 +221,10 @@ class PoolingMap:
         """Map values at cells (``iy[k]``, ``ix[k]``) -> (K, C).
 
         The up half is one dense conv over packed strips of the map (see
-        :meth:`_up_half`); each bottom-up volume is added onto the sorted
-        distinct query cells through the rulebook, then bias and ReLU:
-        the order the dense lateral conv adds them in.
+        :meth:`_up_half`); each bottom-up volume's conv is computed at the
+        sorted distinct query cells by :func:`~pillardet.grid.conv3x3_at`
+        and added, then bias and ReLU: the order the split lateral conv
+        adds them in.
         """
         iy = np.asarray(iy, dtype=np.int64).reshape(-1)
         ix = np.asarray(ix, dtype=np.int64).reshape(-1)
@@ -230,7 +238,7 @@ class PoolingMap:
         out = self._up_half(keys % h, keys // h)
         start = self.deconv_w.shape[3]
         for v in self.bottom_up:
-            gather_conv2d(out, keys, v, self.conv_w[:, :, start:start + v.channels])
+            out += conv3x3_at(v, self.conv_w[:, :, start:start + v.channels], keys)
             start += v.channels
         out += self.conv_b
         np.maximum(out, 0.0, out=out)

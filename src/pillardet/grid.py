@@ -253,44 +253,63 @@ def _out_dim(n: int, stride: int) -> int:
     return (n - 1) // stride + 1
 
 
-def _rulebook(v: SparsePillarVolume, stride: int, nx_out: int, ny_out: int):
-    """Per 3x3 kernel offset, which active sites feed which output cells.
+# pixel rows of one band of a dense conv or deconv, or output cells of one
+# sparse conv GEMM: a conv band's product and accumulator stay in cache
+# while the nine offsets add into it, and neither a deconv nor a sparse
+# conv needs a full-size product or gather next to its output
+_BAND_ROWS = 512
 
-    Input (ix, iy) feeds output ((ix + 1 - kx) / stride, (iy + 1 - ky) / stride)
-    through ``weight[ky, kx]`` when that divides exactly and lands inside the
-    output grid. Yields ``(ky, kx, ok, ox, oy)``: the mask of contributing
-    inputs and their output cells. Per offset the map is injective, so
-    accumulating with a plain fancy-index add is safe.
+
+def reached_cells(v: SparsePillarVolume, stride: int = 1) -> np.ndarray:
+    """Sorted flat output cells ``ox * ny_out + oy`` that a 3x3 window at
+    ``stride`` (zero padding 1) reaches from at least one active site.
+
+    Output (ox, oy) reads inputs (ox * stride + kx - 1, oy * stride + ky - 1)
+    for kx, ky in 0..2, i.e. cells (ox * stride + kx, oy * stride + ky) of
+    the occupancy map padded by one cell.
     """
-    ix, iy = v.coords[:, 0], v.coords[:, 1]
-    for ky in range(3):
-        for kx in range(3):
-            ox_num = ix + 1 - kx
-            oy_num = iy + 1 - ky
-            ok = (ox_num % stride == 0) & (oy_num % stride == 0)
-            ox = ox_num // stride
-            oy = oy_num // stride
-            ok &= (ox >= 0) & (ox < nx_out) & (oy >= 0) & (oy < ny_out)
-            yield ky, kx, ok, ox[ok], oy[ok]
+    s = stride
+    nx_out, ny_out = _out_dim(v.nx, s), _out_dim(v.ny, s)
+    occupied = np.zeros((v.nx + 2, v.ny + 2), dtype=bool)
+    occupied[v.coords[:, 0] + 1, v.coords[:, 1] + 1] = True
+    x_hit = np.logical_or.reduce([occupied[kx:kx + s * nx_out:s] for kx in range(3)])
+    hit = np.logical_or.reduce([x_hit[:, ky:ky + s * ny_out:s] for ky in range(3)])
+    return np.flatnonzero(hit)
 
 
-def _accumulate(acc: np.ndarray, out_keys: np.ndarray, features: np.ndarray,
-                rules, all_hit: bool) -> None:
-    """``acc[i] += features[ok] @ w`` over the rules ``(w, ok, key)``.
+def conv3x3_at(v: SparsePillarVolume, weight: np.ndarray, cells: np.ndarray,
+               stride: int = 1) -> np.ndarray:
+    """The bias-free 3x3 conv (zero padding 1) of ``densify(v)`` at ``cells``.
 
-    Row i of ``acc`` is output cell ``out_keys[i]`` (sorted flat keys).
-    Unless ``all_hit``, inputs whose key is not among ``out_keys`` are
-    dropped before the multiply.
+    ``cells`` are sorted flat output cells ``ox * ny_out + oy`` of the grid
+    at ``stride``; the result is their (len(cells), c_out) rows, in the
+    dtype the features and kernel promote to. A neighbour table lists, per
+    output cell, the feature row under each of the nine kernel offsets, a
+    zero row where no site is active; bands of ``_BAND_ROWS`` cells are then
+    one ``(band, 9 * C) @ (9 * C, c_out)`` GEMM each.
     """
-    for w, ok, key in rules:
-        pos = np.searchsorted(out_keys, key)
-        if all_hit:
-            src = features[ok]
-        else:
-            hit = pos < len(out_keys)
-            hit[hit] = out_keys[pos[hit]] == key[hit]
-            pos, src = pos[hit], features[np.flatnonzero(ok)[hit]]
-        acc[pos] += src @ w
+    if weight.shape[:3] != (3, 3, v.channels):
+        raise ValueError(
+            f"kernel shape {weight.shape} incompatible with {v.channels} input channels"
+        )
+    # feature row of each cell of the grid padded by one: its site's, or
+    # the zero row appended after the sites
+    index = np.full((v.nx + 2, v.ny + 2), v.n_active, dtype=np.int32)
+    index[v.coords[:, 0] + 1, v.coords[:, 1] + 1] = np.arange(v.n_active)
+    # output (ox, oy) reads padded cells (ox * stride + kx, oy * stride + ky)
+    # under offset (ky, kx), into table column 3 * ky + kx
+    ny_out = _out_dim(v.ny, stride)
+    x0, y0 = cells // ny_out * stride, cells % ny_out * stride
+    k = np.arange(3)
+    table = index[x0[:, None, None] + k, y0[:, None, None] + k[:, None]]
+    table = table.reshape(len(cells), 9)
+    rows = np.concatenate([v.features, np.zeros((1, v.channels), v.features.dtype)])
+    kernel = weight.reshape(9 * v.channels, weight.shape[3])
+    out = np.empty((len(cells), weight.shape[3]), np.result_type(rows, kernel))
+    for i in range(0, len(cells), _BAND_ROWS):
+        band = table[i:i + _BAND_ROWS]
+        np.matmul(rows[band].reshape(len(band), -1), kernel, out=out[i:i + len(band)])
+    return out
 
 
 def sparse_conv2d(v: SparsePillarVolume, weight: np.ndarray, bias: np.ndarray,
@@ -302,75 +321,17 @@ def sparse_conv2d(v: SparsePillarVolume, weight: np.ndarray, bias: np.ndarray,
     least one contribution under the strided window. Bias applies at active
     output sites only; inactive sites remain implicit zeros.
     """
-    if weight.shape[:2] != (3, 3) or weight.shape[2] != v.channels:
-        raise ValueError(
-            f"kernel shape {weight.shape} incompatible with {v.channels} input channels"
-        )
     if submanifold and stride != 1:
         raise ValueError("submanifold convolution requires stride 1")
     if stride not in (1, 2):
         raise ValueError(f"unsupported stride {stride}")
 
-    c_out = weight.shape[3]
-    nx_out, ny_out = _out_dim(v.nx, stride), _out_dim(v.ny, stride)
-    # built once, shared by the output-set build and the accumulation
-    rules = [(weight[ky, kx], ok, ox * ny_out + oy)
-             for ky, kx, ok, ox, oy in _rulebook(v, stride, nx_out, ny_out)]
-
-    if submanifold:
-        out_coords = v.coords
-        out_keys = v.keys()
-    else:
-        out_keys = np.unique(np.concatenate([key for _, _, key in rules]))
-        out_coords = np.stack([out_keys // ny_out, out_keys % ny_out], axis=1)
-
-    out_feats = np.zeros((len(out_keys), c_out),
-                         np.result_type(v.features, weight, bias))
-    # regular-mode keys are active by construction; submanifold ones may miss
-    _accumulate(out_feats, out_keys, v.features, rules, all_hit=not submanifold)
-    if len(out_keys):
-        out_feats += bias
-    return SparsePillarVolume(stride * v.stride, nx_out, ny_out,
-                              out_coords, out_feats)
-
-
-def scatter_conv2d(acc: np.ndarray, v: SparsePillarVolume,
-                   weight: np.ndarray) -> None:
-    """Add the stride-1 3x3 conv of ``densify(v)`` into ``acc`` in place.
-
-    Work starts only from the active sites, so the dense map is never
-    built: ``acc`` is the (ny, nx, c_out) output grid and receives no bias.
-    """
-    if weight.shape[:3] != (3, 3, v.channels):
-        raise ValueError(
-            f"kernel shape {weight.shape} incompatible with {v.channels} input channels"
-        )
-    if acc.shape != (v.ny, v.nx, weight.shape[3]):
-        raise ValueError(f"output grid {acc.shape} does not match volume "
-                         f"({v.ny}, {v.nx}) x {weight.shape[3]} channels")
-    for ky, kx, ok, ox, oy in _rulebook(v, 1, v.nx, v.ny):
-        acc[oy, ox] += v.features[ok] @ weight[ky, kx]
-
-
-def gather_conv2d(acc: np.ndarray, keys: np.ndarray, v: SparsePillarVolume,
-                  weight: np.ndarray) -> None:
-    """Add the stride-1 3x3 conv of ``densify(v)`` at chosen cells into ``acc``.
-
-    ``keys`` are sorted, unique flat cells ``ix * ny + iy`` of the volume's
-    grid and ``acc`` is their (len(keys), c_out) output, receiving no bias.
-    Only the site/offset pairs that land on a chosen cell are multiplied;
-    offsets add in (ky, kx) order, as in :func:`dense_conv2d`.
-    """
-    if weight.shape[:3] != (3, 3, v.channels):
-        raise ValueError(
-            f"kernel shape {weight.shape} incompatible with {v.channels} input channels"
-        )
-    if acc.shape != (len(keys), weight.shape[3]):
-        raise ValueError(f"output rows {acc.shape} do not match {len(keys)} "
-                         f"cells x {weight.shape[3]} channels")
-    rules = ((weight[ky, kx], ok, ox * v.ny + oy)
-             for ky, kx, ok, ox, oy in _rulebook(v, 1, v.nx, v.ny))
-    _accumulate(acc, keys, v.features, rules, all_hit=False)
+    ny_out = _out_dim(v.ny, stride)
+    cells = v.keys() if submanifold else reached_cells(v, stride)
+    out_feats = conv3x3_at(v, weight, cells, stride) + bias
+    return SparsePillarVolume(stride * v.stride, _out_dim(v.nx, stride), ny_out,
+                              np.stack([cells // ny_out, cells % ny_out], axis=1),
+                              out_feats)
 
 
 def densify(v: SparsePillarVolume) -> DenseFeatureMap:
@@ -379,22 +340,6 @@ def densify(v: SparsePillarVolume) -> DenseFeatureMap:
     if v.n_active:
         data[v.coords[:, 1], v.coords[:, 0]] = v.features
     return DenseFeatureMap(v.stride, data)
-
-
-def sparsify(m: DenseFeatureMap, threshold: float = 0.0) -> SparsePillarVolume:
-    """Active sites of a dense map: cells with any |feature| > threshold."""
-    mask = np.any(np.abs(m.data) > threshold, axis=-1)
-    iy, ix = np.nonzero(mask)
-    order = np.lexsort((iy, ix))
-    coords = np.stack([ix[order], iy[order]], axis=1)
-    return SparsePillarVolume(m.stride, m.width, m.height, coords,
-                              m.data[iy[order], ix[order]])
-
-
-# pixel rows of one band of a dense conv or deconv: a conv band's product
-# and accumulator stay in cache while the nine offsets add into it, and a
-# deconv needs no full-size product next to its output
-_BAND_ROWS = 512
 
 
 def dense_conv2d(data: np.ndarray, weight: np.ndarray, bias: np.ndarray,

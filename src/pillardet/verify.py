@@ -96,30 +96,33 @@ def sparse_dense_suite(volumes: int = 40, seed: int = 1,
                        corrupt: bool = False) -> SuiteResult:
     """Densified sparse convolution vs the per-pixel dense reference.
 
-    ``corrupt`` perturbs one kernel weight on the sparse side only — a
-    negative control that must make the suite fail.
+    Each layer type runs on ``volumes`` 16x16 volumes, then on one 64x64
+    volume whose output cells fill more than one GEMM band of the sparse
+    conv. ``corrupt`` perturbs one kernel weight on the sparse side only —
+    a negative control that must make the suite fail.
     """
     rng = np.random.default_rng(seed)
+    modes = ((1, True), (1, False), (2, False))   # subm, regular s1 and s2
+    cases = [(mode, 16, 0.15) for mode in modes for _ in range(volumes)]
+    cases += [(mode, 64, 0.3) for mode in modes]
     worst = 0.0
-    for mode, stride, subm in (("subm", 1, True), ("regular-s1", 1, False),
-                               ("regular-s2", 2, False)):
-        for _ in range(volumes):
-            c_in, c_out = int(rng.integers(2, 6)), int(rng.integers(2, 6))
-            v = random_volume(rng, 16, 16, c_in)
-            w = rng.normal(size=(3, 3, c_in, c_out))
-            w_sparse = w.copy()
-            if corrupt:
-                w_sparse[1, 1, 0, 0] += 1e-3
-            out = sparse_conv2d(v, w_sparse, np.zeros(c_out), stride=stride,
-                                submanifold=subm)
-            ref = dense_conv_reference(densify(v).data, w, stride=stride)
-            if subm:
-                mask = np.zeros(ref.shape[:2], dtype=bool)
-                mask[v.coords[:, 1], v.coords[:, 0]] = True
-                ref = ref * mask[:, :, None]
-            worst = max(worst, float(np.abs(densify(out).data - ref).max()))
+    for (stride, subm), size, density in cases:
+        c_in, c_out = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        v = random_volume(rng, size, size, c_in, density)
+        w = rng.normal(size=(3, 3, c_in, c_out))
+        w_sparse = w.copy()
+        if corrupt:
+            w_sparse[1, 1, 0, 0] += 1e-3
+        out = sparse_conv2d(v, w_sparse, np.zeros(c_out), stride=stride,
+                            submanifold=subm)
+        ref = dense_conv_reference(densify(v).data, w, stride=stride)
+        if subm:
+            mask = np.zeros(ref.shape[:2], dtype=bool)
+            mask[v.coords[:, 1], v.coords[:, 0]] = True
+            ref = ref * mask[:, :, None]
+        worst = max(worst, float(np.abs(densify(out).data - ref).max()))
     return SuiteResult("sparse-dense-conv", worst < tolerance, worst,
-                       f"{volumes} volumes x 3 layer types",
+                       f"{volumes} volumes + 1 multi-band x 3 layer types",
                        f"max abs diff {worst:.2e}")
 
 
@@ -156,16 +159,21 @@ def split_lateral_suite(maps: int = 40, seed: int = 5,
     """Split lateral conv vs the per-pixel dense conv of the concatenation.
 
     Each case has one or two bottom-up volumes, each random, empty or
-    touching only the map border. ``corrupt`` perturbs one bottom-up
-    kernel weight on the split side only, a negative control that must
-    make the suite fail.
+    touching only the map border. After ``maps`` maps of up to 14x14 cells
+    comes one 48x40 map with a random volume whose reached cells fill more
+    than one GEMM band of the sparse conv. ``corrupt`` perturbs one
+    bottom-up kernel weight on the split side only, a negative control that
+    must make the suite fail.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for k in range(maps):
-        h, w = int(rng.integers(1, 15)), int(rng.integers(1, 15))
+    for k in range(maps + 1):
+        multi_band = k == maps
+        h, w = ((48, 40) if multi_band
+                else (int(rng.integers(1, 15)), int(rng.integers(1, 15))))
         c_up, c_out = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        vols = bottom_up_volumes(rng, k, w, h)
+        vols = ([random_volume(rng, w, h, int(rng.integers(1, 4)), 0.1)]
+                if multi_band else bottom_up_volumes(rng, k, w, h))
         up = rng.normal(size=(h, w, c_up))
         c_in = c_up + sum(v.channels for v in vols)
         weight = rng.normal(size=(3, 3, c_in, c_out))
@@ -178,7 +186,7 @@ def split_lateral_suite(maps: int = 40, seed: int = 5,
         ref = relu(dense_conv_reference(merged, weight) + bias)
         worst = max(worst, float(np.abs(fast - ref).max()))
     return SuiteResult("split-lateral", worst < tolerance, worst,
-                       f"{maps} maps, random/empty/border volumes",
+                       f"{maps} maps, random/empty/border volumes + 1 multi-band",
                        f"max abs diff {worst:.2e}")
 
 

@@ -24,8 +24,10 @@ from pillardet import cli, fileio
 from pillardet.config import config_from_dict, weight_layout
 from pillardet.geometry import Box3D
 from pillardet.grid import PointCloud
+from pillardet.metrics import evaluate_levels
+from pillardet.pipeline import DetectionPipeline
 from pillardet.rpn import Detection
-from pillardet.synth import SceneSpec, generate_scene
+from pillardet.synth import CLASS_NAMES, SceneSpec, generate_scene
 from pillardet.weights import WeightStore
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -203,6 +205,22 @@ def extreme(tmp_path_factory):
     return root, WeightStore.seeded(weight_layout(config), config.seed)
 
 
+def report_of(levels) -> dict:
+    """``evaluate_levels`` output in the layout of ``eval --out``."""
+    return {level: {CLASS_NAMES[c]: {"ap": m.ap, "aph": m.aph,
+                                     "num_gt": m.num_gt, "valid": m.valid}
+                    for c, m in per_class.items()}
+            for level, per_class in levels.items()}
+
+
+def eval_report(root, config: str, det_path, gt_path) -> dict:
+    """``eval --out`` of one detection file against one ground-truth file."""
+    code, err = run_cli(["eval", "--config", config, "--dets", str(det_path),
+                         "--gt", str(gt_path), "--out", str(root / "r.json")])
+    assert (code, err) == (0, "")
+    return json.loads((root / "r.json").read_text())
+
+
 class TestExtremeWeights:
     """One tensor scaled by 10^k (k <= 38, finite in float32, as seeded
     values lie in [-1, 1]) or set to +-float32 max: the run exits 0
@@ -233,6 +251,72 @@ class TestExtremeWeights:
         if code == 0:
             for line in dets.read_text().splitlines():
                 assert all(math.isfinite(float(v)) for v in line.split()), line
+
+
+GROUND_TRUTH = [Box3D(1.0, 2.0, 0.0, 4.0, 2.0, 1.5, 0.3, class_id=0,
+                      num_points=20),
+                Box3D(-3.0, -1.0, 0.2, 0.8, 0.6, 1.7, -1.2, class_id=1,
+                      num_points=8),
+                Box3D(4.0, -4.0, -0.1, 1.8, 0.7, 1.6, 2.5, class_id=2,
+                      num_points=1)]
+# the clamped extents a decode can produce (e^-20 passes two clamps)
+CLAMPED = [math.exp(-20.0), math.exp(-10.0), math.exp(10.0)]
+extents = st.one_of(st.floats(1e-12, 10.0), st.sampled_from(CLAMPED))
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def detections(draw):
+    class_id = draw(st.integers(0, 2))
+    box = Box3D(draw(st.floats(-8.0, 8.0)), draw(st.floats(-8.0, 8.0)),
+                draw(st.floats(-2.0, 2.0)), draw(extents), draw(extents),
+                draw(extents), draw(st.floats(-4.0, 4.0)), class_id=class_id)
+    return Detection(box, class_id, draw(unit), draw(unit), draw(unit))
+
+
+class TestDetectionFiles:
+    """A written detection file evaluates exactly like the detections it
+    was written from: every field loads back bit-equal."""
+
+    @PROPERTY
+    @given(dets=st.lists(detections(), max_size=6))
+    def test_eval_of_written_file_equals_in_memory(self, files, dets):
+        root = files["root"]
+        fileio.save_detections(str(root / "p.det.txt"), dets)
+        assert fileio.load_detections(str(root / "p.det.txt")) == dets
+        fileio.save_gt(str(root / "p.gt.txt"), GROUND_TRUTH)
+        assert fileio.load_gt(str(root / "p.gt.txt")) == GROUND_TRUTH
+        cfg = config_from_dict(SMALL_CONFIG_DICT)
+        assert eval_report(root, files["config"], root / "p.det.txt",
+                           root / "p.gt.txt") == report_of(
+            evaluate_levels([dets], [GROUND_TRUTH], cfg.eval_iou))
+
+    def test_clamped_extent_loads_back(self, tmp_path):
+        box = Box3D(1.0, 2.0, 0.0, math.exp(-20.0), 2.0, 1.5, 0.3)
+        dets = [Detection(box, 0, 0.5, 0.25)]
+        fileio.save_detections(str(tmp_path / "d.det.txt"), dets)
+        assert fileio.load_detections(str(tmp_path / "d.det.txt")) == dets
+
+    def test_extreme_weight_run_evaluates_like_its_detections(self, extreme):
+        # this bias x1e7 drives the decoded extents into their clamp
+        root, store = extreme
+        tensors = dict(store.items())
+        tensors["backbone.s1.subm.b"] = tensors["backbone.s1.subm.b"] * np.float32(1e7)
+        fileio.save_weights(str(root / "w.pwt"), WeightStore(tensors))
+        code, err = run_cli(["detect", "--config", str(root / "config.json"),
+                             "--out", str(root / "dets"),
+                             str(root / "scene.pbk")])
+        assert (code, err) == (0, "")
+        cfg = config_from_dict(TINY_CONFIG)
+        cloud, gt = generate_scene(SceneSpec(seed=5, counts={0: 2, 1: 3, 2: 2}),
+                                   cfg.grid)
+        dets = DetectionPipeline(cfg, WeightStore(tensors)).run(cloud).detections
+        assert min(d.box.length for d in dets) < 5e-7
+        fileio.save_gt(str(root / "scene.gt.txt"), gt)
+        assert eval_report(root, str(root / "config.json"),
+                           root / "dets" / "scene.det.txt",
+                           root / "scene.gt.txt") == report_of(
+            evaluate_levels([dets], [gt], cfg.eval_iou))
 
 
 class TestTextFiles:

@@ -5,8 +5,10 @@ from conftest import make_volume
 from pillardet import grid
 from pillardet.grid import (GridSpec, PointCloud, SparsePillarVolume,
                             backbone_forward, deconv2x2, dense_conv2d,
-                            densify, pillarize, sparse_conv2d, sparsify)
+                            conv3x3_at, densify, pillarize, reached_cells,
+                            sparse_conv2d)
 from pillardet.oracles import dense_conv_reference
+from pillardet.verify import border_volume
 from pillardet.weights import WeightStore
 
 
@@ -115,6 +117,25 @@ class TestSparseConv:
                         np.argwhere(np.any(ref != 0.0, axis=-1))}
             assert {tuple(c) for c in out.coords.tolist()} == expected
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_regular_active_set_is_every_reached_cell(self, stride):
+        # brute force: an all-ones kernel over the occupancy map counts the
+        # active sites under each output cell's window
+        rng = np.random.default_rng(13)
+        ones = np.ones((3, 3, 1, 1))
+        for _ in range(20):
+            nx, ny = (int(n) for n in rng.integers(1, 15, 2))
+            v = make_volume(rng, nx, ny, 2, density=float(rng.uniform(0.02, 0.3)))
+            count = dense_conv_reference(densify(
+                SparsePillarVolume(1, nx, ny, v.coords, np.ones((v.n_active, 1)))
+            ).data, ones, stride=stride)[:, :, 0]
+            oy, ox = np.nonzero(count)
+            expected = np.sort(ox * count.shape[0] + oy)
+            np.testing.assert_array_equal(reached_cells(v, stride), expected)
+            out = sparse_conv2d(v, rng.normal(size=(3, 3, 2, 3)), np.zeros(3),
+                                stride=stride)
+            assert {tuple(c) for c in out.coords.tolist()} == set(zip(ox, oy))
+
     @pytest.mark.parametrize("stride,submanifold", [(1, True), (1, False), (2, False)])
     def test_matches_dense_reference(self, stride, submanifold):
         rng = np.random.default_rng(3)
@@ -163,16 +184,17 @@ class TestDensify:
         assert m.data[5, 2].tolist() == [7.0, -1.0]
         assert np.count_nonzero(m.data) == 2
 
-    def test_round_trip_with_nonzero_features(self):
+    def test_sites_at_their_cells_and_zero_elsewhere(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            v = make_volume(rng, 10, 10, 3)
-            # push features away from zero so no site vanishes
-            feats = np.where(v.features >= 0, v.features + 0.5, v.features - 0.5)
-            v = SparsePillarVolume(1, 10, 10, v.coords, feats)
-            rt = sparsify(densify(v))
-            assert np.array_equal(rt.coords, v.coords)
-            np.testing.assert_array_equal(rt.features, v.features)
+            v = make_volume(rng, 10, 7, 3)
+            m = densify(v)
+            assert m.data.shape == (7, 10, 3)
+            active = np.zeros((7, 10), dtype=bool)
+            for (ix, iy), f in zip(v.coords, v.features):
+                np.testing.assert_array_equal(m.data[iy, ix], f)
+                active[iy, ix] = True
+            assert not m.data[~active].any()
 
 
 class TestDenseOps:
@@ -228,15 +250,6 @@ class TestDenseOps:
             dense_conv2d(np.zeros((4, 4, 1)), np.zeros((3, 3, 1, 1)),
                          np.zeros(1), stride=3)
 
-    def test_scatter_conv_matches_dense_of_densified(self):
-        rng = np.random.default_rng(9)
-        v = make_volume(rng, 9, 6, 3, density=0.2)
-        wt = rng.normal(size=(3, 3, 3, 2))
-        acc = rng.normal(size=(6, 9, 2))
-        expected = acc + dense_conv_reference(densify(v).data, wt)
-        grid.scatter_conv2d(acc, v, wt)
-        np.testing.assert_allclose(acc, expected, atol=1e-10)
-
     def test_deconv_doubles_dims(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(5, 7, 3))
@@ -273,16 +286,50 @@ class TestDenseOps:
         none = np.zeros(0, dtype=np.int64)
         assert grid.deconv2x2_at(x, w, b, none, none).shape == (0, 3)
 
-    def test_gather_conv_matches_dense_of_densified_at_chosen_cells(self):
-        rng = np.random.default_rng(12)
-        v = make_volume(rng, 9, 6, 3, density=0.2)
-        wt = rng.normal(size=(3, 3, 3, 2))
-        keys = np.sort(rng.choice(9 * 6, size=20, replace=False))
-        acc = rng.normal(size=(20, 2))
-        ref = dense_conv_reference(densify(v).data, wt)
-        expected = acc + ref[keys % 6, keys // 6]
-        grid.gather_conv2d(acc, keys, v, wt)
-        np.testing.assert_allclose(acc, expected, atol=1e-10)
+
+def conv_at_case(name, stride, rng):
+    """(volume, kernel, output cells) of one named ``conv3x3_at`` case."""
+    nx, ny = (90, 50) if name == "many-bands" else (9, 6)
+    v = make_volume(rng, nx, ny, 3, density=0.2)
+    if name == "empty-volume":
+        v = SparsePillarVolume.empty(1, nx, ny, 3)
+    elif name == "border-only":
+        v = border_volume(rng, nx, ny, 3)
+    full = rng.normal(size=(3, 3, 5, 2))
+    wt = full[:, :, 2:] if name == "kernel-slice" else full[:, :, :3]
+    cells = np.arange(((nx - 1) // stride + 1) * ((ny - 1) // stride + 1))
+    if name == "no-cells":
+        cells = cells[:0]
+    elif name == "chosen-cells":
+        cells = np.sort(rng.choice(cells, size=10, replace=False))
+    elif name == "reached-cells":
+        cells = reached_cells(v, stride)
+    return v, wt, cells
+
+
+class TestConvAtCells:
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("name", ["no-cells", "empty-volume", "border-only",
+                                      "many-bands", "kernel-slice",
+                                      "chosen-cells", "reached-cells"])
+    def test_matches_dense_reference_at_the_cells(self, name, stride):
+        v, wt, cells = conv_at_case(name, stride, np.random.default_rng(12))
+        if name == "kernel-slice":
+            assert not wt.flags.c_contiguous
+        if name == "many-bands":
+            # more than two full GEMM bands and a partial one
+            assert len(cells) > 2 * grid._BAND_ROWS and len(cells) % grid._BAND_ROWS
+        ref = dense_conv_reference(densify(v).data, wt, stride=stride)
+        got = conv3x3_at(v, wt, cells, stride)
+        assert got.shape == (len(cells), 2)
+        h_out = ref.shape[0]
+        np.testing.assert_allclose(got, ref[cells % h_out, cells // h_out],
+                                   atol=1e-10)
+
+    def test_rejects_kernel_of_other_channel_count(self):
+        v = SparsePillarVolume.empty(1, 4, 4, 3)
+        with pytest.raises(ValueError, match="incompatible"):
+            conv3x3_at(v, np.zeros((3, 3, 2, 1)), np.arange(4))
 
 
 def backbone_store(plan, seed=0):

@@ -13,8 +13,9 @@ from pillardet import fileio, pipeline, rcnn
 from pillardet.config import config_from_dict, weight_layout
 from pillardet.fpn import PoolingMap, split_lateral_conv
 from pillardet.grid import (DenseFeatureMap, GridSpec, PointCloud,
-                            SparsePillarVolume, deconv2x2, deconv2x2_at,
-                            dense_conv2d, densify, pillarize, sparse_conv2d)
+                            SparsePillarVolume, conv3x3_at, deconv2x2,
+                            deconv2x2_at, dense_conv2d, densify, pillarize,
+                            sparse_conv2d)
 from pillardet.pipeline import DetectionPipeline
 from pillardet.rcnn import bilinear_sample
 from pillardet.synth import SceneSpec, generate_scene
@@ -58,6 +59,11 @@ def run_sparse_conv(rng, feat, weight, stride, submanifold):
                          submanifold=submanifold).features
 
 
+def run_conv_at(rng, feat, weight):
+    return conv3x3_at(volume(rng, feat), normal(rng, (3, 3, 3, 2), weight),
+                      np.array([0, 7, 8, 30, 47]))
+
+
 def run_split_lateral(rng, feat, weight):
     return split_lateral_conv(normal(rng, (6, 8, 2), feat), [volume(rng, feat)],
                               normal(rng, (3, 3, 5, 2), weight),
@@ -81,6 +87,7 @@ KERNELS = {
     "deconv2x2_at": run_deconv_at,
     "sparse_conv2d-subm": lambda rng, f, w: run_sparse_conv(rng, f, w, 1, True),
     "sparse_conv2d-s2": lambda rng, f, w: run_sparse_conv(rng, f, w, 2, False),
+    "conv3x3_at": run_conv_at,
     "split_lateral_conv": run_split_lateral,
     "PoolingMap.at": run_pooling_map_at,
 }
