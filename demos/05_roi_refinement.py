@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from pillardet import Box3D, GridSpec, RoiPoolConfig, WeightStore, \
-    bilinear_sample, roi_grid_points
+from pillardet import Box3D, GridSpec, WeightStore, bilinear_sample, \
+    roi_grid_points
 from pillardet.grid import DenseFeatureMap
 from pillardet.oracles import finite_difference_grad
 from pillardet.rcnn import decode_residuals, encode_residuals, refine
@@ -57,9 +57,9 @@ print(f"residuals: {np.round(res, 4)}")
 print(f"decoded center error: {math.hypot(back.cx - target.cx, back.cy - target.cy):.2e} m")
 
 print("\n== refinement head over a pooling map ==")
-cfg = RoiPoolConfig(grid_size=5, mlp_channels=(32, 32), seg_hidden=8)
+grid_size = 5
 c_pool = 4
-layout = {"rcnn.fc1.w": (cfg.grid_size ** 2 * c_pool, 32), "rcnn.fc1.b": (32,),
+layout = {"rcnn.fc1.w": (grid_size ** 2 * c_pool, 32), "rcnn.fc1.b": (32,),
           "rcnn.fc2.w": (32, 32), "rcnn.fc2.b": (32,),
           "rcnn.cls.w": (32, 1), "rcnn.cls.b": (1,),
           "rcnn.reg.w": (32, 7), "rcnn.reg.b": (7,),
@@ -70,7 +70,7 @@ pool_map = DenseFeatureMap(1, rng.normal(size=(16, 16, c_pool)))
 proposals = [Detection(roi, 0, 0.8, iou_score=0.7),
              Detection(Box3D(-1.5, 1.0, 0, 2.0, 1.0, 1.2, -0.9), 0, 0.5,
                        iou_score=0.4)]
-refined = refine(proposals, pool_map, spec, store, cfg)
+refined = refine(proposals, pool_map, spec, store, grid_size)
 for before, after in zip(proposals, refined):
     shift = math.hypot(after.box.cx - before.box.cx,
                        after.box.cy - before.box.cy)

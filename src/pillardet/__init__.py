@@ -16,7 +16,7 @@ from .fpn import FeaturePyramid, lateral_merge, build_pyramid, build_pooling_map
 from .rpn import (Detection, HeadOutput, RpnTargets, encode_targets, rpn_loss,
                   rpn_forward, decode_proposals, rectify, rectify_detections,
                   nms_3d)
-from .rcnn import (RoiPoolConfig, SampledProposals, LossReport, roi_grid_points,
+from .rcnn import (SampledProposals, LossReport, roi_grid_points,
                    BilinearSupport, bilinear_sample, rcnn_forward,
                    sample_proposals, aux_seg_labels, rcnn_loss, refine)
 from .metrics import (EvalConfig, ClassMetrics, split_difficulty,
@@ -36,7 +36,7 @@ __all__ = [
     "Detection", "HeadOutput", "RpnTargets", "encode_targets", "rpn_loss",
     "rpn_forward", "decode_proposals", "rectify", "rectify_detections",
     "nms_3d",
-    "RoiPoolConfig", "SampledProposals", "LossReport", "roi_grid_points",
+    "SampledProposals", "LossReport", "roi_grid_points",
     "BilinearSupport", "bilinear_sample", "rcnn_forward", "sample_proposals",
     "aux_seg_labels", "rcnn_loss", "refine",
     "EvalConfig", "ClassMetrics", "split_difficulty", "compute_ap_aph",

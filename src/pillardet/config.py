@@ -10,7 +10,7 @@ IoU thresholds (0.7, 0.5, 0.5) for evaluation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .grid import GridSpec
 
@@ -40,8 +40,6 @@ class PipelineConfig:
     top_k: dict = field(default_factory=lambda: {0: 200, 1: 150, 2: 150})
     eval_iou: dict = field(default_factory=lambda: {0: 0.7, 1: 0.5, 2: 0.5})
     class_strides: dict = field(default_factory=lambda: {0: 8, 1: 4, 2: 4})
-    sample_size: int = 128
-    pos_iou: float = 0.55
     seed: int = 0
     weights_path: str | None = None
 
@@ -110,10 +108,6 @@ def _validate(cfg: PipelineConfig) -> None:
     if cfg.grid.nx % 16 or cfg.grid.ny % 16:
         raise ConfigError("grid: cell counts must be divisible by 16 for the "
                           "five-stage backbone")
-    if cfg.sample_size < 1:
-        raise ConfigError("sample_size: must be >= 1")
-    if not 0.0 < cfg.pos_iou <= 1.0:
-        raise ConfigError("pos_iou: must lie in (0, 1]")
     if cfg.seed < 0:
         raise ConfigError("seed: must be non-negative")
 
@@ -129,12 +123,7 @@ def _class_map(raw: dict, field_name: str, cast) -> dict:
 
 def config_from_dict(raw: dict) -> PipelineConfig:
     """Build a config from a (possibly partial) JSON-style dict."""
-    known = {"grid", "backbone_channels", "neck_channels", "head_channels",
-             "pool_stride", "pool_channels", "pool_bottom_up_strides",
-             "use_pool_bottom_up", "roi_grid_size", "mlp_channels",
-             "seg_hidden", "beta", "nms_iou", "top_k", "eval_iou",
-             "class_strides", "sample_size", "pos_iou", "seed",
-             "weights_path"}
+    known = {f.name for f in fields(PipelineConfig)}
     for key in raw:
         if key not in known:
             raise ConfigError(f"unknown configuration field '{key}'")
@@ -150,8 +139,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         except ValueError as exc:
             raise ConfigError(f"grid: {exc}") from exc
     for name in ("neck_channels", "head_channels", "pool_stride",
-                 "pool_channels", "roi_grid_size", "seg_hidden",
-                 "sample_size", "seed"):
+                 "pool_channels", "roi_grid_size", "seg_hidden", "seed"):
         if name in raw:
             kwargs[name] = int(raw[name])
     if "backbone_channels" in raw:
@@ -163,8 +151,6 @@ def config_from_dict(raw: dict) -> PipelineConfig:
                                                  raw["pool_bottom_up_strides"])
     if "use_pool_bottom_up" in raw:
         kwargs["use_pool_bottom_up"] = bool(raw["use_pool_bottom_up"])
-    if "pos_iou" in raw:
-        kwargs["pos_iou"] = float(raw["pos_iou"])
     if "weights_path" in raw:
         kwargs["weights_path"] = raw["weights_path"]
     for name, cast in (("beta", float), ("nms_iou", float), ("eval_iou", float),

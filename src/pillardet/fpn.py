@@ -33,7 +33,7 @@ import numpy as np
 # densify stays importable here: traced runs patch this module's call sites
 from .grid import (BackboneFeatures, DenseFeatureMap, SparsePillarVolume,  # noqa: F401
                    conv3x3_at, deconv2x2, deconv2x2_at, dense_conv2d, densify,
-                   reached_cells, relu, sparse_conv2d)
+                   _relu_volume, reached_cells, sparse_conv2d)
 from .weights import WeightStore
 
 
@@ -117,9 +117,8 @@ def _downsample_chain(volume: SparsePillarVolume, target_stride: int,
     step = 0
     while v.stride < target_stride:
         name = f"{prefix}.down{step}"
-        v = sparse_conv2d(v, weights.get(f"{name}.w"), weights.get(f"{name}.b"),
-                          stride=2)
-        v = SparsePillarVolume(v.stride, v.nx, v.ny, v.coords, relu(v.features))
+        v = _relu_volume(sparse_conv2d(v, weights.get(f"{name}.w"),
+                                       weights.get(f"{name}.b"), stride=2))
         step += 1
     return v
 
@@ -276,8 +275,8 @@ class PoolingMap:
 
 
 def build_pooling_map(backbone: BackboneFeatures, pyramid: FeaturePyramid,
-                      weights: WeightStore, pool_stride: int = 4,
-                      bottom_up_strides: tuple[int, ...] | None = None,
+                      weights: WeightStore, pool_stride: int,
+                      bottom_up_strides: tuple[int, ...],
                       use_bottom_up: bool = True) -> PoolingMap:
     """Class-agnostic map the R-CNN stage pools from, evaluated lazily.
 
@@ -291,8 +290,6 @@ def build_pooling_map(backbone: BackboneFeatures, pyramid: FeaturePyramid,
     """
     if pool_stride not in (2, 4, 8):
         raise ValueError(f"pool_stride must be one of 2, 4, 8, got {pool_stride}")
-    if bottom_up_strides is None:
-        bottom_up_strides = (pool_stride,)
     for s in bottom_up_strides:
         if s > pool_stride:
             raise ValueError(

@@ -23,13 +23,13 @@ from .geometry import Box3D, heading_delta, iou_3d
 from .rpn import Detection
 
 LEVELS = ("L1", "L2")
+RECALL_POINTS = 101  # evenly spaced recall values the P/R curve is read at
 
 
 @dataclass(frozen=True)
 class EvalConfig:
     iou_thresholds: dict[int, float]
     difficulty: str = "L1"
-    interpolation_points: int = 101
 
     def __post_init__(self):
         if self.difficulty not in LEVELS:
@@ -37,8 +37,6 @@ class EvalConfig:
         for cls, thr in self.iou_thresholds.items():
             if not 0.0 < thr <= 1.0:
                 raise ValueError(f"IoU threshold for class {cls} must be in (0, 1]")
-        if self.interpolation_points < 2:
-            raise ValueError("need at least 2 interpolation points")
 
 
 @dataclass(frozen=True)
@@ -135,28 +133,26 @@ def compute_ap_aph(det_scenes: Sequence[Sequence[Detection]],
         precision = tp / ranks if len(records) else np.zeros(0)
         wprecision = hw / ranks if len(records) else np.zeros(0)
         out[class_id] = ClassMetrics(
-            _interpolated_area(recall, precision, cfg.interpolation_points),
-            _interpolated_area(recall, wprecision, cfg.interpolation_points),
+            _interpolated_area(recall, precision),
+            _interpolated_area(recall, wprecision),
             num_gt, True)
     return out
 
 
-def _interpolated_area(recall: np.ndarray, precision: np.ndarray,
-                       points: int) -> float:
+def _interpolated_area(recall: np.ndarray, precision: np.ndarray) -> float:
     """Mean of max-precision-at-recall>=r over evenly spaced recall values."""
     acc = 0.0
-    for r in np.linspace(0.0, 1.0, points):
+    for r in np.linspace(0.0, 1.0, RECALL_POINTS):
         mask = recall >= r - 1e-12
         acc += float(precision[mask].max()) if np.any(mask) else 0.0
-    return acc / points
+    return acc / RECALL_POINTS
 
 
-def evaluate_levels(det_scenes, gt_scenes, iou_thresholds: dict[int, float],
-                    interpolation_points: int = 101) -> dict[str, dict[int, ClassMetrics]]:
+def evaluate_levels(det_scenes, gt_scenes, iou_thresholds: dict[int, float]
+                    ) -> dict[str, dict[int, ClassMetrics]]:
     """AP/APH per class for both difficulty levels."""
     report = {}
     for level in LEVELS:
-        cfg = EvalConfig(iou_thresholds, difficulty=level,
-                         interpolation_points=interpolation_points)
+        cfg = EvalConfig(iou_thresholds, difficulty=level)
         report[level] = compute_ap_aph(det_scenes, gt_scenes, cfg)
     return report

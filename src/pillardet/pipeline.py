@@ -20,7 +20,7 @@ from . import fileio
 from .config import PipelineConfig, weight_layout
 from .fpn import build_pooling_map, build_pyramid
 from .grid import PointCloud, backbone_forward, pillarize
-from .rcnn import RoiPoolConfig, refine
+from .rcnn import refine
 from .rpn import (Detection, decode_proposals, nms_3d, rectify_detections,
                   rpn_forward)
 from .weights import WeightStore
@@ -80,7 +80,7 @@ class DetectionPipeline:
         shapes["P3"] = (pyramid[4].height, pyramid[4].width)
         shapes["P4"] = (pyramid[8].height, pyramid[8].width)
         heads = clock("heads", lambda: rpn_forward(
-            pyramid, self.weights, cfg.level_classes, cfg.head_channels))
+            pyramid, self.weights, cfg.level_classes))
         for stride, head in heads.items():
             if not all(np.isfinite(a).all()
                        for a in (head.heatmap, head.reg, head.iou)):
@@ -97,10 +97,8 @@ class DetectionPipeline:
             backbone, pyramid, self.weights, cfg.pool_stride,
             cfg.bottom_up_strides, cfg.use_pool_bottom_up))
         shapes["pool"] = (pooling_map.height, pooling_map.width)
-        roi_cfg = RoiPoolConfig(cfg.roi_grid_size, cfg.pool_stride,
-                                cfg.mlp_channels, cfg.seg_hidden)
         detections = clock("refine", lambda: refine(
-            proposals, pooling_map, spec, self.weights, roi_cfg))
+            proposals, pooling_map, spec, self.weights, cfg.roi_grid_size))
 
         _assert_shapes(shapes, spec, cfg.pool_stride)
         return PipelineResult(detections, proposals, shapes, timings)

@@ -33,20 +33,6 @@ N_RESIDUALS = 7  # dx/d, dy/d, dz/h, log-size ratios (3), dyaw
 
 
 @dataclass(frozen=True)
-class RoiPoolConfig:
-    """Pooling / head geometry for the refinement stage."""
-
-    grid_size: int = 7
-    pool_stride: int = 4
-    mlp_channels: tuple[int, int] = (256, 256)
-    seg_hidden: int = 64
-
-    def __post_init__(self):
-        if self.grid_size < 1:
-            raise ValueError("grid_size must be >= 1")
-
-
-@dataclass(frozen=True)
 class SampledProposals:
     """A seeded training sample of RoIs with IoU-derived labels."""
 
@@ -135,6 +121,8 @@ def bilinear_sample(m: FeatureSource, spec: GridSpec,
 def pool_roi_features(rois: list[Box3D], m: FeatureSource, spec: GridSpec,
                       grid_size: int) -> np.ndarray:
     """Pooled grid-point features for every RoI: (N, G, G, C)."""
+    if grid_size < 1:
+        raise ValueError("grid_size must be >= 1")
     if not rois:
         return np.zeros((0, grid_size, grid_size, m.channels), m.dtype)
     pts = np.concatenate([roi_grid_points(r, grid_size).reshape(-1, 2)
@@ -176,15 +164,14 @@ def decode_residuals(roi: Box3D, residuals: np.ndarray) -> Box3D:
 
 
 def rcnn_forward(rois: list[Box3D], m: FeatureSource, spec: GridSpec,
-                 weights: WeightStore, cfg: RoiPoolConfig
+                 weights: WeightStore, grid_size: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shared MLP over flattened RoI grids.
 
     Returns (confidence logits (N,), residuals (N, 7), pooled grid
     features (N, G, G, C)); RoIs never interact, so any ordering works.
     """
-    g = cfg.grid_size
-    pooled = pool_roi_features(rois, m, spec, g)
+    pooled = pool_roi_features(rois, m, spec, grid_size)
     x = pooled.reshape(len(rois), -1)
     x = relu(x @ weights.get("rcnn.fc1.w") + weights.get("rcnn.fc1.b"))
     x = relu(x @ weights.get("rcnn.fc2.w") + weights.get("rcnn.fc2.b"))
@@ -331,7 +318,7 @@ class LossReport:
 
 
 def refine(proposals: list[Detection], m: FeatureSource, spec: GridSpec,
-           weights: WeightStore, cfg: RoiPoolConfig) -> list[Detection]:
+           weights: WeightStore, grid_size: int) -> list[Detection]:
     """Decode residuals onto the proposals and rescore with the MLP head.
 
     Without proposals the map is never read. Non-finite head outputs
@@ -340,7 +327,7 @@ def refine(proposals: list[Detection], m: FeatureSource, spec: GridSpec,
     if not proposals:
         return []
     boxes = [d.box for d in proposals]
-    logits, residuals, _ = rcnn_forward(boxes, m, spec, weights, cfg)
+    logits, residuals, _ = rcnn_forward(boxes, m, spec, weights, grid_size)
     if not (np.isfinite(logits).all() and np.isfinite(residuals).all()):
         raise ValueError("refine: the R-CNN logits or residuals hold "
                          "non-finite values")

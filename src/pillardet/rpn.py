@@ -175,8 +175,8 @@ def rpn_loss(preds: dict[int, HeadOutput],
 
 
 def rpn_forward(pyramid: FeaturePyramid, weights: WeightStore,
-                level_classes: dict[int, tuple[int, ...]],
-                head_channels: int = 64) -> dict[int, HeadOutput]:
+                level_classes: dict[int, tuple[int, ...]]
+                ) -> dict[int, HeadOutput]:
     """Apply the center head to each pyramid level."""
     out: dict[int, HeadOutput] = {}
     for stride, fmap in sorted(pyramid.levels.items()):

@@ -26,7 +26,7 @@ from .grid import (DenseFeatureMap, GridSpec, SparsePillarVolume,
 from .oracles import (dense_conv_reference, exhaustive_nms,
                       finite_difference_grad, mc_rotated_iou)
 from .pipeline import DetectionPipeline
-from .rcnn import (RoiPoolConfig, aux_seg_labels, bilinear_sample, rcnn_forward,
+from .rcnn import (aux_seg_labels, bilinear_sample, rcnn_forward,
                    roi_grid_points)
 from .rpn import (Detection, decode_proposals, nms_3d, rectify_detections,
                   rpn_forward)
@@ -364,8 +364,7 @@ def float32_suite(scenes: int = 2, seed: int = 7, tolerance: float = 1e-6,
         tensors = dict(store32.items())
         tensors["rpn.s4.hm.b"] = tensors["rpn.s4.hm.b"] + np.float32(1e-3)
         store32 = WeightStore(tensors)
-    roi_cfg = RoiPoolConfig(cfg.roi_grid_size, cfg.pool_stride,
-                            cfg.mlp_channels, cfg.seg_hidden)
+    grid_size = cfg.roi_grid_size
     worst = 0.0
     twins = total = 0
     for k in range(scenes):
@@ -375,8 +374,7 @@ def float32_suite(scenes: int = 2, seed: int = 7, tolerance: float = 1e-6,
             backbone = backbone_forward(pillarize(cloud, cfg.grid, store), store,
                                         cfg.backbone_channels)
             pyramid = build_pyramid(backbone, store)
-            heads = rpn_forward(pyramid, store, cfg.level_classes,
-                                cfg.head_channels)
+            heads = rpn_forward(pyramid, store, cfg.level_classes)
             pool = build_pooling_map(backbone, pyramid, store, cfg.pool_stride,
                                      cfg.bottom_up_strides,
                                      cfg.use_pool_bottom_up)
@@ -387,8 +385,8 @@ def float32_suite(scenes: int = 2, seed: int = 7, tolerance: float = 1e-6,
         rois = [d.box for d in proposals]
         pairs = [(getattr(h32[s], f), getattr(h64[s], f))
                  for s in h64 for f in ("heatmap", "reg", "iou")]
-        pairs += zip(rcnn_forward(rois, p32, cfg.grid, s32, roi_cfg),
-                     rcnn_forward(rois, p64, cfg.grid, s64, roi_cfg))
+        pairs += zip(rcnn_forward(rois, p32, cfg.grid, s32, grid_size),
+                     rcnn_forward(rois, p64, cfg.grid, s64, grid_size))
         for a, b in pairs:
             if a.dtype != np.float32 or b.dtype != np.float64:
                 worst = math.inf

@@ -82,6 +82,19 @@ class TestDetect:
                      "--out", str(tmp_path / "d"), str(scene)]) == 2
         assert "magic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["sample_size", "pos_iou"])
+    def test_removed_config_field_is_validation_error(self, tmp_path, name,
+                                                      capsys):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG_DICT, name: 1}))
+        scene = tmp_path / "empty.pbk"
+        fileio.save_point_cloud(str(scene), PointCloud.empty())
+        assert main(["detect", "--config", str(cfg), "--out",
+                     str(tmp_path / "d"), str(scene)]) == 1
+        err = capsys.readouterr().err
+        assert name in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
     def test_non_finite_weights_rejected(self, tmp_path, capsys):
         # a NaN in a well-formed archive is a corrupt file, like a NaN point
         store = build_weights(config_from_dict(SMALL_CONFIG_DICT))

@@ -22,7 +22,6 @@ class TestDefaults:
         assert cfg.nms_iou == {0: 0.8, 1: 0.55, 2: 0.55}
         assert cfg.eval_iou == {0: 0.7, 1: 0.5, 2: 0.5}
         assert cfg.beta == {0: 0.68, 1: 0.68, 2: 0.68}
-        assert cfg.sample_size == 128 and cfg.pos_iou == 0.55
 
     def test_level_assignment_by_class(self):
         cfg = PipelineConfig()
@@ -63,6 +62,12 @@ class TestValidation:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             config_from_dict({"pillars": 0.1})
+
+    @pytest.mark.parametrize("name", ["sample_size", "pos_iou"])
+    def test_removed_sampling_fields_rejected(self, name):
+        # refinement sampling takes its cap and IoU rule as arguments
+        with pytest.raises(ConfigError, match=f"unknown .*'{name}'"):
+            config_from_dict({name: 1})
 
     def test_unknown_class_name_rejected(self):
         with pytest.raises(ConfigError, match="unknown class"):

@@ -241,7 +241,7 @@ class TestPoolingMap:
         store, backbone = forward_to_backbone(cfg)
         with pytest.raises(ValueError):
             build_pooling_map(backbone, build_pyramid(backbone, store),
-                              store, 16)
+                              store, 16, cfg.bottom_up_strides)
 
     def test_semantic_only_ablation_still_defined(self):
         cfg = tiny_config()

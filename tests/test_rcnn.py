@@ -8,8 +8,8 @@ from pillardet.fpn import PoolingMap
 from pillardet.geometry import Box3D, iou_3d, point_in_rect, project_to_bev
 from pillardet.grid import DenseFeatureMap, GridSpec
 from pillardet.oracles import finite_difference_grad
-from pillardet.rcnn import (LossReport, RcnnLossParts, RoiPoolConfig,
-                            aux_seg_labels, bilinear_sample, confidence_target,
+from pillardet.rcnn import (LossReport, RcnnLossParts, aux_seg_labels,
+                            bilinear_sample, confidence_target,
                             decode_residuals, encode_residuals,
                             pool_roi_features, rcnn_forward, rcnn_loss, refine,
                             roi_grid_points, sample_proposals, seg_forward)
@@ -20,15 +20,15 @@ SPEC = GridSpec(x_min=-4.0, x_max=4.0, y_min=-4.0, y_max=4.0,
                 z_min=-2.0, z_max=4.0, pillar_size=0.5)
 
 
-def rcnn_store(c_pool, cfg: RoiPoolConfig, seed=0, zero=False):
-    g, (m1, m2) = cfg.grid_size, cfg.mlp_channels
+def rcnn_store(c_pool, g, mlp=(8, 8), seg_hidden=4, seed=0, zero=False):
+    m1, m2 = mlp
     layout = {
         "rcnn.fc1.w": (g * g * c_pool, m1), "rcnn.fc1.b": (m1,),
         "rcnn.fc2.w": (m1, m2), "rcnn.fc2.b": (m2,),
         "rcnn.cls.w": (m2, 1), "rcnn.cls.b": (1,),
         "rcnn.reg.w": (m2, 7), "rcnn.reg.b": (7,),
-        "rcnn.seg.fc1.w": (c_pool, cfg.seg_hidden), "rcnn.seg.fc1.b": (cfg.seg_hidden,),
-        "rcnn.seg.fc2.w": (cfg.seg_hidden, 1), "rcnn.seg.fc2.b": (1,),
+        "rcnn.seg.fc1.w": (c_pool, seg_hidden), "rcnn.seg.fc1.b": (seg_hidden,),
+        "rcnn.seg.fc2.w": (seg_hidden, 1), "rcnn.seg.fc2.b": (1,),
     }
     if zero:
         return WeightStore({n: np.zeros(s) for n, s in layout.items()})
@@ -157,24 +157,22 @@ class TestResiduals:
 
 class TestForward:
     def test_zero_map_zero_biases_give_zero_outputs(self):
-        cfg = RoiPoolConfig(grid_size=3, mlp_channels=(8, 8), seg_hidden=4)
-        store = rcnn_store(2, cfg, zero=True)
+        store = rcnn_store(2, 3, zero=True)
         m = DenseFeatureMap(1, np.zeros((16, 16, 2)))
         rois = [Box3D(0, 0, 0, 2, 1, 1, 0.2)]
-        logits, residuals, pooled = rcnn_forward(rois, m, SPEC, store, cfg)
+        logits, residuals, pooled = rcnn_forward(rois, m, SPEC, store, 3)
         assert logits[0] == 0.0 and not residuals.any() and not pooled.any()
 
     def test_roi_permutation_equivariance(self):
-        cfg = RoiPoolConfig(grid_size=4, mlp_channels=(16, 16), seg_hidden=8)
-        store = rcnn_store(3, cfg, seed=2)
+        store = rcnn_store(3, 4, mlp=(16, 16), seg_hidden=8, seed=2)
         rng = np.random.default_rng(7)
         m = DenseFeatureMap(1, rng.normal(size=(16, 16, 3)))
         rois = [Box3D(rng.uniform(-3, 3), rng.uniform(-3, 3), 0, 2, 1, 1,
                       rng.uniform(-3, 3)) for _ in range(6)]
-        logits, residuals, _ = rcnn_forward(rois, m, SPEC, store, cfg)
+        logits, residuals, _ = rcnn_forward(rois, m, SPEC, store, 4)
         perm = [3, 0, 5, 1, 4, 2]
         logits_p, residuals_p, _ = rcnn_forward([rois[i] for i in perm], m,
-                                                SPEC, store, cfg)
+                                                SPEC, store, 4)
         np.testing.assert_allclose(logits_p, logits[perm], atol=1e-12)
         np.testing.assert_allclose(residuals_p, residuals[perm], atol=1e-12)
 
@@ -386,20 +384,27 @@ class TestLosses:
 
 class TestRefine:
     def test_zero_weights_keep_boxes_and_bias_scores(self):
-        cfg = RoiPoolConfig(grid_size=3, mlp_channels=(8, 8), seg_hidden=4)
-        store = rcnn_store(2, cfg, zero=True)
+        store = rcnn_store(2, 3, zero=True)
         m = DenseFeatureMap(1, np.random.default_rng(15).normal(size=(16, 16, 2)))
         proposals = [Detection(Box3D(0, 0, 0, 2, 1, 1, 0.4), 0, 0.7, 0.6)]
-        out = refine(proposals, m, SPEC, store, cfg)
+        out = refine(proposals, m, SPEC, store, 3)
         assert out[0].box == proposals[0].box
         assert out[0].score == pytest.approx(0.5)  # sigmoid(0)
         assert out[0].iou_score == 0.6
 
     def test_empty_proposals(self):
-        cfg = RoiPoolConfig(grid_size=3, mlp_channels=(8, 8), seg_hidden=4)
-        store = rcnn_store(2, cfg)
+        store = rcnn_store(2, 3)
         m = DenseFeatureMap(1, np.zeros((16, 16, 2)))
-        assert refine([], m, SPEC, store, cfg) == []
+        assert refine([], m, SPEC, store, 3) == []
+
+    def test_grid_size_below_one_rejected(self):
+        store = rcnn_store(2, 3)
+        m = DenseFeatureMap(1, np.zeros((16, 16, 2)))
+        proposals = [Detection(Box3D(0, 0, 0, 2, 1, 1, 0.4), 0, 0.7, 0.6)]
+        with pytest.raises(ValueError, match="grid_size"):
+            refine(proposals, m, SPEC, store, 0)
+        with pytest.raises(ValueError, match="grid_size"):
+            rcnn_forward([proposals[0].box], m, SPEC, store, 0)
 
     def test_no_proposals_never_evaluate_the_map(self):
         class Unreadable:
@@ -408,12 +413,10 @@ class TestRefine:
             def at(self, iy, ix):
                 raise AssertionError("pooling map evaluated")
 
-        cfg = RoiPoolConfig(grid_size=3, mlp_channels=(8, 8), seg_hidden=4)
-        assert refine([], Unreadable(), SPEC, rcnn_store(2, cfg), cfg) == []
+        assert refine([], Unreadable(), SPEC, rcnn_store(2, 3), 3) == []
 
     def test_seg_head_shapes(self):
-        cfg = RoiPoolConfig(grid_size=4, mlp_channels=(8, 8), seg_hidden=4)
-        store = rcnn_store(3, cfg, seed=4)
+        store = rcnn_store(3, 4, seed=4)
         rng = np.random.default_rng(16)
         pooled = rng.normal(size=(5, 4, 4, 3))
         logits = seg_forward(pooled, store)
