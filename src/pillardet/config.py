@@ -10,7 +10,10 @@ IoU thresholds (0.7, 0.5, 0.5) for evaluation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import sys
+from dataclasses import dataclass, field, is_dataclass
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .grid import GridSpec
 
@@ -35,11 +38,11 @@ class PipelineConfig:
     roi_grid_size: int = 7
     mlp_channels: tuple[int, int] = (256, 256)
     seg_hidden: int = 64
-    beta: dict = field(default_factory=lambda: {0: 0.68, 1: 0.68, 2: 0.68})
-    nms_iou: dict = field(default_factory=lambda: {0: 0.8, 1: 0.55, 2: 0.55})
-    top_k: dict = field(default_factory=lambda: {0: 200, 1: 150, 2: 150})
-    eval_iou: dict = field(default_factory=lambda: {0: 0.7, 1: 0.5, 2: 0.5})
-    class_strides: dict = field(default_factory=lambda: {0: 8, 1: 4, 2: 4})
+    beta: dict[int, float] = field(default_factory=lambda: {0: 0.68, 1: 0.68, 2: 0.68})
+    nms_iou: dict[int, float] = field(default_factory=lambda: {0: 0.8, 1: 0.55, 2: 0.55})
+    top_k: dict[int, int] = field(default_factory=lambda: {0: 200, 1: 150, 2: 150})
+    eval_iou: dict[int, float] = field(default_factory=lambda: {0: 0.7, 1: 0.5, 2: 0.5})
+    class_strides: dict[int, int] = field(default_factory=lambda: {0: 8, 1: 4, 2: 4})
     seed: int = 0
     weights_path: str | None = None
 
@@ -112,54 +115,52 @@ def _validate(cfg: PipelineConfig) -> None:
         raise ConfigError("seed: must be non-negative")
 
 
-def _class_map(raw: dict, field_name: str, cast) -> dict:
-    out = {}
-    for key, value in raw.items():
-        if key not in CLASS_IDS:
-            raise ConfigError(f"{field_name}: unknown class '{key}'")
-        out[CLASS_IDS[key]] = cast(value)
-    return out
+_KINDS = {tuple: "an array", bool: "true or false", int: "an integer",
+          float: "a finite number", str: "a string"}
+
+
+def _read(tp, value, path: str, default=None):
+    """``value`` read as the declared type ``tp``, else a ConfigError naming
+    ``path``. Class maps (``dict[int, X]``) are keyed by class name and merge
+    into ``default``; ints are no booleans and floats are finite."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is UnionType:  # X | None
+        return None if value is None else _read(args[0], value, path)
+    if is_dataclass(tp) and isinstance(value, dict):
+        hints, defaults = get_type_hints(tp), tp()
+        prefix = f"{path}." if path else ""
+        kwargs = {}
+        for name, v in value.items():
+            if name not in hints:
+                raise ConfigError(f"unknown configuration field '{prefix}{name}'")
+            kwargs[name] = _read(hints[name], v, prefix + name, getattr(defaults, name))
+        try:
+            return tp(**kwargs)
+        except ConfigError:
+            raise
+        except (ValueError, ArithmeticError) as exc:  # GridSpec's own checks
+            raise ConfigError(f"{path}: {exc}") from exc
+    if origin is dict and isinstance(value, dict):
+        merged = dict(default)
+        for name, v in value.items():
+            if name not in CLASS_IDS:
+                raise ConfigError(f"{path}: unknown class '{name}'")
+            merged[CLASS_IDS[name]] = _read(args[1], v, f"{path}[{name}]")
+        return merged
+    if origin is tuple and isinstance(value, (list, tuple)):
+        return tuple(_read(args[0], v, f"{path}[{i}]")
+                     for i, v in enumerate(value))
+    if tp in (bool, int, str) and type(value) is tp:
+        return value
+    if tp is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)  # finite: NaN fails the comparison
+    raise ConfigError(f"{path}: expected {_KINDS.get(origin or tp, 'an object')}"
+                      f", got {json.dumps(value)}")
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
     """Build a config from a (possibly partial) JSON-style dict."""
-    known = {f.name for f in fields(PipelineConfig)}
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"unknown configuration field '{key}'")
-    kwargs: dict = {}
-    if "grid" in raw:
-        g = raw["grid"]
-        extra = set(g) - {"x_min", "x_max", "y_min", "y_max", "z_min",
-                          "z_max", "pillar_size"}
-        if extra:
-            raise ConfigError(f"grid: unknown fields {sorted(extra)}")
-        try:
-            kwargs["grid"] = GridSpec(**{k: float(v) for k, v in g.items()})
-        except ValueError as exc:
-            raise ConfigError(f"grid: {exc}") from exc
-    for name in ("neck_channels", "head_channels", "pool_stride",
-                 "pool_channels", "roi_grid_size", "seg_hidden", "seed"):
-        if name in raw:
-            kwargs[name] = int(raw[name])
-    if "backbone_channels" in raw:
-        kwargs["backbone_channels"] = tuple(int(c) for c in raw["backbone_channels"])
-    if "mlp_channels" in raw:
-        kwargs["mlp_channels"] = tuple(int(c) for c in raw["mlp_channels"])
-    if "pool_bottom_up_strides" in raw and raw["pool_bottom_up_strides"] is not None:
-        kwargs["pool_bottom_up_strides"] = tuple(int(s) for s in
-                                                 raw["pool_bottom_up_strides"])
-    if "use_pool_bottom_up" in raw:
-        kwargs["use_pool_bottom_up"] = bool(raw["use_pool_bottom_up"])
-    if "weights_path" in raw:
-        kwargs["weights_path"] = raw["weights_path"]
-    for name, cast in (("beta", float), ("nms_iou", float), ("eval_iou", float),
-                       ("top_k", int), ("class_strides", int)):
-        if name in raw:
-            merged = dict(getattr(PipelineConfig(), name))
-            merged.update(_class_map(raw[name], name, cast))
-            kwargs[name] = merged
-    return PipelineConfig(**kwargs)
+    return _read(PipelineConfig, raw, "")
 
 
 def load_config(path: str | None) -> PipelineConfig:

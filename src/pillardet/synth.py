@@ -14,12 +14,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import CLASS_IDS, CLASS_NAMES  # noqa: F401  (CLASS_NAMES re-exported)
 from .geometry import Box3D, project_to_bev, rotated_iou_bev
 from .grid import GridSpec, PointCloud
 from .rpn import Detection
 
-VEHICLE, PEDESTRIAN, CYCLIST = 0, 1, 2
-CLASS_NAMES = {VEHICLE: "vehicle", PEDESTRIAN: "pedestrian", CYCLIST: "cyclist"}
+VEHICLE, PEDESTRIAN, CYCLIST = (CLASS_IDS[name] for name in
+                                ("vehicle", "pedestrian", "cyclist"))
 
 # nominal (length, width, height) per class, jittered +-20% at sampling
 CLASS_SIZES = {

@@ -17,6 +17,20 @@ SMALL_CONFIG_DICT = {
     "seed": 0,
 }
 
+# wrongly typed JSON values, each with the field path its one error line names
+ODD_VALUES = [
+    ('{"neck_channels": [1]}', "neck_channels"),
+    ('{"grid": []}', "grid"),
+    ('{"top_k": {"vehicle": null}}', "top_k[vehicle]"),
+    ('{"pool_stride": "abc"}', "pool_stride"),
+    ('{"grid": {"x_min": -1e999}}', "grid.x_min"),
+    ('{"use_pool_bottom_up": "false"}', "use_pool_bottom_up"),
+    ('{"neck_channels": 2.7}', "neck_channels"),
+    ('{"seed": true}', "seed"),
+    ('{"nms_iou": {"vehicle": NaN}}', "nms_iou[vehicle]"),
+    ('{"weights_path": 5}', "weights_path"),
+]
+
 
 @pytest.fixture
 def small_config() -> PipelineConfig:

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import SMALL_CONFIG_DICT
+from conftest import ODD_VALUES, SMALL_CONFIG_DICT
 from pillardet import fileio
 from pillardet.cli import main
 from pillardet.config import config_from_dict
@@ -64,6 +64,22 @@ class TestSynth:
         assert main(["synth", "--config", str(bad), "--scenes", "1",
                      "--out", str(tmp_path / "x")]) == 1
         assert "pillar" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, path", ODD_VALUES)
+    def test_wrongly_typed_value_is_one_error_line(self, tmp_path, capsys,
+                                                   text, path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["synth", "--config", str(bad), "--scenes", "0",
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+
+    def test_negative_seed_flag_is_one_error_line(self, tmp_path, config_path,
+                                                  capsys):
+        assert main(["synth", "--config", config_path, "--seed", "-1",
+                     "--scenes", "0", "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == "error: seed: must be non-negative\n"
 
 
 class TestDetect:

@@ -4,7 +4,8 @@ Whatever bytes a ``.pbk``, ``.pwt``, ``.gt.txt`` or ``.det.txt`` file
 holds, ``cli.main`` returns 2 exactly when the file's loader rejects it
 with ``FormatError``, prints a one-line error for any non-zero exit, and
 never lets an exception escape. Extreme but finite weights, which can
-overflow the float32 maps, end in exit 0 or one error line.
+overflow the float32 maps, end in exit 0 or one error line, and so does
+any JSON value in a config field, with the error naming the field.
 """
 
 import io
@@ -13,6 +14,7 @@ import math
 import struct
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,9 +23,10 @@ from hypothesis import strategies as st
 
 from conftest import SMALL_CONFIG_DICT
 from pillardet import cli, fileio
-from pillardet.config import config_from_dict, weight_layout
+from pillardet.config import (CLASS_IDS, PipelineConfig, config_from_dict,
+                              weight_layout)
 from pillardet.geometry import Box3D
-from pillardet.grid import PointCloud
+from pillardet.grid import GridSpec, PointCloud
 from pillardet.metrics import evaluate_levels
 from pillardet.pipeline import DetectionPipeline
 from pillardet.rpn import Detection
@@ -353,6 +356,73 @@ class TestTextFiles:
                                                             ".det.txt"]))
     def test_truncated_file(self, files, cut, suffix):
         self.evaluate(files, valid_bytes(files, "valid" + suffix)[:cut], suffix)
+
+
+# any JSON value (NaN and +-Infinity included), with a share of values that
+# some field accepts
+json_values = st.sampled_from(
+    [0, 1, 2, 4, 8, 16, 0.5, 1.0, True, False, None, "w.pwt", [1, 2],
+     [64, 64], [16, 32, 64, 128, 256], {"vehicle": 4}]) | st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=6)
+    | st.integers() | st.sampled_from([0, 1, 2, 4, 8, 16, 0.5, 1.0, -1]),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(
+        st.sampled_from([*CLASS_IDS, *(f.name for f in fields(GridSpec))])
+        | st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+CLASS_MAPS = ["beta", "nms_iou", "top_k", "eval_iou", "class_strides"]
+# (top-level field, entry): one field, one grid entry or one class-map entry
+TARGETS = ([(f.name, None) for f in fields(PipelineConfig)]
+           + [("grid", f.name) for f in fields(GridSpec)]
+           + [(m, c) for m in CLASS_MAPS for c in CLASS_IDS])
+
+
+class TestOddConfigs:
+    """``synth --scenes 0`` reads and validates the config and builds no
+    weights or scene: any config exits 0, or 1 with one error line that
+    names the field."""
+
+    def synth(self, files, raw: dict) -> tuple[int, str]:
+        config = files["root"] / "odd.json"
+        config.write_text(json.dumps(raw))
+        code, err = run_cli(["synth", "--config", str(config), "--scenes", "0",
+                             "--out", str(files["root"] / "synth")])
+        assert code in (0, 1)
+        assert_reported(code, err)
+        return code, err
+
+    @settings(PROPERTY, max_examples=200)
+    @given(target=st.sampled_from(TARGETS), value=json_values)
+    def test_any_json_value_in_one_field(self, files, target, value):
+        name, entry = target
+        raw = json.loads(json.dumps(SMALL_CONFIG_DICT))
+        if entry is None:
+            raw[name] = value
+        else:
+            raw[name] = {**raw.get(name, {}), entry: value}
+        code, err = self.synth(files, raw)
+        assert code == 0 or name in err, err
+
+    @PROPERTY
+    @given(nx=st.sampled_from([8, 16, 24, 32]), ny=st.sampled_from([16, 32]),
+           pillar=st.sampled_from([0.1, 0.16, 0.5]),
+           pool_stride=st.sampled_from([2, 4, 8]),
+           strides=st.none() | st.lists(st.sampled_from([1, 2, 3, 4, 8, 16]),
+                                        max_size=4))
+    def test_small_grids_and_pool_stride_limits(self, files, nx, ny, pillar,
+                                                pool_stride, strides):
+        grid = {"x_min": -nx * pillar / 2, "x_max": nx * pillar / 2,
+                "y_min": 0.0, "y_max": ny * pillar, "pillar_size": pillar}
+        code, err = self.synth(files, {**SMALL_CONFIG_DICT, "grid": grid,
+                                       "pool_stride": pool_stride,
+                                       "pool_bottom_up_strides": strides})
+        strides_ok = all(s in (1, 2, 4, 8) and s <= pool_stride
+                         for s in strides or ())
+        if not strides_ok:
+            assert "pool_bottom_up_strides" in err
+        elif nx % 16:
+            assert err.startswith("error: grid: ")
+        else:
+            assert code == 0
 
 
 @pytest.mark.parametrize("exc", [OverflowError("math range error"),

@@ -1,7 +1,11 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from conftest import ODD_VALUES
 from pillardet.config import (ConfigError, PipelineConfig, config_from_dict,
                               load_config, volume_channels, weight_layout)
 from pillardet.weights import WeightStore
@@ -76,6 +80,45 @@ class TestValidation:
     def test_partial_class_map_merges_with_defaults(self):
         cfg = config_from_dict({"beta": {"vehicle": 0.5}})
         assert cfg.beta == {0: 0.5, 1: 0.68, 2: 0.68}
+
+
+class TestTypes:
+    """Each value is read by its field's declared type."""
+
+    @pytest.mark.parametrize("text, path", ODD_VALUES)
+    def test_wrong_type_names_field_path(self, text, path):
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: "):
+            config_from_dict(json.loads(text))
+
+    @pytest.mark.parametrize("raw, path", [
+        ({"grid": {"x_min": -1e308, "x_max": 1e308}}, "grid"),
+        ({"grid": {"pillar_size": 10 ** 400}}, "grid.pillar_size"),
+        ({"backbone_channels": [16, 32, None, 128, 256]}, "backbone_channels[2]"),
+        ({"pool_bottom_up_strides": 4}, "pool_bottom_up_strides"),
+        ({"class_strides": []}, "class_strides"),
+    ])
+    def test_overflow_and_nesting_name_field_path(self, raw, path):
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: "):
+            config_from_dict(raw)
+
+    def test_unknown_grid_field_rejected(self):
+        with pytest.raises(ConfigError, match="unknown .*'grid.pillar'"):
+            config_from_dict({"grid": {"pillar": 0.1}})
+
+    def test_integers_read_as_floats_and_null_as_default(self):
+        cfg = config_from_dict({"grid": {"z_min": -3}, "nms_iou": {"vehicle": 1},
+                                "pool_bottom_up_strides": None,
+                                "weights_path": None})
+        assert type(cfg.grid.z_min) is float and cfg.grid.z_min == -3.0
+        assert type(cfg.nms_iou[0]) is float
+        assert cfg == dataclasses.replace(
+            PipelineConfig(), grid=cfg.grid, nms_iou={0: 1.0, 1: 0.55, 2: 0.55})
+
+    def test_readme_table_lists_every_field(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        listed = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
+        assert listed == [f.name for f in dataclasses.fields(PipelineConfig)]
 
 
 class TestFiles:
