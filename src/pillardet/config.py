@@ -169,7 +169,7 @@ def load_config(path: str | None) -> PipelineConfig:
     with open(path, "r", encoding="utf-8") as f:
         try:
             raw = json.load(f)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad syntax, bad UTF-8, oversize integer
             raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path}: top level must be an object")

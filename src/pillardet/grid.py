@@ -258,6 +258,8 @@ def _out_dim(n: int, stride: int) -> int:
 # while the nine offsets add into it, and neither a deconv nor a sparse
 # conv needs a full-size product or gather next to its output
 _BAND_ROWS = 512
+# bytes of padded input a dense conv holds at once, rounded to whole bands
+_CHUNK_BYTES = 4 << 20
 
 
 def reached_cells(v: SparsePillarVolume, stride: int = 1) -> np.ndarray:
@@ -352,7 +354,9 @@ def dense_conv2d(data: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     plane (ky % stride, kx % stride), so each offset's GEMM operand is a
     contiguous row range and nothing is copied per offset. Outputs are
     computed over the plane width and the extra columns dropped; rows are
-    accumulated band by band.
+    accumulated band by band. The planes are never held whole: one buffer
+    takes the plane rows of one chunk of output rows (a whole number of
+    bands, about ``_CHUNK_BYTES``) at a time.
     """
     h, w_in, c_in = data.shape
     if weight.shape[:3] != (3, 3, c_in):
@@ -365,38 +369,47 @@ def dense_conv2d(data: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     h_out, w_out = _out_dim(h, s), _out_dim(w_in, s)
     reach = 2 // s  # largest plane shift of a kernel offset
     width = w_out + reach
+    band = max(1, _BAND_ROWS // width)
+    chunk = band * max(1, _CHUNK_BYTES // (s * s * band * width * c_in * dtype.itemsize))
     # one spare row: the last band's shifted row range ends up to `reach`
-    # pixels past the padded plane
-    rows = h_out + reach + 1
+    # pixels past the chunk's plane rows
+    rows = min(chunk, h_out) + reach + 1
     planes = np.zeros((s, s, rows, width, c_in), dtype)
-    for py in range(s):
-        for px in range(s):
-            # padded pixel (s*i + py, s*j + px) is data pixel (s*i + py - 1, ...)
-            dy, dx = (py - 1) % s, (px - 1) % s
-            src = data[dy::s, dx::s]
-            iy, ix = (dy + 1 - py) // s, (dx + 1 - px) // s
-            planes[py, px, iy:iy + src.shape[0], ix:ix + src.shape[1]] = src
     flat = planes.reshape(s, s, rows * width, c_in)
 
     out = np.empty((h_out, w_out, c_out), dtype)
-    band = max(1, _BAND_ROWS // width)
     acc = np.empty((band * width, c_out), dtype)
     tmp = np.empty_like(acc)
-    for y0 in range(0, h_out, band):
-        y1 = min(h_out, y0 + band)
-        n = (y1 - y0) * width
-        a, t = acc[:n], tmp[:n]
-        for ky in range(3):
-            for kx in range(3):
-                start = (y0 + ky // s) * width + kx // s
-                src = flat[ky % s, kx % s, start:start + n]
-                if ky == kx == 0:
-                    np.matmul(src, weight[ky, kx], out=a)
-                else:
-                    np.matmul(src, weight[ky, kx], out=t)
-                    a += t
-        a += bias
-        out[y0:y1] = a.reshape(y1 - y0, width, c_out)[:, :w_out]
+    for c0 in range(0, h_out, chunk):
+        c1 = min(h_out, c0 + chunk)
+        for py in range(s):
+            for px in range(s):
+                # padded pixel (s*i + py, s*j + px) is data pixel (s*i + py - 1, ...),
+                # so plane row r, buffer row r - c0, holds row r - iy of `src`;
+                # the padding above it is only in the first, still zero, chunk
+                dy, dx = (py - 1) % s, (px - 1) % s
+                src = data[dy::s, dx::s]
+                iy, ix = (dy + 1 - py) // s, (dx + 1 - px) // s
+                lo = max(c0, iy)
+                hi = max(lo, min(c0 + rows, iy + len(src)))
+                plane = planes[py, px]
+                plane[lo - c0:hi - c0, ix:ix + src.shape[1]] = src[lo - iy:hi - iy]
+                plane[hi - c0:] = 0
+        for y0 in range(c0, c1, band):
+            y1 = min(c1, y0 + band)
+            n = (y1 - y0) * width
+            a, t = acc[:n], tmp[:n]
+            for ky in range(3):
+                for kx in range(3):
+                    start = (y0 - c0 + ky // s) * width + kx // s
+                    src = flat[ky % s, kx % s, start:start + n]
+                    if ky == kx == 0:
+                        np.matmul(src, weight[ky, kx], out=a)
+                    else:
+                        np.matmul(src, weight[ky, kx], out=t)
+                        a += t
+            a += bias
+            out[y0:y1] = a.reshape(y1 - y0, width, c_out)[:, :w_out]
     return out
 
 

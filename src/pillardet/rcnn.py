@@ -31,6 +31,9 @@ FeatureSource = DenseFeatureMap | PoolingMap
 
 N_RESIDUALS = 7  # dx/d, dy/d, dz/h, log-size ratios (3), dyaw
 
+# points that bilinear_sample blends per step
+_BLEND_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class SampledProposals:
@@ -47,19 +50,28 @@ class SampledProposals:
         return len(self.rois)
 
 
-def roi_grid_points(roi: Box3D, grid_size: int) -> np.ndarray:
-    """Evenly spaced G x G points in the rotated RoI, as (G, G, 2).
+def roi_grids(rois: list[Box3D], grid_size: int) -> np.ndarray:
+    """Evenly spaced G x G points in each rotated RoI, as (N, G, G, 2).
 
-    Index [i, j] walks the length axis with i and the width axis with j;
-    points are inset by half a grid cell so G = 1 lands on the center.
+    Index [n, i, j] walks RoI n's length axis with i and its width axis
+    with j; points are inset by half a grid cell so G = 1 lands on the
+    center.
     """
     g = grid_size
-    lx = (-0.5 + (np.arange(g) + 0.5) / g) * roi.length
-    ly = (-0.5 + (np.arange(g) + 0.5) / g) * roi.width
-    c, s = math.cos(roi.yaw), math.sin(roi.yaw)
-    gx = roi.cx + c * lx[:, None] - s * ly[None, :]
-    gy = roi.cy + s * lx[:, None] + c * ly[None, :]
+    cx, cy, length, width, c, s = np.array(
+        [(r.cx, r.cy, r.length, r.width, math.cos(r.yaw), math.sin(r.yaw))
+         for r in rois], dtype=np.float64).reshape(-1, 6).T[:, :, None, None]
+    offset = -0.5 + (np.arange(g) + 0.5) / g
+    lx = offset[:, None] * length
+    ly = offset[None, :] * width
+    gx = cx + c * lx - s * ly
+    gy = cy + s * lx + c * ly
     return np.stack([gx, gy], axis=-1)
+
+
+def roi_grid_points(roi: Box3D, grid_size: int) -> np.ndarray:
+    """The (G, G, 2) grid points of one RoI; see :func:`roi_grids`."""
+    return roi_grids([roi], grid_size)[0]
 
 
 @dataclass(frozen=True)
@@ -78,15 +90,10 @@ class BilinearSupport:
     inside: np.ndarray
 
 
-def bilinear_sample(m: FeatureSource, spec: GridSpec,
-                    pts: np.ndarray) -> tuple[np.ndarray, BilinearSupport]:
-    """Interpolate the map at (M, 2) BEV points -> (M, C) values.
-
-    Cell centers form the lattice; corners off the map blend with zeros.
-    The distinct on-map corner cells are looked up with one ``m.at`` call.
-    Also returns the corners and weights used, which double as the
-    analytic gradient. Values blend in the map's dtype.
-    """
+def _bilinear_support(m: FeatureSource, spec: GridSpec,
+                     pts: np.ndarray) -> BilinearSupport:
+    """The four lattice cells (cell centers) under each of the (M, 2) BEV
+    points, with their bilinear weights."""
     cell = spec.cell_size(m.stride)
     # lattice coordinates are clipped to one cell beyond the map, so a
     # far-away point casts to an integer without overflow; beyond that
@@ -101,21 +108,42 @@ def bilinear_sample(m: FeatureSource, spec: GridSpec,
     weight = np.stack([(1 - ty) * (1 - tx), (1 - ty) * tx,
                        ty * (1 - tx), ty * tx], axis=1)
     inside = (iy >= 0) & (iy < m.height) & (ix >= 0) & (ix < m.width)
-    cells, slot = np.unique(iy[inside] * m.width + ix[inside],
-                            return_inverse=True)
-    # one extra zero row stands for every corner off the map
+    return BilinearSupport(iy, ix, weight, inside)
+
+
+def bilinear_sample(m: FeatureSource, spec: GridSpec,
+                    pts: np.ndarray) -> tuple[np.ndarray, BilinearSupport]:
+    """Interpolate the map at (M, 2) BEV points -> (M, C) values.
+
+    Corners off the map blend with zeros. The distinct on-map corner cells
+    are looked up with one ``m.at`` call. Also returns the corners and
+    weights used, which double as the analytic gradient. Each corner's
+    product with its float64 weight is formed in float64 and rounded to
+    the map's dtype; the sum runs in the map's dtype.
+    """
+    sup = _bilinear_support(m, spec, pts)
+    # an off-map corner keys past every cell, so it reads the slot after
+    # the last cell's: one extra zero row
+    n_cells = m.height * m.width
+    cells, corner_slot = np.unique(
+        np.where(sup.inside, sup.iy * m.width + sup.ix, n_cells),
+        return_inverse=True)
+    corner_slot = corner_slot.reshape(sup.inside.shape)
+    cells = cells[cells < n_cells]
     values = np.zeros((len(cells) + 1, m.channels), m.dtype)
     values[:-1] = m.at(cells // m.width, cells % m.width)
-    corner_slot = np.full(inside.shape, len(cells), dtype=np.int64)
-    corner_slot[inside] = slot.reshape(-1)
-    # accumulate corner by corner, scaling each gather in place: an
-    # (M, 4, C) temporary would be too large
+    # accumulate corner by corner, a chunk of points at a time, scaling
+    # each gather in place: one chunk-sized gather is live, not (M, C)
     out = np.zeros((len(pts), m.channels), m.dtype)
-    for k in range(4):
-        corner = values[corner_slot[:, k]]
-        corner *= weight[:, k, None]
-        out += corner
-    return out, BilinearSupport(iy, ix, weight, inside)
+    corner = np.empty((min(len(pts), _BLEND_ROWS), m.channels), m.dtype)
+    for i in range(0, len(pts), _BLEND_ROWS):
+        o = out[i:i + _BLEND_ROWS]
+        c = corner[:len(o)]
+        for k in range(4):
+            np.take(values, corner_slot[i:i + len(o), k], axis=0, out=c, mode="clip")
+            c *= sup.weight[i:i + len(o), k, None]
+            o += c
+    return out, sup
 
 
 def pool_roi_features(rois: list[Box3D], m: FeatureSource, spec: GridSpec,
@@ -125,8 +153,7 @@ def pool_roi_features(rois: list[Box3D], m: FeatureSource, spec: GridSpec,
         raise ValueError("grid_size must be >= 1")
     if not rois:
         return np.zeros((0, grid_size, grid_size, m.channels), m.dtype)
-    pts = np.concatenate([roi_grid_points(r, grid_size).reshape(-1, 2)
-                          for r in rois])
+    pts = roi_grids(rois, grid_size).reshape(-1, 2)
     feats, _ = bilinear_sample(m, spec, pts)
     return feats.reshape(len(rois), grid_size, grid_size, m.channels)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import Box3D, exp_extent, iou_3d
-from .grid import GridSpec, dense_conv2d, relu
+from .grid import GridSpec, dense_conv2d
 from .fpn import FeaturePyramid
 from .weights import WeightStore
 
@@ -182,8 +182,9 @@ def rpn_forward(pyramid: FeaturePyramid, weights: WeightStore,
     for stride, fmap in sorted(pyramid.levels.items()):
         classes = level_classes[stride]
         prefix = f"rpn.s{stride}"
-        shared = relu(dense_conv2d(fmap.data, weights.get(f"{prefix}.shared.w"),
-                                   weights.get(f"{prefix}.shared.b")))
+        shared = dense_conv2d(fmap.data, weights.get(f"{prefix}.shared.w"),
+                              weights.get(f"{prefix}.shared.b"))
+        np.maximum(shared, 0.0, out=shared)  # ReLU without a second map
         h, w, c = shared.shape
         flat = shared.reshape(-1, c)
 

@@ -75,6 +75,15 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
 
+    def test_oversize_integer_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"seed": ' + "9" * 5000 + "}")
+        assert main(["synth", "--config", str(bad), "--scenes", "0",
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {bad}: invalid JSON (")
+        assert err.count("\n") == 1, err
+
     def test_negative_seed_flag_is_one_error_line(self, tmp_path, config_path,
                                                   capsys):
         assert main(["synth", "--config", config_path, "--seed", "-1",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,47 @@ class TestDenseOps:
         assert out.shape[0] > 2 * band
         np.testing.assert_allclose(out, dense_conv_reference(x, wt, stride=stride)
                                    + b, atol=1e-10)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_dense_conv_across_chunks(self, monkeypatch, stride, dtype):
+        # two chunks of two bands each plus a partial chunk give the bits
+        # of one chunk spanning the whole map
+        w, c = 7, 3
+        width = (w - 1) // stride + 1 + 2 // stride
+        band = max(1, grid._BAND_ROWS // width)
+        h_out = 4 * band + band // 2 + 1
+        rng = np.random.default_rng(10 + stride)
+        x = rng.normal(size=(stride * (h_out - 1) + 1, w, c)).astype(dtype)
+        wt = rng.normal(size=(3, 3, c, 2)).astype(dtype)
+        b = rng.normal(size=2).astype(dtype)
+        band_bytes = stride * stride * band * width * c * np.dtype(dtype).itemsize
+        monkeypatch.setattr(grid, "_CHUNK_BYTES", 2 * band_bytes)
+        chunked = dense_conv2d(x, wt, b, stride=stride)
+        monkeypatch.setattr(grid, "_CHUNK_BYTES", 5 * band_bytes)
+        whole = dense_conv2d(x, wt, b, stride=stride)
+        assert chunked.shape[0] == h_out and chunked.dtype == dtype
+        assert chunked.tobytes() == whole.tobytes()
+        tol = 1e-5 if dtype == np.float32 else 1e-10
+        np.testing.assert_allclose(chunked, dense_conv_reference(x, wt, stride=stride)
+                                   + b, rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_dense_conv_holds_no_padded_copy(self, stride):
+        # on a 16 MiB input only the output and chunk-sized buffers are
+        # allocated; a full padded copy would be another input's worth
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((256, 256, 64), dtype=np.float32)
+        wt = rng.standard_normal((3, 3, 64, 64), dtype=np.float32)
+        b = np.zeros(64, np.float32)
+        tracemalloc.start()
+        try:
+            out = dense_conv2d(x, wt, b, stride=stride)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.nbytes >= 16 << 20
+        assert peak < out.nbytes + x.nbytes // 2
 
     def test_dense_conv_takes_channel_slice_of_kernel(self):
         rng = np.random.default_rng(8)

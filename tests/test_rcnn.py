@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_volume
+from pillardet import rcnn
 from pillardet.fpn import PoolingMap
 from pillardet.geometry import Box3D, iou_3d, point_in_rect, project_to_bev
 from pillardet.grid import DenseFeatureMap, GridSpec
@@ -12,7 +14,8 @@ from pillardet.rcnn import (LossReport, RcnnLossParts, aux_seg_labels,
                             bilinear_sample, confidence_target,
                             decode_residuals, encode_residuals,
                             pool_roi_features, rcnn_forward, rcnn_loss, refine,
-                            roi_grid_points, sample_proposals, seg_forward)
+                            roi_grid_points, roi_grids, sample_proposals,
+                            seg_forward)
 from pillardet.rpn import Detection
 from pillardet.weights import WeightStore
 
@@ -56,6 +59,22 @@ class TestGridPoints:
             pts = roi_grid_points(roi, g)
             np.testing.assert_allclose(pts.reshape(-1, 2).mean(axis=0),
                                        [roi.cx, roi.cy], atol=1e-9)
+
+    @pytest.mark.parametrize("g", [1, 5, 7, 9])
+    def test_all_rois_at_once_equal_the_per_roi_formula(self, g):
+        rng = np.random.default_rng(g)
+        rois = [Box3D(rng.uniform(-70, 70), rng.uniform(-70, 70), 0.0,
+                      rng.uniform(0.3, 6), rng.uniform(0.3, 3), 1.5,
+                      rng.uniform(-4, 4)) for _ in range(500)]
+        grids = roi_grids(rois, g)
+        assert grids.shape == (500, g, g, 2)
+        for roi, pts in zip(rois, grids):
+            lx = (-0.5 + (np.arange(g) + 0.5) / g) * roi.length
+            ly = (-0.5 + (np.arange(g) + 0.5) / g) * roi.width
+            c, s = math.cos(roi.yaw), math.sin(roi.yaw)
+            gx = roi.cx + c * lx[:, None] - s * ly[None, :]
+            gy = roi.cy + s * lx[:, None] + c * ly[None, :]
+            assert pts.tobytes() == np.stack([gx, gy], axis=-1).tobytes()
 
 
 class TestBilinear:
@@ -127,6 +146,42 @@ class TestBilinear:
             # entries the FD says are zero must be zero analytically too
             np.testing.assert_allclose(analytic[~sig], 0.0, atol=1e-9)
         assert worst < 1e-4
+
+
+class TestBilinearChunks:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunked_blend_equals_one_point_at_a_time(self, dtype):
+        rng = np.random.default_rng(13)
+        m = DenseFeatureMap(1, rng.normal(size=(16, 16, 5)).astype(dtype))
+        # two full blend chunks and a partial one, some points off the map
+        pts = rng.uniform(-5.0, 5.0, size=(2 * rcnn._BLEND_ROWS + 77, 2))
+        value, sup = bilinear_sample(m, SPEC, pts)
+        single = np.concatenate([bilinear_sample(m, SPEC, p[None])[0] for p in pts])
+        assert not sup.inside.all() and sup.inside.any()
+        assert value.dtype == dtype and value.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blend_holds_one_chunk_of_corner_rows(self, dtype):
+        c = 128
+        rng = np.random.default_rng(14)
+        m = DenseFeatureMap(1, rng.normal(size=(16, 16, c)).astype(dtype))
+        pts = rng.uniform(-5.0, 5.0, size=(5 * rcnn._BLEND_ROWS + 77, 2))
+        tracemalloc.start()
+        try:
+            out, sup = bilinear_sample(m, SPEC, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        itemsize = np.dtype(dtype).itemsize
+        cells = np.unique(sup.iy[sup.inside] * 16 + sup.ix[sup.inside])
+        values = (len(cells) + 1) * c * itemsize
+        chunk = rcnn._BLEND_ROWS * c * itemsize
+        # the (M, 4) corner tables: the returned support and each corner's
+        # row in the value table
+        tables = sum(a.nbytes for a in (sup.iy, sup.ix, sup.weight, sup.inside,
+                                        sup.iy))
+        # NumPy's casting ufuncs add fixed-size buffers of 8192 elements
+        assert peak < out.nbytes + values + chunk + tables + (512 << 10)
 
 
 class TestResiduals:
