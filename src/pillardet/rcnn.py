@@ -31,7 +31,7 @@ FeatureSource = DenseFeatureMap | PoolingMap
 
 N_RESIDUALS = 7  # dx/d, dy/d, dz/h, log-size ratios (3), dyaw
 
-# points that bilinear_sample blends per step
+# points bilinear_sample blends per step
 _BLEND_ROWS = 2048
 
 
@@ -132,8 +132,9 @@ def bilinear_sample(m: FeatureSource, spec: GridSpec,
     cells = cells[cells < n_cells]
     values = np.zeros((len(cells) + 1, m.channels), m.dtype)
     values[:-1] = m.at(cells // m.width, cells % m.width)
-    # accumulate corner by corner, a chunk of points at a time, scaling
-    # each gather in place: one chunk-sized gather is live, not (M, C)
+    # blend a chunk of points at a time, scaling each corner gather in
+    # place: one chunk-sized gather is live, not (M, C); every slot is
+    # valid, and mode="clip" lets `take` skip its own output buffer
     out = np.zeros((len(pts), m.channels), m.dtype)
     corner = np.empty((min(len(pts), _BLEND_ROWS), m.channels), m.dtype)
     for i in range(0, len(pts), _BLEND_ROWS):
