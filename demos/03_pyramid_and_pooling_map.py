@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Lateral connections: the proposal pyramid and the R-CNN pooling map.
 
-Shows the two places the same merge recipe (deconv the coarse semantic
-map, densify the sparse volume, concatenate, blend with a 3x3 conv) is
-used, and what the bottom-up branch contributes. The pyramid is built
-densely; the pooling map is evaluated only at the cells asked for, here
-every cell so the two variants can be compared.
+Shows the two places the same merge recipe, one ``LateralMap`` (deconv
+the coarse semantic map, densify the sparse volume, concatenate, blend
+with a 3x3 conv), is used, and what the bottom-up branch contributes.
+The pyramid is built densely; the pooling map is evaluated only at the
+cells asked for, here every cell so that it can be checked against its
+dense build and the two variants can be compared.
 """
 
 import numpy as np
@@ -49,12 +50,16 @@ iy, ix = iy.ravel(), ix.ravel()
 corner = pool.at(np.array([0]), np.array([0]))
 print(f"pool.at(0, 0) evaluates one cell: {corner.shape[1]} channels, "
       f"max {corner.max():.4f}")
+shape = (pool.height, pool.width, pool.channels)
+lazy = pool.at(iy, ix).reshape(shape)
+gap = np.abs(pool.dense().data - lazy).max()
+print(f"pool.at over all {pool.height * pool.width} cells vs pool.dense(), "
+      f"the same map built whole: max |difference| {gap:.1e}")
 
 print("\n== what the bottom-up branch adds ==")
 ablated = build_pooling_map(backbone, pyramid, weights, cfg.pool_stride,
                             cfg.bottom_up_strides, use_bottom_up=False)
-shape = (pool.height, pool.width, pool.channels)
-diff = np.abs(pool.at(iy, ix) - ablated.at(iy, ix)).reshape(shape)
+diff = np.abs(lazy - ablated.at(iy, ix).reshape(shape))
 occupied = np.zeros((pool.height, pool.width), dtype=bool)
 c3 = backbone.c3
 occupied[c3.coords[:, 1], c3.coords[:, 0]] = True

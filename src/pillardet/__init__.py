@@ -12,7 +12,7 @@ from .geometry import (Box3D, RotatedRect2D, project_to_bev, point_in_rect,
 from .grid import (GridSpec, PointCloud, SparsePillarVolume, DenseFeatureMap,
                    pillarize, sparse_conv2d, densify, backbone_forward,
                    BackboneFeatures)
-from .fpn import FeaturePyramid, lateral_merge, build_pyramid, build_pooling_map
+from .fpn import LateralMap, lateral, build_pyramid, build_pooling_map
 from .rpn import (Detection, HeadOutput, RpnTargets, encode_targets, rpn_loss,
                   rpn_forward, decode_proposals, rectify, rectify_detections,
                   nms_3d)
@@ -32,7 +32,7 @@ __all__ = [
     "GridSpec", "PointCloud", "SparsePillarVolume", "DenseFeatureMap",
     "pillarize", "sparse_conv2d", "densify", "backbone_forward",
     "BackboneFeatures",
-    "FeaturePyramid", "lateral_merge", "build_pyramid", "build_pooling_map",
+    "LateralMap", "lateral", "build_pyramid", "build_pooling_map",
     "Detection", "HeadOutput", "RpnTargets", "encode_targets", "rpn_loss",
     "rpn_forward", "decode_proposals", "rectify", "rectify_detections",
     "nms_3d",

@@ -162,6 +162,11 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"scene mismatch: {len(det_paths)} detection files vs "
             f"{len(gt_paths)} ground-truth files")
+    if len(det_paths) > 1:
+        for d, g in zip(det_paths, gt_paths):
+            if (os.path.basename(d).removesuffix(".det.txt")
+                    != os.path.basename(g).removesuffix(".gt.txt")):
+                raise ConfigError(f"scene mismatch: {d} vs {g}")
     det_scenes = [fileio.load_detections(p) for p in det_paths]
     gt_scenes = [fileio.load_gt(p) for p in gt_paths]
     report = evaluate_levels(det_scenes, gt_scenes, cfg.eval_iou)

@@ -1,10 +1,11 @@
 """Lateral connections: the proposal pyramid and the R-CNN pooling map.
 
-Both follow the same recipe: upsample the semantically stronger coarse map
-with a stride-2 deconvolution, densify the spatially precise sparse volume
-at the target stride, concatenate [top-down, bottom-up], and blend with a
-3x3 convolution. Concatenation (rather than addition) keeps the mostly
-empty bottom-up channels from washing out the semantics.
+Both follow the same recipe, :class:`LateralMap`: upsample the
+semantically stronger coarse map with a stride-2 deconvolution, densify
+the spatially precise sparse volume at the target stride, concatenate
+[top-down, bottom-up], and blend with a 3x3 convolution. Concatenation
+(rather than addition) keeps the mostly empty bottom-up channels from
+washing out the semantics.
 
 The concat + conv is evaluated without building the concatenation: a
 convolution is linear in its input channels, so the kernel splits by
@@ -15,13 +16,13 @@ This is the same operation up to the order of float additions, checked
 against the per-pixel oracle on the concatenated input by ``verify``.
 
 The pyramid levels are read everywhere by the center heads, so they are
-built densely. The pooling map is only read under the RoI grids (a few
-percent of its cells on a full-range scene), so it is never built:
-:class:`PoolingMap` holds its inputs and evaluates the same recipe at the
-cells asked for. Its up half is one dense conv over a canvas packed with
-haloed strips of the map around those cells (about 3.5 cells computed
-per cell asked for on a full-range scene, against 22 for the whole map),
-deconvolving only the parents of the strips' cells.
+built whole, by :meth:`LateralMap.dense`. The pooling map is only read
+under the RoI grids (a few percent of its cells on a full-range scene),
+so it is never built: :meth:`LateralMap.at` evaluates the same recipe at
+the cells asked for. Its up half is one dense conv over a canvas of
+haloed strips of the map around those cells, laid side by side (about
+3.5 cells computed per cell asked for on a full-range scene, against 22
+for the whole map), deconvolving only the parents of the strips' cells.
 """
 
 from __future__ import annotations
@@ -35,16 +36,6 @@ from .grid import (BackboneFeatures, DenseFeatureMap, SparsePillarVolume,  # noq
                    conv3x3_at, deconv2x2, deconv2x2_at, dense_conv2d, densify,
                    _relu_volume, reached_cells, sparse_conv2d)
 from .weights import WeightStore
-
-
-@dataclass(frozen=True)
-class FeaturePyramid:
-    """Proposal-stage feature maps keyed by stride (default {4: P3, 8: P4})."""
-
-    levels: dict[int, DenseFeatureMap]
-
-    def __getitem__(self, stride: int) -> DenseFeatureMap:
-        return self.levels[stride]
 
 
 def split_lateral_conv(up: np.ndarray, bottom_up: list[SparsePillarVolume],
@@ -78,39 +69,6 @@ def split_lateral_conv(up: np.ndarray, bottom_up: list[SparsePillarVolume],
     return np.maximum(out, 0.0, out=out)
 
 
-def lateral_merge(top_down: DenseFeatureMap, bottom_up: SparsePillarVolume,
-                  weights: WeightStore, prefix: str) -> DenseFeatureMap:
-    """Merge a coarse dense map into the sparse volume one level below.
-
-    ``top_down`` must sit at exactly twice the stride of ``bottom_up``;
-    its deconv output has to land on the bottom-up grid dims.
-    """
-    if top_down.stride != 2 * bottom_up.stride:
-        raise ValueError(
-            f"top-down stride {top_down.stride} must be twice bottom-up "
-            f"stride {bottom_up.stride}"
-        )
-    up = deconv2x2(top_down.data, weights.get(f"{prefix}.deconv.w"),
-                   weights.get(f"{prefix}.deconv.b"))
-    np.maximum(up, 0.0, out=up)
-    if up.shape[:2] != (bottom_up.ny, bottom_up.nx):
-        raise ValueError(
-            f"upsampled dims {up.shape[:2]} do not match bottom-up grid "
-            f"({bottom_up.ny}, {bottom_up.nx})"
-        )
-    out = split_lateral_conv(up, [bottom_up], weights.get(f"{prefix}.conv.w"),
-                             weights.get(f"{prefix}.conv.b"))
-    return DenseFeatureMap(bottom_up.stride, out)
-
-
-def build_pyramid(backbone: BackboneFeatures,
-                  weights: WeightStore) -> FeaturePyramid:
-    """Iterate the lateral merge top-down: C5+C4 -> P4, then P4+C3 -> P3."""
-    p4 = lateral_merge(backbone.c5, backbone.c4, weights, "neck.p4")
-    p3 = lateral_merge(p4, backbone.c3, weights, "neck.p3")
-    return FeaturePyramid({4: p3, 8: p4})
-
-
 def _downsample_chain(volume: SparsePillarVolume, target_stride: int,
                       weights: WeightStore, prefix: str) -> SparsePillarVolume:
     v = volume
@@ -123,23 +81,19 @@ def _downsample_chain(volume: SparsePillarVolume, target_stride: int,
     return v
 
 
-# rows of the map bands the queried cells are cut into, and the width of
-# the canvas their strips are packed into for the up half's dense conv
+# rows of the map bands the queried cells are cut into
 _STRIP_ROWS = 4
-_CANVAS_WIDTH = 512
 
 
 def _pack_strips(qy: np.ndarray, qx: np.ndarray):
-    """Cover cells (``qy``, ``qx``) with strips and pack them into a canvas.
+    """Cover cells (``qy``, ``qx``) with strips of the map.
 
     The map is cut into bands of ``_STRIP_ROWS`` rows; within a band, the
     queried columns form runs (gaps of up to two columns are bridged, as
     cheap as two more halo columns), and each run is a strip. A strip
     keeps a one-cell halo all round, so its inner cells' 3x3
-    neighbourhoods lie inside it. Strips fill shelves of
-    ``_STRIP_ROWS + 2`` canvas rows left to right. Returns, per strip,
-    the map cell of its top-left halo corner, its width with halo, and
-    its canvas corner; then each query's strip, and the canvas width.
+    neighbourhoods lie inside it. Returns, per strip, the map cell of its
+    top-left halo corner and its width with halo; then each query's strip.
     """
     t = _STRIP_ROWS
     band = qy // t
@@ -150,27 +104,17 @@ def _pack_strips(qy: np.ndarray, qx: np.ndarray):
     strip_of[order] = np.cumsum(new) - 1
     first = np.flatnonzero(new)
     last = np.r_[first[1:], len(x)] - 1
-    map_y, map_x = b[first] * t - 1, x[first] - 1
-    widths = x[last] - x[first] + 3
-    canvas_w = max(_CANVAS_WIDTH, int(widths.max()))
-    canvas_y = np.empty(len(first), dtype=np.int64)
-    canvas_x = np.empty(len(first), dtype=np.int64)
-    shelf = pos = 0
-    for i, width in enumerate(widths.tolist()):
-        if pos + width > canvas_w:
-            shelf, pos = shelf + 1, 0
-        canvas_y[i], canvas_x[i] = shelf * (t + 2), pos
-        pos += width
-    return map_y, map_x, widths, canvas_y, canvas_x, strip_of, canvas_w
+    return b[first] * t - 1, x[first] - 1, x[last] - x[first] + 3, strip_of
 
 
 @dataclass(frozen=True, eq=False)
-class PoolingMap:
-    """The R-CNN pooling map, evaluated only at the cells asked for.
+class LateralMap:
+    """One lateral connection: a pyramid level or the R-CNN pooling map.
 
     Its value at a cell is ``relu(conv3x3(concat([relu(deconv2x2(semantic))]
     + [densify(v) for v in bottom_up])) + conv_b)``, one stride below
-    ``semantic``. Nothing is computed until :meth:`at` is called.
+    ``semantic``. :meth:`dense` builds the whole map; :meth:`at` evaluates
+    only the cells asked for.
     """
 
     semantic: DenseFeatureMap
@@ -190,8 +134,13 @@ class PoolingMap:
             raise ValueError(f"kernel shape {self.conv_w.shape} incompatible "
                              f"with {c_in} concatenated input channels")
         for v in self.bottom_up:
+            if 2 * v.stride != self.semantic.stride:
+                raise ValueError(f"semantic stride {self.semantic.stride} must "
+                                 f"be twice bottom-up stride {v.stride}")
             if (v.ny, v.nx) != (self.height, self.width):
-                raise ValueError("bottom-up branch dims do not match upsampled map")
+                raise ValueError(f"bottom-up grid ({v.ny}, {v.nx}) does not "
+                                 f"match the upsampled map "
+                                 f"({self.height}, {self.width})")
 
     @property
     def stride(self) -> int:
@@ -216,68 +165,91 @@ class PoolingMap:
                               self.conv_w, self.conv_b,
                               *(v.features for v in self.bottom_up))
 
+    def dense(self) -> DenseFeatureMap:
+        """The whole map, through :func:`split_lateral_conv`."""
+        up = deconv2x2(self.semantic.data, self.deconv_w, self.deconv_b)
+        np.maximum(up, 0.0, out=up)
+        return DenseFeatureMap(self.stride, split_lateral_conv(
+            up, list(self.bottom_up), self.conv_w, self.conv_b))
+
     def at(self, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
         """Map values at cells (``iy[k]``, ``ix[k]``) -> (K, C).
 
         The up half is one dense conv over packed strips of the map (see
         :meth:`_up_half`); each bottom-up volume's conv is computed at the
-        sorted distinct query cells by :func:`~pillardet.grid.conv3x3_at`
-        and added, then bias and ReLU: the order the split lateral conv
-        adds them in.
+        query cells, in the order given, by
+        :func:`~pillardet.grid.conv3x3_at` and added, then bias and ReLU:
+        the order the split lateral conv adds them in.
         """
         iy = np.asarray(iy, dtype=np.int64).reshape(-1)
         ix = np.asarray(ix, dtype=np.int64).reshape(-1)
         h, w = self.height, self.width
         if len(iy) and (min(iy.min(), ix.min()) < 0 or iy.max() >= h
                         or ix.max() >= w):
-            raise IndexError(f"cells outside the {h}x{w} pooling map")
+            raise IndexError(f"cells outside the {h}x{w} lateral map")
         if not len(iy):
             return np.zeros((0, self.channels), self.dtype)
-        keys, slot = np.unique(ix * h + iy, return_inverse=True)
-        out = self._up_half(keys % h, keys // h)
+        out = self._up_half(iy, ix)
         start = self.deconv_w.shape[3]
         for v in self.bottom_up:
-            out += conv3x3_at(v, self.conv_w[:, :, start:start + v.channels], keys)
+            out += conv3x3_at(v, self.conv_w[:, :, start:start + v.channels],
+                              ix * h + iy)
             start += v.channels
         out += self.conv_b
-        np.maximum(out, 0.0, out=out)
-        return out[slot.reshape(-1)]
+        return np.maximum(out, 0.0, out=out)
 
     def _up_half(self, qy: np.ndarray, qx: np.ndarray) -> np.ndarray:
         """The up half's conv, without bias, at cells (``qy``, ``qx``).
 
-        One dense conv runs over a canvas of strips that cover the cells
-        (see :func:`_pack_strips`), holding the upsampled map, zero off the
-        map. A strip's inner cells read only their own strip, so they get
-        exactly the full map's values. Only the parents of the strips'
-        cells are deconvolved.
+        One dense conv runs over a canvas of ``_STRIP_ROWS + 2`` rows that
+        holds the strips covering the cells (see :func:`_pack_strips`) side
+        by side: the upsampled map, zero off the map. A strip's inner cells
+        read only their own strip, so they get exactly the full map's
+        values. Only the parents of the strips' cells are deconvolved.
         """
-        h, w, rows = self.height, self.width, _STRIP_ROWS + 2
-        map_y, map_x, widths, canvas_y, canvas_x, strip_of, canvas_w = \
-            _pack_strips(qy, qx)
-        # every strip cell: its strip, row and column within the strip
+        h, w = self.height, self.width
+        map_y, map_x, widths, strip_of = _pack_strips(qy, qx)
+        canvas_x = np.cumsum(widths) - widths
+        # every canvas column's strip, and every canvas cell's map cell
         s = np.repeat(np.arange(len(widths)), widths)
-        col = np.arange(len(s)) - np.repeat(np.cumsum(widths) - widths, widths)
-        row = np.arange(rows)[:, None]
-        my, mx = map_y[s] + row, map_x[s] + col
-        cy, cx = canvas_y[s] + row, canvas_x[s] + col
-        my, mx, cy, cx = np.broadcast_arrays(my, mx, cy, cx)
+        my, mx = np.broadcast_arrays(
+            map_y[s] + np.arange(_STRIP_ROWS + 2)[:, None],
+            map_x[s] + np.arange(len(s)) - canvas_x[s])
         on = (my >= 0) & (my < h) & (mx >= 0) & (mx < w)
         c_up, dtype = self.deconv_w.shape[3], self.dtype
-        canvas = np.zeros((canvas_y.max() + rows, canvas_w, c_up), dtype)
-        canvas[cy[on], cx[on]] = deconv2x2_at(
-            self.semantic.data, self.deconv_w, self.deconv_b, my[on], mx[on])
+        canvas = np.zeros(my.shape + (c_up,), dtype)
+        canvas[on] = deconv2x2_at(self.semantic.data, self.deconv_w,
+                                  self.deconv_b, my[on], mx[on])
         np.maximum(canvas, 0.0, out=canvas)
         conv = dense_conv2d(canvas, self.conv_w[:, :, :c_up],
                             np.zeros(self.channels, dtype))
-        return conv[canvas_y[strip_of] + qy - map_y[strip_of],
-                    canvas_x[strip_of] + qx - map_x[strip_of]]
+        return conv[qy - map_y[strip_of], canvas_x[strip_of] + qx - map_x[strip_of]]
 
 
-def build_pooling_map(backbone: BackboneFeatures, pyramid: FeaturePyramid,
+def lateral(semantic: DenseFeatureMap, bottom_up: tuple[SparsePillarVolume, ...],
+            weights: WeightStore, prefix: str) -> LateralMap:
+    """``LateralMap`` with the kernels ``{prefix}.deconv.w``/``.b`` and
+    ``{prefix}.conv.w``/``.b``."""
+    return LateralMap(semantic, bottom_up,
+                      weights.get(f"{prefix}.deconv.w"),
+                      weights.get(f"{prefix}.deconv.b"),
+                      weights.get(f"{prefix}.conv.w"),
+                      weights.get(f"{prefix}.conv.b"))
+
+
+def build_pyramid(backbone: BackboneFeatures,
+                  weights: WeightStore) -> dict[int, DenseFeatureMap]:
+    """Proposal-stage levels by stride: C5+C4 -> P4, then P4+C3 -> P3."""
+    p4 = lateral(backbone.c5, (backbone.c4,), weights, "neck.p4").dense()
+    p3 = lateral(p4, (backbone.c3,), weights, "neck.p3").dense()
+    return {4: p3, 8: p4}
+
+
+def build_pooling_map(backbone: BackboneFeatures,
+                      pyramid: dict[int, DenseFeatureMap],
                       weights: WeightStore, pool_stride: int,
                       bottom_up_strides: tuple[int, ...],
-                      use_bottom_up: bool = True) -> PoolingMap:
+                      use_bottom_up: bool = True) -> LateralMap:
     """Class-agnostic map the R-CNN stage pools from, evaluated lazily.
 
     The top-down branch deconvolves the semantic map one level above the
@@ -286,7 +258,7 @@ def build_pooling_map(backbone: BackboneFeatures, pyramid: FeaturePyramid,
     convs (identity when already there); ``use_bottom_up=False`` zeroes
     that branch, leaving the semantics-only ablation: the branch becomes
     an empty volume, so it adds nothing. The deconv and the 3x3 conv run
-    only when :meth:`PoolingMap.at` asks for cells.
+    only when :meth:`LateralMap.at` asks for cells.
     """
     if pool_stride not in (2, 4, 8):
         raise ValueError(f"pool_stride must be one of 2, 4, 8, got {pool_stride}")
@@ -297,8 +269,7 @@ def build_pooling_map(backbone: BackboneFeatures, pyramid: FeaturePyramid,
             )
 
     semantic_stride = pool_stride * 2
-    semantic = (pyramid.levels[semantic_stride]
-                if semantic_stride in pyramid.levels else backbone.c5)
+    semantic = pyramid.get(semantic_stride, backbone.c5)
     if semantic.stride != semantic_stride:
         raise ValueError(
             f"no semantic map at stride {semantic_stride} for pooling "
@@ -313,9 +284,4 @@ def build_pooling_map(backbone: BackboneFeatures, pyramid: FeaturePyramid,
             vol = SparsePillarVolume.empty(vol.stride, vol.nx, vol.ny,
                                            vol.channels, vol.features.dtype)
         branches.append(vol)
-
-    return PoolingMap(semantic, tuple(branches),
-                      weights.get("neck.pool.deconv.w"),
-                      weights.get("neck.pool.deconv.b"),
-                      weights.get("neck.pool.conv.w"),
-                      weights.get("neck.pool.conv.b"))
+    return lateral(semantic, tuple(branches), weights, "neck.pool")

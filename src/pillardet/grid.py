@@ -283,12 +283,13 @@ def conv3x3_at(v: SparsePillarVolume, weight: np.ndarray, cells: np.ndarray,
                stride: int = 1) -> np.ndarray:
     """The bias-free 3x3 conv (zero padding 1) of ``densify(v)`` at ``cells``.
 
-    ``cells`` are sorted flat output cells ``ox * ny_out + oy`` of the grid
-    at ``stride``; the result is their (len(cells), c_out) rows, in the
-    dtype the features and kernel promote to. A neighbour table lists, per
-    output cell, the feature row under each of the nine kernel offsets, a
-    zero row where no site is active; bands of ``_BAND_ROWS`` cells are then
-    one ``(band, 9 * C) @ (9 * C, c_out)`` GEMM each.
+    ``cells`` are flat output cells ``ox * ny_out + oy`` of the grid at
+    ``stride``, in any order; the result is their (len(cells), c_out)
+    rows, in the dtype the features and kernel promote to. A neighbour
+    table lists, per output cell, the feature row under each of the nine
+    kernel offsets, a zero row where no site is active; bands of
+    ``_BAND_ROWS`` cells are then one ``(band, 9 * C) @ (9 * C, c_out)``
+    GEMM each.
     """
     if weight.shape[:3] != (3, 3, v.channels):
         raise ValueError(
@@ -522,9 +523,11 @@ def backbone_forward(v: SparsePillarVolume, weights: WeightStore,
     c2, c3, c4 = stages[1], stages[2], stages[3]
 
     dense_in = densify(c4)
-    d = relu(dense_conv2d(dense_in.data, weights.get("backbone.s5.down.w"),
-                          weights.get("backbone.s5.down.b"), stride=2))
-    d = relu(dense_conv2d(d, weights.get("backbone.s5.conv.w"),
-                          weights.get("backbone.s5.conv.b"), stride=1))
+    d = dense_conv2d(dense_in.data, weights.get("backbone.s5.down.w"),
+                     weights.get("backbone.s5.down.b"), stride=2)
+    np.maximum(d, 0.0, out=d)
+    d = dense_conv2d(d, weights.get("backbone.s5.conv.w"),
+                     weights.get("backbone.s5.conv.b"), stride=1)
+    np.maximum(d, 0.0, out=d)
     c5 = DenseFeatureMap(c4.stride * 2, d)
     return BackboneFeatures(c1, c2, c3, c4, c5)

@@ -84,16 +84,14 @@ def dense_conv_reference(data: np.ndarray, weight: np.ndarray,
     return out
 
 
-def exhaustive_nms(dets, iou_thresholds: dict[int, float], iou_fn,
-                   score_fn=None) -> list:
+def exhaustive_nms(dets, iou_thresholds: dict[int, float], iou_fn) -> list:
     """Greedy per-class NMS computed from the full pairwise IoU matrix.
 
-    ``dets`` is any sequence with ``box`` and ``class_id`` attributes;
-    ``iou_fn`` computes scalar 3D IoU between two boxes. Ordering is by
-    descending ``score_fn`` with ties broken by earlier input index.
+    ``dets`` is any sequence with ``box``, ``class_id`` and
+    ``rectified_score`` attributes; ``iou_fn`` computes scalar 3D IoU
+    between two boxes. Ordering is by descending ``rectified_score`` with
+    ties broken by earlier input index.
     """
-    if score_fn is None:
-        score_fn = lambda d: d.rectified_score
     kept: list = []
     by_class: dict[int, list[int]] = {}
     for i, d in enumerate(dets):
@@ -106,7 +104,8 @@ def exhaustive_nms(dets, iou_thresholds: dict[int, float], iou_fn,
         for i in range(n):
             for j in range(i + 1, n):
                 iou[i, j] = iou[j, i] = iou_fn(dets[idx[i]].box, dets[idx[j]].box)
-        order = sorted(range(n), key=lambda i: (-score_fn(dets[idx[i]]), idx[i]))
+        order = sorted(range(n),
+                       key=lambda i: (-dets[idx[i]].rectified_score, idx[i]))
         alive = [True] * n
         for pos, i in enumerate(order):
             if not alive[i]:
@@ -116,8 +115,7 @@ def exhaustive_nms(dets, iou_thresholds: dict[int, float], iou_fn,
                 if alive[j] and iou[i, j] > thr:
                     alive[j] = False
     kept_set = set(kept)
-    order_all = sorted(kept_set,
-                       key=lambda i: (-score_fn(dets[i]), i))
+    order_all = sorted(kept_set, key=lambda i: (-dets[i].rectified_score, i))
     return [dets[i] for i in order_all]
 
 

@@ -4,7 +4,7 @@ A G x G lattice of points is placed inside each proposal's rotated
 footprint, features are bilinearly interpolated from the pooling map, and
 a small MLP predicts a confidence logit plus seven box residuals. The
 sampler asks the map for its values once, at the distinct cells under
-the grid points, so a lazily evaluated :class:`~pillardet.fpn.PoolingMap`
+the grid points, so a lazily evaluated :class:`~pillardet.fpn.LateralMap`
 computes only those cells.
 An auxiliary per-grid-point segmentation head (training only) checks that
 the pooled features carry enough structure to separate foreground from
@@ -20,14 +20,14 @@ import numpy as np
 
 from .geometry import (Box3D, exp_extent, iou_3d_matrix, normalize_angle,
                        point_in_rect, project_to_bev)
-from .fpn import PoolingMap
+from .fpn import LateralMap
 from .grid import DenseFeatureMap, GridSpec, relu
 from .rpn import Detection, _sigmoid
 from .weights import WeightStore
 
 # anything with stride, height, width, channels, dtype and
 # ``at(iy, ix) -> (K, C)``
-FeatureSource = DenseFeatureMap | PoolingMap
+FeatureSource = DenseFeatureMap | LateralMap
 
 N_RESIDUALS = 7  # dx/d, dy/d, dz/h, log-size ratios (3), dyaw
 
@@ -122,16 +122,18 @@ def bilinear_sample(m: FeatureSource, spec: GridSpec,
     the map's dtype; the sum runs in the map's dtype.
     """
     sup = _bilinear_support(m, spec, pts)
-    # an off-map corner keys past every cell, so it reads the slot after
-    # the last cell's: one extra zero row
+    # keyed ix * height + iy, a sparse volume's flat order, so a lateral
+    # map's bottom-up conv gets its cells sorted (a GEMM row's rounding
+    # can depend on its place in the band); an off-map corner keys past
+    # every cell, so it reads the slot after the last cell's: a zero row
     n_cells = m.height * m.width
     cells, corner_slot = np.unique(
-        np.where(sup.inside, sup.iy * m.width + sup.ix, n_cells),
+        np.where(sup.inside, sup.ix * m.height + sup.iy, n_cells),
         return_inverse=True)
     corner_slot = corner_slot.reshape(sup.inside.shape)
     cells = cells[cells < n_cells]
     values = np.zeros((len(cells) + 1, m.channels), m.dtype)
-    values[:-1] = m.at(cells // m.width, cells % m.width)
+    values[:-1] = m.at(cells % m.height, cells // m.height)
     # blend a chunk of points at a time, scaling each corner gather in
     # place: one chunk-sized gather is live, not (M, C); every slot is
     # valid, and mode="clip" lets `take` skip its own output buffer

@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import Box3D, exp_extent, iou_3d
-from .grid import GridSpec, dense_conv2d
-from .fpn import FeaturePyramid
+from .grid import DenseFeatureMap, GridSpec, dense_conv2d
 from .weights import WeightStore
 
 # regression channel order: [off_x, off_y, z, log_l, log_w, log_h, sin, cos]
@@ -174,12 +173,12 @@ def rpn_loss(preds: dict[int, HeadOutput],
     return total, breakdown
 
 
-def rpn_forward(pyramid: FeaturePyramid, weights: WeightStore,
+def rpn_forward(pyramid: dict[int, DenseFeatureMap], weights: WeightStore,
                 level_classes: dict[int, tuple[int, ...]]
                 ) -> dict[int, HeadOutput]:
     """Apply the center head to each pyramid level."""
     out: dict[int, HeadOutput] = {}
-    for stride, fmap in sorted(pyramid.levels.items()):
+    for stride, fmap in sorted(pyramid.items()):
         classes = level_classes[stride]
         prefix = f"rpn.s{stride}"
         shared = dense_conv2d(fmap.data, weights.get(f"{prefix}.shared.w"),

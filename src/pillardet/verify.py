@@ -20,7 +20,7 @@ import numpy as np
 from .geometry import (Box3D, RotatedRect2D, iou_3d, point_in_rect,
                        project_to_bev, rotated_iou_bev)
 from .config import PipelineConfig, weight_layout
-from .fpn import PoolingMap, build_pooling_map, build_pyramid, split_lateral_conv
+from .fpn import LateralMap, build_pooling_map, build_pyramid, split_lateral_conv
 from .grid import (DenseFeatureMap, GridSpec, SparsePillarVolume,
                    backbone_forward, densify, pillarize, relu, sparse_conv2d)
 from .oracles import (dense_conv_reference, exhaustive_nms,
@@ -209,10 +209,10 @@ def pooling_at_cells_suite(maps: int = 40, seed: int = 6,
     The reference deconvolves the whole semantic map pixel by pixel,
     concatenates the densified volumes and convolves per pixel. Cell sets
     are by turns a random subset with repeats, the border ring, every cell,
-    no cell and every fourth column of a 64x64 map (more strips than one
-    canvas row holds); volumes are as in the split-lateral suite. ``corrupt``
-    perturbs one upsampled-half kernel weight on the lazy side only, a
-    negative control that must make the suite fail.
+    no cell and every fourth column of a 64x64 map (256 single-column
+    strips in one canvas); volumes are as in the split-lateral suite.
+    ``corrupt`` perturbs one upsampled-half kernel weight on the lazy side
+    only, a negative control that must make the suite fail.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -235,7 +235,7 @@ def pooling_at_cells_suite(maps: int = 40, seed: int = 6,
         w_lazy = conv_w.copy()
         if corrupt:
             w_lazy[1, 1, 0, 0] += 1e-3
-        pool = PoolingMap(DenseFeatureMap(2, semantic), tuple(vols), deconv_w,
+        pool = LateralMap(DenseFeatureMap(2, semantic), tuple(vols), deconv_w,
                           deconv_b, w_lazy, conv_b)
         up = relu(_deconv_per_pixel(semantic, deconv_w, deconv_b))
         merged = np.concatenate([up] + [densify(v).data for v in vols], axis=-1)

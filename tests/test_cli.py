@@ -234,6 +234,21 @@ class TestEval:
                      "--gt", str(scenes)]) == 1
         assert "mismatch" in capsys.readouterr().err
 
+    def test_scene_name_mismatch_rejected_before_reading(self, tmp_path,
+                                                         config_path, capsys):
+        # dets for scenes 0 and 1 against ground truth for scenes 1 and 2,
+        # the second of which is not even a valid file
+        scenes, dets = self.make_scene_pair(tmp_path, config_path)
+        os.rename(scenes / "scene_0001.gt.txt", scenes / "scene_0002.gt.txt")
+        os.rename(scenes / "scene_0000.gt.txt", scenes / "scene_0001.gt.txt")
+        (scenes / "scene_0002.gt.txt").write_text("not a ground-truth file\n")
+        capsys.readouterr()
+        assert main(["eval", "--config", config_path, "--dets", str(dets),
+                     "--gt", str(scenes)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "scene_0000.det.txt" in err[0] and "scene_0001.gt.txt" in err[0]
+
 
 class TestVerify:
     def test_default_budgets_pass(self, config_path, capsys):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from pillardet.config import config_from_dict, weight_layout
-from pillardet.fpn import (_downsample_chain, _pack_strips, build_pooling_map,
-                           build_pyramid, lateral_merge, split_lateral_conv)
-from pillardet.grid import (PointCloud, SparsePillarVolume,
+from pillardet.fpn import (LateralMap, _downsample_chain, _pack_strips,
+                           build_pooling_map, build_pyramid, lateral,
+                           split_lateral_conv)
+from pillardet.grid import (DenseFeatureMap, PointCloud, SparsePillarVolume,
                             backbone_forward, deconv2x2, dense_conv2d,
                             densify, pillarize, relu)
 from pillardet.oracles import dense_conv_reference
@@ -57,7 +58,7 @@ class TestLateralMerge:
     def test_upsample_doubles_dims(self):
         cfg = tiny_config()
         store, backbone = forward_to_backbone(cfg)
-        p4 = lateral_merge(backbone.c5, backbone.c4, store, "neck.p4")
+        p4 = lateral(backbone.c5, (backbone.c4,), store, "neck.p4").dense()
         assert (p4.height, p4.width) == (backbone.c4.ny, backbone.c4.nx)
         assert p4.stride == 8
 
@@ -65,7 +66,15 @@ class TestLateralMerge:
         cfg = tiny_config()
         store, backbone = forward_to_backbone(cfg)
         with pytest.raises(ValueError):
-            lateral_merge(backbone.c5, backbone.c3, store, "neck.p4")
+            lateral(backbone.c5, (backbone.c3,), store, "neck.p4")
+
+    def test_bottom_up_at_the_wrong_stride_rejected(self):
+        # grid dims match the upsampled map, but stride 4 is not 16 / 2
+        semantic = DenseFeatureMap(16, np.zeros((3, 4, 2)))
+        v = SparsePillarVolume.empty(4, 8, 6, 1)
+        with pytest.raises(ValueError, match="twice"):
+            LateralMap(semantic, (v,), np.zeros((2, 2, 2, 2)), np.zeros(2),
+                       np.zeros((3, 3, 3, 1)), np.zeros(1))
 
     def test_empty_bottom_up_equals_zero_padded_branch(self):
         for dtype in STORE_DTYPES:
@@ -73,7 +82,7 @@ class TestLateralMerge:
             store, backbone = forward_to_backbone(cfg, dtype=dtype)
             empty = SparsePillarVolume.empty(8, backbone.c4.nx, backbone.c4.ny,
                                              backbone.c4.channels, dtype)
-            merged = lateral_merge(backbone.c5, empty, store, "neck.p4")
+            merged = lateral(backbone.c5, (empty,), store, "neck.p4").dense()
             up = relu(deconv2x2(backbone.c5.data, store.get("neck.p4.deconv.w"),
                                 store.get("neck.p4.deconv.b")))
             manual = relu(dense_conv2d(
@@ -86,9 +95,11 @@ class TestLateralMerge:
         for dtype in STORE_DTYPES:
             cfg = tiny_config()
             store, backbone = forward_to_backbone(cfg, dtype=dtype)
-            p4 = lateral_merge(backbone.c5, backbone.c4, store, "neck.p4")
+            p4 = lateral(backbone.c5, (backbone.c4,), store, "neck.p4").dense()
             assert backbone.c3.n_active > 0
-            p3 = lateral_merge(p4, backbone.c3, store, "neck.p3")
+            m3 = lateral(p4, (backbone.c3,), store, "neck.p3")
+            p3 = m3.dense()
+            np.testing.assert_array_equal(p3.data, dense_values(m3))
             up = relu(deconv2x2(p4.data, store.get("neck.p3.deconv.w"),
                                 store.get("neck.p3.deconv.b")))
             merged = np.concatenate([up, densify(backbone.c3).data], axis=-1)
@@ -165,6 +176,7 @@ class TestPoolingMap:
             assert expected.dtype == dtype
             np.testing.assert_allclose(dense_values(pool), expected,
                                        atol=FORMULA_ATOL[dtype])
+            np.testing.assert_array_equal(pool.dense().data, dense_values(pool))
 
     def test_default_stride_matches_concat_formula(self):
         for dtype in STORE_DTYPES:
@@ -181,6 +193,7 @@ class TestPoolingMap:
             assert expected.dtype == dtype
             np.testing.assert_allclose(dense_values(pool), expected,
                                        atol=FORMULA_ATOL[dtype])
+            np.testing.assert_array_equal(pool.dense().data, dense_values(pool))
 
     def test_cell_subset_in_any_order_matches_all_cells(self):
         cfg = tiny_config()
@@ -194,9 +207,9 @@ class TestPoolingMap:
         iy[:3], ix[:3] = [0, pool.height - 1, iy[3]], [0, pool.width - 1, ix[3]]
         np.testing.assert_array_equal(pool.at(iy, ix), full[iy, ix])
 
-    def test_strips_over_several_canvas_shelves_match_concat_formula(self):
-        # every fourth column of a 128x128 map: one strip per run of a
-        # single column, more of them than one canvas row of strips holds
+    def test_one_strip_per_queried_column_run_matches_concat_formula(self):
+        # every fourth column of a 128x128 map: one strip per band of
+        # rows and single-column run, 32 x 32 of them side by side
         for dtype in STORE_DTYPES:
             cfg = tiny_config(extent=25.6)
             store, backbone = forward_to_backbone(cfg, n_points=600, dtype=dtype)
@@ -211,12 +224,13 @@ class TestPoolingMap:
             iy, ix = np.meshgrid(np.arange(pool.height),
                                  np.arange(1, pool.width, 4), indexing="ij")
             iy, ix = iy.ravel(), ix.ravel()
-            canvas_y = _pack_strips(iy, ix)[3]
-            assert canvas_y.max() > 0
+            widths = _pack_strips(iy, ix)[2]
+            assert len(widths) == 1024
             atol = FORMULA_ATOL[dtype]
             assert expected.dtype == dtype
             np.testing.assert_allclose(pool.at(iy, ix), expected[iy, ix], atol=atol)
             np.testing.assert_allclose(dense_values(pool), expected, atol=atol)
+            np.testing.assert_array_equal(pool.dense().data, dense_values(pool))
 
     def test_empty_cell_set(self):
         cfg = tiny_config()

@@ -11,7 +11,7 @@ import pytest
 from conftest import SMALL_CONFIG_DICT, make_volume
 from pillardet import fileio, pipeline, rcnn
 from pillardet.config import config_from_dict, weight_layout
-from pillardet.fpn import PoolingMap, split_lateral_conv
+from pillardet.fpn import LateralMap, split_lateral_conv
 from pillardet.grid import (DenseFeatureMap, GridSpec, PointCloud,
                             SparsePillarVolume, conv3x3_at, deconv2x2,
                             deconv2x2_at, dense_conv2d, densify, pillarize,
@@ -70,8 +70,8 @@ def run_split_lateral(rng, feat, weight):
                               normal(rng, 2, weight))
 
 
-def run_pooling_map_at(rng, feat, weight):
-    pool = PoolingMap(DenseFeatureMap(2, normal(rng, (3, 4, 2), feat)),
+def run_lateral_map_at(rng, feat, weight):
+    pool = LateralMap(DenseFeatureMap(2, normal(rng, (3, 4, 2), feat)),
                       (volume(rng, feat),), normal(rng, (2, 2, 2, 2), weight),
                       normal(rng, 2, weight), normal(rng, (3, 3, 5, 2), weight),
                       normal(rng, 2, weight))
@@ -89,7 +89,7 @@ KERNELS = {
     "sparse_conv2d-s2": lambda rng, f, w: run_sparse_conv(rng, f, w, 2, False),
     "conv3x3_at": run_conv_at,
     "split_lateral_conv": run_split_lateral,
-    "PoolingMap.at": run_pooling_map_at,
+    "LateralMap.at": run_lateral_map_at,
 }
 
 
@@ -194,7 +194,7 @@ class TestPipelinePrecision:
                 "C5": backbone.c5.data, "pool": seen["build_pooling_map"]}
         for i in (1, 2, 3, 4):
             maps[f"C{i}"] = getattr(backbone, f"c{i}").features
-        for stride, level in seen["build_pyramid"].levels.items():
+        for stride, level in seen["build_pyramid"].items():
             maps[f"P@{stride}"] = level.data
         for stride, head in seen["rpn_forward"].items():
             for field in ("heatmap", "reg", "iou"):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_volume
 from pillardet import rcnn
-from pillardet.fpn import PoolingMap
+from pillardet.fpn import LateralMap
 from pillardet.geometry import Box3D, iou_3d, point_in_rect, project_to_bev
 from pillardet.grid import DenseFeatureMap, GridSpec
 from pillardet.oracles import finite_difference_grad
@@ -254,7 +254,7 @@ class TestForward:
     def test_lazy_pooling_map_pools_like_its_dense_values(self):
         rng = np.random.default_rng(9)
         vol = make_volume(rng, 16, 16, 2)
-        pool = PoolingMap(DenseFeatureMap(2, rng.normal(size=(8, 8, 3))),
+        pool = LateralMap(DenseFeatureMap(2, rng.normal(size=(8, 8, 3))),
                           (vol,), rng.normal(size=(2, 2, 3, 4)),
                           rng.normal(size=4), rng.normal(size=(3, 3, 6, 5)),
                           rng.normal(size=5))
