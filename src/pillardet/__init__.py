@@ -19,8 +19,7 @@ from .rpn import (Detection, HeadOutput, RpnTargets, encode_targets, rpn_loss,
 from .rcnn import (SampledProposals, LossReport, roi_grid_points,
                    BilinearSupport, bilinear_sample, rcnn_forward,
                    sample_proposals, aux_seg_labels, rcnn_loss, refine)
-from .metrics import (EvalConfig, ClassMetrics, split_difficulty,
-                      compute_ap_aph, evaluate_levels)
+from .metrics import ClassMetrics, split_difficulty, evaluate_levels
 from .synth import SceneSpec, JitterSpec, generate_scene, jitter_detections
 from .config import PipelineConfig, config_from_dict, load_config, weight_layout
 from .pipeline import DetectionPipeline, PipelineResult, build_weights
@@ -39,8 +38,7 @@ __all__ = [
     "SampledProposals", "LossReport", "roi_grid_points",
     "BilinearSupport", "bilinear_sample", "rcnn_forward", "sample_proposals",
     "aux_seg_labels", "rcnn_loss", "refine",
-    "EvalConfig", "ClassMetrics", "split_difficulty", "compute_ap_aph",
-    "evaluate_levels",
+    "ClassMetrics", "split_difficulty", "evaluate_levels",
     "SceneSpec", "JitterSpec", "generate_scene", "jitter_detections",
     "PipelineConfig", "config_from_dict", "load_config", "weight_layout",
     "DetectionPipeline", "PipelineResult", "build_weights",

@@ -1,10 +1,10 @@
 """Command-line front end: synth, detect, eval, verify.
 
 Exit codes are a stable contract: 0 on success, 1 on validation failures
-(bad config, failed verification, mismatched inputs), 2 on I/O problems
-(unreadable paths, corrupt files). Every command is deterministic given
-its config, seed and inputs; ``--jobs`` only parallelizes across scenes,
-whose outputs are independent.
+(bad usage or config, failed verification, mismatched inputs), 2 on I/O
+problems (unreadable paths, corrupt files). Every command is deterministic
+given its config, seed and inputs; ``--jobs`` only parallelizes across
+scenes, whose outputs are independent.
 """
 
 from __future__ import annotations
@@ -29,26 +29,35 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a validation error: exit 1 with one line, not
+    argparse's exit 2, which the contract reserves for I/O problems."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pillardet",
         description="Pillar-grid BEV 3D detection: synthetic scenes, "
                     "detection, evaluation and self-verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, scene_level=False):
         p.add_argument("--config", help="JSON config file (defaults used when omitted)")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="scene-level parallelism (default 1)")
+        if scene_level:
+            p.add_argument("--seed", type=int, help="override the config seed")
+            p.add_argument("--jobs", type=int, default=1,
+                           help="scene-level parallelism (default 1)")
 
     p_synth = sub.add_parser("synth", help="generate synthetic scene archives")
-    common(p_synth)
+    common(p_synth, scene_level=True)
     p_synth.add_argument("--scenes", type=int, default=1)
     p_synth.add_argument("--out", required=True, help="output directory")
 
     p_detect = sub.add_parser("detect", help="run the pipeline on scene files")
-    common(p_detect)
+    common(p_detect, scene_level=True)
     p_detect.add_argument("scenes", nargs="+", help="point-cloud .pbk files")
     p_detect.add_argument("--out", required=True, help="output directory")
 
@@ -155,7 +164,7 @@ def _expand(paths: list[str], suffix: str) -> list[str]:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     det_paths = _expand(args.dets, ".det.txt")
     gt_paths = _expand(args.gt, ".gt.txt")
     if len(det_paths) != len(gt_paths):
@@ -189,7 +198,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _load(args)  # config validated even though suites use fixed budgets
+    load_config(args.config)  # validated even though suites use fixed budgets
     results = run_all(corrupt=args.corrupt)
     width = max(len(r.name) for r in results)
     failed = [r for r in results if not r.passed]
@@ -218,10 +227,10 @@ def _map_jobs(fn, payloads, jobs: int, initializer=None, initargs=()):
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     handlers = {"synth": cmd_synth, "detect": cmd_detect,
                 "eval": cmd_eval, "verify": cmd_verify}
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except fileio.FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,9 @@ points. APH reuses the same matches but lets each true positive contribute
 Difficulty levels follow the point-count convention: LEVEL_1 keeps boxes
 with more than five points, LEVEL_2 keeps boxes with at least one.
 Detections matched to a box excluded by the level filter are ignored
-entirely (neither TP nor FP).
+entirely (neither TP nor FP). The match does not depend on the level, so
+:func:`evaluate_levels` matches each class in each scene once and scores
+both levels from that one match list.
 """
 
 from __future__ import annotations
@@ -24,19 +26,6 @@ from .rpn import Detection
 
 LEVELS = ("L1", "L2")
 RECALL_POINTS = 101  # evenly spaced recall values the P/R curve is read at
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    iou_thresholds: dict[int, float]
-    difficulty: str = "L1"
-
-    def __post_init__(self):
-        if self.difficulty not in LEVELS:
-            raise ValueError(f"difficulty must be one of {LEVELS}")
-        for cls, thr in self.iou_thresholds.items():
-            if not 0.0 < thr <= 1.0:
-                raise ValueError(f"IoU threshold for class {cls} must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -97,46 +86,57 @@ def match_detections(dets: Sequence[Detection], gt: Sequence[Box3D],
     return results
 
 
-def compute_ap_aph(det_scenes: Sequence[Sequence[Detection]],
-                   gt_scenes: Sequence[Sequence[Box3D]],
-                   cfg: EvalConfig) -> dict[int, ClassMetrics]:
-    """AP and APH per class over a set of scenes at one difficulty."""
+def evaluate_levels(det_scenes: Sequence[Sequence[Detection]],
+                    gt_scenes: Sequence[Sequence[Box3D]],
+                    iou_thresholds: dict[int, float]
+                    ) -> dict[str, dict[int, ClassMetrics]]:
+    """AP/APH per class at both difficulty levels over a set of scenes."""
+    for cls, thr in iou_thresholds.items():
+        if not 0.0 < thr <= 1.0:
+            raise ValueError(f"IoU threshold for class {cls} must be in (0, 1]")
     if len(det_scenes) != len(gt_scenes):
         raise ValueError("detection/ground-truth scene counts differ")
-    class_ids = sorted(cfg.iou_thresholds)
-    out: dict[int, ClassMetrics] = {}
-    for class_id in class_ids:
-        # (score, is_tp, heading_weight) per non-ignored detection
-        records: list[tuple[float, bool, float]] = []
-        num_gt = 0
+    report: dict[str, dict[int, ClassMetrics]] = {level: {} for level in LEVELS}
+    for class_id in sorted(iou_thresholds):
+        # (score, is_tp, heading_weight) per non-ignored detection, per level
+        records: dict[str, list[tuple[float, bool, float]]] = {
+            level: [] for level in LEVELS}
+        num_gt = dict.fromkeys(LEVELS, 0)
         for dets, gt in zip(det_scenes, gt_scenes):
             cls_dets = [d for d in dets if d.class_id == class_id]
             cls_gt = [g for g in gt if g.class_id == class_id]
-            keep = _keep_mask(cls_gt, cfg.difficulty)
-            num_gt += sum(keep)
-            for m in match_detections(cls_dets, cls_gt,
-                                      cfg.iou_thresholds[class_id]):
-                score = cls_dets[m.det_index].rectified_score
-                if m.gt_index is None:
-                    records.append((score, False, 0.0))
-                elif keep[m.gt_index]:
-                    records.append((score, True, 1.0 - m.heading_error / math.pi))
-                # matched to a filtered-out box: ignored
-        if num_gt == 0:
-            out[class_id] = ClassMetrics(0.0, 0.0, 0, False)
-            continue
-        records.sort(key=lambda r: -r[0])
-        tp = np.cumsum([1.0 if r[1] else 0.0 for r in records])
-        hw = np.cumsum([r[2] for r in records])
-        ranks = np.arange(1, len(records) + 1)
-        recall = tp / num_gt if len(records) else np.zeros(0)
-        precision = tp / ranks if len(records) else np.zeros(0)
-        wprecision = hw / ranks if len(records) else np.zeros(0)
-        out[class_id] = ClassMetrics(
-            _interpolated_area(recall, precision),
-            _interpolated_area(recall, wprecision),
-            num_gt, True)
-    return out
+            matches = match_detections(cls_dets, cls_gt,
+                                       iou_thresholds[class_id])
+            for level in LEVELS:
+                keep = _keep_mask(cls_gt, level)
+                num_gt[level] += sum(keep)
+                for m in matches:
+                    score = cls_dets[m.det_index].rectified_score
+                    if m.gt_index is None:
+                        records[level].append((score, False, 0.0))
+                    elif keep[m.gt_index]:
+                        records[level].append(
+                            (score, True, 1.0 - m.heading_error / math.pi))
+                    # matched to a filtered-out box: ignored
+        for level in LEVELS:
+            report[level][class_id] = _class_metrics(records[level],
+                                                     num_gt[level])
+    return report
+
+
+def _class_metrics(records: list[tuple[float, bool, float]],
+                   num_gt: int) -> ClassMetrics:
+    """One class at one level from its (score, is_tp, heading_weight)
+    records."""
+    if num_gt == 0:
+        return ClassMetrics(0.0, 0.0, 0, False)
+    records.sort(key=lambda r: -r[0])
+    tp = np.cumsum([1.0 if r[1] else 0.0 for r in records])
+    hw = np.cumsum([r[2] for r in records])
+    ranks = np.arange(1, len(records) + 1)
+    return ClassMetrics(_interpolated_area(tp / num_gt, tp / ranks),
+                        _interpolated_area(tp / num_gt, hw / ranks),
+                        num_gt, True)
 
 
 def _interpolated_area(recall: np.ndarray, precision: np.ndarray) -> float:
@@ -146,13 +146,3 @@ def _interpolated_area(recall: np.ndarray, precision: np.ndarray) -> float:
         mask = recall >= r - 1e-12
         acc += float(precision[mask].max()) if np.any(mask) else 0.0
     return acc / RECALL_POINTS
-
-
-def evaluate_levels(det_scenes, gt_scenes, iou_thresholds: dict[int, float]
-                    ) -> dict[str, dict[int, ClassMetrics]]:
-    """AP/APH per class for both difficulty levels."""
-    report = {}
-    for level in LEVELS:
-        cfg = EvalConfig(iou_thresholds, difficulty=level)
-        report[level] = compute_ap_aph(det_scenes, gt_scenes, cfg)
-    return report

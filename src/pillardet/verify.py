@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import (Box3D, RotatedRect2D, iou_3d, point_in_rect,
-                       project_to_bev, rotated_iou_bev)
+from .geometry import (Box3D, RotatedRect2D, iou_3d, project_to_bev,
+                       rotated_iou_bev)
 from .config import PipelineConfig, weight_layout
 from .fpn import LateralMap, build_pooling_map, build_pyramid, split_lateral_conv
 from .grid import (DenseFeatureMap, GridSpec, SparsePillarVolume,
@@ -26,8 +26,7 @@ from .grid import (DenseFeatureMap, GridSpec, SparsePillarVolume,
 from .oracles import (dense_conv_reference, exhaustive_nms,
                       finite_difference_grad, mc_rotated_iou)
 from .pipeline import DetectionPipeline
-from .rcnn import (aux_seg_labels, bilinear_sample, rcnn_forward,
-                   roi_grid_points)
+from .rcnn import aux_seg_labels, bilinear_sample, rcnn_forward
 from .rpn import (Detection, decode_proposals, nms_3d, rectify_detections,
                   rpn_forward)
 from .synth import SceneSpec, generate_scene, scene_seed
@@ -314,8 +313,21 @@ def bilinear_suite(samples: int = 200, seed: int = 3,
                        f"max rel err {worst:.2e}")
 
 
+def _inside_ccw(p: tuple[float, float],
+                corners: list[tuple[float, float]]) -> bool:
+    """``p`` is on the left of (or on) every edge of a CCW polygon."""
+    return all((bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) >= 0.0
+               for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]))
+
+
 def aux_label_suite(rois: int = 100, seed: int = 4) -> SuiteResult:
-    """Grid-point labels vs direct per-point containment checks."""
+    """Grid-point labels vs an independent rebuild of each label.
+
+    Each grid point is placed from the RoI's center, yaw and the cell
+    offset (i + 0.5) / G directly, and tested against the ground-truth
+    footprints' corners by edge cross products, so neither the RoI grid
+    nor the containment test of the labelled code is reused.
+    """
     rng = np.random.default_rng(seed)
     mismatches = 0
     for _ in range(rois):
@@ -323,11 +335,14 @@ def aux_label_suite(rois: int = 100, seed: int = 4) -> SuiteResult:
         gts = [random_box(rng, span=6.0) for _ in range(int(rng.integers(1, 4)))]
         g = int(rng.integers(1, 9))
         labels = aux_seg_labels(roi, gts, g)
-        pts = roi_grid_points(roi, g)
+        footprints = [project_to_bev(b).corners() for b in gts]
+        c, s = math.cos(roi.yaw), math.sin(roi.yaw)
         for i in range(g):
             for j in range(g):
-                inside = any(point_in_rect((pts[i, j, 0], pts[i, j, 1]),
-                                           project_to_bev(b)) for b in gts)
+                lx = ((i + 0.5) / g - 0.5) * roi.length
+                ly = ((j + 0.5) / g - 0.5) * roi.width
+                p = (roi.cx + c * lx - s * ly, roi.cy + s * lx + c * ly)
+                inside = any(_inside_ccw(p, f) for f in footprints)
                 if bool(labels[i, j]) != inside:
                     mismatches += 1
     return SuiteResult("aux-seg-labels", mismatches == 0, float(mismatches),

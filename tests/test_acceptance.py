@@ -14,7 +14,7 @@ from conftest import SMALL_CONFIG_DICT
 from pillardet.cli import main
 from pillardet.geometry import Box3D, RotatedRect2D, iou_3d, rotated_iou_bev
 from pillardet.grid import GridSpec
-from pillardet.metrics import EvalConfig, compute_ap_aph
+from pillardet.metrics import evaluate_levels
 from pillardet.oracles import mc_rotated_iou
 from pillardet.rcnn import (LossReport, RcnnLossParts, aux_seg_labels,
                             rcnn_loss, sample_proposals)
@@ -199,19 +199,19 @@ class TestCriterion08MetricSanity:
         perfect = [jitter_detections(gt, JitterSpec(), seed=i)
                    for i, gt in enumerate(gt_scenes)]
         for level in ("L1", "L2"):
-            for m in compute_ap_aph(perfect, gt_scenes,
-                                    EvalConfig(EVAL_IOU, level)).values():
+            for m in evaluate_levels(perfect, gt_scenes,
+                                     EVAL_IOU)[level].values():
                 assert m.valid and m.ap == 1.0 and m.aph == 1.0
         flipped = [jitter_detections(gt, JitterSpec(yaw_flip_prob=1.0), seed=i)
                    for i, gt in enumerate(gt_scenes)]
-        for m in compute_ap_aph(flipped, gt_scenes,
-                                EvalConfig(EVAL_IOU, "L1")).values():
+        for m in evaluate_levels(flipped, gt_scenes,
+                                 EVAL_IOU)["L1"].values():
             assert m.ap == 1.0 and m.aph == 0.0
         # hand-enumerated one-TP/one-FP curve: every interpolation point 0.5
         gt = [Box3D(0, 0, 0, 4, 2, 1.5, 0.0, class_id=0, num_points=50)]
         dets = [Detection(Box3D(40, 40, 0, 4, 2, 1.5, 0.0), 0, 0.9, 0.9),
                 Detection(gt[0], 0, 0.8, 0.8)]
-        m = compute_ap_aph([dets], [gt], EvalConfig(EVAL_IOU, "L1"))[0]
+        m = evaluate_levels([dets], [gt], EVAL_IOU)["L1"][0]
         assert m.ap == 0.5 and m.aph == 0.5
         report("8 metric-sanity", "zero-noise AP=APH=1 both levels; "
                                   "heading flip AP=1 APH=0; 1TP/1FP = 0.5")

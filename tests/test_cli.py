@@ -27,6 +27,29 @@ def read_bytes(path):
         return f.read()
 
 
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--out", "X"],
+        ["synth", "--scenes", "abc", "--out", "o"],
+        ["eval", "--seed", "3", "--dets", "d", "--gt", "g"],
+        ["verify", "--jobs", "2"],
+        [],
+    ])
+    def test_usage_error_is_one_validation_line(self, tmp_path, monkeypatch,
+                                                capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert os.listdir(tmp_path) == []
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--help"])
+        assert exc.value.code == 0
+        assert "--scenes" in capsys.readouterr().out
+
+
 class TestSynth:
     def test_zero_scenes_writes_nothing(self, tmp_path, config_path):
         out = tmp_path / "scenes"

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from pillardet import metrics
 from pillardet.geometry import Box3D
-from pillardet.metrics import (ClassMetrics, EvalConfig, compute_ap_aph,
-                               evaluate_levels, match_detections,
-                               split_difficulty)
+from pillardet.metrics import (ClassMetrics, evaluate_levels,
+                               match_detections, split_difficulty)
 from pillardet.rpn import Detection
 
 THRESHOLDS = {0: 0.7, 1: 0.5, 2: 0.5}
@@ -82,8 +82,7 @@ class TestApAph:
         flipped = [det(Box3D(g.cx, g.cy, g.cz, g.length, g.width, g.height,
                              g.yaw + math.pi, class_id=g.class_id), 1.0)
                    for g in gt]
-        cfg = EvalConfig(THRESHOLDS, "L1")
-        result = compute_ap_aph([flipped], [gt], cfg)[0]
+        result = evaluate_levels([flipped], [gt], THRESHOLDS)["L1"][0]
         assert result.ap == 1.0
         assert result.aph == 0.0
 
@@ -92,20 +91,18 @@ class TestApAph:
         # is 0.5 at every recall point, so the 101-point mean is exactly 0.5
         gt = [box(0, 0)]
         dets = [det(box(40, 40), 0.9), det(gt[0], 0.8)]
-        cfg = EvalConfig(THRESHOLDS, "L1")
-        result = compute_ap_aph([dets], [gt], cfg)[0]
+        result = evaluate_levels([dets], [gt], THRESHOLDS)["L1"][0]
         assert result.ap == 0.5
         assert result.aph == 0.5
 
     def test_zero_gt_flagged(self):
-        cfg = EvalConfig(THRESHOLDS, "L1")
-        result = compute_ap_aph([[det(box(0, 0), 0.9)]], [[]], cfg)
+        result = evaluate_levels([[det(box(0, 0), 0.9)]], [[]],
+                                 THRESHOLDS)["L1"]
         assert result[0] == ClassMetrics(0.0, 0.0, 0, False)
 
     def test_empty_detections_zero_ap(self):
         gt = [box(0, 0)]
-        cfg = EvalConfig(THRESHOLDS, "L1")
-        result = compute_ap_aph([[]], [gt], cfg)[0]
+        result = evaluate_levels([[]], [gt], THRESHOLDS)["L1"][0]
         assert result.ap == 0.0 and result.valid
 
     def test_aph_never_exceeds_ap(self):
@@ -121,8 +118,7 @@ class TestApAph:
                         g.width, g.height, g.yaw + rng.uniform(-1.5, 1.5),
                         class_id=0), float(rng.random())))
             for level in ("L1", "L2"):
-                cfg = EvalConfig(THRESHOLDS, level)
-                m = compute_ap_aph([dets], [gt], cfg)[0]
+                m = evaluate_levels([dets], [gt], THRESHOLDS)[level][0]
                 assert m.aph <= m.ap + 1e-12
 
     def test_score_transform_invariance(self):
@@ -132,20 +128,18 @@ class TestApAph:
         for g in gt[:4]:
             dets.append(det(g, float(rng.uniform(0.2, 0.9))))
         dets.append(det(box(50, 50), 0.35))
-        cfg = EvalConfig(THRESHOLDS, "L1")
-        base = compute_ap_aph([dets], [gt], cfg)[0]
+        base = evaluate_levels([dets], [gt], THRESHOLDS)["L1"][0]
         squashed = [Detection(d.box, d.class_id, d.score, d.iou_score,
                               d.rectified_score ** 3) for d in dets]
-        after = compute_ap_aph([squashed], [gt], cfg)[0]
+        after = evaluate_levels([squashed], [gt], THRESHOLDS)["L1"][0]
         assert after.ap == base.ap and after.aph == base.aph
 
     def test_duplicate_lower_scored_match_cannot_raise_ap(self):
         gt = [box(0, 0), box(12, 0)]
         dets = [det(gt[0], 0.9), det(gt[1], 0.8)]
-        cfg = EvalConfig(THRESHOLDS, "L1")
-        base = compute_ap_aph([dets], [gt], cfg)[0]
+        base = evaluate_levels([dets], [gt], THRESHOLDS)["L1"][0]
         with_dup = dets + [det(gt[0], 0.5)]
-        after = compute_ap_aph([with_dup], [gt], cfg)[0]
+        after = evaluate_levels([with_dup], [gt], THRESHOLDS)["L1"][0]
         assert after.ap <= base.ap + 1e-12
 
     def test_detection_of_filtered_gt_is_ignored(self):
@@ -154,19 +148,38 @@ class TestApAph:
         solid = box(0, 0, num_points=50)
         sparse = box(12, 0, num_points=3)
         dets = [det(sparse, 0.95), det(solid, 0.9)]
-        l1 = compute_ap_aph([dets], [[solid, sparse]],
-                            EvalConfig(THRESHOLDS, "L1"))[0]
+        report = evaluate_levels([dets], [[solid, sparse]], THRESHOLDS)
+        l1 = report["L1"][0]
         assert l1.ap == 1.0
-        l2 = compute_ap_aph([dets], [[solid, sparse]],
-                            EvalConfig(THRESHOLDS, "L2"))[0]
+        l2 = report["L2"][0]
         assert l2.ap == 1.0  # at L2 both boxes count and both are found
 
     def test_multi_scene_pooling(self):
         gt_a, gt_b = [box(0, 0)], [box(0, 0)]
         dets_a = [det(gt_a[0], 0.9)]
         dets_b = []  # second scene missed
-        cfg = EvalConfig(THRESHOLDS, "L1")
-        m = compute_ap_aph([dets_a, dets_b], [gt_a, gt_b], cfg)[0]
+        m = evaluate_levels([dets_a, dets_b], [gt_a, gt_b],
+                            THRESHOLDS)["L1"][0]
         assert m.num_gt == 2
         # one TP at precision 1, recall stuck at 0.5: 51 of 101 points hit
         assert m.ap == pytest.approx(51 / 101)
+
+    def test_matches_each_scene_and_class_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return match_detections(*args)
+
+        monkeypatch.setattr(metrics, "match_detections", counting)
+        gt = [box(0, 0), box(12, 0, cls=1, num_points=3)]
+        scenes = 3
+        evaluate_levels([perfect_dets(gt)] * scenes, [gt] * scenes, THRESHOLDS)
+        assert len(calls) == scenes * len(THRESHOLDS)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.5])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        gt = [box(0, 0)]
+        with pytest.raises(ValueError, match="must be in"):
+            evaluate_levels([perfect_dets(gt)], [gt],
+                            {**THRESHOLDS, 1: threshold})

@@ -17,6 +17,7 @@ from pillardet.rcnn import (LossReport, RcnnLossParts, aux_seg_labels,
                             roi_grid_points, roi_grids, sample_proposals,
                             seg_forward)
 from pillardet.rpn import Detection
+from pillardet.verify import aux_label_suite
 from pillardet.weights import WeightStore
 
 SPEC = GridSpec(x_min=-4.0, x_max=4.0, y_min=-4.0, y_max=4.0,
@@ -387,6 +388,23 @@ class TestAuxSegLabels:
                     expected = any(point_in_rect((pts[i, j, 0], pts[i, j, 1]),
                                                  project_to_bev(b)) for b in gts)
                     assert bool(labels[i, j]) == expected
+
+    def test_verify_suite_catches_half_cell_shift(self, monkeypatch):
+        # the aux-seg-labels suite places its grid points itself, so RoI
+        # grids moved half a cell along each RoI's length must fail it
+        assert aux_label_suite().passed
+        original = rcnn.roi_grids
+
+        def shifted(rois, grid_size):
+            pts = original(rois, grid_size)
+            for n, r in enumerate(rois):
+                step = 0.5 * r.length / grid_size
+                pts[n, ..., 0] += step * math.cos(r.yaw)
+                pts[n, ..., 1] += step * math.sin(r.yaw)
+            return pts
+
+        monkeypatch.setattr(rcnn, "roi_grids", shifted)
+        assert not aux_label_suite().passed
 
 
 class TestLosses:

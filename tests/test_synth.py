@@ -3,7 +3,7 @@ import pytest
 from pillardet.fileio import format_gt
 from pillardet.geometry import point_in_rect, project_to_bev, rotated_iou_bev
 from pillardet.grid import GridSpec
-from pillardet.metrics import EvalConfig, compute_ap_aph
+from pillardet.metrics import evaluate_levels
 from pillardet.synth import (JitterSpec, SceneSpec, generate_scene,
                              jitter_detections, points_in_box, scene_seed,
                              splitmix64)
@@ -66,7 +66,7 @@ class TestJitter:
         gt = self.gt()
         dets = jitter_detections(gt, JitterSpec(), seed=0)
         for level in ("L1", "L2"):
-            m = compute_ap_aph([dets], [gt], EvalConfig(THRESHOLDS, level))
+            m = evaluate_levels([dets], [gt], THRESHOLDS)[level]
             for cls, r in m.items():
                 if r.valid:
                     assert r.ap == 1.0 and r.aph == 1.0
@@ -74,7 +74,7 @@ class TestJitter:
     def test_yaw_flip_degrades_heading_only(self):
         gt = self.gt()
         dets = jitter_detections(gt, JitterSpec(yaw_flip_prob=1.0), seed=1)
-        m = compute_ap_aph([dets], [gt], EvalConfig(THRESHOLDS, "L1"))
+        m = evaluate_levels([dets], [gt], THRESHOLDS)["L1"]
         for cls, r in m.items():
             if r.valid:
                 assert r.ap == 1.0 and r.aph == 0.0
