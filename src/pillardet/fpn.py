@@ -16,7 +16,12 @@ This is the same operation up to the order of float additions, checked
 against the per-pixel oracle on the concatenated input by ``verify``.
 
 The pyramid levels are read everywhere by the center heads, so they are
-built whole, by :meth:`LateralMap.dense`. The pooling map is only read
+built whole, by :meth:`LateralMap.dense`; their upsampled halves are not.
+The dense conv reads its input by row ranges, one chunk at a time, and a
+lateral answers with the deconvolution of just the semantic rows that
+chunk reaches (:class:`_UpsampledRows`), so the 2x map exists only a
+chunk at a time (about 5 MB of the 72 MB P3 one on a full-range scene),
+with the same values bit for bit. The pooling map is only read
 under the RoI grids (a few percent of its cells on a full-range scene),
 so it is never built: :meth:`LateralMap.at` evaluates the same recipe at
 the cells asked for. Its up half is one dense conv over a canvas of
@@ -34,11 +39,11 @@ import numpy as np
 # densify stays importable here: traced runs patch this module's call sites
 from .grid import (BackboneFeatures, DenseFeatureMap, SparsePillarVolume,  # noqa: F401
                    conv3x3_at, deconv2x2, deconv2x2_at, dense_conv2d, densify,
-                   _relu_volume, reached_cells, sparse_conv2d)
+                   _BAND_ROWS, _relu_volume, reached_cells, sparse_conv2d)
 from .weights import WeightStore
 
 
-def split_lateral_conv(up: np.ndarray, bottom_up: list[SparsePillarVolume],
+def split_lateral_conv(up, bottom_up: list[SparsePillarVolume],
                        weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """``relu(conv3x3(concat([up] + [densify(v) for v in bottom_up])))``.
 
@@ -46,7 +51,8 @@ def split_lateral_conv(up: np.ndarray, bottom_up: list[SparsePillarVolume],
     first ``up.shape[2]``, each volume the next ``v.channels``. An empty
     ``bottom_up`` list convolves ``up`` alone with its slice. Each volume's
     conv is computed only at the cells its active sites reach and added
-    there. The output takes the dtype all inputs promote to.
+    there. The output takes the dtype all inputs promote to. ``up`` is an
+    array or a row source that :func:`~pillardet.grid.dense_conv2d` reads.
     """
     c_in = up.shape[2] + sum(v.channels for v in bottom_up)
     if weight.shape[:3] != (3, 3, c_in):
@@ -54,7 +60,8 @@ def split_lateral_conv(up: np.ndarray, bottom_up: list[SparsePillarVolume],
                          f"{c_in} concatenated input channels")
     c_out = weight.shape[3]
     # the zero bias carries the output dtype into the dense conv
-    dtype = np.result_type(up, weight, bias, *(v.features for v in bottom_up))
+    dtype = np.result_type(up.dtype, weight, bias,
+                           *(v.features for v in bottom_up))
     out = dense_conv2d(up, weight[:, :, :up.shape[2]], np.zeros(c_out, dtype))
     start = up.shape[2]
     for v in bottom_up:
@@ -79,6 +86,42 @@ def _downsample_chain(volume: SparsePillarVolume, target_stride: int,
                                        weights.get(f"{name}.b"), stride=2))
         step += 1
     return v
+
+
+class _UpsampledRows:
+    """``relu(deconv2x2(data, weight, bias))`` as a row source for
+    :func:`~pillardet.grid.dense_conv2d`, never held whole.
+
+    A request for rows ``[r0, r1)`` deconvolves the input rows not yet
+    deconvolved that it reaches, rounded up to whole bands of
+    :func:`~pillardet.grid.deconv2x2`, so each call runs the very GEMMs of
+    the whole-map call and each input row is deconvolved once. Rows above
+    ``r0`` are dropped; requests never move backwards.
+    """
+
+    def __init__(self, data: np.ndarray, weight: np.ndarray, bias: np.ndarray):
+        h, w, _ = data.shape
+        self.shape = (2 * h, 2 * w, weight.shape[3])
+        self.dtype = np.result_type(data, weight, bias)
+        self._args = (data, weight, bias)
+        self._band = max(1, _BAND_ROWS // w)  # deconv2x2's input rows per GEMM
+        self._held = np.empty((0,) + self.shape[1:], self.dtype)
+        self._first = 0  # the upsampled row held[0] is
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        r0, r1, _ = rows.indices(self.shape[0])
+        if r0 < self._first:
+            raise ValueError(f"row {r0} was dropped; rows are read in order")
+        end = self._first + len(self._held)
+        held = self._held[r0 - self._first:]
+        if r1 > end:
+            data, weight, bias = self._args
+            p1 = min(data.shape[0], -(-r1 // (2 * self._band)) * self._band)
+            new = deconv2x2(data[end // 2:p1], weight, bias)
+            np.maximum(new, 0.0, out=new)
+            held = np.concatenate([held, new[max(0, r0 - end):]])
+        self._held, self._first = held, r0
+        return held[:r1 - r0]
 
 
 # rows of the map bands the queried cells are cut into
@@ -166,9 +209,10 @@ class LateralMap:
                               *(v.features for v in self.bottom_up))
 
     def dense(self) -> DenseFeatureMap:
-        """The whole map, through :func:`split_lateral_conv`."""
-        up = deconv2x2(self.semantic.data, self.deconv_w, self.deconv_b)
-        np.maximum(up, 0.0, out=up)
+        """The whole map, through :func:`split_lateral_conv`; the upsampled
+        half is deconvolved as the conv's chunks reach its rows, never
+        whole."""
+        up = _UpsampledRows(self.semantic.data, self.deconv_w, self.deconv_b)
         return DenseFeatureMap(self.stride, split_lateral_conv(
             up, list(self.bottom_up), self.conv_w, self.conv_b))
 

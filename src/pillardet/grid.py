@@ -345,8 +345,8 @@ def densify(v: SparsePillarVolume) -> DenseFeatureMap:
     return DenseFeatureMap(v.stride, data)
 
 
-def dense_conv2d(data: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-                 stride: int = 1) -> np.ndarray:
+def dense_conv2d(data, weight: np.ndarray, bias: np.ndarray,
+                 stride: int = 1, out=None):
     """Dense 3x3 convolution, zero padding 1, via shift-and-matmul.
 
     The padded input is split into stride x stride phase planes (one plane
@@ -358,6 +358,15 @@ def dense_conv2d(data: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     accumulated band by band. The planes are never held whole: one buffer
     takes the plane rows of one chunk of output rows (a whole number of
     bands, about ``_CHUNK_BYTES``) at a time.
+
+    Both ends stream. The input is read only as ``data[r0:r1]``, one row
+    range per chunk, ranges never moving backwards, so any object with
+    ``.shape``, ``.dtype`` and such row slicing can stand for the map (a
+    lateral's upsampled half deconvolves its rows as they are asked for).
+    The output is written one band at a time as ``out[y0:y1] = rows``,
+    into ``out`` when given (any object with the output's ``.shape`` that
+    takes such assignments, as the center heads' band epilogue does), else
+    into a new array; the result is ``out``.
     """
     h, w_in, c_in = data.shape
     if weight.shape[:3] != (3, 3, c_in):
@@ -365,9 +374,13 @@ def dense_conv2d(data: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     if stride not in (1, 2):
         raise ValueError(f"unsupported stride {stride}")
     c_out = weight.shape[3]
-    dtype = np.result_type(data, weight, bias)
+    dtype = np.result_type(data.dtype, weight, bias)
     s = stride
     h_out, w_out = _out_dim(h, s), _out_dim(w_in, s)
+    if out is None:
+        out = np.empty((h_out, w_out, c_out), dtype)
+    elif out.shape != (h_out, w_out, c_out):
+        raise ValueError(f"output shape {out.shape} != {(h_out, w_out, c_out)}")
     reach = 2 // s  # largest plane shift of a kernel offset
     width = w_out + reach
     band = max(1, _BAND_ROWS // width)
@@ -378,23 +391,26 @@ def dense_conv2d(data: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     planes = np.zeros((s, s, rows, width, c_in), dtype)
     flat = planes.reshape(s, s, rows * width, c_in)
 
-    out = np.empty((h_out, w_out, c_out), dtype)
     acc = np.empty((band * width, c_out), dtype)
     tmp = np.empty_like(acc)
     for c0 in range(0, h_out, chunk):
         c1 = min(h_out, c0 + chunk)
+        # plane row r of phase (py, px), buffer row r - c0, holds data row
+        # s*r + py - 1; the chunk's planes read data rows [r_lo, r_hi)
+        r_lo, r_hi = max(0, s * c0 - 1), min(h, s * (c0 + rows) - 1)
+        block = data[r_lo:r_hi]
         for py in range(s):
             for px in range(s):
-                # padded pixel (s*i + py, s*j + px) is data pixel (s*i + py - 1, ...),
-                # so plane row r, buffer row r - c0, holds row r - iy of `src`;
-                # the padding above it is only in the first, still zero, chunk
+                # the first plane row and column holding data, (iy, ix), hold
+                # data row and column (dy, dx); the padding above is only in
+                # the first, still zero, chunk
                 dy, dx = (py - 1) % s, (px - 1) % s
-                src = data[dy::s, dx::s]
                 iy, ix = (dy + 1 - py) // s, (dx + 1 - px) // s
                 lo = max(c0, iy)
-                hi = max(lo, min(c0 + rows, iy + len(src)))
+                hi = max(lo, min(c0 + rows, iy + (h - dy + s - 1) // s))
+                src = block[s * (lo - iy) + dy - r_lo::s][:hi - lo, dx::s]
                 plane = planes[py, px]
-                plane[lo - c0:hi - c0, ix:ix + src.shape[1]] = src[lo - iy:hi - iy]
+                plane[lo - c0:hi - c0, ix:ix + src.shape[1]] = src
                 plane[hi - c0:] = 0
         for y0 in range(c0, c1, band):
             y1 = min(c1, y0 + band)

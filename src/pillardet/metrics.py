@@ -65,16 +65,24 @@ def match_detections(dets: Sequence[Detection], gt: Sequence[Box3D],
 
     Each detection takes the highest-IoU still-unmatched ground-truth box
     with IoU >= threshold; ties in score break toward the earlier index.
+    Pairs whose BEV circumcircles cannot touch are skipped without
+    clipping: their IoU is exactly zero, below every threshold.
     """
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].rectified_score, i))
     taken = [False] * len(gt)
+    radii = [0.5 * g.bev_diagonal for g in gt]
     results = []
     for i in order:
+        box = dets[i].box
+        radius = 0.5 * box.bev_diagonal
         best_j, best_iou = None, -1.0
         for j, g in enumerate(gt):
             if taken[j]:
                 continue
-            v = iou_3d(dets[i].box, g)
+            reach = radius + radii[j]
+            if (box.cx - g.cx) ** 2 + (box.cy - g.cy) ** 2 > reach * reach:
+                continue
+            v = iou_3d(box, g)
             if v >= iou_threshold and v > best_iou:
                 best_j, best_iou = j, v
         if best_j is None:

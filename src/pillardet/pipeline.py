@@ -86,6 +86,9 @@ class DetectionPipeline:
                        for a in (head.heatmap, head.reg, head.iou)):
                 raise ValueError(f"heads: the stride-{stride} head maps hold "
                                  "non-finite values")
+        # the heads were the last readers of the levels the pooling map
+        # does not deconvolve (P3 at pool stride 4 or 8): let them go
+        pyramid = {s: m for s, m in pyramid.items() if s == 2 * cfg.pool_stride}
         # a cloud with no occupied pillar carries no evidence; bias
         # propagation still texture-fills the maps, so gate the decode
         proposals = clock("decode", lambda: decode_proposals(

@@ -173,28 +173,52 @@ def rpn_loss(preds: dict[int, HeadOutput],
     return total, breakdown
 
 
+class _HeadSink:
+    """Output sink of a head's shared 3x3 conv: each band it receives
+    (``sink[y0:y1] = rows``) goes through ReLU and the 1x1 heads, as one
+    GEMM against their kernels side by side; only the heads' raw maps are
+    kept, as one (H, W, n_out) array."""
+
+    def __init__(self, shape: tuple[int, int, int], kernel: np.ndarray,
+                 bias: np.ndarray, dtype):
+        self.shape = shape
+        self._kernel, self._bias = kernel, bias
+        self.maps = np.empty(shape[:2] + kernel.shape[1:],
+                             np.result_type(dtype, kernel, bias))
+
+    def __setitem__(self, rows: slice, band: np.ndarray) -> None:
+        x = np.maximum(band, 0.0).reshape(-1, self.shape[2])
+        y = x @ self._kernel
+        y += self._bias
+        self.maps[rows] = y.reshape(band.shape[:2] + self._kernel.shape[1:])
+
+
 def rpn_forward(pyramid: dict[int, DenseFeatureMap], weights: WeightStore,
                 level_classes: dict[int, tuple[int, ...]]
                 ) -> dict[int, HeadOutput]:
-    """Apply the center head to each pyramid level."""
+    """Apply the center head to each pyramid level.
+
+    A level's head is a shared 3x3 conv + ReLU, then 1x1 convs to the
+    heatmap logits, the regression maps and the IoU channel. The 1x1 convs
+    run on each band of the shared conv as it is written
+    (:class:`_HeadSink`), so the shared map is never whole.
+    """
     out: dict[int, HeadOutput] = {}
     for stride, fmap in sorted(pyramid.items()):
         classes = level_classes[stride]
         prefix = f"rpn.s{stride}"
-        shared = dense_conv2d(fmap.data, weights.get(f"{prefix}.shared.w"),
-                              weights.get(f"{prefix}.shared.b"))
-        np.maximum(shared, 0.0, out=shared)  # ReLU without a second map
-        h, w, c = shared.shape
-        flat = shared.reshape(-1, c)
-
-        def head(name: str) -> np.ndarray:
-            return (flat @ weights.get(f"{prefix}.{name}.w")
-                    + weights.get(f"{prefix}.{name}.b"))
-
-        hm = _sigmoid(head("hm")).reshape(h, w, len(classes))
-        reg = head("reg").reshape(h, w, N_REG)
-        iou = head("iou").reshape(h, w, 1)
-        out[stride] = HeadOutput(stride, classes, hm, reg, iou)
+        shared_w = weights.get(f"{prefix}.shared.w")
+        shared_b = weights.get(f"{prefix}.shared.b")
+        names = ("hm", "reg", "iou")
+        sink = _HeadSink(
+            fmap.data.shape[:2] + shared_w.shape[3:],
+            np.concatenate([weights.get(f"{prefix}.{n}.w") for n in names], axis=1),
+            np.concatenate([weights.get(f"{prefix}.{n}.b") for n in names]),
+            np.result_type(fmap.data, shared_w, shared_b))
+        maps = dense_conv2d(fmap.data, shared_w, shared_b, out=sink).maps
+        n = len(classes)
+        out[stride] = HeadOutput(stride, classes, _sigmoid(maps[:, :, :n]),
+                                 maps[:, :, n:n + N_REG], maps[:, :, n + N_REG:])
     return out
 
 

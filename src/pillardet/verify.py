@@ -203,26 +203,34 @@ def _deconv_per_pixel(data: np.ndarray, weight: np.ndarray,
 def pooling_at_cells_suite(maps: int = 40, seed: int = 6,
                            tolerance: float = 1e-5,
                            corrupt: bool = False) -> SuiteResult:
-    """Lazy pooling map at chosen cells vs the dense concatenation formula.
+    """Lazy pooling map at chosen cells, and the streamed whole map, vs the
+    dense concatenation formula.
 
     The reference deconvolves the whole semantic map pixel by pixel,
     concatenates the densified volumes and convolves per pixel. Cell sets
     are by turns a random subset with repeats, the border ring, every cell,
     no cell and every fourth column of a 64x64 map (256 single-column
-    strips in one canvas); volumes are as in the split-lateral suite.
+    strips in one canvas); volumes are as in the split-lateral suite. Each
+    map is also built whole by :meth:`LateralMap.dense`, and one more map,
+    48x48 with 512 upsampled channels, spans three dense-conv chunks.
     ``corrupt`` perturbs one upsampled-half kernel weight on the lazy side
     only, a negative control that must make the suite fail.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for k in range(maps):
+    for k in range(maps + 1):
         kind = k % 5
-        if kind == 4:
+        multi_chunk = k == maps
+        if multi_chunk:
+            hs = ws = 24
+        elif kind == 4:
             hs = ws = 32
         else:
             hs, ws = int(rng.integers(1, 8)), int(rng.integers(1, 8))
         h, w = 2 * hs, 2 * ws
         c_sem, c_up = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        if multi_chunk:
+            c_up = 512  # 20-row chunks of about 4 MiB of float64 input
         c_out = int(rng.integers(1, 5))
         vols = bottom_up_volumes(rng, k, w, h)
         semantic = rng.normal(size=(hs, ws, c_sem))
@@ -239,6 +247,11 @@ def pooling_at_cells_suite(maps: int = 40, seed: int = 6,
         up = relu(_deconv_per_pixel(semantic, deconv_w, deconv_b))
         merged = np.concatenate([up] + [densify(v).data for v in vols], axis=-1)
         ref = relu(dense_conv_reference(merged, conv_w) + conv_b)
+        whole = pool.dense().data
+        if whole.shape != ref.shape:
+            worst = math.inf
+            continue
+        worst = max(worst, float(np.abs(whole - ref).max()))
 
         iy, ix = np.nonzero(np.ones((h, w), dtype=bool))
         if kind == 0:
@@ -257,7 +270,8 @@ def pooling_at_cells_suite(maps: int = 40, seed: int = 6,
         elif len(iy):
             worst = max(worst, float(np.abs(got - ref[iy, ix]).max()))
     return SuiteResult("pooling-at-cells", worst < tolerance, worst,
-                       f"{maps} maps, random/border/all/no/strided cells",
+                       f"{maps} maps, random/border/all/no/strided cells, "
+                       "whole maps + 1 multi-chunk",
                        f"max abs diff {worst:.2e}")
 
 

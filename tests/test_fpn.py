@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import make_volume
+from pillardet import fpn, grid
 from pillardet.config import config_from_dict, weight_layout
-from pillardet.fpn import (LateralMap, _downsample_chain, _pack_strips,
-                           build_pooling_map, build_pyramid, lateral,
-                           split_lateral_conv)
+from pillardet.fpn import (LateralMap, _UpsampledRows, _downsample_chain,
+                           _pack_strips, build_pooling_map, build_pyramid,
+                           lateral, split_lateral_conv)
 from pillardet.grid import (DenseFeatureMap, PointCloud, SparsePillarVolume,
                             backbone_forward, deconv2x2, dense_conv2d,
                             densify, pillarize, relu)
@@ -107,6 +109,77 @@ class TestLateralMerge:
                             + store.get("neck.p3.conv.b"))
             assert p3.data.dtype == expected.dtype == dtype
             np.testing.assert_allclose(p3.data, expected, atol=FORMULA_ATOL[dtype])
+
+    @pytest.mark.parametrize("dtype", STORE_DTYPES)
+    def test_streamed_dense_equals_split_conv_of_whole_upsample(self, monkeypatch,
+                                                                dtype):
+        # 23 semantic rows of 100: deconv bands of 5 rows, the last one
+        # short; the conv runs in twelve 4-row chunks
+        rng = np.random.default_rng(31)
+        hs, ws, c_sem, c_up, c_out = 23, 100, 3, 4, 5
+        semantic = DenseFeatureMap(8, rng.normal(size=(hs, ws, c_sem)).astype(dtype))
+        vol = make_volume(rng, 2 * ws, 2 * hs, 2, density=0.05)
+        vol = SparsePillarVolume(4, vol.nx, vol.ny, vol.coords,
+                                 vol.features.astype(dtype))
+        deconv_w = rng.normal(size=(2, 2, c_sem, c_up)).astype(dtype)
+        deconv_b = rng.normal(size=c_up).astype(dtype)
+        conv_w = rng.normal(size=(3, 3, c_up + 2, c_out)).astype(dtype)
+        conv_b = rng.normal(size=c_out).astype(dtype)
+        width = 2 * ws + 2
+        monkeypatch.setattr(grid, "_CHUNK_BYTES",
+                            4 * width * c_up * np.dtype(dtype).itemsize)
+        deconvolved = []
+
+        def logged_deconv(data, w, b):
+            deconvolved.append(len(data))
+            return deconv2x2(data, w, b)
+
+        monkeypatch.setattr(fpn, "deconv2x2", logged_deconv)
+        streamed = LateralMap(semantic, (vol,), deconv_w, deconv_b, conv_w,
+                              conv_b).dense()
+        monkeypatch.undo()
+        up = relu(deconv2x2(semantic.data, deconv_w, deconv_b))
+        whole = split_lateral_conv(up, [vol], conv_w, conv_b)
+        assert streamed.data.dtype == whole.dtype == dtype
+        assert streamed.data.tobytes() == whole.tobytes()
+        # every semantic row deconvolved once, in whole deconv bands
+        assert len(deconvolved) > 2 and sum(deconvolved) == hs
+        assert all(n % 5 == 0 for n in deconvolved[:-1])
+
+    def test_upsampled_rows_are_read_forwards_only(self):
+        rng = np.random.default_rng(32)
+        up = _UpsampledRows(rng.normal(size=(6, 300, 2)),
+                            rng.normal(size=(2, 2, 2, 3)), rng.normal(size=3))
+        assert up.shape == (12, 600, 3)
+        whole = relu(deconv2x2(up._args[0], *up._args[1:]))
+        np.testing.assert_array_equal(up[0:5], whole[0:5])
+        np.testing.assert_array_equal(up[4:12], whole[4:12])
+        with pytest.raises(ValueError, match="in order"):
+            up[3:6]
+
+    def test_verify_suite_streams_a_map_over_three_chunks(self, monkeypatch):
+        from pillardet.verify import pooling_at_cells_suite
+        reads = []
+        conv = fpn.dense_conv2d
+
+        class CountedRows:
+            def __init__(self, source):
+                self.source, self.shape, self.dtype = source, source.shape, source.dtype
+                reads.append(0)
+
+            def __getitem__(self, rows):
+                reads[-1] += 1
+                return self.source[rows]
+
+        def counting_conv(data, *args, **kwargs):
+            if isinstance(data, _UpsampledRows):
+                data = CountedRows(data)
+            return conv(data, *args, **kwargs)
+
+        monkeypatch.setattr(fpn, "dense_conv2d", counting_conv)
+        assert pooling_at_cells_suite().passed
+        # one streamed map per case; the last one read in three chunks
+        assert len(reads) == 41 and reads[-1] >= 3
 
     def test_split_conv_rejects_channel_mismatch(self):
         v = SparsePillarVolume.empty(1, 4, 3, 2)

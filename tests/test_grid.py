@@ -22,6 +22,36 @@ def pfe_store(channels=4, identity=True, seed=0):
                                "pfe.linear.b": (channels,)}, seed)
 
 
+class RowSource:
+    """An array seen only through ``.shape``, ``.dtype`` and row slices,
+    each answered with a copy and logged."""
+
+    def __init__(self, data):
+        self._data = data
+        self.shape, self.dtype = data.shape, data.dtype
+        self.requests = []
+
+    def __getitem__(self, rows):
+        r0, r1, step = rows.indices(self.shape[0])
+        assert step == 1
+        self.requests.append((r0, r1))
+        return self._data[r0:r1].copy()
+
+
+class RowSink:
+    """Takes ``sink[y0:y1] = rows`` band by band and logs the rows written."""
+
+    def __init__(self, shape, dtype):
+        self.shape = shape
+        self.data = np.full(shape, np.nan, dtype)
+        self.rows = []
+
+    def __setitem__(self, rows, values):
+        r0, r1, _ = rows.indices(self.shape[0])
+        self.rows.extend(range(r0, r1))
+        self.data[rows] = values
+
+
 class TestGridSpec:
     def test_default_dims(self):
         spec = GridSpec()
@@ -277,6 +307,36 @@ class TestDenseOps:
             tracemalloc.stop()
         assert x.nbytes >= 16 << 20
         assert peak < out.nbytes + x.nbytes // 2
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_dense_conv_streams_from_row_source_into_sink(self, monkeypatch,
+                                                          stride, dtype):
+        # a map of 4.5 chunks of two bands: the row-source and sink call
+        # gives the bits of the array call
+        w, c = 9, 3
+        width = (w - 1) // stride + 1 + 2 // stride
+        band = max(1, grid._BAND_ROWS // width)
+        h_out = 9 * band + 1
+        rng = np.random.default_rng(20 + stride)
+        x = rng.normal(size=(stride * h_out, w, c)).astype(dtype)
+        wt = rng.normal(size=(3, 3, c, 4)).astype(dtype)
+        b = rng.normal(size=4).astype(dtype)
+        monkeypatch.setattr(grid, "_CHUNK_BYTES",
+                            2 * stride * stride * band * width * c * x.itemsize)
+        source, sink = RowSource(x), RowSink((h_out, (w - 1) // stride + 1, 4), dtype)
+        assert dense_conv2d(source, wt, b, stride=stride, out=sink) is sink
+        whole = dense_conv2d(x, wt, b, stride=stride)
+        assert sink.data.tobytes() == whole.tobytes()
+        assert len(source.requests) >= 3
+        assert all(a0 <= b0 and a1 <= b1 for (a0, a1), (b0, b1)
+                   in zip(source.requests, source.requests[1:]))
+        assert sink.rows == list(range(h_out))
+
+    def test_dense_conv_rejects_a_sink_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match="output shape"):
+            dense_conv2d(np.zeros((4, 4, 1)), np.zeros((3, 3, 1, 2)),
+                         np.zeros(2), out=np.zeros((4, 4, 1)))
 
     def test_dense_conv_takes_channel_slice_of_kernel(self):
         rng = np.random.default_rng(8)

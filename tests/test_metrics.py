@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pillardet import metrics
-from pillardet.geometry import Box3D
-from pillardet.metrics import (ClassMetrics, evaluate_levels,
+from pillardet.geometry import Box3D, heading_delta, iou_3d
+from pillardet.metrics import (ClassMetrics, MatchResult, evaluate_levels,
                                match_detections, split_difficulty)
 from pillardet.rpn import Detection
 
@@ -183,3 +183,100 @@ class TestApAph:
         with pytest.raises(ValueError, match="must be in"):
             evaluate_levels([perfect_dets(gt)], [gt],
                             {**THRESHOLDS, 1: threshold})
+
+
+def clip_every_pair(dets, gt, iou_threshold):
+    """The greedy match without the circumcircle skip: every untaken
+    det-GT pair is clipped."""
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].rectified_score, i))
+    taken = [False] * len(gt)
+    results = []
+    for i in order:
+        best_j, best_iou = None, -1.0
+        for j, g in enumerate(gt):
+            if not taken[j]:
+                v = iou_3d(dets[i].box, g)
+                if v >= iou_threshold and v > best_iou:
+                    best_j, best_iou = j, v
+        if best_j is None:
+            results.append(MatchResult(i, None, 0.0))
+        else:
+            taken[best_j] = True
+            results.append(MatchResult(
+                i, best_j, heading_delta(dets[i].box.yaw, gt[best_j].yaw)))
+    return results
+
+
+def random_scene_set(rng):
+    """1-3 scenes of jittered, far and false detections; each scene also
+    has detections whose BEV circumcircle exactly touches a GT box's (3 x 4
+    and 6 x 8 footprints have diagonals 5 and 10, centers 7.5 m apart)."""
+    det_scenes, gt_scenes = [], []
+    for _ in range(int(rng.integers(1, 4))):
+        gt, dets = [], []
+        for _ in range(int(rng.integers(1, 9))):
+            cls = int(rng.integers(0, 3))
+            g = Box3D(float(rng.integers(-20, 21)), float(rng.integers(-20, 21)),
+                      0.0, 3.0, 4.0, 1.5, float(rng.uniform(-math.pi, math.pi)),
+                      class_id=cls, num_points=int(rng.integers(0, 12)))
+            gt.append(g)
+            for _ in range(int(rng.integers(0, 3))):
+                b = Box3D(g.cx + rng.normal(0, 0.3), g.cy + rng.normal(0, 0.3),
+                          rng.normal(0, 0.1), g.length * rng.uniform(0.8, 1.2),
+                          g.width * rng.uniform(0.8, 1.2), g.height,
+                          g.yaw + rng.normal(0, 0.3), class_id=cls)
+                dets.append(det(b, float(rng.uniform(0.05, 1.0))))
+            if rng.random() < 0.5:
+                touching = Box3D(g.cx + 7.5, g.cy, 0.0, 6.0, 8.0, 1.5, 0.0,
+                                 class_id=cls)
+                dets.append(det(touching, float(rng.uniform(0.05, 1.0))))
+        for _ in range(int(rng.integers(0, 6))):
+            b = Box3D(rng.uniform(-25, 25), rng.uniform(-25, 25), 0.0, 4.0,
+                      2.0, 1.5, rng.uniform(-math.pi, math.pi),
+                      class_id=int(rng.integers(0, 3)))
+            dets.append(det(b, float(rng.uniform(0.05, 1.0))))
+        det_scenes.append(dets)
+        gt_scenes.append(gt)
+    return det_scenes, gt_scenes
+
+
+def report_hex(report):
+    return {level: {c: (m.ap.hex(), m.aph.hex(), m.num_gt, m.valid)
+                    for c, m in classes.items()}
+            for level, classes in report.items()}
+
+
+class TestFarPairSkip:
+    def test_same_ap_aph_as_clipping_every_pair(self, monkeypatch):
+        rng = np.random.default_rng(941)
+        sets = [random_scene_set(rng) for _ in range(40)]
+        fast = [report_hex(evaluate_levels(d, g, THRESHOLDS)) for d, g in sets]
+        monkeypatch.setattr(metrics, "match_detections", clip_every_pair)
+        ref = [report_hex(evaluate_levels(d, g, THRESHOLDS)) for d, g in sets]
+        assert fast == ref
+
+    def test_far_pairs_are_not_clipped(self, monkeypatch):
+        clipped = []
+
+        def counting(a, b):
+            clipped.append((a, b))
+            return iou_3d(a, b)
+
+        monkeypatch.setattr(metrics, "iou_3d", counting)
+        rng = np.random.default_rng(942)
+        touching = pairs = calls = 0
+        for _ in range(40):
+            for dets, gt in zip(*random_scene_set(rng)):
+                for cls in range(3):
+                    d = [x for x in dets if x.class_id == cls]
+                    g = [x for x in gt if x.class_id == cls]
+                    clipped.clear()
+                    match_detections(d, g, THRESHOLDS[cls])
+                    pairs += len(d) * len(g)
+                    calls += len(clipped)
+                    for a, b in clipped:
+                        reach = 0.5 * (a.bev_diagonal + b.bev_diagonal)
+                        dist2 = (a.cx - b.cx) ** 2 + (a.cy - b.cy) ** 2
+                        assert dist2 <= reach * reach
+                        touching += dist2 == reach * reach
+        assert touching > 0 and calls < pairs / 2

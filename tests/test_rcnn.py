@@ -350,6 +350,19 @@ class TestSampling:
         assert len(batch) == 0
 
 
+def half_cell_shifted(roi_grids):
+    """``roi_grids`` with every point moved half a grid cell along its
+    RoI's length."""
+    def shifted(rois, grid_size):
+        pts = roi_grids(rois, grid_size)
+        for n, r in enumerate(rois):
+            step = 0.5 * r.length / grid_size
+            pts[n, ..., 0] += step * math.cos(r.yaw)
+            pts[n, ..., 1] += step * math.sin(r.yaw)
+        return pts
+    return shifted
+
+
 class TestAuxSegLabels:
     def test_roi_equals_gt_all_foreground(self):
         g = Box3D(1, 1, 0, 4, 2, 1.5, 0.7)
@@ -370,7 +383,11 @@ class TestAuxSegLabels:
         np.testing.assert_array_equal(
             labels, np.repeat(expected_rows[:, None], 7, axis=1))
 
-    def test_matches_point_in_rect_oracle(self):
+    @staticmethod
+    def label_pairs():
+        """(label, point-in-rect oracle) per grid point of 30 random RoIs;
+        each point is placed here from the RoI's center, yaw and
+        (i + 0.5) / G offsets along its length and width."""
         rng = np.random.default_rng(13)
         for _ in range(30):
             roi = Box3D(rng.uniform(-3, 3), rng.uniform(-3, 3), 0,
@@ -382,28 +399,29 @@ class TestAuxSegLabels:
                    for _ in range(rng.integers(1, 4))]
             g = int(rng.integers(1, 8))
             labels = aux_seg_labels(roi, gts, g)
-            pts = roi_grid_points(roi, g)
+            c, s = math.cos(roi.yaw), math.sin(roi.yaw)
             for i in range(g):
                 for j in range(g):
-                    expected = any(point_in_rect((pts[i, j, 0], pts[i, j, 1]),
-                                                 project_to_bev(b)) for b in gts)
-                    assert bool(labels[i, j]) == expected
+                    u = ((i + 0.5) / g - 0.5) * roi.length
+                    v = ((j + 0.5) / g - 0.5) * roi.width
+                    p = (roi.cx + c * u - s * v, roi.cy + s * u + c * v)
+                    expected = any(point_in_rect(p, project_to_bev(b))
+                                   for b in gts)
+                    yield bool(labels[i, j]), expected
+
+    def test_matches_point_in_rect_oracle(self):
+        for label, expected in self.label_pairs():
+            assert label == expected
+
+    def test_oracle_catches_half_cell_shift(self, monkeypatch):
+        monkeypatch.setattr(rcnn, "roi_grids", half_cell_shifted(rcnn.roi_grids))
+        assert any(label != expected for label, expected in self.label_pairs())
 
     def test_verify_suite_catches_half_cell_shift(self, monkeypatch):
         # the aux-seg-labels suite places its grid points itself, so RoI
         # grids moved half a cell along each RoI's length must fail it
         assert aux_label_suite().passed
-        original = rcnn.roi_grids
-
-        def shifted(rois, grid_size):
-            pts = original(rois, grid_size)
-            for n, r in enumerate(rois):
-                step = 0.5 * r.length / grid_size
-                pts[n, ..., 0] += step * math.cos(r.yaw)
-                pts[n, ..., 1] += step * math.sin(r.yaw)
-            return pts
-
-        monkeypatch.setattr(rcnn, "roi_grids", shifted)
+        monkeypatch.setattr(rcnn, "roi_grids", half_cell_shifted(rcnn.roi_grids))
         assert not aux_label_suite().passed
 
 

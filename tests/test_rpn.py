@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from pillardet import grid
+from pillardet.config import weight_layout
 from pillardet.geometry import Box3D, iou_3d
-from pillardet.grid import GridSpec
+from pillardet.grid import DenseFeatureMap, GridSpec, dense_conv2d
 from pillardet.oracles import exhaustive_nms
 from pillardet.rpn import (Detection, HeadOutput, decode_proposals,
                            encode_targets, gaussian_radius, nms_3d, rectify,
-                           rectify_detections, rpn_loss,
+                           rectify_detections, rpn_forward, rpn_loss,
                            targets_as_predictions)
+from pillardet.weights import WeightStore
 
 SPEC = GridSpec(x_min=-12.8, x_max=12.8, y_min=-12.8, y_max=12.8,
                 z_min=-2.0, z_max=4.0, pillar_size=0.1)
@@ -58,6 +61,37 @@ class TestEncodeTargets:
     def test_radius_floor_two(self):
         # a pedestrian at stride 4 is ~2 cells wide; the floor keeps radius 2
         assert max(2, int(gaussian_radius(2.2, 2.2))) >= 2
+
+
+class TestHeads:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_heads_match_unfused_formula(self, monkeypatch, small_config,
+                                               dtype):
+        store = WeightStore.seeded(weight_layout(small_config), 3)
+        store = WeightStore({n: a.astype(dtype) for n, a in store.items()})
+        rng = np.random.default_rng(3)
+        c = small_config.neck_channels
+        pyramid = {s: DenseFeatureMap(s, rng.normal(size=(n, n, c)).astype(dtype))
+                   for s, n in ((4, 64), (8, 32))}
+        # the shared convs run in several chunks of bands
+        monkeypatch.setattr(grid, "_CHUNK_BYTES", 4 << 10)
+        heads = rpn_forward(pyramid, store, small_config.level_classes)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        for s, fmap in pyramid.items():
+            p = f"rpn.s{s}"
+            shared = np.maximum(dense_conv2d(fmap.data, store.get(f"{p}.shared.w"),
+                                             store.get(f"{p}.shared.b")), 0.0)
+
+            def head(name):
+                return shared @ store.get(f"{p}.{name}.w") + store.get(f"{p}.{name}.b")
+
+            expected = (0.5 * (1.0 + np.tanh(0.5 * head("hm"))), head("reg"),
+                        head("iou"))
+            got = (heads[s].heatmap, heads[s].reg, heads[s].iou)
+            assert heads[s].class_ids == small_config.level_classes[s]
+            for g, e in zip(got, expected):
+                assert g.shape == e.shape and g.dtype == e.dtype == dtype
+                np.testing.assert_allclose(g, e, rtol=tol, atol=tol)
 
 
 class TestRpnLoss:
