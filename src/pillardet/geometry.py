@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -136,116 +137,304 @@ def point_in_rect(p: tuple[float, float], rect: RotatedRect2D) -> bool:
     return abs(local_x) <= 0.5 * rect.length and abs(local_y) <= 0.5 * rect.width
 
 
-def _clip_polygon(poly: list[tuple[float, float]],
-                  clip: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Sutherland-Hodgman clip of ``poly`` against convex CCW ``clip``."""
-    out = poly
-    n_clip = len(clip)
-    for e in range(n_clip):
-        if not out:
-            return []
-        ex1, ey1 = clip[e]
-        ex2, ey2 = clip[(e + 1) % n_clip]
-        ax, ay = ex2 - ex1, ey2 - ey1
-        inp = out
-        out = []
-        n = len(inp)
-        # signed cross product with the edge; >= 0 is the inside half-plane
-        sides = [ax * (inp[i][1] - ey1) - ay * (inp[i][0] - ex1) for i in range(n)]
-        for i in range(n):
-            cur = inp[i]
-            nxt = inp[(i + 1) % n]
-            s_cur = sides[i]
-            s_nxt = sides[(i + 1) % n]
-            if s_cur >= 0.0:
-                out.append(cur)
-            if (s_cur > 0.0 and s_nxt < 0.0) or (s_cur < 0.0 and s_nxt > 0.0):
-                t = s_cur / (s_cur - s_nxt)
-                out.append((cur[0] + t * (nxt[0] - cur[0]),
-                            cur[1] + t * (nxt[1] - cur[1])))
+# -- batched rotated IoU ----------------------------------------------------
+#
+# One Sutherland-Hodgman clip runs over whole arrays of box pairs, row k of
+# every array belonging to pair k. A polygon is a vertex count and a padded
+# row of each of an x and a y plane, closed by repeating its first vertex
+# after the last; each step does, per row, the float operations a
+# one-pair-at-a-time clip of Python lists does, in the same order, so every
+# area and IoU is the same double as that clip's.
+
+_RECT_FIELDS = ("cx", "cy", "length", "width", "yaw")
+_BOX_FIELDS = _RECT_FIELDS + ("cz", "height")
+
+# signs of the half-length and half-width at each corner, counter-clockwise
+# from (+l/2, +w/2), and the first corner again
+_CORNER_SIGNS = np.array([[1.0, -1.0, -1.0, 1.0, 1.0],
+                          [1.0, 1.0, -1.0, -1.0, 1.0]])
+
+# pairs per pass through the kernel, which bounds its temporaries
+_CHUNK = 1024
+
+# np.hypot and math.hypot may round differently; a distance this close to
+# the merge threshold is retaken with math.hypot.
+_HYPOT_GUARD = 1e-20
+
+
+def _rows(a: Sequence, b: Sequence,
+          fields: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 rows of the items of ``a`` and of ``b``: their fields, with
+    ``math.cos`` and ``math.sin`` of the yaw (field 4) inserted after it.
+    An item met in many pairs is read once."""
+    items = [*a, *b]
+    _, first, where = np.unique(np.fromiter(map(id, items), np.int64, len(items)),
+                                return_index=True, return_inverse=True)
+    distinct = [items[k] for k in first.tolist()]
+    cols = np.array(list(map(attrgetter(*fields), distinct)),
+                    np.float64).reshape(len(distinct), len(fields))
+    yaws = cols[:, 4].tolist()
+    rows = np.concatenate(
+        [cols[:, :5],
+         np.fromiter(map(math.cos, yaws), np.float64, len(yaws))[:, None],
+         np.fromiter(map(math.sin, yaws), np.float64, len(yaws))[:, None],
+         cols[:, 5:]], axis=1)[where]
+    return rows[:len(a)], rows[len(a):]
+
+
+def _pairwise(a, b, kind, fields: tuple[str, ...], kernel):
+    """``kernel(rows of a, rows of b)`` (see :func:`_rows`) for two
+    ``kind`` items, a float, or two equal-length sequences of them, an
+    (N,) array."""
+    scalar = isinstance(a, kind)
+    if scalar != isinstance(b, kind):
+        raise TypeError("pass two boxes or two equal-length batches of boxes")
+    if scalar:
+        a, b = [a], [b]
+    elif len(a) != len(b):
+        raise ValueError(f"batches differ in length: {len(a)} vs {len(b)}")
+    out = np.empty(len(a))
+    for k in range(0, len(a), _CHUNK):
+        out[k:k + _CHUNK] = kernel(*_rows(a[k:k + _CHUNK], b[k:k + _CHUNK],
+                                          fields))
+    return float(out[0]) if scalar else out
+
+
+def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Elementwise ``math.hypot``."""
+    h = np.hypot(dx, dy)
+    near = np.abs(h - _DEGENERATE_EPS) <= _HYPOT_GUARD
+    if near.any():
+        for k in zip(*np.nonzero(near)):
+            h[k] = math.hypot(dx[k], dy[k])
+    return h
+
+
+def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``tuple(a[k]) < tuple(b[k])``."""
+    less = a[:, 0] < b[:, 0]
+    tied = a[:, 0] == b[:, 0]
+    for col in range(1, a.shape[1]):
+        if not tied.any():
+            break
+        less |= tied & (a[:, col] < b[:, col])
+        tied &= a[:, col] == b[:, col]
+    return less
+
+
+def _corners(rects: np.ndarray) -> np.ndarray:
+    """Corners of (cx, cy, length, width, yaw, cos, sin) rows, as
+    :meth:`RotatedRect2D.corners` computes them: (2, N, 5) x and y planes
+    of the four counter-clockwise corners and the first again, closing the
+    polygon."""
+    cx, cy, length, width, _, c, s = (rects[:, k:k + 1] for k in range(7))
+    # a sign flip is exact: hl * -1.0 is -hl
+    lx = (0.5 * length) * _CORNER_SIGNS[0]
+    ly = (0.5 * width) * _CORNER_SIGNS[1]
+    out = np.empty((2,) + lx.shape)
+    out[0] = cx + c * lx - s * ly
+    out[1] = cy + s * lx + c * ly
     return out
 
 
-def _dedupe_vertices(poly: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    if len(poly) < 2:
-        return poly
-    out = []
-    for p in poly:
-        if not out or math.hypot(p[0] - out[-1][0], p[1] - out[-1][1]) > _DEGENERATE_EPS:
-            out.append(p)
-    if len(out) > 1 and math.hypot(out[0][0] - out[-1][0], out[0][1] - out[-1][1]) <= _DEGENERATE_EPS:
-        out.pop()
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[..., 0], b[..., 0], a[..., 1], b[..., 1], ... along the last axis."""
+    out = np.empty(a.shape[:-1] + (2 * a.shape[-1],), a.dtype)
+    out[..., 0::2] = a
+    out[..., 1::2] = b
     return out
 
 
-def polygon_area(poly: list[tuple[float, float]]) -> float:
-    """Shoelace area of a simple polygon (absolute value)."""
-    poly = _dedupe_vertices(poly)
-    n = len(poly)
-    if n < 3:
-        return 0.0
-    acc = 0.0
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        acc += x1 * y2 - x2 * y1
-    return 0.5 * abs(acc)
+def _compact(mask: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's points (``pts``: x and y planes) under ``mask``, in
+    order, as closed padded polygons, and their counts."""
+    n = mask.sum(axis=1)
+    r, c = mask.nonzero()
+    at = mask.cumsum(axis=1)[r, c] - 1
+    out = np.zeros((2, len(n), int(n.max(initial=0)) + 1))
+    out[:, r, at] = pts[:, r, c]
+    out[:, np.arange(len(n)), n] = out[:, :, 0]
+    return out, n
 
 
-def rect_intersection_area(a: RotatedRect2D, b: RotatedRect2D) -> float:
-    """Intersection area of two rotated rectangles via convex clipping.
+def _clip_edge(poly: np.ndarray, n: np.ndarray, start: np.ndarray,
+               end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clip each row's closed polygon (``n`` vertices, then the first
+    again) to the inside half-plane of the edge ``start`` -> ``end``
+    ((2, N) x and y)."""
+    x, y = poly
+    ax, ay = (end - start)[:, :, None]
+    # signed cross product with the edge; >= 0 is the inside half-plane
+    side = ax * (y - start[1][:, None]) - ay * (x - start[0][:, None])
+    s_cur, s_nxt = side[:, :-1], side[:, 1:]
+    valid = np.arange(s_cur.shape[1]) < n[:, None]
+    pos, neg = side > 0.0, side < 0.0
+    keep = valid & (s_cur >= 0.0)
+    cross = valid & ((pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:]))
+    # where an edge crosses, its crossing; elsewhere t = 0 and a dummy
+    t = np.divide(s_cur, s_cur - s_nxt, out=np.zeros_like(s_cur), where=cross)
+    cur = poly[:, :, :-1]
+    hit = cur + t * (poly[:, :, 1:] - cur)
+    # each vertex appends itself if kept, then the crossing if any
+    return _compact(_interleave(keep, cross), _interleave(cur, hit))
 
-    Operands are put in a canonical order first so the result is exactly
-    symmetric (bit-identical) under argument swap.
+
+def _polygon_areas(poly: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Shoelace area of each row's closed polygon (``n`` vertices, then
+    the first again; x and y planes).
+
+    A vertex within ``_DEGENERATE_EPS`` of the last one kept is merged
+    into it, then a last vertex on top of the first is dropped, so
+    collinear leftovers from clipping cannot produce spurious edges.
     """
-    if a.area <= 0.0 or b.area <= 0.0:
-        return 0.0
-    if (b.cx, b.cy, b.length, b.width, b.yaw) < (a.cx, a.cy, a.length, a.width, a.yaw):
-        a, b = b, a
-    return polygon_area(_clip_polygon(a.corners(), b.corners()))
+    x, y = poly
+    width = x.shape[1] - 1
+    valid = np.arange(width) < n[:, None]
+    # a vertex apart from the one before it is kept; a row where some
+    # vertex is not takes the sequential rule against the last one kept
+    kept = valid.copy()
+    kept[:, 1:] &= _hypot(x[:, 1:width] - x[:, :width - 1],
+                          y[:, 1:width] - y[:, :width - 1]) > _DEGENERATE_EPS
+    redo = np.flatnonzero((kept != valid).any(axis=1))
+    if len(redo):
+        rx, ry, rn = x[redo], y[redo], n[redo]
+        last_x, last_y = rx[:, 0], ry[:, 0]
+        for k in range(1, width):
+            apart = (k < rn) & (_hypot(rx[:, k] - last_x, ry[:, k] - last_y)
+                                > _DEGENERATE_EPS)
+            kept[redo, k] = apart
+            last_x = np.where(apart, rx[:, k], last_x)
+            last_y = np.where(apart, ry[:, k], last_y)
+    poly, m = _compact(kept, poly)
+    x, y = poly
+    width = x.shape[1] - 1
+    rows, end = np.arange(len(m)), np.maximum(m - 1, 0)
+    closes = (m > 1) & (_hypot(x[:, 0] - x[rows, end],
+                               y[:, 0] - y[rows, end]) <= _DEGENERATE_EPS)
+    m -= closes
+    x[rows, m] = x[:, 0]
+    y[rows, m] = y[:, 0]
+    terms = x[:, :-1] * y[:, 1:] - x[:, 1:] * y[:, :-1]
+    # add.accumulate sums each row left to right, as the scalar loop did
+    acc = np.cumsum(np.where(np.arange(width) < m[:, None], terms, 0.0),
+                    axis=1)[:, -1] if width else np.zeros(len(m))
+    return np.where(m >= 3, 0.5 * np.abs(acc), 0.0)
 
 
-def rotated_iou_bev(a: RotatedRect2D, b: RotatedRect2D) -> float:
-    """IoU of two rotated rectangles on the BEV plane, in [0, 1]."""
-    area_a, area_b = a.area, b.area
-    if area_a <= 0.0 or area_b <= 0.0:
-        return 0.0
-    inter = rect_intersection_area(a, b)
+def _intersection_areas(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    """BEV intersection areas of the rects in (cx, cy, length, width, yaw,
+    cos, sin) rows ``ra[k]`` and ``rb[k]``; zero where either area is not
+    positive.
+
+    Each pair's operands are put in a canonical order first, so an area is
+    exactly symmetric (bit-identical) under argument swap.
+    """
+    out = np.zeros(len(ra))
+    live = np.flatnonzero(~((ra[:, 2] * ra[:, 3] <= 0.0)
+                            | (rb[:, 2] * rb[:, 3] <= 0.0)))
+    ra, rb = ra[live], rb[live]
+    swap = _lex_less(rb[:, :5], ra[:, :5])[:, None]
+    poly = _corners(np.where(swap, rb, ra))
+    clip = _corners(np.where(swap, ra, rb))
+    n = np.full(len(live), 4)
+    for e in range(4):
+        # a polygon clipped away stays empty: drop its row
+        if not n.all():
+            alive = n > 0
+            live, poly, clip, n = live[alive], poly[:, alive], clip[:, alive], n[alive]
+        poly, n = _clip_edge(poly, n, clip[:, :, e], clip[:, :, e + 1])
+    out[live] = _polygon_areas(poly, n)
+    return out
+
+
+def _ratio(inter: np.ndarray, union: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """inter / union where ``zero`` is False, clamped to at most 1 (away
+    from tiny clipping noise just above it); 0 elsewhere."""
+    out = np.zeros(len(inter))
+    ok = ~zero
+    q = inter[ok] / union[ok]
+    out[ok] = np.where(q < 1.0, q, 1.0)
+    return out
+
+
+def polygon_area(poly: Sequence[tuple[float, float]]) -> float:
+    """Shoelace area of a simple polygon (absolute value)."""
+    xy = np.array(poly, np.float64).reshape(-1, 2)
+    closed = np.vstack([xy, xy[:1]]) if len(xy) else np.zeros((1, 2))
+    return float(_polygon_areas(closed.T[:, None, :], np.array([len(xy)]))[0])
+
+
+def _bev_ious(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    area_a, area_b = ra[:, 2] * ra[:, 3], rb[:, 2] * rb[:, 3]
+    inter = _intersection_areas(ra, rb)
     union = area_a + area_b - inter
-    if union <= 0.0:
-        return 0.0
-    # clamp away tiny clipping noise just above 1
-    return min(1.0, inter / union)
+    return _ratio(inter, union,
+                  (area_a <= 0.0) | (area_b <= 0.0) | (union <= 0.0))
 
 
-def iou_3d(a: Box3D, b: Box3D) -> float:
-    """3D IoU: rotated BEV intersection times vertical overlap."""
-    inter_bev = rect_intersection_area(project_to_bev(a), project_to_bev(b))
-    if inter_bev <= 0.0:
-        return 0.0
-    z_overlap = min(a.z_top, b.z_top) - max(a.z_bottom, b.z_bottom)
-    if z_overlap <= 0.0:
-        return 0.0
+def _ious_3d(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    # row columns: cx, cy, length, width, yaw, cos, sin, cz, height
+    inter_bev = _intersection_areas(ra[:, :7], rb[:, :7])
+    half_a, half_b = 0.5 * ra[:, 8], 0.5 * rb[:, 8]
+    top_a, top_b = ra[:, 7] + half_a, rb[:, 7] + half_b
+    bottom_a, bottom_b = ra[:, 7] - half_a, rb[:, 7] - half_b
+    z_overlap = (np.where(top_b < top_a, top_b, top_a)
+                 - np.where(bottom_b > bottom_a, bottom_b, bottom_a))
     inter = inter_bev * z_overlap
-    union = a.volume + b.volume - inter
-    if union <= 0.0:
-        return 0.0
-    return min(1.0, inter / union)
+    union = (ra[:, 2] * ra[:, 3] * ra[:, 8] + rb[:, 2] * rb[:, 3] * rb[:, 8]
+             - inter)
+    return _ratio(inter, union,
+                  (inter_bev <= 0.0) | (z_overlap <= 0.0) | (union <= 0.0))
+
+
+def rotated_iou_bev(a, b):
+    """IoU of rotated rectangles on the BEV plane, in [0, 1].
+
+    Takes two :class:`RotatedRect2D` and returns a float, or two
+    equal-length sequences of them and returns the (N,) pairwise IoUs.
+    """
+    return _pairwise(a, b, RotatedRect2D, _RECT_FIELDS, _bev_ious)
+
+
+def iou_3d(a, b):
+    """3D IoU: rotated BEV intersection times vertical overlap.
+
+    Takes two :class:`Box3D` and returns a float, or two equal-length
+    sequences of them and returns the (N,) pairwise IoUs. A batch is
+    clipped by one vectorised kernel, so callers gather their pairs into
+    one call.
+    """
+    return _pairwise(a, b, Box3D, _BOX_FIELDS, _ious_3d)
+
+
+def near_pairs(boxes_a: Sequence[Box3D],
+               boxes_b: Sequence[Box3D]) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j), in row-major order, of the pairs whose BEV
+    circumcircles touch or overlap.
+
+    Every other pair is disjoint on the BEV plane: its IoU is exactly
+    zero and need not be clipped.
+    """
+    def circles(boxes):
+        return np.array([(b.cx, b.cy, 0.5 * b.bev_diagonal) for b in boxes],
+                        np.float64).reshape(len(boxes), 3)
+
+    ca = circles(boxes_a)
+    cb = ca if boxes_b is boxes_a else circles(boxes_b)
+    reach = ca[:, 2:] + cb[:, 2]
+    dist2 = (ca[:, :1] - cb[:, 0]) ** 2 + (ca[:, 1:2] - cb[:, 1]) ** 2
+    return np.nonzero(dist2 <= reach * reach)
 
 
 def iou_3d_matrix(boxes_a: Sequence[Box3D],
                   boxes_b: Sequence[Box3D]) -> np.ndarray:
-    """Full (N, M) matrix of :func:`iou_3d` values.
+    """Full (N, M) matrix of :func:`iou_3d` values, in one batched call.
 
-    Pairs whose BEV circumcircles cannot touch are skipped without
-    clipping, as in ``nms_3d``; their IoU is exactly zero.
+    Pairs whose BEV circumcircles cannot touch are not clipped
+    (:func:`near_pairs`); their IoU is exactly zero.
     """
     out = np.zeros((len(boxes_a), len(boxes_b)))
-    radii_b = [0.5 * b.bev_diagonal for b in boxes_b]
-    for i, a in enumerate(boxes_a):
-        radius = 0.5 * a.bev_diagonal
-        for j, (b, rb) in enumerate(zip(boxes_b, radii_b)):
-            reach = radius + rb
-            if (a.cx - b.cx) ** 2 + (a.cy - b.cy) ** 2 <= reach * reach:
-                out[i, j] = iou_3d(a, b)
+    i, j = near_pairs(boxes_a, boxes_b)
+    out[i, j] = iou_3d([boxes_a[k] for k in i.tolist()],
+                       [boxes_b[k] for k in j.tolist()])
     return out

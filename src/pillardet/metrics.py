@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box3D, heading_delta, iou_3d
+from .geometry import Box3D, heading_delta, iou_3d, near_pairs
 from .rpn import Detection
 
 LEVELS = ("L1", "L2")
@@ -59,31 +59,45 @@ def split_difficulty(gt: Sequence[Box3D], level: str) -> list[Box3D]:
     return [b for b, keep in zip(gt, _keep_mask(gt, level)) if keep]
 
 
+def _iou_table(n_dets: int, n_gt: int, i: np.ndarray, j: np.ndarray,
+               values: np.ndarray) -> np.ndarray:
+    """(n_dets, n_gt) IoUs holding ``values`` at pairs (i, j) and -inf,
+    which no threshold takes, at every pair left unclipped."""
+    table = np.full((n_dets, n_gt), -np.inf)
+    table[i, j] = values
+    return table
+
+
 def match_detections(dets: Sequence[Detection], gt: Sequence[Box3D],
-                     iou_threshold: float) -> list[MatchResult]:
+                     iou_threshold: float,
+                     ious: np.ndarray | None = None) -> list[MatchResult]:
     """Greedy score-ordered matching of one class within one scene.
 
     Each detection takes the highest-IoU still-unmatched ground-truth box
     with IoU >= threshold; ties in score break toward the earlier index.
-    Pairs whose BEV circumcircles cannot touch are skipped without
-    clipping: their IoU is exactly zero, below every threshold.
+    Only pairs whose BEV circumcircles touch are clipped, in one batched
+    :func:`iou_3d` call: any other pair's IoU is exactly zero, below every
+    threshold. ``ious`` passes in that (len(dets), len(gt)) table when
+    the caller has clipped the pairs already, -inf at pairs left
+    unclipped.
     """
+    if ious is None:
+        i, j = near_pairs([d.box for d in dets], gt)
+        ious = _iou_table(len(dets), len(gt), i, j,
+                          iou_3d([dets[k].box for k in i.tolist()],
+                                 [gt[k] for k in j.tolist()]))
+    # per detection: (gt index, IoU) of the pairs above threshold
+    candidates: list[list[tuple[int, float]]] = [[] for _ in dets]
+    i, j = np.nonzero(ious >= iou_threshold)
+    for di, gj, v in zip(i.tolist(), j.tolist(), ious[i, j].tolist()):
+        candidates[di].append((gj, v))
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].rectified_score, i))
     taken = [False] * len(gt)
-    radii = [0.5 * g.bev_diagonal for g in gt]
     results = []
     for i in order:
-        box = dets[i].box
-        radius = 0.5 * box.bev_diagonal
         best_j, best_iou = None, -1.0
-        for j, g in enumerate(gt):
-            if taken[j]:
-                continue
-            reach = radius + radii[j]
-            if (box.cx - g.cx) ** 2 + (box.cy - g.cy) ** 2 > reach * reach:
-                continue
-            v = iou_3d(box, g)
-            if v >= iou_threshold and v > best_iou:
+        for j, v in candidates[i]:
+            if not taken[j] and v > best_iou:
                 best_j, best_iou = j, v
         if best_j is None:
             results.append(MatchResult(i, None, 0.0))
@@ -98,23 +112,44 @@ def evaluate_levels(det_scenes: Sequence[Sequence[Detection]],
                     gt_scenes: Sequence[Sequence[Box3D]],
                     iou_thresholds: dict[int, float]
                     ) -> dict[str, dict[int, ClassMetrics]]:
-    """AP/APH per class at both difficulty levels over a set of scenes."""
+    """AP/APH per class at both difficulty levels over a set of scenes.
+
+    The near det-GT pairs of every class in every scene are clipped in
+    one batched :func:`iou_3d` call; :func:`match_detections` then reads
+    its class and scene's share of them.
+    """
     for cls, thr in iou_thresholds.items():
         if not 0.0 < thr <= 1.0:
             raise ValueError(f"IoU threshold for class {cls} must be in (0, 1]")
     if len(det_scenes) != len(gt_scenes):
         raise ValueError("detection/ground-truth scene counts differ")
-    report: dict[str, dict[int, ClassMetrics]] = {level: {} for level in LEVELS}
+    # per class, per scene: detections, ground truth, near pair indices
+    groups: dict[int, list] = {}
+    pairs_det: list[Box3D] = []
+    pairs_gt: list[Box3D] = []
     for class_id in sorted(iou_thresholds):
+        groups[class_id] = []
+        for dets, gt in zip(det_scenes, gt_scenes):
+            cls_dets = [d for d in dets if d.class_id == class_id]
+            cls_gt = [g for g in gt if g.class_id == class_id]
+            i, j = near_pairs([d.box for d in cls_dets], cls_gt)
+            groups[class_id].append((cls_dets, cls_gt, i, j))
+            pairs_det += [cls_dets[k].box for k in i.tolist()]
+            pairs_gt += [cls_gt[k] for k in j.tolist()]
+    values = iou_3d(pairs_det, pairs_gt)
+    start = 0
+    report: dict[str, dict[int, ClassMetrics]] = {level: {} for level in LEVELS}
+    for class_id, scenes in groups.items():
         # (score, is_tp, heading_weight) per non-ignored detection, per level
         records: dict[str, list[tuple[float, bool, float]]] = {
             level: [] for level in LEVELS}
         num_gt = dict.fromkeys(LEVELS, 0)
-        for dets, gt in zip(det_scenes, gt_scenes):
-            cls_dets = [d for d in dets if d.class_id == class_id]
-            cls_gt = [g for g in gt if g.class_id == class_id]
+        for cls_dets, cls_gt, i, j in scenes:
+            ious = _iou_table(len(cls_dets), len(cls_gt), i, j,
+                              values[start:start + len(i)])
+            start += len(i)
             matches = match_detections(cls_dets, cls_gt,
-                                       iou_thresholds[class_id])
+                                       iou_thresholds[class_id], ious)
             for level in LEVELS:
                 keep = _keep_mask(cls_gt, level)
                 num_gt[level] += sum(keep)

@@ -88,9 +88,10 @@ def exhaustive_nms(dets, iou_thresholds: dict[int, float], iou_fn) -> list:
     """Greedy per-class NMS computed from the full pairwise IoU matrix.
 
     ``dets`` is any sequence with ``box``, ``class_id`` and
-    ``rectified_score`` attributes; ``iou_fn`` computes scalar 3D IoU
-    between two boxes. Ordering is by descending ``rectified_score`` with
-    ties broken by earlier input index.
+    ``rectified_score`` attributes; ``iou_fn`` computes the 3D IoUs of two
+    equal-length sequences of boxes, pair by pair. Each class's matrix is
+    one call over all its pairs, with no distance screen. Ordering is by
+    descending ``rectified_score`` with ties broken by earlier input index.
     """
     kept: list = []
     by_class: dict[int, list[int]] = {}
@@ -101,9 +102,10 @@ def exhaustive_nms(dets, iou_thresholds: dict[int, float], iou_fn) -> list:
         thr = iou_thresholds[class_id]
         n = len(idx)
         iou = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                iou[i, j] = iou[j, i] = iou_fn(dets[idx[i]].box, dets[idx[j]].box)
+        upper = np.triu_indices(n, 1)
+        iou[upper] = iou_fn([dets[idx[i]].box for i in upper[0].tolist()],
+                            [dets[idx[j]].box for j in upper[1].tolist()])
+        iou.T[upper] = iou[upper]
         order = sorted(range(n),
                        key=lambda i: (-dets[idx[i]].rectified_score, idx[i]))
         alive = [True] * n

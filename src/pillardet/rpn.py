@@ -10,11 +10,11 @@ predicted-IoU channel used for score rectification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box3D, exp_extent, iou_3d
+from .geometry import Box3D, exp_extent, iou_3d, near_pairs
 from .grid import DenseFeatureMap, GridSpec, dense_conv2d
 from .weights import WeightStore
 
@@ -289,8 +289,8 @@ def rectify(score: float, iou_score: float, beta: float) -> float:
 
 def rectify_detections(dets: list[Detection],
                        beta: dict[int, float]) -> list[Detection]:
-    return [replace(d, rectified_score=rectify(d.score, d.iou_score,
-                                               beta[d.class_id]))
+    return [Detection(d.box, d.class_id, d.score, d.iou_score,
+                      rectify(d.score, d.iou_score, beta[d.class_id]))
             for d in dets]
 
 
@@ -299,30 +299,42 @@ def nms_3d(dets: list[Detection],
     """Class-wise greedy NMS on 3D IoU, ordered by rectified score.
 
     Ties break toward the earlier input index. Survivors are returned in
-    descending score order. Pairs whose BEV circumcircles cannot touch are
-    skipped without clipping (their IoU is exactly zero).
+    descending score order. Only same-class pairs whose BEV circumcircles
+    touch are clipped (any other pair's IoU is exactly zero), all classes'
+    in one batched :func:`iou_3d` call; the greedy scan then reads the
+    precomputed suppressions.
     """
-    kept_idx: list[int] = []
     by_class: dict[int, list[int]] = {}
     for i, d in enumerate(dets):
         by_class.setdefault(d.class_id, []).append(i)
+    # per class: detection indices in score order, near pairs (p < q) as
+    # positions in that order
+    scans = []
+    pairs_a: list[Box3D] = []
+    pairs_b: list[Box3D] = []
     for class_id, idx in sorted(by_class.items()):
-        thr = iou_thresholds[class_id]
         order = sorted(idx, key=lambda i: (-dets[i].rectified_score, i))
-        kept_boxes: list[tuple[Box3D, float]] = []
-        for i in order:
-            box = dets[i].box
-            radius = 0.5 * box.bev_diagonal
-            suppressed = False
-            for kb, kr in kept_boxes:
-                reach = radius + kr
-                if ((box.cx - kb.cx) ** 2 + (box.cy - kb.cy) ** 2 > reach * reach):
-                    continue
-                if iou_3d(box, kb) > thr:
-                    suppressed = True
-                    break
-            if not suppressed:
-                kept_boxes.append((box, radius))
+        boxes = [dets[i].box for i in order]
+        p, q = near_pairs(boxes, boxes)
+        ahead = p < q
+        p, q = p[ahead].tolist(), q[ahead].tolist()
+        scans.append((iou_thresholds[class_id], order, p, q))
+        pairs_a += [boxes[k] for k in p]
+        pairs_b += [boxes[k] for k in q]
+    ious = iou_3d(pairs_a, pairs_b).tolist()
+    kept_idx: list[int] = []
+    start = 0
+    for thr, order, p, q in scans:
+        suppresses: list[list[int]] = [[] for _ in order]
+        for k, v in enumerate(ious[start:start + len(p)]):
+            if v > thr:
+                suppresses[p[k]].append(q[k])
+        start += len(p)
+        alive = [True] * len(order)
+        for pos, i in enumerate(order):
+            if alive[pos]:
                 kept_idx.append(i)
+                for later in suppresses[pos]:
+                    alive[later] = False
     kept_idx.sort(key=lambda i: (-dets[i].rectified_score, i))
     return [dets[i] for i in kept_idx]

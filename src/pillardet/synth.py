@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import CLASS_IDS, CLASS_NAMES  # noqa: F401  (CLASS_NAMES re-exported)
-from .geometry import Box3D, project_to_bev, rotated_iou_bev
+from .geometry import (Box3D, RotatedRect2D, iou_3d, project_to_bev,
+                       rotated_iou_bev)
 from .grid import GridSpec, PointCloud
 from .rpn import Detection
 
@@ -109,6 +110,7 @@ def generate_scene(spec: SceneSpec,
     """
     rng = np.random.default_rng(spec.seed)
     boxes: list[Box3D] = []
+    rects: list[RotatedRect2D] = []
     total = sum(spec.counts.values())
     for class_id in sorted(spec.counts):
         base = CLASS_SIZES[class_id]
@@ -128,9 +130,9 @@ def generate_scene(spec: SceneSpec,
                 yaw = rng.uniform(-math.pi, math.pi)
                 cand = Box3D(cx, cy, cz, l, w, h, yaw, class_id=class_id)
                 cand_rect = project_to_bev(cand)
-                if all(rotated_iou_bev(cand_rect, project_to_bev(b)) == 0.0
-                       for b in boxes):
+                if np.all(rotated_iou_bev([cand_rect] * len(rects), rects) == 0.0):
                     boxes.append(cand)
+                    rects.append(cand_rect)
                     placed = True
                     break
             if not placed:
@@ -184,10 +186,8 @@ def jitter_detections(gt: list[Box3D], noise: JitterSpec, seed: int,
     in localization quality by construction. Optional false positives are
     dropped anywhere in range with a random low score.
     """
-    from .geometry import iou_3d  # local import keeps module load light
-
     rng = np.random.default_rng(seed)
-    dets: list[Detection] = []
+    boxes: list[Box3D] = []
     for g in gt:
         yaw = g.yaw + rng.normal(0.0, noise.sigma_yaw) if noise.sigma_yaw else g.yaw
         if noise.yaw_flip_prob and rng.random() < noise.yaw_flip_prob:
@@ -200,8 +200,9 @@ def jitter_detections(gt: list[Box3D], noise: JitterSpec, seed: int,
             g.width * math.exp(rng.normal(0.0, noise.sigma_size)) if noise.sigma_size else g.width,
             g.height * math.exp(rng.normal(0.0, noise.sigma_size)) if noise.sigma_size else g.height,
             yaw, class_id=g.class_id)
-        score = iou_3d(box, g)
-        dets.append(Detection(box, g.class_id, score, iou_score=score))
+        boxes.append(box)
+    dets = [Detection(box, g.class_id, score, iou_score=score)
+            for box, g, score in zip(boxes, gt, iou_3d(boxes, gt).tolist())]
 
     for _ in range(noise.false_positives):
         class_id = int(rng.integers(0, 3))

@@ -67,23 +67,27 @@ def geometry_suite(pairs: int = 150, samples: int = 1_000_000,
                    seed: int = 0, tolerance: float = 3e-3) -> SuiteResult:
     """Clipping IoU vs Monte Carlo, plus symmetry and rigid invariance."""
     rng = np.random.default_rng(seed)
-    max_mc = 0.0
-    max_sym = 0.0
-    max_rigid = 0.0
-    for k in range(pairs):
+    rects_a, rects_b, moved_a, moved_b = [], [], [], []
+    for _ in range(pairs):
         a = random_rect(rng)
         b = RotatedRect2D(a.cx + rng.uniform(-2, 2), a.cy + rng.uniform(-2, 2),
                           rng.uniform(0.8, 5.0), rng.uniform(0.8, 5.0),
                           rng.uniform(-math.pi, math.pi))
-        iou = rotated_iou_bev(a, b)
-        max_mc = max(max_mc, abs(iou - mc_rotated_iou(a, b, samples, seed=seed + k)))
-        max_sym = max(max_sym, abs(iou - rotated_iou_bev(b, a)))
         # rigid motion applied to both rects
         tx, ty, rot = rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(-math.pi, math.pi)
         c, s = math.cos(rot), math.sin(rot)
-        moved = [RotatedRect2D(c * r.cx - s * r.cy + tx, s * r.cx + c * r.cy + ty,
-                               r.length, r.width, r.yaw + rot) for r in (a, b)]
-        max_rigid = max(max_rigid, abs(iou - rotated_iou_bev(*moved)))
+        for r, out in ((a, moved_a), (b, moved_b)):
+            out.append(RotatedRect2D(c * r.cx - s * r.cy + tx,
+                                     s * r.cx + c * r.cy + ty,
+                                     r.length, r.width, r.yaw + rot))
+        rects_a.append(a)
+        rects_b.append(b)
+    iou = rotated_iou_bev(rects_a, rects_b)
+    max_sym = float(np.abs(iou - rotated_iou_bev(rects_b, rects_a)).max(initial=0.0))
+    max_rigid = float(np.abs(iou - rotated_iou_bev(moved_a, moved_b)).max(initial=0.0))
+    max_mc = 0.0
+    for k, (a, b, v) in enumerate(zip(rects_a, rects_b, iou.tolist())):
+        max_mc = max(max_mc, abs(v - mc_rotated_iou(a, b, samples, seed=seed + k)))
     passed = max_mc <= tolerance and max_sym == 0.0 and max_rigid <= 1e-9
     return SuiteResult("geometry-mc-iou", passed, max(max_mc, max_rigid),
                        f"{pairs} pairs x {samples} samples",

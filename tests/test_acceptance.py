@@ -35,26 +35,31 @@ class TestCriterion01GeometryOracle:
     def test_clipping_matches_monte_carlo(self):
         t0 = time.perf_counter()
         rng = np.random.default_rng(101)
-        max_mc = max_sym = max_rigid = 0.0
-        for k in range(1000):
+        rects_a, rects_b, moved_a, moved_b = [], [], [], []
+        for _ in range(1000):
             a = RotatedRect2D(rng.uniform(-3, 3), rng.uniform(-3, 3),
                               rng.uniform(0.8, 5), rng.uniform(0.8, 5),
                               rng.uniform(-math.pi, math.pi))
             b = RotatedRect2D(a.cx + rng.uniform(-2, 2), a.cy + rng.uniform(-2, 2),
                               rng.uniform(0.8, 5), rng.uniform(0.8, 5),
                               rng.uniform(-math.pi, math.pi))
-            iou = rotated_iou_bev(a, b)
-            max_mc = max(max_mc, abs(iou - mc_rotated_iou(a, b, 1_000_000,
-                                                          seed=9000 + k)))
-            max_sym = max(max_sym, abs(iou - rotated_iou_bev(b, a)))
             tx, ty = rng.uniform(-20, 20, 2)
             rot = rng.uniform(-math.pi, math.pi)
             c, s = math.cos(rot), math.sin(rot)
-            moved = [RotatedRect2D(c * r.cx - s * r.cy + tx,
-                                   s * r.cx + c * r.cy + ty,
-                                   r.length, r.width, r.yaw + rot)
-                     for r in (a, b)]
-            max_rigid = max(max_rigid, abs(iou - rotated_iou_bev(*moved)))
+            for r, out in ((a, moved_a), (b, moved_b)):
+                out.append(RotatedRect2D(c * r.cx - s * r.cy + tx,
+                                         s * r.cx + c * r.cy + ty,
+                                         r.length, r.width, r.yaw + rot))
+            rects_a.append(a)
+            rects_b.append(b)
+        # the 1000 pairs, their swaps and their rigid moves: one call each
+        iou = rotated_iou_bev(rects_a, rects_b)
+        max_sym = float(np.abs(iou - rotated_iou_bev(rects_b, rects_a)).max())
+        max_rigid = float(np.abs(iou - rotated_iou_bev(moved_a, moved_b)).max())
+        max_mc = 0.0
+        for k, (a, b, v) in enumerate(zip(rects_a, rects_b, iou.tolist())):
+            max_mc = max(max_mc, abs(v - mc_rotated_iou(a, b, 1_000_000,
+                                                        seed=9000 + k)))
         elapsed = time.perf_counter() - t0
         assert max_mc <= 3e-3
         assert max_sym <= 1e-9
@@ -289,8 +294,9 @@ class TestCriterion10SamplingProtocol:
                     proposals.append(Box3D(
                         rng.uniform(-60, 60), rng.uniform(40, 80), 0.0,
                         4.6, 2.1, 1.7, rng.uniform(-math.pi, math.pi)))
-            labels = np.array([max(iou_3d(p, g) for g in gt) >= 0.55
-                               for p in proposals])
+            # every proposal against both boxes, in one batched call
+            ious = iou_3d([p for p in proposals for _ in gt], gt * len(proposals))
+            labels = ious.reshape(len(proposals), len(gt)).max(axis=1) >= 0.55
             index_of = {id(p): i for i, p in enumerate(proposals)}
             configs.append((proposals, gt, labels, index_of))
 

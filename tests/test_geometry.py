@@ -112,32 +112,37 @@ class TestRotatedIou:
 
     def test_symmetry_is_exact(self):
         rng = np.random.default_rng(2)
-        for _ in range(300):
-            a, b = random_rect(rng), random_rect(rng)
-            assert rotated_iou_bev(a, b) == rotated_iou_bev(b, a)
+        pairs = [(random_rect(rng), random_rect(rng)) for _ in range(300)]
+        a, b = [p[0] for p in pairs], [p[1] for p in pairs]
+        assert rotated_iou_bev(a, b).tolist() == rotated_iou_bev(b, a).tolist()
 
     def test_yaw_periodicity(self):
         rng = np.random.default_rng(3)
+        pairs, shifted = [], []
         for _ in range(200):
             a, b = random_rect(rng), random_rect(rng)
-            shifted = (RotatedRect2D(a.cx, a.cy, a.length, a.width, a.yaw + math.pi),
-                       RotatedRect2D(b.cx, b.cy, b.length, b.width, b.yaw + math.pi))
-            assert rotated_iou_bev(*shifted) == pytest.approx(
-                rotated_iou_bev(a, b), abs=1e-9)
+            pairs.append((a, b))
+            shifted.append((
+                RotatedRect2D(a.cx, a.cy, a.length, a.width, a.yaw + math.pi),
+                RotatedRect2D(b.cx, b.cy, b.length, b.width, b.yaw + math.pi)))
+        assert rotated_iou_bev(*zip(*shifted)) == pytest.approx(
+            rotated_iou_bev(*zip(*pairs)), abs=1e-9)
 
     def test_rigid_invariance(self):
         rng = np.random.default_rng(4)
+        pairs, moved = [], []
         for _ in range(200):
             a, b = random_rect(rng), random_rect(rng)
             tx, ty = rng.uniform(-30, 30, 2)
             rot = rng.uniform(-math.pi, math.pi)
             c, s = math.cos(rot), math.sin(rot)
-            moved = [RotatedRect2D(c * r.cx - s * r.cy + tx,
-                                   s * r.cx + c * r.cy + ty,
-                                   r.length, r.width, r.yaw + rot)
-                     for r in (a, b)]
-            assert rotated_iou_bev(*moved) == pytest.approx(
-                rotated_iou_bev(a, b), abs=1e-9)
+            pairs.append((a, b))
+            moved.append([RotatedRect2D(c * r.cx - s * r.cy + tx,
+                                        s * r.cx + c * r.cy + ty,
+                                        r.length, r.width, r.yaw + rot)
+                          for r in (a, b)])
+        assert rotated_iou_bev(*zip(*moved)) == pytest.approx(
+            rotated_iou_bev(*zip(*pairs)), abs=1e-9)
 
     def test_against_monte_carlo(self):
         rng = np.random.default_rng(5)
@@ -166,9 +171,9 @@ class TestIou3D:
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(6)
-        for _ in range(200):
-            a, b = random_box(rng), random_box(rng)
-            assert iou_3d(a, b) == iou_3d(b, a)
+        pairs = [(random_box(rng), random_box(rng)) for _ in range(200)]
+        a, b = [p[0] for p in pairs], [p[1] for p in pairs]
+        assert iou_3d(a, b).tolist() == iou_3d(b, a).tolist()
 
     def test_matrix_matches_elementwise(self):
         rng = np.random.default_rng(7)
@@ -192,9 +197,10 @@ class TestIou3D:
                                  b.cz, b.length, b.width, b.height, b.yaw))
         matrix = iou_3d_matrix(boxes_a, boxes_b)
         assert matrix.shape == (len(boxes_a), len(boxes_b))
-        for i, a in enumerate(boxes_a):
-            for j, b in enumerate(boxes_b):
-                assert matrix[i, j] == iou_3d(a, b)  # exact, not approximate
+        # every pair clipped, in one batch: exact, not approximate
+        every_pair = iou_3d([a for a in boxes_a for _ in boxes_b],
+                            boxes_b * len(boxes_a))
+        assert matrix.ravel().tolist() == every_pair.tolist()
         assert not matrix[:, 30:35].any()
         assert matrix.any()
         assert iou_3d_matrix([], boxes_b).shape == (0, len(boxes_b))
@@ -205,3 +211,229 @@ class TestHeadingDelta:
         assert heading_delta(0.0, math.pi) == pytest.approx(math.pi)
         assert heading_delta(-3.0, 3.0) == pytest.approx(2 * math.pi - 6.0)
         assert heading_delta(0.4, 0.4) == 0.0
+
+
+# -- bit reference: the one-pair-at-a-time clipper on Python lists ----------
+
+def ref_clip_polygon(poly, clip):
+    """Sutherland-Hodgman clip of ``poly`` against convex CCW ``clip``."""
+    out = poly
+    n_clip = len(clip)
+    for e in range(n_clip):
+        if not out:
+            return []
+        ex1, ey1 = clip[e]
+        ex2, ey2 = clip[(e + 1) % n_clip]
+        ax, ay = ex2 - ex1, ey2 - ey1
+        inp = out
+        out = []
+        n = len(inp)
+        sides = [ax * (inp[i][1] - ey1) - ay * (inp[i][0] - ex1) for i in range(n)]
+        for i in range(n):
+            cur = inp[i]
+            nxt = inp[(i + 1) % n]
+            s_cur = sides[i]
+            s_nxt = sides[(i + 1) % n]
+            if s_cur >= 0.0:
+                out.append(cur)
+            if (s_cur > 0.0 and s_nxt < 0.0) or (s_cur < 0.0 and s_nxt > 0.0):
+                t = s_cur / (s_cur - s_nxt)
+                out.append((cur[0] + t * (nxt[0] - cur[0]),
+                            cur[1] + t * (nxt[1] - cur[1])))
+    return out
+
+
+def ref_polygon_area(poly):
+    if len(poly) >= 2:
+        kept = []
+        for p in poly:
+            if not kept or math.hypot(p[0] - kept[-1][0], p[1] - kept[-1][1]) > 1e-9:
+                kept.append(p)
+        if len(kept) > 1 and math.hypot(kept[0][0] - kept[-1][0],
+                                        kept[0][1] - kept[-1][1]) <= 1e-9:
+            kept.pop()
+        poly = kept
+    n = len(poly)
+    if n < 3:
+        return 0.0
+    acc = 0.0
+    for i in range(n):
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % n]
+        acc += x1 * y2 - x2 * y1
+    return 0.5 * abs(acc)
+
+
+def ref_intersection_area(a, b):
+    if a.area <= 0.0 or b.area <= 0.0:
+        return 0.0
+    if (b.cx, b.cy, b.length, b.width, b.yaw) < (a.cx, a.cy, a.length, a.width, a.yaw):
+        a, b = b, a
+    return ref_polygon_area(ref_clip_polygon(a.corners(), b.corners()))
+
+
+def ref_bev_iou(ra, rb, inter):
+    if ra.area <= 0.0 or rb.area <= 0.0:
+        return 0.0
+    union = ra.area + rb.area - inter
+    if union <= 0.0:
+        return 0.0
+    return min(1.0, inter / union)
+
+
+def ref_ious(a, b):
+    """(rotated_iou_bev, iou_3d) of two Box3D, from one reference clip."""
+    ra, rb = project_to_bev(a), project_to_bev(b)
+    inter = ref_intersection_area(ra, rb)
+    bev = ref_bev_iou(ra, rb, inter)
+    iou = 0.0
+    z_overlap = min(a.z_top, b.z_top) - max(a.z_bottom, b.z_bottom)
+    if inter > 0.0 and z_overlap > 0.0:
+        inter3 = inter * z_overlap
+        union = a.volume + b.volume - inter3
+        if union > 0.0:
+            iou = min(1.0, inter3 / union)
+    return bev, iou
+
+
+FAMILIES = ("random", "identical", "same_object", "turn_90", "turn_180",
+            "shared_edge", "shared_vertex", "nested", "far", "tiny_extent",
+            "sliver", "far_out")
+
+
+def family_pairs(family, rng, n):
+    """``n`` seeded Box3D pairs of one family of hard cases."""
+    cx, cy = rng.integers(-20, 21, (2, n)) * 0.5
+    length, width = rng.integers(1, 17, (2, n)) * 0.25
+    yaw = rng.uniform(-math.pi, math.pi, n)
+    if family in ("shared_edge", "shared_vertex"):
+        yaw[rng.random(n) < 0.5] = 0.0   # exact shared edges need yaw 0
+    if family == "far_out":              # +-75 m from the origin
+        cx = rng.choice([-75.0, 75.0], n) + 0.01 * cx
+        cy = rng.choice([-75.0, 75.0], n) + 0.01 * cy
+    fields = np.column_stack([cx, cy, rng.uniform(-0.5, 0.5, n), length, width,
+                              rng.uniform(0.5, 2.0, n), yaw])
+    # per pair: six uniforms in [0, 1), three standard normals, a sign
+    draws = np.column_stack([rng.random((n, 6)), rng.normal(size=(n, 3)),
+                             rng.choice([-1.0, 1.0], n)])
+    pairs = []
+    for row, (u0, u1, u2, u3, u4, u5, g0, g1, g2, sign) in zip(
+            fields.tolist(), draws.tolist()):
+        a = Box3D(*row)
+        if family == "random":
+            b = Box3D(a.cx + 1.5 * g0, a.cy + 1.5 * g1, u0 - 0.5, 0.3 + 4.7 * u1,
+                      0.3 + 4.7 * u2, 0.5 + 1.5 * u3, math.pi * (2 * u4 - 1))
+        elif family == "identical":
+            b = Box3D(a.cx, a.cy, a.cz, a.length, a.width, a.height, a.yaw)
+        elif family == "same_object":
+            b = a
+        elif family in ("turn_90", "turn_180"):
+            turn = math.pi / 2 if family == "turn_90" else math.pi
+            b = Box3D(a.cx, a.cy, a.cz, a.length, a.width, a.height,
+                      a.yaw + sign * turn)
+        elif family in ("shared_edge", "shared_vertex"):
+            # edge to edge outside, or flush inside along one edge
+            c, s = math.cos(a.yaw), math.sin(a.yaw)
+            b_length = 0.25 * (1 + int(16 * u0))
+            along = 0.5 * (a.length + sign * b_length)
+            across = a.width if family == "shared_vertex" else 0.0
+            b = Box3D(a.cx + c * along - s * across, a.cy + s * along + c * across,
+                      a.cz, b_length, a.width, a.height, a.yaw)
+        elif family == "nested":
+            b = Box3D(a.cx + 0.1 * (u0 - 0.5), a.cy, a.cz,
+                      a.length * (0.1 + 0.8 * u1), a.width * (0.1 + 0.8 * u2),
+                      a.height * 0.5, a.yaw + 0.4 * (u3 - 0.5))
+        elif family == "far":
+            t, r = math.pi * (2 * u0 - 1), 8.0 + 72.0 * u1
+            b = Box3D(a.cx + r * math.cos(t), a.cy + r * math.sin(t), a.cz,
+                      a.length, a.width, a.height, math.pi * (2 * u2 - 1))
+        elif family == "tiny_extent":
+            # extents whose products underflow, or nearly so
+            tiny = (1e-200, 1e-160, 1e-12)[int(3 * u0)]
+            b = Box3D(a.cx, a.cy, a.cz, tiny, a.width, a.height, a.yaw)
+        elif family == "sliver":
+            b = Box3D(a.cx + u0 - 0.5, a.cy + u1 - 0.5, a.cz, 0.5 + 4.5 * u2,
+                      (1e-6, 1e-9, 1e-12)[int(3 * u3)], a.height,
+                      a.yaw + (0.0, 1e-12, 0.3 * g0)[int(3 * u4)])
+        else:   # far_out
+            b = Box3D(a.cx + 0.5 * g0, a.cy + 0.5 * g1, a.cz,
+                      a.length * (0.8 + 0.4 * u0), a.width, a.height,
+                      a.yaw + 0.2 * g2)
+        pairs.append((a, b))
+    return pairs
+
+
+class TestBatchedKernelBitExact:
+    """The batched clip against the one-pair clip it replaced, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        rng = np.random.default_rng(2024)
+        per_family = 100_000 // len(FAMILIES) + 1
+        return [p for f in FAMILIES for p in family_pairs(f, rng, per_family)]
+
+    def test_hundred_thousand_pairs_match_the_reference(self, pairs):
+        assert len(pairs) >= 100_000
+        a, b = [p[0] for p in pairs], [p[1] for p in pairs]
+        got_3d = iou_3d(a, b)
+        got_bev = rotated_iou_bev([project_to_bev(x) for x in a],
+                                  [project_to_bev(x) for x in b])
+        ref = [ref_ious(x, y) for x, y in pairs]
+        assert [v.hex() for v in got_bev.tolist()] == [r[0].hex() for r in ref]
+        assert [v.hex() for v in got_3d.tolist()] == [r[1].hex() for r in ref]
+        # apart and degenerate families stay at zero; every other one overlaps
+        by_family = np.array(ref)[:, 1].reshape(len(FAMILIES), -1)
+        for name, values in zip(FAMILIES, by_family):
+            if name in ("far", "tiny_extent", "shared_vertex"):
+                assert not values.any(), name
+            else:
+                assert values.any(), name
+
+    def test_symmetry_is_exact(self, pairs):
+        a, b = [p[0] for p in pairs[::10]], [p[1] for p in pairs[::10]]
+        assert np.array_equal(iou_3d(a, b), iou_3d(b, a))
+        ra = [project_to_bev(x) for x in a]
+        rb = [project_to_bev(x) for x in b]
+        assert np.array_equal(rotated_iou_bev(ra, rb), rotated_iou_bev(rb, ra))
+
+    def test_batch_equals_elementwise_calls(self, pairs):
+        picked = pairs[::400]
+        a, b = [p[0] for p in picked], [p[1] for p in picked]
+        batch = iou_3d(a, b)
+        assert batch.tolist() == [iou_3d(x, y) for x, y in picked]
+        ra = [project_to_bev(x) for x in a]
+        rb = [project_to_bev(x) for x in b]
+        assert rotated_iou_bev(ra, rb).tolist() == [
+            rotated_iou_bev(x, y) for x, y in zip(ra, rb)]
+        assert all(type(iou_3d(x, y)) is float for x, y in picked[:5])
+
+    def test_zero_extent_rects(self):
+        rng = np.random.default_rng(77)
+        a = [random_rect(rng) for _ in range(60)]
+        b = [RotatedRect2D(r.cx, r.cy, *rng.choice([(0.0, 1.0), (1.0, 0.0),
+                                                    (0.0, 0.0), (-1.0, 2.0)]),
+                           r.yaw) for r in a]
+        assert rotated_iou_bev(a, b).tolist() == [
+            ref_bev_iou(x, y, ref_intersection_area(x, y)) for x, y in zip(a, b)]
+        assert rotated_iou_bev(b, a).tolist() == [0.0] * len(a)
+
+    def test_empty_batches(self):
+        assert iou_3d([], []).shape == (0,)
+        assert rotated_iou_bev([], []).shape == (0,)
+
+    def test_mismatched_batches_are_rejected(self):
+        box = Box3D(0, 0, 0, 1, 1, 1, 0)
+        with pytest.raises(ValueError, match="differ in length"):
+            iou_3d([box, box], [box])
+        with pytest.raises(TypeError):
+            iou_3d(box, [box])
+
+    def test_polygon_area_merges_near_duplicates(self):
+        square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+        noisy = [(0.0, 0.0), (1.0, 0.0), (1.0 + 4e-10, 3e-10), (1.0, 1.0),
+                 (0.0, 1.0), (2e-10, -1e-10)]
+        for poly in (square, noisy, noisy[::-1], square[:2], []):
+            assert polygon_area(poly).hex() == ref_polygon_area(poly).hex()
+        assert polygon_area(noisy) != 0.5 * abs(sum(
+            noisy[i][0] * noisy[(i + 1) % 6][1] - noisy[(i + 1) % 6][0] * noisy[i][1]
+            for i in range(6)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pillardet import metrics
-from pillardet.geometry import Box3D, heading_delta, iou_3d
+from pillardet.geometry import Box3D, heading_delta, iou_3d, near_pairs
 from pillardet.metrics import (ClassMetrics, MatchResult, evaluate_levels,
                                match_detections, split_difficulty)
 from pillardet.rpn import Detection
@@ -185,9 +185,11 @@ class TestApAph:
                             {**THRESHOLDS, 1: threshold})
 
 
-def clip_every_pair(dets, gt, iou_threshold):
-    """The greedy match without the circumcircle skip: every untaken
-    det-GT pair is clipped."""
+def clip_every_pair(dets, gt, iou_threshold, ious=None):
+    """The greedy match without the circumcircle skip: every det-GT pair
+    is clipped, here, whatever IoUs the caller passes."""
+    every_pair = iou_3d([d.box for d in dets for _ in gt],
+                        list(gt) * len(dets)).reshape(len(dets), len(gt))
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].rectified_score, i))
     taken = [False] * len(gt)
     results = []
@@ -195,7 +197,7 @@ def clip_every_pair(dets, gt, iou_threshold):
         best_j, best_iou = None, -1.0
         for j, g in enumerate(gt):
             if not taken[j]:
-                v = iou_3d(dets[i].box, g)
+                v = every_pair[i, j]
                 if v >= iou_threshold and v > best_iou:
                     best_j, best_iou = j, v
         if best_j is None:
@@ -259,7 +261,7 @@ class TestFarPairSkip:
         clipped = []
 
         def counting(a, b):
-            clipped.append((a, b))
+            clipped.extend(zip(a, b))   # one call clips a whole batch
             return iou_3d(a, b)
 
         monkeypatch.setattr(metrics, "iou_3d", counting)
@@ -280,3 +282,32 @@ class TestFarPairSkip:
                         assert dist2 <= reach * reach
                         touching += dist2 == reach * reach
         assert touching > 0 and calls < pairs / 2
+
+
+class TestPrecomputedIous:
+    def test_match_with_and_without_precomputed_ious(self):
+        rng = np.random.default_rng(943)
+        for _ in range(30):
+            for dets, gt in zip(*random_scene_set(rng)):
+                for cls in range(3):
+                    d = [x for x in dets if x.class_id == cls]
+                    g = [x for x in gt if x.class_id == cls]
+                    table = np.full((len(d), len(g)), -np.inf)
+                    i, j = near_pairs([x.box for x in d], g)
+                    table[i, j] = iou_3d([d[k].box for k in i], [g[k] for k in j])
+                    for thr in (THRESHOLDS[cls], 1e-9):
+                        assert match_detections(d, g, thr, table) == \
+                            match_detections(d, g, thr)
+
+    def test_one_batched_clip_per_set(self, monkeypatch):
+        batches = []
+
+        def counting(a, b):
+            batches.append(len(a))
+            return iou_3d(a, b)
+
+        monkeypatch.setattr(metrics, "iou_3d", counting)
+        rng = np.random.default_rng(944)
+        det_scenes, gt_scenes = random_scene_set(rng)
+        evaluate_levels(det_scenes, gt_scenes, THRESHOLDS)
+        assert len(batches) == 1 and batches[0] > 0

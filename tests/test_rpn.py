@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -243,6 +244,24 @@ class TestRectify:
             squashed = [v ** 0.7 for v in ranked]
             assert int(np.argmax(ranked)) == int(np.argmax(squashed))
 
+    def test_fields_equal_dataclass_replace(self):
+        rng = np.random.default_rng(31)
+        dets = []
+        for _ in range(300):
+            cid = int(rng.integers(0, 3))
+            b = Box3D(*rng.uniform(-20, 20, 2), rng.uniform(-1, 1),
+                      *rng.uniform(0.5, 5, 3), rng.uniform(-math.pi, math.pi),
+                      class_id=cid)
+            dets.append(Detection(b, cid, float(rng.choice([0.0, 1.0, rng.random()])),
+                                  float(rng.choice([0.0, 1.0, rng.random()]))))
+        beta = {VEH: 0.3, PED: 0.0, CYC: 1.0}
+        got = rectify_detections(dets, beta)
+        want = [dataclasses.replace(d, rectified_score=rectify(
+            d.score, d.iou_score, beta[d.class_id])) for d in dets]
+        assert [dataclasses.astuple(d) for d in got] == \
+            [dataclasses.astuple(d) for d in want]
+        assert all(g.box is d.box for g, d in zip(got, dets))
+
 
 class TestNms:
     def test_keeps_higher_scored_duplicate(self):
@@ -266,9 +285,9 @@ class TestNms:
                       rng.uniform(-math.pi, math.pi), class_id=VEH)
             dets.append(Detection(b, VEH, float(rng.random())))
         kept = nms_3d(dets, {VEH: 0.3})
-        for i in range(len(kept)):
-            for j in range(i + 1, len(kept)):
-                assert iou_3d(kept[i].box, kept[j].box) <= 0.3
+        i, j = np.triu_indices(len(kept), 1)
+        ious = iou_3d([kept[k].box for k in i], [kept[k].box for k in j])
+        assert len(ious) > 0 and ious.max() <= 0.3
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(5)
@@ -292,3 +311,48 @@ class TestNms:
                           VEH, float(rng.random())) for _ in range(30)]
         kept = nms_3d(dets, {VEH: 0.5})
         assert all(d in dets for d in kept)
+
+    def test_equals_the_lazy_scan(self):
+        """Against the scan the batched NMS replaced: per class, in score
+        order, each box is clipped against the boxes kept so far only."""
+        def lazy_scan(dets, iou_thresholds):
+            kept_idx = []
+            by_class = {}
+            for i, d in enumerate(dets):
+                by_class.setdefault(d.class_id, []).append(i)
+            for class_id, idx in sorted(by_class.items()):
+                thr = iou_thresholds[class_id]
+                kept_boxes = []
+                for i in sorted(idx, key=lambda i: (-dets[i].rectified_score, i)):
+                    box = dets[i].box
+                    radius = 0.5 * box.bev_diagonal
+                    suppressed = False
+                    for kb, kr in kept_boxes:
+                        reach = radius + kr
+                        if (box.cx - kb.cx) ** 2 + (box.cy - kb.cy) ** 2 > reach * reach:
+                            continue
+                        if iou_3d(box, kb) > thr:
+                            suppressed = True
+                            break
+                    if not suppressed:
+                        kept_boxes.append((box, radius))
+                        kept_idx.append(i)
+            kept_idx.sort(key=lambda i: (-dets[i].rectified_score, i))
+            return [dets[i] for i in kept_idx]
+
+        rng = np.random.default_rng(8)
+        thresholds = {VEH: 0.7, PED: 0.3, CYC: 0.0}
+        for _ in range(12):
+            dets = []
+            for _ in range(int(rng.integers(0, 70))):
+                cid = int(rng.integers(0, 3))
+                b = Box3D(rng.uniform(-8, 8), rng.uniform(-8, 8),
+                          rng.uniform(-0.5, 0.5), rng.uniform(0.8, 5),
+                          rng.uniform(0.8, 5), rng.uniform(0.8, 2),
+                          rng.uniform(-math.pi, math.pi), class_id=cid)
+                # few distinct scores: ties break on input index
+                dets.append(Detection(b, cid, float(rng.integers(0, 4)) / 4))
+                if rng.random() < 0.2:   # an exact duplicate box
+                    dets.append(Detection(b, cid, float(rng.integers(0, 4)) / 4))
+            assert [id(d) for d in nms_3d(dets, thresholds)] == \
+                [id(d) for d in lazy_scan(dets, thresholds)]

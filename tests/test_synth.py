@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from pillardet.fileio import format_gt
@@ -115,3 +117,50 @@ class TestSeeds:
         for (x, y, z), inside in zip(cloud.xyz[:300], mask[:300]):
             expected = point_in_rect((x, y), rect) and abs(z - b.cz) <= b.height / 2
             assert inside == expected
+
+
+NEAR_GRID = GridSpec(x_min=-25.6, x_max=25.6, y_min=-25.6, y_max=25.6,
+                     z_min=-2.0, z_max=4.0, pillar_size=0.1)
+CROWDED = {"counts": {0: 20, 1: 30, 2: 20}, "noise_density": 2.0}
+NOISY = JitterSpec(sigma_center=0.15, sigma_z=0.05, sigma_size=0.05,
+                   sigma_yaw=0.05, yaw_flip_prob=0.05)
+# the benchmark workloads' scene recipes (perfbench/workloads.py)
+WORKLOAD_SCENES = {"full_range": (GridSpec(), {}),
+                   "crowded_near": (NEAR_GRID, CROWDED),
+                   "postprocess": (NEAR_GRID, CROWDED)}
+
+
+def input_digest(workload: str, seed: int) -> str:
+    """sha256 of one benchmark scene's cloud, ground truth and, for the
+    post-processing workload, its candidates and control detections."""
+    grid, scene = WORKLOAD_SCENES[workload]
+    s = scene_seed(seed, 0)
+    cloud, gt = generate_scene(SceneSpec(seed=s, **scene), grid)
+    dets = []
+    if workload == "postprocess":
+        for c in range(4):
+            dets += jitter_detections(gt, NOISY, scene_seed(s, c + 1), grid)
+        dets += jitter_detections([], JitterSpec(false_positives=100),
+                                  scene_seed(s, 0), grid)
+        dets += jitter_detections(gt, JitterSpec(), s, grid)
+    h = hashlib.sha256(cloud.data.tobytes())
+    h.update(repr(gt).encode())
+    h.update(repr(dets).encode())
+    return h.hexdigest()
+
+
+class TestBenchmarkInputs:
+    # taken from the one-pair-at-a-time clipper: batching the placement
+    # test and the jitter scores must leave every generated byte alone
+    DIGESTS = {
+        ("full_range", 1101): "28a9e11b6fab465c0cc8ccdcfe0cc9805e003001aad10f58af133d855ca0335e",
+        ("full_range", 1102): "b6aa112b5f241b69d4b6d69a94a6e4a489e60e5652aeea22a5aa841a9d34299d",
+        ("crowded_near", 1101): "99bbf1100882698172e371dccf9494c1901eeedaf4b35357e92398f91b2c96dc",
+        ("crowded_near", 1102): "89f6ca8cb37a3f1634ce5168b6e7f65cacd7375c0bda78728f7700ad42163557",
+        ("postprocess", 1101): "762c4b6f2ef2a5f0805f12e08c7b284375186a41df1f1204e695587872f650f7",
+        ("postprocess", 1102): "93577c11831438a17ba75b566f78918237282559df439df31dd9741227c8c865",
+    }
+
+    @pytest.mark.parametrize("workload,seed", sorted(DIGESTS))
+    def test_generated_bytes_unchanged(self, workload, seed):
+        assert input_digest(workload, seed) == self.DIGESTS[workload, seed]
