@@ -9,6 +9,8 @@ cells asked for, here every cell so that it can be checked against its
 dense build and the two variants can be compared.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from pillardet import (SceneSpec, WeightStore, backbone_forward,
@@ -57,8 +59,14 @@ print(f"pool.at over all {pool.height * pool.width} cells vs pool.dense(), "
       f"the same map built whole: max |difference| {gap:.1e}")
 
 print("\n== what the bottom-up branch adds ==")
-ablated = build_pooling_map(backbone, pyramid, weights, cfg.pool_stride,
-                            cfg.bottom_up_strides, use_bottom_up=False)
+# the semantics-only ablation is a config with no bottom-up volume; its
+# blending kernel is the full one's upsampled slice, so the two maps
+# differ only by what the volume adds
+ablation = replace(cfg, pool_bottom_up_strides=())
+ablation_weights = WeightStore({**dict(weights.items()), "neck.pool.conv.w":
+                               weights.get("neck.pool.conv.w")[:, :, :cfg.pool_channels]})
+ablated = build_pooling_map(backbone, pyramid, ablation_weights,
+                            ablation.pool_stride, ablation.bottom_up_strides)
 diff = np.abs(lazy - ablated.at(iy, ix).reshape(shape))
 occupied = np.zeros((pool.height, pool.width), dtype=bool)
 c3 = backbone.c3

@@ -34,7 +34,6 @@ class PipelineConfig:
     pool_stride: int = 4
     pool_channels: int = 128
     pool_bottom_up_strides: tuple[int, ...] | None = None  # None -> (pool_stride,)
-    use_pool_bottom_up: bool = True
     roi_grid_size: int = 7
     mlp_channels: tuple[int, int] = (256, 256)
     seg_hidden: int = 64
@@ -115,8 +114,13 @@ def _validate(cfg: PipelineConfig) -> None:
         raise ConfigError("seed: must be non-negative")
 
 
-_KINDS = {tuple: "an array", bool: "true or false", int: "an integer",
-          float: "a finite number", str: "a string"}
+_KINDS = {tuple: "an array", int: "an integer", float: "a finite number",
+          str: "a string"}
+
+
+def _escaped(key: str) -> str:
+    """A JSON object key as JSON escapes it: one line, whatever it holds."""
+    return json.dumps(key)[1:-1]
 
 
 def _read(tp, value, path: str, default=None):
@@ -132,7 +136,8 @@ def _read(tp, value, path: str, default=None):
         kwargs = {}
         for name, v in value.items():
             if name not in hints:
-                raise ConfigError(f"unknown configuration field '{prefix}{name}'")
+                raise ConfigError(f"unknown configuration field "
+                                  f"'{prefix}{_escaped(name)}'")
             kwargs[name] = _read(hints[name], v, prefix + name, getattr(defaults, name))
         try:
             return tp(**kwargs)
@@ -144,13 +149,13 @@ def _read(tp, value, path: str, default=None):
         merged = dict(default)
         for name, v in value.items():
             if name not in CLASS_IDS:
-                raise ConfigError(f"{path}: unknown class '{name}'")
+                raise ConfigError(f"{path}: unknown class '{_escaped(name)}'")
             merged[CLASS_IDS[name]] = _read(args[1], v, f"{path}[{name}]")
         return merged
     if origin is tuple and isinstance(value, (list, tuple)):
         return tuple(_read(args[0], v, f"{path}[{i}]")
                      for i, v in enumerate(value))
-    if tp in (bool, int, str) and type(value) is tp:
+    if tp in (int, str) and type(value) is tp:
         return value
     if tp is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
         return float(value)  # finite: NaN fails the comparison

@@ -43,39 +43,6 @@ from .grid import (BackboneFeatures, DenseFeatureMap, SparsePillarVolume,  # noq
 from .weights import WeightStore
 
 
-def split_lateral_conv(up, bottom_up: list[SparsePillarVolume],
-                       weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """``relu(conv3x3(concat([up] + [densify(v) for v in bottom_up])))``.
-
-    Kernel input channels are sliced in concat order: ``up`` takes the
-    first ``up.shape[2]``, each volume the next ``v.channels``. An empty
-    ``bottom_up`` list convolves ``up`` alone with its slice. Each volume's
-    conv is computed only at the cells its active sites reach and added
-    there. The output takes the dtype all inputs promote to. ``up`` is an
-    array or a row source that :func:`~pillardet.grid.dense_conv2d` reads.
-    """
-    c_in = up.shape[2] + sum(v.channels for v in bottom_up)
-    if weight.shape[:3] != (3, 3, c_in):
-        raise ValueError(f"kernel shape {weight.shape} incompatible with "
-                         f"{c_in} concatenated input channels")
-    c_out = weight.shape[3]
-    # the zero bias carries the output dtype into the dense conv
-    dtype = np.result_type(up.dtype, weight, bias,
-                           *(v.features for v in bottom_up))
-    out = dense_conv2d(up, weight[:, :, :up.shape[2]], np.zeros(c_out, dtype))
-    start = up.shape[2]
-    for v in bottom_up:
-        if (v.ny, v.nx) != up.shape[:2]:
-            raise ValueError(f"bottom-up grid ({v.ny}, {v.nx}) does not match "
-                             f"the upsampled map {up.shape[:2]}")
-        cells = reached_cells(v)
-        out[cells % v.ny, cells // v.ny] += conv3x3_at(
-            v, weight[:, :, start:start + v.channels], cells)
-        start += v.channels
-    out += bias
-    return np.maximum(out, 0.0, out=out)
-
-
 def _downsample_chain(volume: SparsePillarVolume, target_stride: int,
                       weights: WeightStore, prefix: str) -> SparsePillarVolume:
     v = volume
@@ -203,27 +170,24 @@ class LateralMap:
 
     @property
     def dtype(self) -> np.dtype:
-        """The dtype all its inputs promote to, that of :meth:`at`."""
+        """The dtype all its inputs promote to, that of the map's values."""
         return np.result_type(self.semantic.data, self.deconv_w, self.deconv_b,
                               self.conv_w, self.conv_b,
                               *(v.features for v in self.bottom_up))
 
     def dense(self) -> DenseFeatureMap:
-        """The whole map, through :func:`split_lateral_conv`; the upsampled
-        half is deconvolved as the conv's chunks reach its rows, never
-        whole."""
+        """The whole map. The up half is one dense conv whose input is
+        deconvolved as its chunks reach the rows, never whole; each volume's
+        conv is added at the cells its active sites reach."""
         up = _UpsampledRows(self.semantic.data, self.deconv_w, self.deconv_b)
-        return DenseFeatureMap(self.stride, split_lateral_conv(
-            up, list(self.bottom_up), self.conv_w, self.conv_b))
+        return DenseFeatureMap(self.stride, self._blend(self._up_conv(up)))
 
     def at(self, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
         """Map values at cells (``iy[k]``, ``ix[k]``) -> (K, C).
 
         The up half is one dense conv over packed strips of the map (see
         :meth:`_up_half`); each bottom-up volume's conv is computed at the
-        query cells, in the order given, by
-        :func:`~pillardet.grid.conv3x3_at` and added, then bias and ReLU:
-        the order the split lateral conv adds them in.
+        query cells, in the order given, and added as :meth:`dense` adds it.
         """
         iy = np.asarray(iy, dtype=np.int64).reshape(-1)
         ix = np.asarray(ix, dtype=np.int64).reshape(-1)
@@ -233,12 +197,33 @@ class LateralMap:
             raise IndexError(f"cells outside the {h}x{w} lateral map")
         if not len(iy):
             return np.zeros((0, self.channels), self.dtype)
-        out = self._up_half(iy, ix)
+        return self._blend(self._up_half(iy, ix), ix * h + iy)
+
+    def _up_conv(self, up) -> np.ndarray:
+        """The up half's conv, without bias, over an upsampled array or row
+        source; the zero bias carries the map's dtype into the conv."""
+        c_up = self.deconv_w.shape[3]
+        return dense_conv2d(up, self.conv_w[:, :, :c_up],
+                            np.zeros(self.channels, self.dtype))
+
+    def _blend(self, out: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
+        """Add each bottom-up volume's conv to the up half's ``out``, then
+        bias and ReLU, in place.
+
+        Kernel input channels are sliced in concat order: the up half takes
+        the first, each volume the next ``v.channels``. With ``cells``
+        (keys ``ix * height + iy``) ``out`` holds one row per cell; without,
+        it is the whole map, and each volume adds at the cells it reaches.
+        """
         start = self.deconv_w.shape[3]
         for v in self.bottom_up:
-            out += conv3x3_at(v, self.conv_w[:, :, start:start + v.channels],
-                              ix * h + iy)
+            w = self.conv_w[:, :, start:start + v.channels]
             start += v.channels
+            if cells is None:
+                reached = reached_cells(v)
+                out[reached % v.ny, reached // v.ny] += conv3x3_at(v, w, reached)
+            else:
+                out += conv3x3_at(v, w, cells)
         out += self.conv_b
         return np.maximum(out, 0.0, out=out)
 
@@ -260,13 +245,11 @@ class LateralMap:
             map_y[s] + np.arange(_STRIP_ROWS + 2)[:, None],
             map_x[s] + np.arange(len(s)) - canvas_x[s])
         on = (my >= 0) & (my < h) & (mx >= 0) & (mx < w)
-        c_up, dtype = self.deconv_w.shape[3], self.dtype
-        canvas = np.zeros(my.shape + (c_up,), dtype)
+        canvas = np.zeros(my.shape + (self.deconv_w.shape[3],), self.dtype)
         canvas[on] = deconv2x2_at(self.semantic.data, self.deconv_w,
                                   self.deconv_b, my[on], mx[on])
         np.maximum(canvas, 0.0, out=canvas)
-        conv = dense_conv2d(canvas, self.conv_w[:, :, :c_up],
-                            np.zeros(self.channels, dtype))
+        conv = self._up_conv(canvas)
         return conv[qy - map_y[strip_of], canvas_x[strip_of] + qx - map_x[strip_of]]
 
 
@@ -292,17 +275,15 @@ def build_pyramid(backbone: BackboneFeatures,
 def build_pooling_map(backbone: BackboneFeatures,
                       pyramid: dict[int, DenseFeatureMap],
                       weights: WeightStore, pool_stride: int,
-                      bottom_up_strides: tuple[int, ...],
-                      use_bottom_up: bool = True) -> LateralMap:
+                      bottom_up_strides: tuple[int, ...]) -> LateralMap:
     """Class-agnostic map the R-CNN stage pools from, evaluated lazily.
 
     The top-down branch deconvolves the semantic map one level above the
     pooling stride (a pyramid level when present, else C5). Each bottom-up
     volume is brought to the pooling stride here, with stride-2 sparse
-    convs (identity when already there); ``use_bottom_up=False`` zeroes
-    that branch, leaving the semantics-only ablation: the branch becomes
-    an empty volume, so it adds nothing. The deconv and the 3x3 conv run
-    only when :meth:`LateralMap.at` asks for cells.
+    convs (identity when already there); no ``bottom_up_strides`` gives the
+    semantics-only ablation. The deconv and the 3x3 conv run only when
+    :meth:`LateralMap.at` asks for cells.
     """
     if pool_stride not in (2, 4, 8):
         raise ValueError(f"pool_stride must be one of 2, 4, 8, got {pool_stride}")
@@ -320,12 +301,7 @@ def build_pooling_map(backbone: BackboneFeatures,
             f"stride {pool_stride}"
         )
 
-    branches = []
-    for s in bottom_up_strides:
-        vol = _downsample_chain(backbone.volume_at(s), pool_stride, weights,
-                                f"neck.pool.s{s}")
-        if not use_bottom_up:
-            vol = SparsePillarVolume.empty(vol.stride, vol.nx, vol.ny,
-                                           vol.channels, vol.features.dtype)
-        branches.append(vol)
-    return lateral(semantic, tuple(branches), weights, "neck.pool")
+    branches = tuple(_downsample_chain(backbone.volume_at(s), pool_stride,
+                                       weights, f"neck.pool.s{s}")
+                     for s in bottom_up_strides)
+    return lateral(semantic, branches, weights, "neck.pool")

@@ -183,9 +183,12 @@ def _class_metrics(records: list[tuple[float, bool, float]],
 
 
 def _interpolated_area(recall: np.ndarray, precision: np.ndarray) -> float:
-    """Mean of max-precision-at-recall>=r over evenly spaced recall values."""
-    acc = 0.0
-    for r in np.linspace(0.0, 1.0, RECALL_POINTS):
-        mask = recall >= r - 1e-12
-        acc += float(precision[mask].max()) if np.any(mask) else 0.0
-    return acc / RECALL_POINTS
+    """Mean of max-precision-at-recall>=r over evenly spaced recall values.
+
+    ``recall`` never decreases along the curve, so the points at recall
+    >= r are a suffix of it: each maximum is one read of the suffix
+    maxima, 0 past the end. The values are summed left to right.
+    """
+    best = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    first = np.searchsorted(recall, np.linspace(0.0, 1.0, RECALL_POINTS) - 1e-12)
+    return float(np.add.accumulate(best[first])[-1]) / RECALL_POINTS

@@ -98,7 +98,7 @@ class DetectionPipeline:
         proposals = clock("nms", lambda: nms_3d(proposals, cfg.nms_iou))
         pooling_map = clock("pooling_map", lambda: build_pooling_map(
             backbone, pyramid, self.weights, cfg.pool_stride,
-            cfg.bottom_up_strides, cfg.use_pool_bottom_up))
+            cfg.bottom_up_strides))
         shapes["pool"] = (pooling_map.height, pooling_map.width)
         detections = clock("refine", lambda: refine(
             proposals, pooling_map, spec, self.weights, cfg.roi_grid_size))

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import CLASS_IDS, CLASS_NAMES  # noqa: F401  (CLASS_NAMES re-exported)
-from .geometry import (Box3D, RotatedRect2D, iou_3d, project_to_bev,
-                       rotated_iou_bev)
+from .geometry import (Box3D, RotatedRect2D, iou_3d, near_pairs,
+                       project_to_bev, rotated_iou_bev)
 from .grid import GridSpec, PointCloud
 from .rpn import Detection
 
@@ -130,7 +130,11 @@ def generate_scene(spec: SceneSpec,
                 yaw = rng.uniform(-math.pi, math.pi)
                 cand = Box3D(cx, cy, cz, l, w, h, yaw, class_id=class_id)
                 cand_rect = project_to_bev(cand)
-                if np.all(rotated_iou_bev([cand_rect] * len(rects), rects) == 0.0):
+                # only placed boxes whose circumcircles touch the candidate's
+                # can overlap it
+                near = near_pairs([cand], boxes)[1].tolist()
+                if not near or np.all(rotated_iou_bev(
+                        [cand_rect] * len(near), [rects[k] for k in near]) == 0.0):
                     boxes.append(cand)
                     rects.append(cand_rect)
                     placed = True

@@ -2,9 +2,9 @@
 
 Shipped with the library (not only the test tree) so a deployment can
 re-run the correctness gates in the field: rotated IoU against Monte
-Carlo, sparse against dense convolution, the split lateral convolution
-and the lazily evaluated pooling map against a dense convolution of the
-concatenated input, greedy against exhaustive NMS, analytic against
+Carlo, sparse against dense convolution, whole lateral maps and their
+values at chosen cells against a per-pixel deconvolution, concatenation
+and convolution, greedy against exhaustive NMS, analytic against
 finite-difference bilinear gradients, segmentation labels against direct
 point-in-rect evaluation, and the float32 pipeline against its float64
 upcast. Budgets are fixed; everything is seeded.
@@ -20,7 +20,7 @@ import numpy as np
 from .geometry import (Box3D, RotatedRect2D, iou_3d, project_to_bev,
                        rotated_iou_bev)
 from .config import PipelineConfig, weight_layout
-from .fpn import LateralMap, build_pooling_map, build_pyramid, split_lateral_conv
+from .fpn import LateralMap, build_pooling_map, build_pyramid
 from .grid import (DenseFeatureMap, GridSpec, SparsePillarVolume,
                    backbone_forward, densify, pillarize, relu, sparse_conv2d)
 from .oracles import (dense_conv_reference, exhaustive_nms,
@@ -156,43 +156,6 @@ def bottom_up_volumes(rng: np.random.Generator, k: int, nx: int,
     return vols
 
 
-def split_lateral_suite(maps: int = 40, seed: int = 5,
-                        tolerance: float = 1e-5,
-                        corrupt: bool = False) -> SuiteResult:
-    """Split lateral conv vs the per-pixel dense conv of the concatenation.
-
-    Each case has one or two bottom-up volumes, each random, empty or
-    touching only the map border. After ``maps`` maps of up to 14x14 cells
-    comes one 48x40 map with a random volume whose reached cells fill more
-    than one GEMM band of the sparse conv. ``corrupt`` perturbs one
-    bottom-up kernel weight on the split side only, a negative control that
-    must make the suite fail.
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for k in range(maps + 1):
-        multi_band = k == maps
-        h, w = ((48, 40) if multi_band
-                else (int(rng.integers(1, 15)), int(rng.integers(1, 15))))
-        c_up, c_out = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        vols = ([random_volume(rng, w, h, int(rng.integers(1, 4)), 0.1)]
-                if multi_band else bottom_up_volumes(rng, k, w, h))
-        up = rng.normal(size=(h, w, c_up))
-        c_in = c_up + sum(v.channels for v in vols)
-        weight = rng.normal(size=(3, 3, c_in, c_out))
-        bias = rng.normal(size=c_out)
-        w_split = weight.copy()
-        if corrupt:
-            w_split[1, 1, c_up, 0] += 1e-3
-        fast = split_lateral_conv(up, vols, w_split, bias)
-        merged = np.concatenate([up] + [densify(v).data for v in vols], axis=-1)
-        ref = relu(dense_conv_reference(merged, weight) + bias)
-        worst = max(worst, float(np.abs(fast - ref).max()))
-    return SuiteResult("split-lateral", worst < tolerance, worst,
-                       f"{maps} maps, random/empty/border volumes + 1 multi-band",
-                       f"max abs diff {worst:.2e}")
-
-
 def _deconv_per_pixel(data: np.ndarray, weight: np.ndarray,
                       bias: np.ndarray) -> np.ndarray:
     """2x2 stride-2 transposed conv, one output pixel at a time."""
@@ -204,59 +167,102 @@ def _deconv_per_pixel(data: np.ndarray, weight: np.ndarray,
     return out
 
 
+def lateral_case(rng: np.random.Generator, hs: int, ws: int, c_up: int,
+                 vols: list[SparsePillarVolume],
+                 corrupt_channel: int | None = None):
+    """A random lateral map over ``vols`` and its per-pixel reference.
+
+    The semantic map is ``hs`` x ``ws`` cells of random features. The
+    reference deconvolves it pixel by pixel, concatenates the densified
+    volumes and convolves per pixel. ``corrupt_channel`` perturbs that
+    input channel's kernel weight on the map's side only.
+    """
+    c_sem, c_out = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    semantic = rng.normal(size=(hs, ws, c_sem))
+    deconv_w = rng.normal(size=(2, 2, c_sem, c_up))
+    deconv_b = rng.normal(size=c_up)
+    c_in = c_up + sum(v.channels for v in vols)
+    conv_w = rng.normal(size=(3, 3, c_in, c_out))
+    conv_b = rng.normal(size=c_out)
+    w_map = conv_w.copy()
+    if corrupt_channel is not None:
+        w_map[1, 1, corrupt_channel, 0] += 1e-3
+    lateral_map = LateralMap(DenseFeatureMap(2, semantic), tuple(vols),
+                             deconv_w, deconv_b, w_map, conv_b)
+    up = relu(_deconv_per_pixel(semantic, deconv_w, deconv_b))
+    merged = np.concatenate([up] + [densify(v).data for v in vols], axis=-1)
+    return lateral_map, relu(dense_conv_reference(merged, conv_w) + conv_b)
+
+
+def _max_abs_diff(got: np.ndarray, ref: np.ndarray) -> float:
+    if got.shape != ref.shape:
+        return math.inf
+    return float(np.abs(got - ref).max(initial=0.0))
+
+
+def split_lateral_suite(maps: int = 40, seed: int = 5,
+                        tolerance: float = 1e-5,
+                        corrupt: bool = False) -> SuiteResult:
+    """The whole lateral map, :meth:`LateralMap.dense`, vs the per-pixel
+    reference of :func:`lateral_case`.
+
+    Each of ``maps`` maps, 2 to 14 cells a side, has one or two bottom-up
+    volumes, each random, empty or touching only the map border. Then come
+    one 48x40 map with a random volume whose reached cells fill more than
+    one GEMM band of the sparse conv, and one 48x48 map with 512 upsampled
+    channels, read in three dense-conv chunks. ``corrupt`` perturbs one
+    bottom-up kernel weight on the map's side only, a negative control
+    that must make the suite fail.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for k in range(maps + 2):
+        if k < maps:
+            hs, ws = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+            c_up = int(rng.integers(1, 5))
+        elif k == maps:
+            hs, ws, c_up = 24, 20, int(rng.integers(1, 5))
+        else:  # 20-row chunks of about 4 MiB of float64 input
+            hs, ws, c_up = 24, 24, 512
+        vols = ([random_volume(rng, 2 * ws, 2 * hs, int(rng.integers(1, 4)), 0.1)]
+                if k == maps else bottom_up_volumes(rng, k, 2 * ws, 2 * hs))
+        lateral_map, ref = lateral_case(rng, hs, ws, c_up, vols,
+                                        c_up if corrupt else None)
+        worst = max(worst, _max_abs_diff(lateral_map.dense().data, ref))
+    return SuiteResult("split-lateral", worst < tolerance, worst,
+                       f"{maps} maps, random/empty/border volumes + 1 "
+                       "multi-band + 1 multi-chunk",
+                       f"max abs diff {worst:.2e}")
+
+
 def pooling_at_cells_suite(maps: int = 40, seed: int = 6,
                            tolerance: float = 1e-5,
                            corrupt: bool = False) -> SuiteResult:
-    """Lazy pooling map at chosen cells, and the streamed whole map, vs the
-    dense concatenation formula.
+    """Lateral map values at chosen cells, :meth:`LateralMap.at`, vs the
+    per-pixel reference of :func:`lateral_case`.
 
-    The reference deconvolves the whole semantic map pixel by pixel,
-    concatenates the densified volumes and convolves per pixel. Cell sets
-    are by turns a random subset with repeats, the border ring, every cell,
-    no cell and every fourth column of a 64x64 map (256 single-column
-    strips in one canvas); volumes are as in the split-lateral suite. Each
-    map is also built whole by :meth:`LateralMap.dense`, and one more map,
-    48x48 with 512 upsampled channels, spans three dense-conv chunks.
-    ``corrupt`` perturbs one upsampled-half kernel weight on the lazy side
-    only, a negative control that must make the suite fail.
+    Cell sets are by turns a random subset with repeats, the border ring,
+    every cell, no cell and every fourth column of a 64x64 map (256
+    single-column strips in one canvas); volumes are as in the
+    split-lateral suite. The last map has the shape of that suite's
+    multi-chunk one: 48x48 with 512 upsampled channels. ``corrupt``
+    perturbs one upsampled-half kernel weight on the map's side only, a
+    negative control that must make the suite fail.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for k in range(maps + 1):
         kind = k % 5
-        multi_chunk = k == maps
-        if multi_chunk:
-            hs = ws = 24
-        elif kind == 4:
-            hs = ws = 32
+        if k == maps:
+            hs, ws, c_up = 24, 24, 512
         else:
-            hs, ws = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+            hs, ws = ((32, 32) if kind == 4 else
+                      (int(rng.integers(1, 8)), int(rng.integers(1, 8))))
+            c_up = int(rng.integers(1, 5))
         h, w = 2 * hs, 2 * ws
-        c_sem, c_up = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        if multi_chunk:
-            c_up = 512  # 20-row chunks of about 4 MiB of float64 input
-        c_out = int(rng.integers(1, 5))
         vols = bottom_up_volumes(rng, k, w, h)
-        semantic = rng.normal(size=(hs, ws, c_sem))
-        deconv_w = rng.normal(size=(2, 2, c_sem, c_up))
-        deconv_b = rng.normal(size=c_up)
-        c_in = c_up + sum(v.channels for v in vols)
-        conv_w = rng.normal(size=(3, 3, c_in, c_out))
-        conv_b = rng.normal(size=c_out)
-        w_lazy = conv_w.copy()
-        if corrupt:
-            w_lazy[1, 1, 0, 0] += 1e-3
-        pool = LateralMap(DenseFeatureMap(2, semantic), tuple(vols), deconv_w,
-                          deconv_b, w_lazy, conv_b)
-        up = relu(_deconv_per_pixel(semantic, deconv_w, deconv_b))
-        merged = np.concatenate([up] + [densify(v).data for v in vols], axis=-1)
-        ref = relu(dense_conv_reference(merged, conv_w) + conv_b)
-        whole = pool.dense().data
-        if whole.shape != ref.shape:
-            worst = math.inf
-            continue
-        worst = max(worst, float(np.abs(whole - ref).max()))
-
+        lateral_map, ref = lateral_case(rng, hs, ws, c_up, vols,
+                                        0 if corrupt else None)
         iy, ix = np.nonzero(np.ones((h, w), dtype=bool))
         if kind == 0:
             pick = rng.integers(0, h * w, int(rng.integers(1, 2 * h * w)))
@@ -268,14 +274,10 @@ def pooling_at_cells_suite(maps: int = 40, seed: int = 6,
             iy, ix = iy[:0], ix[:0]
         elif kind == 4:
             iy, ix = iy[ix % 4 == 1], ix[ix % 4 == 1]
-        got = pool.at(iy, ix)
-        if got.shape != (len(iy), c_out):
-            worst = math.inf
-        elif len(iy):
-            worst = max(worst, float(np.abs(got - ref[iy, ix]).max()))
+        worst = max(worst, _max_abs_diff(lateral_map.at(iy, ix), ref[iy, ix]))
     return SuiteResult("pooling-at-cells", worst < tolerance, worst,
-                       f"{maps} maps, random/border/all/no/strided cells, "
-                       "whole maps + 1 multi-chunk",
+                       f"{maps} maps, random/border/all/no/strided cells "
+                       "+ 1 multi-chunk",
                        f"max abs diff {worst:.2e}")
 
 
@@ -409,8 +411,7 @@ def float32_suite(scenes: int = 2, seed: int = 7, tolerance: float = 1e-6,
             pyramid = build_pyramid(backbone, store)
             heads = rpn_forward(pyramid, store, cfg.level_classes)
             pool = build_pooling_map(backbone, pyramid, store, cfg.pool_stride,
-                                     cfg.bottom_up_strides,
-                                     cfg.use_pool_bottom_up)
+                                     cfg.bottom_up_strides)
             runs.append((store, heads, pool))
         (s32, h32, p32), (s64, h64, p64) = runs
         proposals = nms_3d(rectify_detections(

@@ -24,7 +24,7 @@ ODD_VALUES = [
     ('{"top_k": {"vehicle": null}}', "top_k[vehicle]"),
     ('{"pool_stride": "abc"}', "pool_stride"),
     ('{"grid": {"x_min": -1e999}}', "grid.x_min"),
-    ('{"use_pool_bottom_up": "false"}', "use_pool_bottom_up"),
+    ('{"pool_bottom_up_strides": [4, "x"]}', "pool_bottom_up_strides[1]"),
     ('{"neck_channels": 2.7}', "neck_channels"),
     ('{"seed": true}', "seed"),
     ('{"nms_iou": {"vehicle": NaN}}', "nms_iou[vehicle]"),

@@ -88,6 +88,18 @@ class TestSynth:
                      "--out", str(tmp_path / "x")]) == 1
         assert "pillar" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw, err", [
+        ({"grid": {"\r": None}}, "unknown configuration field 'grid.\\r'"),
+        ({"top_k": {"car\u2028": 1}}, "top_k: unknown class 'car\\u2028'"),
+    ])
+    def test_odd_key_is_one_escaped_error_line(self, tmp_path, capsys, raw,
+                                               err):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["synth", "--config", str(bad), "--scenes", "0",
+                     "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+
     @pytest.mark.parametrize("text, path", ODD_VALUES)
     def test_wrongly_typed_value_is_one_error_line(self, tmp_path, capsys,
                                                    text, path):
@@ -130,7 +142,9 @@ class TestDetect:
                      "--out", str(tmp_path / "d"), str(scene)]) == 2
         assert "magic" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["sample_size", "pos_iou"])
+    # "pool_bottom_up_strides": [] is the semantics-only ablation now
+    @pytest.mark.parametrize("name", ["sample_size", "pos_iou",
+                                      "use_pool_bottom_up"])
     def test_removed_config_field_is_validation_error(self, tmp_path, name,
                                                       capsys):
         cfg = tmp_path / "old.json"
@@ -142,6 +156,20 @@ class TestDetect:
         err = capsys.readouterr().err
         assert name in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    def test_semantics_only_pooling_map_detects(self, tmp_path, config_path,
+                                                capsys):
+        cfg = tmp_path / "ablation.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG_DICT,
+                                   "pool_bottom_up_strides": []}))
+        scenes = tmp_path / "scenes"
+        assert main(["synth", "--config", config_path, "--scenes", "1",
+                     "--out", str(scenes)]) == 0
+        out = tmp_path / "dets"
+        assert main(["detect", "--config", str(cfg), "--out", str(out),
+                     str(scenes / "scene_0000.pbk")]) == 0
+        assert capsys.readouterr().err == ""
+        assert fileio.load_detections(str(out / "scene_0000.det.txt"))
 
     def test_non_finite_weights_rejected(self, tmp_path, capsys):
         # a NaN in a well-formed archive is a corrupt file, like a NaN point

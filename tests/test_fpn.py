@@ -6,7 +6,7 @@ from pillardet import fpn, grid
 from pillardet.config import config_from_dict, weight_layout
 from pillardet.fpn import (LateralMap, _UpsampledRows, _downsample_chain,
                            _pack_strips, build_pooling_map, build_pyramid,
-                           lateral, split_lateral_conv)
+                           lateral)
 from pillardet.grid import (DenseFeatureMap, PointCloud, SparsePillarVolume,
                             backbone_forward, deconv2x2, dense_conv2d,
                             densify, pillarize, relu)
@@ -111,8 +111,7 @@ class TestLateralMerge:
             np.testing.assert_allclose(p3.data, expected, atol=FORMULA_ATOL[dtype])
 
     @pytest.mark.parametrize("dtype", STORE_DTYPES)
-    def test_streamed_dense_equals_split_conv_of_whole_upsample(self, monkeypatch,
-                                                                dtype):
+    def test_streamed_dense_equals_dense_in_one_chunk(self, monkeypatch, dtype):
         # 23 semantic rows of 100: deconv bands of 5 rows, the last one
         # short; the conv runs in twelve 4-row chunks
         rng = np.random.default_rng(31)
@@ -135,13 +134,14 @@ class TestLateralMerge:
             return deconv2x2(data, w, b)
 
         monkeypatch.setattr(fpn, "deconv2x2", logged_deconv)
-        streamed = LateralMap(semantic, (vol,), deconv_w, deconv_b, conv_w,
-                              conv_b).dense()
+        lateral_map = LateralMap(semantic, (vol,), deconv_w, deconv_b, conv_w,
+                                 conv_b)
+        streamed = lateral_map.dense().data
         monkeypatch.undo()
-        up = relu(deconv2x2(semantic.data, deconv_w, deconv_b))
-        whole = split_lateral_conv(up, [vol], conv_w, conv_b)
-        assert streamed.data.dtype == whole.dtype == dtype
-        assert streamed.data.tobytes() == whole.tobytes()
+        monkeypatch.setattr(grid, "_CHUNK_BYTES", 1 << 40)
+        whole = lateral_map.dense().data
+        assert streamed.dtype == whole.dtype == dtype
+        assert streamed.tobytes() == whole.tobytes()
         # every semantic row deconvolved once, in whole deconv bands
         assert len(deconvolved) > 2 and sum(deconvolved) == hs
         assert all(n % 5 == 0 for n in deconvolved[:-1])
@@ -158,7 +158,7 @@ class TestLateralMerge:
             up[3:6]
 
     def test_verify_suite_streams_a_map_over_three_chunks(self, monkeypatch):
-        from pillardet.verify import pooling_at_cells_suite
+        from pillardet.verify import split_lateral_suite
         reads = []
         conv = fpn.dense_conv2d
 
@@ -177,15 +177,17 @@ class TestLateralMerge:
             return conv(data, *args, **kwargs)
 
         monkeypatch.setattr(fpn, "dense_conv2d", counting_conv)
-        assert pooling_at_cells_suite().passed
+        assert split_lateral_suite().passed
         # one streamed map per case; the last one read in three chunks
-        assert len(reads) == 41 and reads[-1] >= 3
+        assert len(reads) == 42 and reads[-1] >= 3
 
-    def test_split_conv_rejects_channel_mismatch(self):
-        v = SparsePillarVolume.empty(1, 4, 3, 2)
+    def test_kernel_channel_mismatch_rejected(self):
+        # 5 upsampled + 2 bottom-up channels, against a 6-channel kernel
+        semantic = DenseFeatureMap(2, np.zeros((2, 2, 3)))
+        v = SparsePillarVolume.empty(1, 4, 4, 2)
         with pytest.raises(ValueError, match="concatenated"):
-            split_lateral_conv(np.zeros((3, 4, 5)), [v],
-                               np.zeros((3, 3, 6, 1)), np.zeros(1))
+            LateralMap(semantic, (v,), np.zeros((2, 2, 3, 5)), np.zeros(5),
+                       np.zeros((3, 3, 6, 1)), np.zeros(1))
 
 
 class TestPyramid:
@@ -330,16 +332,27 @@ class TestPoolingMap:
             build_pooling_map(backbone, build_pyramid(backbone, store),
                               store, 16, cfg.bottom_up_strides)
 
-    def test_semantic_only_ablation_still_defined(self):
-        cfg = tiny_config()
-        store, backbone = forward_to_backbone(cfg)
-        pyramid = build_pyramid(backbone, store)
-        with_bu = build_pooling_map(backbone, pyramid, store, 4,
-                                    cfg.bottom_up_strides, use_bottom_up=True)
-        without = build_pooling_map(backbone, pyramid, store, 4,
-                                    cfg.bottom_up_strides, use_bottom_up=False)
-        assert (without.height, without.width) == (with_bu.height, with_bu.width)
-        assert not np.array_equal(dense_values(without), dense_values(with_bu))
+    def test_no_bottom_up_strides_match_semantics_only_formula(self):
+        # the ablation: no bottom-up volume, no downsample conv, and a
+        # blending kernel over the upsampled channels alone
+        for dtype in STORE_DTYPES:
+            cfg = tiny_config(pool_bottom_up_strides=[])
+            assert not any(".pool.s" in name for name in weight_layout(cfg))
+            store, backbone = forward_to_backbone(cfg, dtype=dtype)
+            pyramid = build_pyramid(backbone, store)
+            pool = build_pooling_map(backbone, pyramid, store, 4,
+                                     cfg.bottom_up_strides)
+            assert pool.bottom_up == ()
+            conv_w = store.get("neck.pool.conv.w")
+            assert conv_w.shape == (3, 3, cfg.pool_channels, cfg.pool_channels)
+            up = relu(deconv2x2(pyramid[8].data, store.get("neck.pool.deconv.w"),
+                                store.get("neck.pool.deconv.b")))
+            expected = relu(dense_conv_reference(up, conv_w)
+                            + store.get("neck.pool.conv.b"))
+            assert expected.dtype == dtype
+            np.testing.assert_allclose(dense_values(pool), expected,
+                                       atol=FORMULA_ATOL[dtype])
+            np.testing.assert_array_equal(pool.dense().data, dense_values(pool))
 
     def test_perturbation_stays_within_receptive_field(self):
         # 512-cell grid; composed 3x3/deconv footprints bound the reach of a

@@ -185,6 +185,65 @@ class TestApAph:
                             {**THRESHOLDS, 1: threshold})
 
 
+def interpolated_area_loop(recall, precision):
+    """The area as one masked maximum per recall point, summed in a Python
+    float: the reference the one-pass version must equal bit for bit."""
+    acc = 0.0
+    for r in np.linspace(0.0, 1.0, metrics.RECALL_POINTS):
+        mask = recall >= r - 1e-12
+        acc += float(precision[mask].max()) if np.any(mask) else 0.0
+    return acc / metrics.RECALL_POINTS
+
+
+def pr_curves(is_tp, heading_weight, num_gt):
+    """(recall, AP precision, APH precision) of records ranked by score."""
+    tp = np.cumsum(np.asarray(is_tp, dtype=float))
+    hw = np.cumsum(np.where(is_tp, heading_weight, 0.0))
+    ranks = np.arange(1, len(tp) + 1)
+    return tp / num_gt, tp / ranks, hw / ranks
+
+
+class TestInterpolatedArea:
+    @pytest.mark.parametrize("is_tp, num_gt", [
+        ([], 3),                                # no detection
+        ([True] * 7, 7),                        # all TP: area 1
+        ([True] * 4, 9),                        # all TP, recall short of 1
+        ([False] * 5, 2),                       # all FP: area 0
+        ([True, True, False, False, False, True], 3),  # precision plateau
+        ([False, True] * 6, 6),
+    ])
+    def test_edge_curves_match_loop(self, is_tp, num_gt):
+        weight = np.linspace(0.2, 1.0, len(is_tp))
+        recall, ap_prec, aph_prec = pr_curves(is_tp, weight, num_gt)
+        for prec in (ap_prec, aph_prec):
+            assert (metrics._interpolated_area(recall, prec).hex()
+                    == interpolated_area_loop(recall, prec).hex())
+
+    def test_random_curves_match_loop_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(0, 120))
+            num_gt = int(rng.integers(1, 80))
+            is_tp = rng.random(n) < rng.random()
+            is_tp[np.cumsum(is_tp) > num_gt] = False  # one TP per GT at most
+            recall, ap_prec, aph_prec = pr_curves(is_tp, rng.random(n), num_gt)
+            for prec in (ap_prec, aph_prec):
+                assert (metrics._interpolated_area(recall, prec).hex()
+                        == interpolated_area_loop(recall, prec).hex())
+
+    def test_recall_exactly_at_each_threshold_matches_loop(self):
+        recall = np.linspace(0.0, 1.0, metrics.RECALL_POINTS) - 1e-12
+        precision = np.linspace(1.0, 0.0, metrics.RECALL_POINTS) ** 2
+        assert (metrics._interpolated_area(recall, precision).hex()
+                == interpolated_area_loop(recall, precision).hex())
+
+    def test_all_tp_is_one_and_all_fp_is_zero(self):
+        recall, prec, _ = pr_curves([True] * 5, np.ones(5), 5)
+        assert metrics._interpolated_area(recall, prec) == 1.0
+        recall, prec, _ = pr_curves([False] * 5, np.ones(5), 5)
+        assert metrics._interpolated_area(recall, prec) == 0.0
+
+
 def clip_every_pair(dets, gt, iou_threshold, ious=None):
     """The greedy match without the circumcircle skip: every det-GT pair
     is clipped, here, whatever IoUs the caller passes."""

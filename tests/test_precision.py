@@ -11,7 +11,7 @@ import pytest
 from conftest import SMALL_CONFIG_DICT, make_volume
 from pillardet import fileio, pipeline, rcnn
 from pillardet.config import config_from_dict, weight_layout
-from pillardet.fpn import LateralMap, split_lateral_conv
+from pillardet.fpn import LateralMap
 from pillardet.grid import (DenseFeatureMap, GridSpec, PointCloud,
                             SparsePillarVolume, conv3x3_at, deconv2x2,
                             deconv2x2_at, dense_conv2d, densify, pillarize,
@@ -64,19 +64,24 @@ def run_conv_at(rng, feat, weight):
                       np.array([0, 7, 8, 30, 47]))
 
 
-def run_split_lateral(rng, feat, weight):
-    return split_lateral_conv(normal(rng, (6, 8, 2), feat), [volume(rng, feat)],
-                              normal(rng, (3, 3, 5, 2), weight),
-                              normal(rng, 2, weight))
-
-
-def run_lateral_map_at(rng, feat, weight):
-    pool = LateralMap(DenseFeatureMap(2, normal(rng, (3, 4, 2), feat)),
+def lateral_map(rng, feat, weight):
+    return LateralMap(DenseFeatureMap(2, normal(rng, (3, 4, 2), feat)),
                       (volume(rng, feat),), normal(rng, (2, 2, 2, 2), weight),
                       normal(rng, 2, weight), normal(rng, (3, 3, 5, 2), weight),
                       normal(rng, 2, weight))
-    out = pool.at(np.array([0, 5, 2, 2]), np.array([7, 0, 3, 3]))
-    assert pool.dtype == out.dtype
+
+
+def run_lateral_map_dense(rng, feat, weight):
+    lm = lateral_map(rng, feat, weight)
+    out = lm.dense().data
+    assert lm.dtype == out.dtype
+    return out
+
+
+def run_lateral_map_at(rng, feat, weight):
+    lm = lateral_map(rng, feat, weight)
+    out = lm.at(np.array([0, 5, 2, 2]), np.array([7, 0, 3, 3]))
+    assert lm.dtype == out.dtype
     return out
 
 
@@ -88,7 +93,7 @@ KERNELS = {
     "sparse_conv2d-subm": lambda rng, f, w: run_sparse_conv(rng, f, w, 1, True),
     "sparse_conv2d-s2": lambda rng, f, w: run_sparse_conv(rng, f, w, 2, False),
     "conv3x3_at": run_conv_at,
-    "split_lateral_conv": run_split_lateral,
+    "LateralMap.dense": run_lateral_map_dense,
     "LateralMap.at": run_lateral_map_at,
 }
 
