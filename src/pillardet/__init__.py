@@ -8,7 +8,7 @@ brute-force oracles on synthetic scenes.
 """
 
 from .geometry import (Box3D, RotatedRect2D, project_to_bev, point_in_rect,
-                       rotated_iou_bev, iou_3d, iou_3d_matrix)
+                       rotated_iou_bev, iou_3d, iou_3d_matrix, iou_3d_tables)
 from .grid import (GridSpec, PointCloud, SparsePillarVolume, DenseFeatureMap,
                    pillarize, sparse_conv2d, densify, backbone_forward,
                    BackboneFeatures)
@@ -27,7 +27,7 @@ from .weights import WeightStore
 
 __all__ = [
     "Box3D", "RotatedRect2D", "project_to_bev", "point_in_rect",
-    "rotated_iou_bev", "iou_3d", "iou_3d_matrix",
+    "rotated_iou_bev", "iou_3d", "iou_3d_matrix", "iou_3d_tables",
     "GridSpec", "PointCloud", "SparsePillarVolume", "DenseFeatureMap",
     "pillarize", "sparse_conv2d", "densify", "backbone_forward",
     "BackboneFeatures",

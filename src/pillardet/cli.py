@@ -242,6 +242,9 @@ def main(argv: list[str] | None = None) -> int:
             ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

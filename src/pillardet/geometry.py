@@ -426,15 +426,37 @@ def near_pairs(boxes_a: Sequence[Box3D],
     return np.nonzero(dist2 <= reach * reach)
 
 
+def iou_3d_tables(groups: Sequence[tuple[Sequence[Box3D], ...]],
+                  clip=iou_3d) -> list[np.ndarray]:
+    """One IoU table per group of boxes, all near pairs clipped in one call.
+
+    A group ``(a, b)`` gives the (len(a), len(b)) table of all its pairs;
+    a group ``(a,)`` gives the (len(a), len(a)) table of its pairs i < j
+    only. The pairs of every group whose BEV circumcircles touch
+    (:func:`near_pairs`) are clipped in a single ``clip`` call, which has
+    :func:`iou_3d`'s batch signature. Every other cell holds 0: a far
+    pair's exact IoU, and a pair an ``(a,)`` group leaves out.
+    """
+    tables, left, right, cells = [], [], [], []
+    for group in groups:
+        a, b = group[0], group[-1]
+        i, j = near_pairs(a, b)
+        if len(group) == 1:
+            ahead = i < j
+            i, j = i[ahead], j[ahead]
+        tables.append(np.zeros((len(a), len(b))))
+        cells.append((i, j))
+        left += [a[k] for k in i.tolist()]
+        right += [b[k] for k in j.tolist()]
+    values = clip(left, right)
+    ends = np.cumsum([len(i) for i, _ in cells], dtype=np.int64)
+    for table, (i, j), part in zip(tables, cells, np.split(values, ends[:-1])):
+        table[i, j] = part
+    return tables
+
+
 def iou_3d_matrix(boxes_a: Sequence[Box3D],
                   boxes_b: Sequence[Box3D]) -> np.ndarray:
-    """Full (N, M) matrix of :func:`iou_3d` values, in one batched call.
-
-    Pairs whose BEV circumcircles cannot touch are not clipped
-    (:func:`near_pairs`); their IoU is exactly zero.
-    """
-    out = np.zeros((len(boxes_a), len(boxes_b)))
-    i, j = near_pairs(boxes_a, boxes_b)
-    out[i, j] = iou_3d([boxes_a[k] for k in i.tolist()],
-                       [boxes_b[k] for k in j.tolist()])
-    return out
+    """Full (N, M) matrix of :func:`iou_3d` values (see
+    :func:`iou_3d_tables`)."""
+    return iou_3d_tables([(boxes_a, boxes_b)])[0]

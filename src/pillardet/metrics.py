@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box3D, heading_delta, iou_3d, near_pairs
-from .rpn import Detection
+from .geometry import Box3D, heading_delta, iou_3d, iou_3d_tables
+from .rpn import Detection, check_iou_threshold
 
 LEVELS = ("L1", "L2")
 RECALL_POINTS = 101  # evenly spaced recall values the P/R curve is read at
@@ -59,15 +59,6 @@ def split_difficulty(gt: Sequence[Box3D], level: str) -> list[Box3D]:
     return [b for b, keep in zip(gt, _keep_mask(gt, level)) if keep]
 
 
-def _iou_table(n_dets: int, n_gt: int, i: np.ndarray, j: np.ndarray,
-               values: np.ndarray) -> np.ndarray:
-    """(n_dets, n_gt) IoUs holding ``values`` at pairs (i, j) and -inf,
-    which no threshold takes, at every pair left unclipped."""
-    table = np.full((n_dets, n_gt), -np.inf)
-    table[i, j] = values
-    return table
-
-
 def match_detections(dets: Sequence[Detection], gt: Sequence[Box3D],
                      iou_threshold: float,
                      ious: np.ndarray | None = None) -> list[MatchResult]:
@@ -75,17 +66,16 @@ def match_detections(dets: Sequence[Detection], gt: Sequence[Box3D],
 
     Each detection takes the highest-IoU still-unmatched ground-truth box
     with IoU >= threshold; ties in score break toward the earlier index.
-    Only pairs whose BEV circumcircles touch are clipped, in one batched
-    :func:`iou_3d` call: any other pair's IoU is exactly zero, below every
-    threshold. ``ious`` passes in that (len(dets), len(gt)) table when
-    the caller has clipped the pairs already, -inf at pairs left
-    unclipped.
+    ``ious`` is the (len(dets), len(gt)) table of
+    :func:`iou_3d_tables` when the caller has clipped the pairs already;
+    without it, one :func:`iou_3d_tables` call makes it.
     """
+    # the class of the boxes matched, for the error message
+    check_iou_threshold(next((x.class_id for x in (*dets, *gt)), None),
+                        iou_threshold)
     if ious is None:
-        i, j = near_pairs([d.box for d in dets], gt)
-        ious = _iou_table(len(dets), len(gt), i, j,
-                          iou_3d([dets[k].box for k in i.tolist()],
-                                 [gt[k] for k in j.tolist()]))
+        # clip with this module's iou_3d, which a tracer may patch
+        (ious,) = iou_3d_tables([([d.box for d in dets], gt)], clip=iou_3d)
     # per detection: (gt index, IoU) of the pairs above threshold
     candidates: list[list[tuple[int, float]]] = [[] for _ in dets]
     i, j = np.nonzero(ious >= iou_threshold)
@@ -114,42 +104,33 @@ def evaluate_levels(det_scenes: Sequence[Sequence[Detection]],
                     ) -> dict[str, dict[int, ClassMetrics]]:
     """AP/APH per class at both difficulty levels over a set of scenes.
 
-    The near det-GT pairs of every class in every scene are clipped in
-    one batched :func:`iou_3d` call; :func:`match_detections` then reads
-    its class and scene's share of them.
+    Each class in each scene is one ``(detection boxes, ground truth)``
+    group of a single :func:`iou_3d_tables` call, so the near pairs of
+    all of them are clipped at once; :func:`match_detections` then reads
+    its class and scene's table.
     """
     for cls, thr in iou_thresholds.items():
-        if not 0.0 < thr <= 1.0:
-            raise ValueError(f"IoU threshold for class {cls} must be in (0, 1]")
+        check_iou_threshold(cls, thr)
     if len(det_scenes) != len(gt_scenes):
         raise ValueError("detection/ground-truth scene counts differ")
-    # per class, per scene: detections, ground truth, near pair indices
-    groups: dict[int, list] = {}
-    pairs_det: list[Box3D] = []
-    pairs_gt: list[Box3D] = []
-    for class_id in sorted(iou_thresholds):
-        groups[class_id] = []
-        for dets, gt in zip(det_scenes, gt_scenes):
-            cls_dets = [d for d in dets if d.class_id == class_id]
-            cls_gt = [g for g in gt if g.class_id == class_id]
-            i, j = near_pairs([d.box for d in cls_dets], cls_gt)
-            groups[class_id].append((cls_dets, cls_gt, i, j))
-            pairs_det += [cls_dets[k].box for k in i.tolist()]
-            pairs_gt += [cls_gt[k] for k in j.tolist()]
-    values = iou_3d(pairs_det, pairs_gt)
-    start = 0
+    # per class, per scene: detections and ground truth of that class
+    groups = {class_id: [([d for d in dets if d.class_id == class_id],
+                          [g for g in gt if g.class_id == class_id])
+                         for dets, gt in zip(det_scenes, gt_scenes)]
+              for class_id in sorted(iou_thresholds)}
+    # clip with this module's iou_3d, which a tracer may patch
+    tables = iter(iou_3d_tables([([d.box for d in cls_dets], cls_gt)
+                                 for scenes in groups.values()
+                                 for cls_dets, cls_gt in scenes], clip=iou_3d))
     report: dict[str, dict[int, ClassMetrics]] = {level: {} for level in LEVELS}
     for class_id, scenes in groups.items():
         # (score, is_tp, heading_weight) per non-ignored detection, per level
         records: dict[str, list[tuple[float, bool, float]]] = {
             level: [] for level in LEVELS}
         num_gt = dict.fromkeys(LEVELS, 0)
-        for cls_dets, cls_gt, i, j in scenes:
-            ious = _iou_table(len(cls_dets), len(cls_gt), i, j,
-                              values[start:start + len(i)])
-            start += len(i)
+        for cls_dets, cls_gt in scenes:
             matches = match_detections(cls_dets, cls_gt,
-                                       iou_thresholds[class_id], ious)
+                                       iou_thresholds[class_id], next(tables))
             for level in LEVELS:
                 keep = _keep_mask(cls_gt, level)
                 num_gt[level] += sum(keep)

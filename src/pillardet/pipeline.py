@@ -66,7 +66,11 @@ class DetectionPipeline:
 
         def clock(name, fn):
             t0 = time.perf_counter()
-            out = fn()
+            try:
+                out = fn()
+            except MemoryError as exc:
+                raise MemoryError(f"{name} stage ran out of memory: "
+                                  f"{exc}") from exc
             timings[name] = time.perf_counter() - t0
             return out
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box3D, exp_extent, iou_3d, near_pairs
+from .geometry import Box3D, exp_extent, iou_3d, iou_3d_tables
 from .grid import DenseFeatureMap, GridSpec, dense_conv2d
 from .weights import WeightStore
 
@@ -294,42 +294,41 @@ def rectify_detections(dets: list[Detection],
             for d in dets]
 
 
+def check_iou_threshold(class_id, threshold: float) -> None:
+    """Reject an IoU threshold outside (0, 1]: a greedy scan at or below 0
+    would take the zero IoU of far pairs, which are never clipped."""
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"IoU threshold for class {class_id} must be in "
+                         f"(0, 1], got {threshold}")
+
+
 def nms_3d(dets: list[Detection],
            iou_thresholds: dict[int, float]) -> list[Detection]:
     """Class-wise greedy NMS on 3D IoU, ordered by rectified score.
 
     Ties break toward the earlier input index. Survivors are returned in
-    descending score order. Only same-class pairs whose BEV circumcircles
-    touch are clipped (any other pair's IoU is exactly zero), all classes'
-    in one batched :func:`iou_3d` call; the greedy scan then reads the
-    precomputed suppressions.
+    descending score order. Each class's boxes, in score order, are one
+    ``(boxes,)`` group of a single :func:`iou_3d_tables` call, so all
+    classes' near pairs are clipped at once; the greedy scan then reads
+    the suppressions from each class's table.
     """
+    for class_id, thr in iou_thresholds.items():
+        check_iou_threshold(class_id, thr)
     by_class: dict[int, list[int]] = {}
     for i, d in enumerate(dets):
         by_class.setdefault(d.class_id, []).append(i)
-    # per class: detection indices in score order, near pairs (p < q) as
-    # positions in that order
-    scans = []
-    pairs_a: list[Box3D] = []
-    pairs_b: list[Box3D] = []
-    for class_id, idx in sorted(by_class.items()):
-        order = sorted(idx, key=lambda i: (-dets[i].rectified_score, i))
-        boxes = [dets[i].box for i in order]
-        p, q = near_pairs(boxes, boxes)
-        ahead = p < q
-        p, q = p[ahead].tolist(), q[ahead].tolist()
-        scans.append((iou_thresholds[class_id], order, p, q))
-        pairs_a += [boxes[k] for k in p]
-        pairs_b += [boxes[k] for k in q]
-    ious = iou_3d(pairs_a, pairs_b).tolist()
+    classes = sorted(by_class)
+    orders = [sorted(by_class[c], key=lambda i: (-dets[i].rectified_score, i))
+              for c in classes]
+    # clip with this module's iou_3d, which a tracer may patch
+    tables = iou_3d_tables([([dets[i].box for i in order],) for order in orders],
+                           clip=iou_3d)
     kept_idx: list[int] = []
-    start = 0
-    for thr, order, p, q in scans:
+    for class_id, order, table in zip(classes, orders, tables):
         suppresses: list[list[int]] = [[] for _ in order]
-        for k, v in enumerate(ious[start:start + len(p)]):
-            if v > thr:
-                suppresses[p[k]].append(q[k])
-        start += len(p)
+        p, q = np.nonzero(table > iou_thresholds[class_id])
+        for a, b in zip(p.tolist(), q.tolist()):
+            suppresses[a].append(b)
         alive = [True] * len(order)
         for pos, i in enumerate(order):
             if alive[pos]:

@@ -1,7 +1,11 @@
 import json
 import math
 import os
+import resource
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +242,37 @@ class TestDetect:
         assert any(read_bytes(serial / n) for n in names)
         for n in names:
             assert read_bytes(serial / n) == read_bytes(parallel / n), n
+
+    def test_out_of_memory_is_one_line_naming_the_stage(self, tmp_path):
+        # a +-2000 m grid at 0.1 m: 40,000^2 cells, whose padded neighbour
+        # index alone is ~6 GiB. The child's address space is capped at
+        # 3 GiB, so the allocation fails at once; never run it uncapped.
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG_DICT, "grid": {
+            "x_min": -2000.0, "x_max": 2000.0, "y_min": -2000.0,
+            "y_max": 2000.0, "z_min": -2.0, "z_max": 4.0,
+            "pillar_size": 0.1}}))
+        scene = tmp_path / "two.pbk"
+        fileio.save_point_cloud(str(scene), PointCloud(np.array(
+            [[0.0, 0.0, 0.0, 0.5], [10.0, -5.0, 1.0, 0.5]])))
+
+        def cap_address_space():
+            limit = 3 * 1024 ** 3
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pillardet.cli", "detect", "--config",
+             str(cfg), "--out", str(tmp_path / "d"), str(scene)],
+            # one BLAS thread: per-thread buffers stay out of the 3 GiB
+            env={**os.environ, "PYTHONPATH": str(src),
+                 "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=cap_address_space, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: backbone stage ran out of memory")
 
     def test_shapes_logged(self, tmp_path, config_path, capsys):
         scene = tmp_path / "empty.pbk"

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from pillardet.geometry import (Box3D, RotatedRect2D, heading_delta, iou_3d,
-                                iou_3d_matrix, point_in_rect, polygon_area,
-                                project_to_bev, rotated_iou_bev)
+                                iou_3d_matrix, iou_3d_tables, near_pairs,
+                                point_in_rect, polygon_area, project_to_bev,
+                                rotated_iou_bev)
 from pillardet.oracles import mc_rotated_iou
 
 
@@ -204,6 +205,74 @@ class TestIou3D:
         assert not matrix[:, 30:35].any()
         assert matrix.any()
         assert iou_3d_matrix([], boxes_b).shape == (0, len(boxes_b))
+
+
+class TestIouTables:
+    def groups(self, rng):
+        """Near and far boxes: a cluster around the origin, and a few boxes
+        40 m away whose circumcircles touch nothing in it."""
+        def boxes(n):
+            return [random_box(rng) for _ in range(n)] + \
+                [Box3D(40.0 + 6 * k, 0.0, 0.0, 4.0, 2.0, 1.5, 0.3 * k)
+                 for k in range(int(rng.integers(0, 3)))]
+        return [(boxes(9), boxes(7)), (boxes(12),), (boxes(5), boxes(11))]
+
+    def test_near_pairs_equal_per_pair_iou_and_the_rest_zero(self):
+        rng = np.random.default_rng(61)
+        for _ in range(3):
+            groups = self.groups(rng)
+            for group, table in zip(groups, iou_3d_tables(groups)):
+                a, b = group[0], group[-1]
+                assert table.shape == (len(a), len(b))
+                want = np.zeros((len(a), len(b)))
+                for i, j in zip(*near_pairs(a, b)):
+                    if len(group) == 2 or i < j:
+                        want[i, j] = iou_3d(a[i], b[j])
+                assert table.tolist() == want.tolist()
+                assert table.any() and not table.all()
+
+    def test_one_box_list_fills_only_pairs_ahead(self):
+        rng = np.random.default_rng(62)
+        boxes = [random_box(rng, span=2.0) for _ in range(15)]
+        (table,) = iou_3d_tables([(boxes,)])
+        full = iou_3d_matrix(boxes, boxes)
+        upper = np.triu(np.ones(table.shape, bool), 1)
+        assert table[upper].tolist() == full[upper].tolist()
+        assert not table[~upper].any() and table[upper].any()
+
+    def test_empty_lists_and_empty_groups(self):
+        rng = np.random.default_rng(63)
+        b = [random_box(rng) for _ in range(4)]
+        assert iou_3d_tables([]) == []
+        tables = iou_3d_tables([([], b), (b, []), ([],), ([], [])])
+        assert [t.shape for t in tables] == [(0, 4), (4, 0), (0, 0), (0, 0)]
+
+    def test_all_groups_make_one_clip_call(self):
+        rng = np.random.default_rng(64)
+        batches = []
+
+        def counting(a, b):
+            batches.append(len(a))
+            return iou_3d(a, b)
+
+        groups = self.groups(rng)
+        tables = iou_3d_tables(groups, clip=counting)
+        assert len(batches) == 1
+        near = [near_pairs(g[0], g[-1]) for g in groups]
+        assert batches[0] == sum(len(i) if len(g) == 2 else int((i < j).sum())
+                                 for g, (i, j) in zip(groups, near))
+        assert len(tables) == len(groups)
+        assert iou_3d_tables([], clip=counting) == [] and len(batches) == 2
+
+    def test_matrix_of_a_list_with_itself_is_full_and_symmetric(self):
+        rng = np.random.default_rng(65)
+        boxes = [random_box(rng, span=2.0) for _ in range(12)]
+        matrix = iou_3d_matrix(boxes, boxes)
+        every_pair = iou_3d([a for a in boxes for _ in boxes],
+                            boxes * len(boxes)).reshape(len(boxes), len(boxes))
+        assert matrix.tolist() == every_pair.tolist()
+        assert matrix.tolist() == matrix.T.tolist()
+        assert (np.diag(matrix) > 0.999).all()
 
 
 class TestHeadingDelta:

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from pillardet import metrics
-from pillardet.geometry import Box3D, heading_delta, iou_3d, near_pairs
+from pillardet import metrics, rpn
+from pillardet.geometry import Box3D, heading_delta, iou_3d, iou_3d_tables
 from pillardet.metrics import (ClassMetrics, MatchResult, evaluate_levels,
                                match_detections, split_difficulty)
-from pillardet.rpn import Detection
+from pillardet.rpn import Detection, nms_3d, rectify_detections
 
 THRESHOLDS = {0: 0.7, 1: 0.5, 2: 0.5}
 
@@ -184,6 +184,13 @@ class TestApAph:
             evaluate_levels([perfect_dets(gt)], [gt],
                             {**THRESHOLDS, 1: threshold})
 
+    @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, math.nan])
+    def test_match_rejects_threshold_outside_unit_interval(self, threshold):
+        # at 0 a far pair's zero IoU would match
+        gt = [box(0, 0, cls=2), box(30, 0, cls=2)]
+        with pytest.raises(ValueError, match=r"class 2 must be in \(0, 1\]"):
+            match_detections(perfect_dets(gt)[:1], gt, threshold)
+
 
 def interpolated_area_loop(recall, precision):
     """The area as one masked maximum per recall point, summed in a Python
@@ -351,9 +358,7 @@ class TestPrecomputedIous:
                 for cls in range(3):
                     d = [x for x in dets if x.class_id == cls]
                     g = [x for x in gt if x.class_id == cls]
-                    table = np.full((len(d), len(g)), -np.inf)
-                    i, j = near_pairs([x.box for x in d], g)
-                    table[i, j] = iou_3d([d[k].box for k in i], [g[k] for k in j])
+                    (table,) = iou_3d_tables([([x.box for x in d], g)])
                     for thr in (THRESHOLDS[cls], 1e-9):
                         assert match_detections(d, g, thr, table) == \
                             match_detections(d, g, thr)
@@ -370,3 +375,35 @@ class TestPrecomputedIous:
         det_scenes, gt_scenes = random_scene_set(rng)
         evaluate_levels(det_scenes, gt_scenes, THRESHOLDS)
         assert len(batches) == 1 and batches[0] > 0
+
+
+class TestTracedClipCalls:
+    """A tracer counts clips by patching ``rpn.iou_3d`` and
+    ``metrics.iou_3d``, and matches by patching ``metrics.match_detections``:
+    NMS and evaluation must clip through those names, once per call."""
+
+    def test_one_clip_per_nms_and_per_evaluation(self, monkeypatch):
+        calls = {"rpn": 0, "metrics": 0, "match": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(rpn, "iou_3d", counting("rpn", rpn.iou_3d))
+        monkeypatch.setattr(metrics, "iou_3d", counting("metrics", metrics.iou_3d))
+        monkeypatch.setattr(metrics, "match_detections",
+                            counting("match", metrics.match_detections))
+        rng = np.random.default_rng(945)
+        det_scenes, gt_scenes = random_scene_set(rng)
+        kept = []
+        for dets in det_scenes:
+            before = dict(calls)
+            kept.append(nms_3d(rectify_detections(dets, {0: 0.68, 1: 0.68, 2: 0.68}),
+                               {0: 0.8, 1: 0.55, 2: 0.55}))
+            assert calls == {**before, "rpn": before["rpn"] + 1}
+        calls.update(rpn=0, match=0)
+        evaluate_levels(kept, gt_scenes, THRESHOLDS)
+        assert calls == {"rpn": 0, "metrics": 1,
+                         "match": len(gt_scenes) * len(THRESHOLDS)}

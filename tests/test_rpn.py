@@ -270,6 +270,13 @@ class TestNms:
         kept = nms_3d([b, a], {VEH: 0.8})
         assert kept == [a]
 
+    @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, math.nan])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        # below 0 a far pair's zero IoU would suppress
+        dets = [Detection(vehicle(0, 0), VEH, 0.9)]
+        with pytest.raises(ValueError, match=rf"class {PED} must be in \(0, 1\]"):
+            nms_3d(dets, {VEH: 0.8, PED: threshold})
+
     def test_disjoint_boxes_all_kept(self):
         dets = [Detection(vehicle(x, 0), VEH, 0.5 + 0.01 * i)
                 for i, x in enumerate((-9.0, 0.0, 9.0))]
@@ -341,7 +348,8 @@ class TestNms:
             return [dets[i] for i in kept_idx]
 
         rng = np.random.default_rng(8)
-        thresholds = {VEH: 0.7, PED: 0.3, CYC: 0.0}
+        # the least positive double: any overlap suppresses a cyclist
+        thresholds = {VEH: 0.7, PED: 0.3, CYC: 5e-324}
         for _ in range(12):
             dets = []
             for _ in range(int(rng.integers(0, 70))):
