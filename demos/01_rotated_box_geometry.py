@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from pillardet import Box3D, RotatedRect2D, iou_3d, point_in_rect, \
+from pillardet import Box3D, RotatedRect2D, iou_3d, points_in_rect, \
     project_to_bev, rotated_iou_bev
 from pillardet.oracles import mc_rotated_iou
 
@@ -25,8 +25,9 @@ print(f"corners (CCW): {[tuple(round(v, 2) for v in c) for c in rect.corners()]}
 
 print("\n== point containment (boundary counts as inside) ==")
 square = RotatedRect2D(0, 0, 1, 1, math.pi / 4)
-for p in ((0.0, 0.0), (0.6, 0.0), (0.6, 0.6)):
-    print(f"  {p} in 45-degree unit square -> {point_in_rect(p, square)}")
+points = [(0.0, 0.0), (0.6, 0.0), (0.6, 0.6)]
+for p, inside in zip(points, points_in_rect(np.array(points), square)):
+    print(f"  {p} in 45-degree unit square -> {inside}")
 
 print("\n== clipping IoU vs Monte Carlo (10^6 samples per pair) ==")
 cases = [

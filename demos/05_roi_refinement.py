@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from pillardet import Box3D, GridSpec, WeightStore, bilinear_sample, \
-    roi_grid_points
+    roi_grids
 from pillardet.grid import DenseFeatureMap
 from pillardet.oracles import finite_difference_grad
 from pillardet.rcnn import decode_residuals, encode_residuals, refine
@@ -22,7 +22,7 @@ spec = GridSpec(x_min=-4.0, x_max=4.0, y_min=-4.0, y_max=4.0,
 
 print("== grid points of a rotated RoI (G = 5) ==")
 roi = Box3D(0.5, -0.3, 0.2, 3.0, 1.4, 1.5, 0.6)
-pts = roi_grid_points(roi, 5)
+pts = roi_grids([roi], 5)[0]
 print(f"RoI {roi.length} x {roi.width} m at yaw {roi.yaw:.2f}")
 print(f"lattice mean = ({pts[..., 0].mean():.6f}, {pts[..., 1].mean():.6f}) "
       f"== RoI center ({roi.cx}, {roi.cy})")

@@ -57,7 +57,7 @@ proposals = [gt[0],
 batch = sample_proposals(proposals, gt, seed=1, sample_size=4)
 print(f"  sampled {len(batch)} RoIs, {int(batch.positive.sum())} positive")
 g = 4
-labels = np.stack([aux_seg_labels(r, gt, g) for r in batch.rois])
+labels = aux_seg_labels(batch.rois, gt, g)
 rng_logits = np.random.default_rng(10)
 parts = rcnn_loss(rng_logits.normal(size=len(batch)),
                   rng_logits.normal(size=(len(batch), 7)),

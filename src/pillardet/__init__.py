@@ -7,7 +7,7 @@ heading-weighted average-precision evaluation — all validated against
 brute-force oracles on synthetic scenes.
 """
 
-from .geometry import (Box3D, RotatedRect2D, project_to_bev, point_in_rect,
+from .geometry import (Box3D, RotatedRect2D, project_to_bev, points_in_rect,
                        rotated_iou_bev, iou_3d, iou_3d_matrix, iou_3d_tables)
 from .grid import (GridSpec, PointCloud, SparsePillarVolume, DenseFeatureMap,
                    pillarize, sparse_conv2d, densify, backbone_forward,
@@ -16,7 +16,7 @@ from .fpn import LateralMap, lateral, build_pyramid, build_pooling_map
 from .rpn import (Detection, HeadOutput, RpnTargets, encode_targets, rpn_loss,
                   rpn_forward, decode_proposals, rectify, rectify_detections,
                   nms_3d)
-from .rcnn import (SampledProposals, LossReport, roi_grid_points,
+from .rcnn import (SampledProposals, LossReport, roi_grids,
                    BilinearSupport, bilinear_sample, rcnn_forward,
                    sample_proposals, aux_seg_labels, rcnn_loss, refine)
 from .metrics import ClassMetrics, split_difficulty, evaluate_levels
@@ -26,7 +26,7 @@ from .pipeline import DetectionPipeline, PipelineResult, build_weights
 from .weights import WeightStore
 
 __all__ = [
-    "Box3D", "RotatedRect2D", "project_to_bev", "point_in_rect",
+    "Box3D", "RotatedRect2D", "project_to_bev", "points_in_rect",
     "rotated_iou_bev", "iou_3d", "iou_3d_matrix", "iou_3d_tables",
     "GridSpec", "PointCloud", "SparsePillarVolume", "DenseFeatureMap",
     "pillarize", "sparse_conv2d", "densify", "backbone_forward",
@@ -35,7 +35,7 @@ __all__ = [
     "Detection", "HeadOutput", "RpnTargets", "encode_targets", "rpn_loss",
     "rpn_forward", "decode_proposals", "rectify", "rectify_detections",
     "nms_3d",
-    "SampledProposals", "LossReport", "roi_grid_points",
+    "SampledProposals", "LossReport", "roi_grids",
     "BilinearSupport", "bilinear_sample", "rcnn_forward", "sample_proposals",
     "aux_seg_labels", "rcnn_loss", "refine",
     "ClassMetrics", "split_difficulty", "evaluate_levels",

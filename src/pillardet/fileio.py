@@ -103,13 +103,13 @@ def load_weights(path: str) -> WeightStore:
     if blob[:4] != WEIGHTS_MAGIC:
         raise FormatError(f"{path}: bad weight-archive magic {blob[:4]!r}")
     offset = 8
-    tensors: dict[str, np.ndarray] = {}
+    entries: list[tuple[bytes, np.ndarray]] = []
     try:
         (count,) = struct.unpack_from("<I", blob, 4)
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", blob, offset)
             offset += 2
-            name = blob[offset:offset + name_len].decode("utf-8")
+            raw_name = blob[offset:offset + name_len]
             offset += name_len
             (rank,) = struct.unpack_from("<B", blob, offset)
             offset += 1
@@ -118,14 +118,25 @@ def load_weights(path: str) -> WeightStore:
             size = int(np.prod(dims)) if rank else 1
             arr = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
             offset += 4 * size
-            tensors[name] = arr.reshape(dims).astype(np.float32)
+            entries.append((raw_name, arr.reshape(dims).astype(np.float32)))
     except (struct.error, ValueError) as exc:
         raise FormatError(f"{path}: truncated weight archive") from exc
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
+    tensors: dict[str, np.ndarray] = {}
+    for raw_name, arr in entries:
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: weight tensor name {raw_name!r} is "
+                              "not UTF-8") from None
+        if name in tensors:
+            raise FormatError(f"{path}: weight tensor name {name!r} occurs "
+                              "twice")
+        tensors[name] = arr
     for name, arr in tensors.items():
         if not np.all(np.isfinite(arr)):
-            raise FormatError(f"{path}: weight tensor '{name}' contains "
+            raise FormatError(f"{path}: weight tensor {name!r} contains "
                               "non-finite values")
     return WeightStore(tensors)
 

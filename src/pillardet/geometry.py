@@ -122,19 +122,19 @@ def project_to_bev(box: Box3D) -> RotatedRect2D:
     return RotatedRect2D(box.cx, box.cy, box.length, box.width, box.yaw)
 
 
-def point_in_rect(p: tuple[float, float], rect: RotatedRect2D) -> bool:
-    """True iff ``p`` lies inside or on the boundary of ``rect``.
+def points_in_rect(xy: np.ndarray, rect: RotatedRect2D) -> np.ndarray:
+    """Which points of an (..., 2) array lie inside or on the boundary of
+    ``rect``, as a bool array of the leading shape.
 
-    The point is rotated into the rect frame and compared against the
+    Each point is rotated into the rect frame and compared against the
     half-extents; boundary points count as inside so downstream labels
     are deterministic.
     """
-    dx = p[0] - rect.cx
-    dy = p[1] - rect.cy
+    dx = xy[..., 0] - rect.cx
+    dy = xy[..., 1] - rect.cy
     c, s = math.cos(rect.yaw), math.sin(rect.yaw)
-    local_x = c * dx + s * dy
-    local_y = -s * dx + c * dy
-    return abs(local_x) <= 0.5 * rect.length and abs(local_y) <= 0.5 * rect.width
+    return ((np.abs(c * dx + s * dy) <= 0.5 * rect.length)
+            & (np.abs(-s * dx + c * dy) <= 0.5 * rect.width))
 
 
 # -- batched rotated IoU ----------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (Box3D, exp_extent, iou_3d_matrix, normalize_angle,
-                       point_in_rect, project_to_bev)
+                       points_in_rect, project_to_bev)
 from .fpn import LateralMap
 from .grid import DenseFeatureMap, GridSpec, relu
 from .rpn import Detection, _sigmoid
@@ -67,11 +67,6 @@ def roi_grids(rois: list[Box3D], grid_size: int) -> np.ndarray:
     gx = cx + c * lx - s * ly
     gy = cy + s * lx + c * ly
     return np.stack([gx, gy], axis=-1)
-
-
-def roi_grid_points(roi: Box3D, grid_size: int) -> np.ndarray:
-    """The (G, G, 2) grid points of one RoI; see :func:`roi_grids`."""
-    return roi_grids([roi], grid_size)[0]
 
 
 @dataclass(frozen=True)
@@ -267,22 +262,19 @@ def sample_proposals(proposals: list[Box3D], gt: list[Box3D], seed: int,
                             confidence_target(sel_iou), reg)
 
 
-def aux_seg_labels(roi: Box3D, gt: list[Box3D], grid_size: int) -> np.ndarray:
-    """Binary foreground labels for each grid point of a RoI.
+def aux_seg_labels(rois: list[Box3D], gt: list[Box3D],
+                   grid_size: int) -> np.ndarray:
+    """Binary foreground labels for the grid points of each RoI, (N, G, G).
 
     A point is foreground iff it falls inside (boundary included) the BEV
     footprint of any ground-truth box; footprints never overlap, so labels
     are unambiguous.
     """
-    pts = roi_grid_points(roi, grid_size)
-    rects = [project_to_bev(g) for g in gt]
-    labels = np.zeros((grid_size, grid_size))
-    for i in range(grid_size):
-        for j in range(grid_size):
-            p = (pts[i, j, 0], pts[i, j, 1])
-            if any(point_in_rect(p, r) for r in rects):
-                labels[i, j] = 1.0
-    return labels
+    pts = roi_grids(rois, grid_size)
+    fg = np.zeros(pts.shape[:-1], dtype=bool)
+    for g in gt:
+        fg |= points_in_rect(pts, project_to_bev(g))
+    return fg.astype(np.float64)
 
 
 def _bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:

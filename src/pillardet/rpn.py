@@ -196,7 +196,7 @@ class _HeadSink:
 def rpn_forward(pyramid: dict[int, DenseFeatureMap], weights: WeightStore,
                 level_classes: dict[int, tuple[int, ...]]
                 ) -> dict[int, HeadOutput]:
-    """Apply the center head to each pyramid level.
+    """Apply the center head to each pyramid level that detects a class.
 
     A level's head is a shared 3x3 conv + ReLU, then 1x1 convs to the
     heatmap logits, the regression maps and the IoU channel. The 1x1 convs
@@ -204,8 +204,8 @@ def rpn_forward(pyramid: dict[int, DenseFeatureMap], weights: WeightStore,
     (:class:`_HeadSink`), so the shared map is never whole.
     """
     out: dict[int, HeadOutput] = {}
-    for stride, fmap in sorted(pyramid.items()):
-        classes = level_classes[stride]
+    for stride, classes in sorted(level_classes.items()):
+        fmap = pyramid[stride]
         prefix = f"rpn.s{stride}"
         shared_w = weights.get(f"{prefix}.shared.w")
         shared_b = weights.get(f"{prefix}.shared.b")

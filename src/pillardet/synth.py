@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import CLASS_IDS, CLASS_NAMES  # noqa: F401  (CLASS_NAMES re-exported)
 from .geometry import (Box3D, RotatedRect2D, iou_3d, near_pairs,
-                       project_to_bev, rotated_iou_bev)
+                       points_in_rect, project_to_bev, rotated_iou_bev)
 from .grid import GridSpec, PointCloud
 from .rpn import Detection
 
@@ -90,13 +90,7 @@ def _sample_surface_points(box: Box3D, n: int, rng: np.random.Generator) -> np.n
 
 def points_in_box(xyz: np.ndarray, box: Box3D) -> np.ndarray:
     """Inclusive 3D containment mask for an (N, 3) point array."""
-    dx = xyz[:, 0] - box.cx
-    dy = xyz[:, 1] - box.cy
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    lx = c * dx + s * dy
-    ly = -s * dx + c * dy
-    return ((np.abs(lx) <= 0.5 * box.length)
-            & (np.abs(ly) <= 0.5 * box.width)
+    return (points_in_rect(xyz[:, :2], project_to_bev(box))
             & (np.abs(xyz[:, 2] - box.cz) <= 0.5 * box.height))
 
 

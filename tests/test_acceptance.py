@@ -256,7 +256,7 @@ class TestCriterion09LossAggregation:
         eps = 1e-4
         tgt = np.clip(batch.confidence_target, eps, 1 - eps)
         conf_logits = np.log(tgt / (1 - tgt))
-        labels = np.stack([aux_seg_labels(r, gt, 3) for r in batch.rois])
+        labels = aux_seg_labels(batch.rois, gt, 3)
         lclip = np.clip(labels, eps, 1 - eps)
         seg_logits = np.log(lclip / (1 - lclip))
         parts = rcnn_loss(conf_logits, batch.regression_target.copy(),

@@ -161,11 +161,19 @@ class TestDetect:
         assert name in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
-    def test_semantics_only_pooling_map_detects(self, tmp_path, config_path,
-                                                capsys):
-        cfg = tmp_path / "ablation.json"
-        cfg.write_text(json.dumps({**SMALL_CONFIG_DICT,
-                                   "pool_bottom_up_strides": []}))
+    # "pool_bottom_up_strides": [] is the semantics-only pooling map; a
+    # class_strides that leaves a pyramid level without classes gives that
+    # level no heads
+    @pytest.mark.parametrize("override", [
+        {"pool_bottom_up_strides": []},
+        {"class_strides": {"pedestrian": 8, "cyclist": 8}},
+        {"class_strides": {"vehicle": 4}},
+    ], ids=["semantics-only-pooling-map", "all-classes-stride-8",
+            "all-classes-stride-4"])
+    def test_config_variant_detects(self, tmp_path, config_path, capsys,
+                                    override):
+        cfg = tmp_path / "variant.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG_DICT, **override}))
         scenes = tmp_path / "scenes"
         assert main(["synth", "--config", config_path, "--scenes", "1",
                      "--out", str(scenes)]) == 0

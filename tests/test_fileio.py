@@ -1,10 +1,13 @@
+import json
 import os
 import struct
 
 import numpy as np
 import pytest
 
+from conftest import SMALL_CONFIG_DICT
 from pillardet import fileio
+from pillardet.cli import main
 from pillardet.geometry import Box3D
 from pillardet.grid import PointCloud
 from pillardet.rpn import Detection
@@ -162,6 +165,32 @@ class TestBinaryCorruption:
             f.write(fileio.WEIGHTS_MAGIC + b"\x01")
         with pytest.raises(fileio.FormatError, match="truncated"):
             fileio.load_weights(path)
+
+    @pytest.mark.parametrize("names,value,problem", [
+        ([b"a.\xff"], 0.0, r"name b'a.\\xff' is not UTF-8"),
+        ([b"a.b", b"c.d", b"a.b"], 0.0, "name 'a.b' occurs twice"),
+        ([b"a\nb"], float("nan"), r"'a\\nb' contains non-finite"),
+    ], ids=["non-utf8-name", "duplicate-name", "newline-in-name"])
+    def test_bad_tensor_name_is_one_io_error_line(self, tmp_path, capsys,
+                                                  names, value, problem):
+        # each tensor is a well-formed (1,) float32 holding ``value``
+        blob = fileio.WEIGHTS_MAGIC + struct.pack("<I", len(names)) + b"".join(
+            struct.pack("<H", len(n)) + n + struct.pack("<BIf", 1, 1, value)
+            for n in names)
+        weights = tmp_path / "bad.pwt"
+        weights.write_bytes(blob)
+        with pytest.raises(fileio.FormatError, match=problem):
+            fileio.load_weights(str(weights))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG_DICT,
+                                   "weights_path": str(weights)}))
+        scene = tmp_path / "empty.pbk"
+        fileio.save_point_cloud(str(scene), PointCloud.empty())
+        assert main(["detect", "--config", str(cfg), "--out",
+                     str(tmp_path / "d"), str(scene)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
 
 class TestAtomicity:

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import footprint_margin
 from pillardet.geometry import (Box3D, RotatedRect2D, heading_delta, iou_3d,
                                 iou_3d_matrix, iou_3d_tables, near_pairs,
-                                point_in_rect, polygon_area, project_to_bev,
+                                points_in_rect, polygon_area, project_to_bev,
                                 rotated_iou_bev)
 from pillardet.oracles import mc_rotated_iou
 
@@ -61,20 +62,68 @@ class TestCorners:
                 rect.area, rel=1e-9)
 
 
-class TestPointInRect:
+class TestPointsInRect:
     def test_center_of_unit_square(self):
-        assert point_in_rect((0, 0), RotatedRect2D(0, 0, 1, 1, 0))
+        assert points_in_rect(np.array([0.0, 0.0]), RotatedRect2D(0, 0, 1, 1, 0))
 
     def test_just_outside_half_length(self):
-        assert not point_in_rect((0.51, 0), RotatedRect2D(0, 0, 1, 1, 0))
+        assert not points_in_rect(np.array([0.51, 0.0]),
+                                  RotatedRect2D(0, 0, 1, 1, 0))
 
     def test_rotated_square(self):
         rect = RotatedRect2D(0, 0, 1, 1, math.pi / 4)
-        assert not point_in_rect((0.6, 0.6), rect)
-        assert point_in_rect((0.6, 0.0), rect)
+        np.testing.assert_array_equal(
+            points_in_rect(np.array([[0.6, 0.6], [0.6, 0.0]]), rect),
+            [False, True])
 
     def test_boundary_is_inside(self):
-        assert point_in_rect((0.5, 0.5), RotatedRect2D(0, 0, 1, 1, 0))
+        assert points_in_rect(np.array([0.5, 0.5]), RotatedRect2D(0, 0, 1, 1, 0))
+
+    # an axis-aligned rect with dyadic fields: its edges, corners and the
+    # oracle's margins are exact, so boundary points are decidable
+    BOUNDARY_RECT = RotatedRect2D(1.0, -0.5, 4.0, 2.0, 0.0)
+    ON_BOUNDARY = [(3.0, -0.5), (-1.0, 0.25), (1.5, 0.5), (0.0, -1.5),
+                   (3.0, 0.5), (-1.0, 0.5), (-1.0, -1.5), (3.0, -1.5)]
+    OFF_BOUNDARY = [(3.0 + 2 ** -20, -0.5), (1.5, 0.5 + 2 ** -20),
+                    (-1.0 - 2 ** -20, -1.5), (3.0, -1.5 - 2 ** -20),
+                    (3.0 - 2 ** -20, 0.5 - 2 ** -20)]
+
+    def test_edges_and_corners_are_inside_for_n_points(self):
+        pts = np.array(self.ON_BOUNDARY + self.OFF_BOUNDARY)
+        margin = footprint_margin(pts, self.BOUNDARY_RECT)
+        assert (margin[:len(self.ON_BOUNDARY)] == 0.0).all()
+        assert (margin[len(self.ON_BOUNDARY):] != 0.0).all()
+        got = points_in_rect(pts, self.BOUNDARY_RECT)
+        assert got.shape == (len(pts),)
+        np.testing.assert_array_equal(got, margin >= 0.0)
+        assert got[:len(self.ON_BOUNDARY)].all()
+
+    def test_edges_and_corners_are_inside_for_a_grid(self):
+        # a 5 x 5 lattice over the rect's closed extent: its outer ring is
+        # the boundary, corners included; a wider lattice adds outside points
+        inside = {}
+        for span in (1.0, 1.25):
+            xs = 1.0 + span * np.linspace(-2.0, 2.0, 5)
+            ys = -0.5 + span * np.linspace(-1.0, 1.0, 5)
+            pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
+            got = points_in_rect(pts, self.BOUNDARY_RECT)
+            assert got.shape == (5, 5)
+            np.testing.assert_array_equal(
+                got, footprint_margin(pts, self.BOUNDARY_RECT) >= 0.0)
+            inside[span] = int(got.sum())
+        assert inside == {1.0: 25, 1.25: 9}
+
+    def test_matches_edge_cross_product_oracle(self):
+        # random rects and points: no point lies within rounding of an
+        # edge, so the two formulas must agree on every point
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            rect = random_rect(rng)
+            pts = rng.uniform(-8.0, 8.0, size=(40, 50, 2))
+            margin = footprint_margin(pts, rect)
+            assert np.abs(margin).min() > 1e-9
+            np.testing.assert_array_equal(points_in_rect(pts, rect),
+                                          margin > 0.0)
 
     def test_area_fraction_matches_uniform_sampling(self):
         rng = np.random.default_rng(1)
@@ -82,7 +131,7 @@ class TestPointInRect:
         for _ in range(5):
             rect = random_rect(rng)
             pts = rng.uniform(-span, span, size=(100_000, 2))
-            frac = np.mean([point_in_rect((x, y), rect) for x, y in pts])
+            frac = np.mean(points_in_rect(pts, rect))
             expected = rect.area / (2 * span) ** 2
             assert frac == pytest.approx(expected, rel=0.02, abs=2e-3)
 

@@ -4,20 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_volume
+from conftest import footprint_margin, make_volume
 from pillardet import rcnn
 from pillardet.fpn import LateralMap
-from pillardet.geometry import Box3D, iou_3d, point_in_rect, project_to_bev
+from pillardet.geometry import Box3D, iou_3d, project_to_bev
 from pillardet.grid import DenseFeatureMap, GridSpec
 from pillardet.oracles import finite_difference_grad
 from pillardet.rcnn import (LossReport, RcnnLossParts, aux_seg_labels,
                             bilinear_sample, confidence_target,
                             decode_residuals, encode_residuals,
                             pool_roi_features, rcnn_forward, rcnn_loss, refine,
-                            roi_grid_points, roi_grids, sample_proposals,
-                            seg_forward)
+                            roi_grids, sample_proposals, seg_forward)
 from pillardet.rpn import Detection
-from pillardet.verify import aux_label_suite
+from pillardet.verify import aux_label_suite, bilinear_fd_grad
 from pillardet.weights import WeightStore
 
 SPEC = GridSpec(x_min=-4.0, x_max=4.0, y_min=-4.0, y_max=4.0,
@@ -42,12 +41,12 @@ def rcnn_store(c_pool, g, mlp=(8, 8), seg_hidden=4, seed=0, zero=False):
 class TestGridPoints:
     def test_single_point_is_center(self):
         roi = Box3D(2.0, -1.0, 0.5, 4.0, 2.0, 1.5, 0.7)
-        pts = roi_grid_points(roi, 1)
+        pts = roi_grids([roi], 1)[0]
         assert pts.shape == (1, 1, 2)
         np.testing.assert_allclose(pts[0, 0], [2.0, -1.0], atol=1e-12)
 
     def test_two_by_two_unit_square(self):
-        pts = roi_grid_points(Box3D(0, 0, 0, 1, 1, 1, 0.0), 2)
+        pts = roi_grids([Box3D(0, 0, 0, 1, 1, 1, 0.0)], 2)[0]
         got = sorted(map(tuple, pts.reshape(-1, 2)))
         assert got == [(-0.25, -0.25), (-0.25, 0.25), (0.25, -0.25), (0.25, 0.25)]
 
@@ -57,7 +56,7 @@ class TestGridPoints:
             roi = Box3D(rng.uniform(-3, 3), rng.uniform(-3, 3), 0.0,
                         rng.uniform(1, 5), rng.uniform(1, 3), 1.5,
                         rng.uniform(-math.pi, math.pi))
-            pts = roi_grid_points(roi, g)
+            pts = roi_grids([roi], g)[0]
             np.testing.assert_allclose(pts.reshape(-1, 2).mean(axis=0),
                                        [roi.cx, roi.cy], atol=1e-9)
 
@@ -147,6 +146,18 @@ class TestBilinear:
             # entries the FD says are zero must be zero analytically too
             np.testing.assert_allclose(analytic[~sig], 0.0, atol=1e-9)
         assert worst < 1e-4
+
+    def test_batched_probes_equal_per_entry_differences(self):
+        # the bilinear-fd-grad gate takes every difference from one sampler
+        # call; some points lie near or off the map's edge
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            data = rng.normal(size=(6, 6, 1))
+            p = rng.uniform(-4.2, 4.2, size=(1, 2))
+            fd = finite_difference_grad(
+                lambda x: bilinear_sample(DenseFeatureMap(1, x), SPEC, p)[0][0, 0],
+                data, h=1e-3)
+            assert bilinear_fd_grad(data, SPEC, p, h=1e-3).tobytes() == fd.tobytes()
 
 
 class TestBilinearChunks:
@@ -366,51 +377,67 @@ def half_cell_shifted(roi_grids):
 class TestAuxSegLabels:
     def test_roi_equals_gt_all_foreground(self):
         g = Box3D(1, 1, 0, 4, 2, 1.5, 0.7)
-        assert aux_seg_labels(g, [g], 7).all()
+        labels = aux_seg_labels([g], [g], 7)
+        assert labels.shape == (1, 7, 7) and labels.all()
 
     def test_disjoint_all_background(self):
         roi = Box3D(0, 0, 0, 4, 2, 1.5, 0.0)
         gt = [Box3D(30, 30, 0, 4, 2, 1.5, 0.0)]
-        assert not aux_seg_labels(roi, gt, 7).any()
+        assert not aux_seg_labels([roi], gt, 7).any()
+
+    def test_no_rois_and_no_gt(self):
+        roi = Box3D(0, 0, 0, 4, 2, 1.5, 0.0)
+        assert aux_seg_labels([], [roi], 5).shape == (0, 5, 5)
+        labels = aux_seg_labels([roi, roi], [], 5)
+        assert labels.shape == (2, 5, 5) and not labels.any()
 
     def test_half_shifted_roi_pattern(self):
         # RoI shifted by half its length: grid columns i <= 3 stay inside
         # (the i == 3 column sits exactly on the boundary, which is inside)
         g = Box3D(0, 0, 0, 4, 2, 1.5, 0.0)
         roi = Box3D(2.0, 0, 0, 4, 2, 1.5, 0.0)
-        labels = aux_seg_labels(roi, [g], 7)
+        labels = aux_seg_labels([g, roi], [g], 7)
         expected_rows = np.array([1, 1, 1, 1, 0, 0, 0], dtype=float)
+        assert labels[0].all()
         np.testing.assert_array_equal(
-            labels, np.repeat(expected_rows[:, None], 7, axis=1))
+            labels[1], np.repeat(expected_rows[:, None], 7, axis=1))
 
     @staticmethod
     def label_pairs():
-        """(label, point-in-rect oracle) per grid point of 30 random RoIs;
-        each point is placed here from the RoI's center, yaw and
-        (i + 0.5) / G offsets along its length and width."""
+        """(label, edge-cross-product oracle) per grid point of 24 random
+        batches of 1 to 4 RoIs, each batch sharing its ground truth; each
+        point is placed here from the RoI's center, yaw and (i + 0.5) / G
+        offsets along its length and width."""
         rng = np.random.default_rng(13)
-        for _ in range(30):
-            roi = Box3D(rng.uniform(-3, 3), rng.uniform(-3, 3), 0,
-                        rng.uniform(1, 5), rng.uniform(1, 3), 1.5,
-                        rng.uniform(-math.pi, math.pi))
+        for _ in range(24):
             gts = [Box3D(rng.uniform(-3, 3), rng.uniform(-3, 3), 0,
                          rng.uniform(1, 5), rng.uniform(1, 3), 1.5,
                          rng.uniform(-math.pi, math.pi))
                    for _ in range(rng.integers(1, 4))]
+            rois = [Box3D(rng.uniform(-3, 3), rng.uniform(-3, 3), 0,
+                          rng.uniform(1, 5), rng.uniform(1, 3), 1.5,
+                          rng.uniform(-math.pi, math.pi))
+                    for _ in range(rng.integers(1, 5))]
             g = int(rng.integers(1, 8))
-            labels = aux_seg_labels(roi, gts, g)
-            c, s = math.cos(roi.yaw), math.sin(roi.yaw)
-            for i in range(g):
-                for j in range(g):
-                    u = ((i + 0.5) / g - 0.5) * roi.length
-                    v = ((j + 0.5) / g - 0.5) * roi.width
-                    p = (roi.cx + c * u - s * v, roi.cy + s * u + c * v)
-                    expected = any(point_in_rect(p, project_to_bev(b))
-                                   for b in gts)
-                    yield bool(labels[i, j]), expected
+            labels = aux_seg_labels(rois, gts, g)
+            assert labels.shape == (len(rois), g, g)
+            for roi, roi_labels in zip(rois, labels):
+                c, s = math.cos(roi.yaw), math.sin(roi.yaw)
+                u = ((np.arange(g) + 0.5) / g - 0.5)[:, None] * roi.length
+                v = ((np.arange(g) + 0.5) / g - 0.5)[None, :] * roi.width
+                pts = np.stack([roi.cx + c * u - s * v,
+                                roi.cy + s * u + c * v], axis=-1)
+                margin = np.max([footprint_margin(pts, project_to_bev(b))
+                                 for b in gts], axis=0)
+                # random boxes put no grid point within rounding of an edge
+                assert np.abs(margin).min() > 1e-9
+                yield from zip(roi_labels.astype(bool).ravel().tolist(),
+                               (margin > 0.0).ravel().tolist())
 
-    def test_matches_point_in_rect_oracle(self):
-        for label, expected in self.label_pairs():
+    def test_matches_edge_cross_product_oracle(self):
+        pairs = list(self.label_pairs())
+        assert len(pairs) > 600 and 0 < sum(e for _, e in pairs) < len(pairs)
+        for label, expected in pairs:
             assert label == expected
 
     def test_oracle_catches_half_cell_shift(self, monkeypatch):
@@ -439,7 +466,7 @@ class TestLosses:
         conf = np.log(np.clip(batch.confidence_target, eps, 1 - eps)
                       / (1 - np.clip(batch.confidence_target, eps, 1 - eps)))
         g = 3
-        labels = np.stack([aux_seg_labels(r, gt, g) for r in batch.rois])
+        labels = aux_seg_labels(batch.rois, gt, g)
         seg_logits = np.log(np.clip(labels, eps, 1 - eps)
                             / (1 - np.clip(labels, eps, 1 - eps)))
         parts = rcnn_loss(conf, batch.regression_target.copy(), seg_logits,
