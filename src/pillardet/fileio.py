@@ -103,13 +103,17 @@ def load_weights(path: str) -> WeightStore:
     if blob[:4] != WEIGHTS_MAGIC:
         raise FormatError(f"{path}: bad weight-archive magic {blob[:4]!r}")
     offset = 8
-    entries: list[tuple[bytes, np.ndarray]] = []
+    tensors: dict[str, np.ndarray] = {}
     try:
         (count,) = struct.unpack_from("<I", blob, 4)
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", blob, offset)
             offset += 2
             raw_name = blob[offset:offset + name_len]
+            name = raw_name.decode("utf-8")
+            if name in tensors:
+                raise FormatError(f"{path}: weight tensor name {name!r} "
+                                  "occurs twice")
             offset += name_len
             (rank,) = struct.unpack_from("<B", blob, offset)
             offset += 1
@@ -118,22 +122,16 @@ def load_weights(path: str) -> WeightStore:
             size = int(np.prod(dims)) if rank else 1
             arr = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
             offset += 4 * size
-            entries.append((raw_name, arr.reshape(dims).astype(np.float32)))
+            tensors[name] = arr.reshape(dims).astype(np.float32)
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: weight tensor name {raw_name!r} is "
+                          "not UTF-8") from None
+    except FormatError:
+        raise
     except (struct.error, ValueError) as exc:
         raise FormatError(f"{path}: truncated weight archive") from exc
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
-    tensors: dict[str, np.ndarray] = {}
-    for raw_name, arr in entries:
-        try:
-            name = raw_name.decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"{path}: weight tensor name {raw_name!r} is "
-                              "not UTF-8") from None
-        if name in tensors:
-            raise FormatError(f"{path}: weight tensor name {name!r} occurs "
-                              "twice")
-        tensors[name] = arr
     for name, arr in tensors.items():
         if not np.all(np.isfinite(arr)):
             raise FormatError(f"{path}: weight tensor {name!r} contains "
