@@ -7,8 +7,9 @@ reporting both difficulty levels like a leaderboard table.
 """
 
 from pillardet import GridSpec, JitterSpec, SceneSpec, generate_scene
+from pillardet.config import CLASS_NAMES
 from pillardet.metrics import evaluate_levels
-from pillardet.synth import CLASS_NAMES, jitter_detections
+from pillardet.synth import jitter_detections
 
 grid = GridSpec(x_min=-25.6, x_max=25.6, y_min=-25.6, y_max=25.6,
                 z_min=-2.0, z_max=4.0, pillar_size=0.1)

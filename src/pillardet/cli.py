@@ -37,6 +37,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pillardet",
@@ -48,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (defaults used when omitted)")
         if scene_level:
             p.add_argument("--seed", type=int, help="override the config seed")
-            p.add_argument("--jobs", type=int, default=1,
+            p.add_argument("--jobs", type=_at_least_one, default=1,
                            help="scene-level parallelism (default 1)")
 
     p_synth = sub.add_parser("synth", help="generate synthetic scene archives")
@@ -121,8 +128,21 @@ def _detect_one(payload) -> str:
     return _detect_one_with(_worker_pipeline, scene_path, out_dir)
 
 
+def _stem(scene_path: str) -> str:
+    return os.path.splitext(os.path.basename(scene_path))[0]
+
+
 def cmd_detect(args) -> int:
     cfg = _load(args)
+    # each scene writes <stem>.det.txt: two inputs with one stem would
+    # overwrite each other's detections
+    seen: dict[str, str] = {}
+    for path in args.scenes:
+        stem = _stem(path)
+        if stem in seen:
+            raise ConfigError(f"{seen[stem]} and {path} would both write "
+                              f"{stem}.det.txt")
+        seen[stem] = path
     os.makedirs(args.out, exist_ok=True)
     # built once, here: a bad config or weight file fails before any worker
     # starts, and workers receive the weights instead of rebuilding them
@@ -144,7 +164,7 @@ def _detect_one_with(pipeline: DetectionPipeline, scene_path: str,
     t0 = time.perf_counter()
     result = pipeline.run(cloud)
     total = time.perf_counter() - t0
-    stem = os.path.splitext(os.path.basename(scene_path))[0]
+    stem = _stem(scene_path)
     fileio.save_detections(os.path.join(out_dir, stem + ".det.txt"),
                            result.detections)
     stages = " ".join(f"{k}={v * 1000:.0f}ms" for k, v in result.timings.items())

@@ -10,7 +10,8 @@ round-trip form (``repr``), so loading gives back every field bit-equal,
 however small or large. All writers go through a
 temp-file rename so readers never observe partial files. Every structural
 problem a reader finds (bad magic, truncation, non-UTF-8 text, a
-malformed or non-finite field or weight value) raises
+malformed or non-finite field or weight value, a class id outside
+:data:`~pillardet.config.CLASS_NAMES`) raises
 :class:`FormatError` naming the file, and the line for text.
 """
 
@@ -25,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import CLASS_NAMES
 from .geometry import Box3D
 from .grid import PointCloud
 from .rpn import Detection
@@ -186,11 +188,19 @@ def _finite(fields: Sequence[str]) -> list[float]:
     return values
 
 
+def _class_id(field: str) -> int:
+    class_id = int(field)
+    if class_id not in CLASS_NAMES:
+        raise ValueError(f"unknown class id {class_id}")
+    return class_id
+
+
 def load_gt(path: str) -> list[Box3D]:
     boxes = []
     for line_no, fields in _records(path, 9):
         try:
-            boxes.append(Box3D(*_finite(fields[1:8]), class_id=int(fields[0]),
+            boxes.append(Box3D(*_finite(fields[1:8]),
+                               class_id=_class_id(fields[0]),
                                num_points=int(fields[8])))
         except ValueError as exc:
             raise FormatError(f"{path}:{line_no}: {exc}") from None
@@ -214,7 +224,7 @@ def load_detections(path: str) -> list[Detection]:
     dets = []
     for line_no, fields in _records(path, 11):
         try:
-            class_id = int(fields[0])
+            class_id = _class_id(fields[0])
             values = _finite(fields[1:])
             dets.append(Detection(Box3D(*values[:7], class_id=class_id),
                                   class_id, *values[7:]))

@@ -36,10 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# densify stays importable here: traced runs patch this module's call sites
-from .grid import (BackboneFeatures, DenseFeatureMap, SparsePillarVolume,  # noqa: F401
-                   conv3x3_at, deconv2x2, deconv2x2_at, dense_conv2d, densify,
+from .grid import (BackboneFeatures, DenseFeatureMap, SparsePillarVolume,
+                   conv3x3_at, deconv2x2, deconv2x2_at, dense_conv2d,
                    _BAND_ROWS, _relu_volume, reached_cells, sparse_conv2d)
+# densify stays importable here: traced runs patch this module's call sites
+from .grid import densify  # noqa: F401
 from .weights import WeightStore
 
 

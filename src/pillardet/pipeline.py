@@ -1,7 +1,9 @@
 """End-to-end detection: points in, refined scored boxes out.
 
-Stage order: pillarize -> backbone -> pyramid -> center heads -> proposal
-decoding -> IoU-aware rescoring -> NMS -> pooling map -> RoI refinement.
+Stage order: pillarize -> backbone -> pyramid -> center heads -> pooling
+map -> proposal decoding -> IoU-aware rescoring -> NMS -> RoI refinement.
+The pooling map is lazy, so building it right after the heads costs only
+its bottom-up branches and lets the pyramid go before decoding.
 Every produced map's dims are asserted against the grid arithmetic
 (dims = cells / stride) so a wiring mistake fails loudly instead of
 producing plausible nonsense. Maps are computed in the weights' dtype;
@@ -18,11 +20,11 @@ import numpy as np
 
 from . import fileio
 from .config import PipelineConfig, weight_layout
-from .fpn import build_pooling_map, build_pyramid
+from .fpn import LateralMap, build_pooling_map, build_pyramid
 from .grid import PointCloud, backbone_forward, pillarize
 from .rcnn import refine
-from .rpn import (Detection, decode_proposals, nms_3d, rectify_detections,
-                  rpn_forward)
+from .rpn import (Detection, HeadOutput, decode_proposals, nms_3d,
+                  rectify_detections, rpn_forward)
 from .weights import WeightStore
 
 
@@ -36,6 +38,8 @@ class PipelineResult:
     proposals: list[Detection]          # post-NMS, pre-refinement
     shapes: dict[str, tuple[int, int]]  # stage name -> (height, width)
     timings: dict[str, float]           # stage name -> seconds
+    heads: dict[int, HeadOutput]        # stride -> the maps decoding read
+    pooling_map: LateralMap             # the lazy map refine pooled from
 
 
 def build_weights(config: PipelineConfig) -> WeightStore:
@@ -90,9 +94,12 @@ class DetectionPipeline:
                        for a in (head.heatmap, head.reg, head.iou)):
                 raise ValueError(f"heads: the stride-{stride} head maps hold "
                                  "non-finite values")
-        # the heads were the last readers of the levels the pooling map
-        # does not deconvolve (P3 at pool stride 4 or 8): let them go
-        pyramid = {s: m for s, m in pyramid.items() if s == 2 * cfg.pool_stride}
+        # the pooling map keeps the one level it deconvolves; drop the rest
+        pooling_map = clock("pooling_map", lambda: build_pooling_map(
+            backbone, pyramid, self.weights, cfg.pool_stride,
+            cfg.bottom_up_strides))
+        shapes["pool"] = (pooling_map.height, pooling_map.width)
+        del pyramid
         # a cloud with no occupied pillar carries no evidence; bias
         # propagation still texture-fills the maps, so gate the decode
         proposals = clock("decode", lambda: decode_proposals(
@@ -100,15 +107,12 @@ class DetectionPipeline:
         proposals = clock("rectify", lambda: rectify_detections(
             proposals, cfg.beta))
         proposals = clock("nms", lambda: nms_3d(proposals, cfg.nms_iou))
-        pooling_map = clock("pooling_map", lambda: build_pooling_map(
-            backbone, pyramid, self.weights, cfg.pool_stride,
-            cfg.bottom_up_strides))
-        shapes["pool"] = (pooling_map.height, pooling_map.width)
         detections = clock("refine", lambda: refine(
             proposals, pooling_map, spec, self.weights, cfg.roi_grid_size))
 
         _assert_shapes(shapes, spec, cfg.pool_stride)
-        return PipelineResult(detections, proposals, shapes, timings)
+        return PipelineResult(detections, proposals, shapes, timings, heads,
+                              pooling_map)
 
 
 def _assert_shapes(shapes: dict[str, tuple[int, int]], spec,

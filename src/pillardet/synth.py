@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import CLASS_IDS, CLASS_NAMES  # noqa: F401  (CLASS_NAMES re-exported)
+from .config import CLASS_IDS
 from .geometry import (Box3D, RotatedRect2D, iou_3d, near_pairs,
                        points_in_rect, project_to_bev, rotated_iou_bev)
 from .grid import GridSpec, PointCloud

@@ -20,14 +20,13 @@ import numpy as np
 from .geometry import (Box3D, RotatedRect2D, iou_3d, project_to_bev,
                        rotated_iou_bev)
 from .config import PipelineConfig, weight_layout
-from .fpn import LateralMap, build_pooling_map, build_pyramid
-from .grid import (DenseFeatureMap, GridSpec, SparsePillarVolume,
-                   backbone_forward, densify, pillarize, relu, sparse_conv2d)
+from .fpn import LateralMap
+from .grid import (DenseFeatureMap, GridSpec, SparsePillarVolume, densify,
+                   relu, sparse_conv2d)
 from .oracles import dense_conv_reference, exhaustive_nms, mc_rotated_iou
 from .pipeline import DetectionPipeline
 from .rcnn import aux_seg_labels, bilinear_sample, rcnn_forward
-from .rpn import (Detection, decode_proposals, nms_3d, rectify_detections,
-                  rpn_forward)
+from .rpn import Detection, nms_3d
 from .synth import SceneSpec, generate_scene, scene_seed
 from .weights import WeightStore
 
@@ -396,20 +395,21 @@ def _detection_row(d: Detection) -> list[float]:
 
 def float32_suite(scenes: int = 2, seed: int = 7, tolerance: float = 1e-6,
                   corrupt: bool = False) -> SuiteResult:
-    """The float32 pipeline vs its float64 upcast, through the same code.
+    """The float32 pipeline vs its float64 upcast: two
+    :meth:`DetectionPipeline.run` results compared.
 
     The default config on a +-12.8 m grid runs with a seeded float32 store
-    and with the same values upcast to float64, so the two differ only in
-    the rounding of their maps. At identical inputs the suite compares the
-    head maps, then the pooled features, logits and residuals of one fixed
-    proposal list (the float64 run's): every value must agree within
-    ``tolerance`` absolute, about eight float32 ulps of 1 (heatmaps lie in
-    [0, 1], the pooled features and R-CNN outputs below it). The share of
-    float32 detections with a float64 twin (same class, every box field
-    and score within 1e-3) is reported, not gated: near-tied peaks of
-    seeded weights may swap at the top-k cut. ``corrupt`` perturbs one
-    heatmap bias on the float32 side only, a negative control that must
-    make the suite fail.
+    and with the same values upcast to float64, so the two runs differ only
+    in the rounding of their maps. The suite compares the runs' head maps,
+    then the pooled features, logits and residuals that each run's pooling
+    map gives for one fixed proposal list (the float64 run's): every value
+    must agree within ``tolerance`` absolute, about eight float32 ulps of
+    1 (heatmaps lie in [0, 1], the pooled features and R-CNN outputs below
+    it). The share of float32 detections with a float64 twin (same class,
+    every box field and score within 1e-3) is reported, not gated:
+    near-tied peaks of seeded weights may swap at the top-k cut.
+    ``corrupt`` perturbs one heatmap bias on the float32 side only, a
+    negative control that must make the suite fail.
     """
     cfg = replace(PipelineConfig(), grid=GridSpec(
         x_min=-12.8, x_max=12.8, y_min=-12.8, y_max=12.8))
@@ -419,36 +419,26 @@ def float32_suite(scenes: int = 2, seed: int = 7, tolerance: float = 1e-6,
         tensors = dict(store32.items())
         tensors["rpn.s4.hm.b"] = tensors["rpn.s4.hm.b"] + np.float32(1e-3)
         store32 = WeightStore(tensors)
+    pipe32, pipe64 = DetectionPipeline(cfg, store32), DetectionPipeline(cfg, store64)
     grid_size = cfg.roi_grid_size
     worst = 0.0
     twins = total = 0
     for k in range(scenes):
         cloud, _ = generate_scene(SceneSpec(seed=scene_seed(seed, k)), cfg.grid)
-        runs = []
-        for store in (store32, store64):
-            backbone = backbone_forward(pillarize(cloud, cfg.grid, store), store,
-                                        cfg.backbone_channels)
-            pyramid = build_pyramid(backbone, store)
-            heads = rpn_forward(pyramid, store, cfg.level_classes)
-            pool = build_pooling_map(backbone, pyramid, store, cfg.pool_stride,
-                                     cfg.bottom_up_strides)
-            runs.append((store, heads, pool))
-        (s32, h32, p32), (s64, h64, p64) = runs
-        proposals = nms_3d(rectify_detections(
-            decode_proposals(h64, cfg.grid, cfg.top_k), cfg.beta), cfg.nms_iou)
-        rois = [d.box for d in proposals]
-        pairs = [(getattr(h32[s], f), getattr(h64[s], f))
-                 for s in h64 for f in ("heatmap", "reg", "iou")]
-        pairs += zip(rcnn_forward(rois, p32, cfg.grid, s32, grid_size),
-                     rcnn_forward(rois, p64, cfg.grid, s64, grid_size))
+        r32, r64 = pipe32.run(cloud), pipe64.run(cloud)
+        rois = [d.box for d in r64.proposals]
+        pairs = [(getattr(r32.heads[s], f), getattr(r64.heads[s], f))
+                 for s in r64.heads for f in ("heatmap", "reg", "iou")]
+        pairs += zip(
+            rcnn_forward(rois, r32.pooling_map, cfg.grid, store32, grid_size),
+            rcnn_forward(rois, r64.pooling_map, cfg.grid, store64, grid_size))
         for a, b in pairs:
             if a.dtype != np.float32 or b.dtype != np.float64:
                 worst = math.inf
             elif a.size:
                 worst = max(worst, float(np.abs(a - b).max()))
 
-        dets32 = DetectionPipeline(cfg, store32).run(cloud).detections
-        dets64 = DetectionPipeline(cfg, store64).run(cloud).detections
+        dets32, dets64 = r32.detections, r64.detections
         rows64 = np.array([_detection_row(d) for d in dets64]).reshape(-1, 8)
         cls64 = np.array([d.class_id for d in dets64])
         for d in dets32:

@@ -37,6 +37,8 @@ class TestUsage:
         ["synth", "--scenes", "abc", "--out", "o"],
         ["eval", "--seed", "3", "--dets", "d", "--gt", "g"],
         ["verify", "--jobs", "2"],
+        ["synth", "--jobs", "0", "--out", "o"],
+        ["detect", "--jobs", "-3", "--out", "o", "s.pbk"],
         [],
     ])
     def test_usage_error_is_one_validation_line(self, tmp_path, monkeypatch,
@@ -251,6 +253,22 @@ class TestDetect:
         for n in names:
             assert read_bytes(serial / n) == read_bytes(parallel / n), n
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_inputs_sharing_a_stem_rejected_before_writing(
+            self, tmp_path, config_path, capsys, jobs):
+        # both would write s.det.txt, the second over the first
+        paths = [str(tmp_path / d / "s.pbk") for d in ("a", "b")]
+        for path in paths:
+            os.mkdir(os.path.dirname(path))
+            fileio.save_point_cloud(path, PointCloud.empty())
+        out = tmp_path / "out"
+        assert main(["detect", "--config", config_path, "--jobs", jobs,
+                     "--out", str(out), *paths]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert paths[0] in err and paths[1] in err
+        assert not out.exists()
+
     def test_out_of_memory_is_one_line_naming_the_stage(self, tmp_path):
         # a +-2000 m grid at 0.1 m: 40,000^2 cells, whose padded neighbour
         # index alone is ~6 GiB. The child's address space is capped at
@@ -342,6 +360,20 @@ class TestEval:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert "scene_0000.det.txt" in err[0] and "scene_0001.gt.txt" in err[0]
+
+
+    @pytest.mark.parametrize("bad", ["dets", "gt"])
+    def test_unknown_class_id_is_one_io_error_line(self, tmp_path, config_path,
+                                                   capsys, bad):
+        files = {"dets": tmp_path / "s.det.txt", "gt": tmp_path / "s.gt.txt"}
+        box = "1.0 2.0 0.0 4.0 2.0 1.5 0.3"
+        class_id = {"dets": 0, "gt": 0, bad: 7}
+        files["dets"].write_text(f"{class_id['dets']} {box} 0.9 0.9 0.9\n")
+        files["gt"].write_text(f"{class_id['gt']} {box} 20\n")
+        assert main(["eval", "--config", config_path, "--dets",
+                     str(files["dets"]), "--gt", str(files["gt"])]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {files[bad]}:1: unknown class id 7\n")
 
 
 class TestVerify:

@@ -23,14 +23,14 @@ from hypothesis import strategies as st
 
 from conftest import SMALL_CONFIG_DICT
 from pillardet import cli, fileio
-from pillardet.config import (CLASS_IDS, PipelineConfig, config_from_dict,
-                              weight_layout)
+from pillardet.config import (CLASS_IDS, CLASS_NAMES, PipelineConfig,
+                              config_from_dict, weight_layout)
 from pillardet.geometry import Box3D
 from pillardet.grid import GridSpec, PointCloud
 from pillardet.metrics import evaluate_levels
 from pillardet.pipeline import DetectionPipeline
 from pillardet.rpn import Detection
-from pillardet.synth import CLASS_NAMES, SceneSpec, generate_scene
+from pillardet.synth import SceneSpec, generate_scene
 from pillardet.weights import WeightStore
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -132,6 +133,25 @@ class TestTextFormats:
         with open(path, "w") as f:
             f.write("car 1 2 0 4 2 1.5 0 0.5 0.5 0.5\n")
         with pytest.raises(fileio.FormatError, match="bad.det.txt:1: .*'car'"):
+            fileio.load_detections(path)
+
+    @pytest.mark.parametrize("class_id", ["7", "-1", "3"])
+    def test_unknown_gt_class_names_file_and_line(self, tmp_path, class_id):
+        path = str(tmp_path / "bad.gt.txt")
+        with open(path, "w") as f:
+            f.write(f"0 1 2 0 4 2 1.5 0 10\n{class_id} 1 2 0 4 2 1.5 0 10\n")
+        with pytest.raises(fileio.FormatError, match=(
+                f"^{re.escape(path)}:2: unknown class id {class_id}$")):
+            fileio.load_gt(path)
+
+    @pytest.mark.parametrize("class_id", ["7", "-1", "3"])
+    def test_unknown_detection_class_names_file_and_line(self, tmp_path,
+                                                         class_id):
+        path = str(tmp_path / "bad.det.txt")
+        with open(path, "w") as f:
+            f.write(f"{class_id} 1 2 0 4 2 1.5 0 0.5 0.5 0.5\n")
+        with pytest.raises(fileio.FormatError, match=(
+                f"^{re.escape(path)}:1: unknown class id {class_id}$")):
             fileio.load_detections(path)
 
     @pytest.mark.parametrize("field", ["inf", "-inf", "nan", "1e400"])

@@ -1,0 +1,48 @@
+"""Every name a package module imports is read by that module.
+
+No linter runs in the test command, so this is the unused-import check:
+it parses each ``src/pillardet/*.py`` module (``__init__.py``, whose
+imports are the public API, is skipped) and fails on any imported name
+the module never reads. A deliberate re-export carries ``# noqa: F401``
+on the line of the name it keeps.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pillardet"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """``line: name`` of each imported name ``source`` never reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.append((alias.lineno, name))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{line}: {name}" for line, name in imported if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_check_finds_an_unused_name_and_honours_noqa():
+    source = ("from __future__ import annotations\n"
+              "import os, sys\n"
+              "from math import (pi,\n"
+              "                  tau)\n"
+              "from json import dumps  # noqa: F401\n"
+              "print(sys.argv, pi)\n")
+    assert unused_imports(source) == ["2: os", "4: tau"]
