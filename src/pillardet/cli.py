@@ -233,17 +233,34 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+# the variables that set the BLAS thread count of OpenBLAS, OpenMP and MKL
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _map_jobs(fn, payloads, jobs: int, initializer=None, initargs=()):
     """``fn`` over payloads, in worker processes when ``jobs`` > 1.
 
     Workers are spawned, not forked, so no BLAS thread state is inherited;
-    ``initializer(*initargs)`` runs once in each worker.
+    each starts with an equal share of the usable CPUs as its BLAS thread
+    count, set in the environment it is spawned with (the caller's is
+    restored after). ``initializer(*initargs)`` runs once in each worker.
     """
     if jobs <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
-    ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(min(jobs, len(payloads)), initializer, initargs) as pool:
-        return pool.map(fn, payloads)
+    workers = min(jobs, len(payloads))
+    threads = str(max(1, len(os.sched_getaffinity(0)) // workers))
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, threads))
+    try:
+        ctx = multiprocessing.get_context("spawn")
+        with ctx.Pool(workers, initializer, initargs) as pool:
+            return pool.map(fn, payloads)
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 def main(argv: list[str] | None = None) -> int:

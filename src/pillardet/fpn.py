@@ -20,14 +20,14 @@ built whole, by :meth:`LateralMap.dense`; their upsampled halves are not.
 The dense conv reads its input by row ranges, one chunk at a time, and a
 lateral answers with the deconvolution of just the semantic rows that
 chunk reaches (:class:`_UpsampledRows`), so the 2x map exists only a
-chunk at a time (about 5 MB of the 72 MB P3 one on a full-range scene),
-with the same values bit for bit. The pooling map is only read
-under the RoI grids (a few percent of its cells on a full-range scene),
-so it is never built: :meth:`LateralMap.at` evaluates the same recipe at
-the cells asked for. Its up half is one dense conv over a canvas of
-haloed strips of the map around those cells, laid side by side (about
-3.5 cells computed per cell asked for on a full-range scene, against 22
-for the whole map), deconvolving only the parents of the strips' cells.
+chunk at a time (about 5 MB of the 72 MB P3 one on a full-range scene).
+The pooling map is only read under the RoI grids (a few percent of its
+cells on a full-range scene), so it is never built: :meth:`LateralMap.at`
+evaluates the same recipe at the cells asked for. Its up half is one
+dense conv over a canvas of haloed strips around those cells side by
+side (3.5 cells computed per cell asked for on a full-range scene, 22
+for the whole map), deconvolving only the strips' parents. All other
+products are ``gemm_rows`` ones: ``.at()`` equals ``.dense()`` bit for bit.
 """
 
 from __future__ import annotations
@@ -61,10 +61,9 @@ class _UpsampledRows:
     :func:`~pillardet.grid.dense_conv2d`, never held whole.
 
     A request for rows ``[r0, r1)`` deconvolves the input rows not yet
-    deconvolved that it reaches, rounded up to whole bands of
-    :func:`~pillardet.grid.deconv2x2`, so each call runs the very GEMMs of
-    the whole-map call and each input row is deconvolved once. Rows above
-    ``r0`` are dropped; requests never move backwards.
+    deconvolved that it reaches, rounded up to whole bands of input rows of
+    at most ``_BAND_ROWS`` pixels, so each input row is deconvolved once.
+    Rows above ``r0`` are dropped; requests never move backwards.
     """
 
     def __init__(self, data: np.ndarray, weight: np.ndarray, bias: np.ndarray):
@@ -72,7 +71,7 @@ class _UpsampledRows:
         self.shape = (2 * h, 2 * w, weight.shape[3])
         self.dtype = np.result_type(data, weight, bias)
         self._args = (data, weight, bias)
-        self._band = max(1, _BAND_ROWS // w)  # deconv2x2's input rows per GEMM
+        self._band = max(1, _BAND_ROWS // w)  # input rows per band
         self._held = np.empty((0,) + self.shape[1:], self.dtype)
         self._first = 0  # the upsampled row held[0] is
 
@@ -187,8 +186,8 @@ class LateralMap:
         """Map values at cells (``iy[k]``, ``ix[k]``) -> (K, C).
 
         The up half is one dense conv over packed strips of the map (see
-        :meth:`_up_half`); each bottom-up volume's conv is computed at the
-        query cells, in the order given, and added as :meth:`dense` adds it.
+        :meth:`_up_half`); each bottom-up volume's conv is added at the query
+        cells as :meth:`dense` adds it, so a row is bit for bit :meth:`dense`'s.
         """
         iy = np.asarray(iy, dtype=np.int64).reshape(-1)
         ix = np.asarray(ix, dtype=np.int64).reshape(-1)

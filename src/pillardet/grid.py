@@ -236,7 +236,7 @@ def pillarize(points: PointCloud, spec: GridSpec,
         data[:, 2],
         data[:, 3],
     ], axis=1).astype(w.dtype)
-    enc = relu(enc_in @ w + b)
+    enc = relu(gemm_rows(enc_in, w, b))
 
     key = ix * ny + iy
     order = np.argsort(key, kind="stable")
@@ -253,13 +253,34 @@ def _out_dim(n: int, stride: int) -> int:
     return (n - 1) // stride + 1
 
 
-# pixel rows of one band of a dense conv or deconv, or output cells of one
-# sparse conv GEMM: a conv band's product and accumulator stay in cache
-# while the nine offsets add into it, and neither a deconv nor a sparse
-# conv needs a full-size product or gather next to its output
+# rows of each gemm_rows GEMM, or pixel rows of one dense conv band, whose
+# product and accumulator stay in cache while the nine offsets add into it
 _BAND_ROWS = 512
 # bytes of padded input a dense conv holds at once, rounded to whole bands
 _CHUNK_BYTES = 4 << 20
+
+
+def gemm_rows(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None,
+              index: np.ndarray | None = None) -> np.ndarray:
+    """``x @ weight + bias`` as GEMMs of exactly ``_BAND_ROWS`` rows, the last
+    zero-padded: BLAS may round a row by its call's row count, so an output
+    row depends on its own input row alone. With ``index``, an (M, J) table
+    of rows of ``x``, input row m is ``x[index[m]]`` side by side."""
+    m = len(x) if index is None else len(index)
+    out = np.empty((-(-m // _BAND_ROWS) * _BAND_ROWS, weight.shape[1]),
+                   np.result_type(x, weight, *(() if bias is None else (bias,))))
+    band = np.empty((_BAND_ROWS, weight.shape[0]), x.dtype)
+    for i in range(0, m, _BAND_ROWS):
+        n = min(_BAND_ROWS, m - i)
+        rows = np.arange(i, i + n) if index is None else index[i:i + n]
+        # mode="clip" writes into the band; "raise" buffers its output
+        np.take(x, rows, axis=0, mode="clip",
+                out=band[:n].reshape(rows.shape + x.shape[1:]))
+        band[n:] = 0
+        np.matmul(band, weight, out=out[i:i + _BAND_ROWS])
+    if bias is not None:
+        out += bias
+    return out[:m]
 
 
 def reached_cells(v: SparsePillarVolume, stride: int = 1) -> np.ndarray:
@@ -287,9 +308,8 @@ def conv3x3_at(v: SparsePillarVolume, weight: np.ndarray, cells: np.ndarray,
     ``stride``, in any order; the result is their (len(cells), c_out)
     rows, in the dtype the features and kernel promote to. A neighbour
     table lists, per output cell, the feature row under each of the nine
-    kernel offsets, a zero row where no site is active; bands of
-    ``_BAND_ROWS`` cells are then one ``(band, 9 * C) @ (9 * C, c_out)``
-    GEMM each.
+    kernel offsets, a zero row where no site is active, for one
+    :func:`gemm_rows` product against the (9 * C, c_out) kernel.
     """
     if weight.shape[:3] != (3, 3, v.channels):
         raise ValueError(
@@ -305,14 +325,9 @@ def conv3x3_at(v: SparsePillarVolume, weight: np.ndarray, cells: np.ndarray,
     x0, y0 = cells // ny_out * stride, cells % ny_out * stride
     k = np.arange(3)
     table = index[x0[:, None, None] + k, y0[:, None, None] + k[:, None]]
-    table = table.reshape(len(cells), 9)
     rows = np.concatenate([v.features, np.zeros((1, v.channels), v.features.dtype)])
-    kernel = weight.reshape(9 * v.channels, weight.shape[3])
-    out = np.empty((len(cells), weight.shape[3]), np.result_type(rows, kernel))
-    for i in range(0, len(cells), _BAND_ROWS):
-        band = table[i:i + _BAND_ROWS]
-        np.matmul(rows[band].reshape(len(band), -1), kernel, out=out[i:i + len(band)])
-    return out
+    return gemm_rows(rows, weight.reshape(9 * v.channels, weight.shape[3]),
+                     index=table.reshape(len(cells), 9))
 
 
 def sparse_conv2d(v: SparsePillarVolume, weight: np.ndarray, bias: np.ndarray,
@@ -331,10 +346,9 @@ def sparse_conv2d(v: SparsePillarVolume, weight: np.ndarray, bias: np.ndarray,
 
     ny_out = _out_dim(v.ny, stride)
     cells = v.keys() if submanifold else reached_cells(v, stride)
-    out_feats = conv3x3_at(v, weight, cells, stride) + bias
     return SparsePillarVolume(stride * v.stride, _out_dim(v.nx, stride), ny_out,
                               np.stack([cells // ny_out, cells % ny_out], axis=1),
-                              out_feats)
+                              conv3x3_at(v, weight, cells, stride) + bias)
 
 
 def densify(v: SparsePillarVolume) -> DenseFeatureMap:
@@ -441,31 +455,21 @@ def _deconv_kernel(weight: np.ndarray, c_in: int) -> np.ndarray:
     return weight.transpose(2, 0, 1, 3).reshape(c_in, 4 * weight.shape[3])
 
 
-def _deconv_rows(x: np.ndarray, kernel: np.ndarray,
-                 bias: np.ndarray) -> np.ndarray:
-    """Deconv outputs of (N, c_in) input pixels -> (N, 4, c_out)."""
-    y = (x @ kernel).reshape(len(x), 4, len(bias))
-    y += bias
-    return y
-
-
 def deconv2x2(data: np.ndarray, weight: np.ndarray,
               bias: np.ndarray) -> np.ndarray:
     """Stride-2 transposed convolution with a 2x2 kernel: exact 2x upsample.
 
-    Each band of input rows is one GEMM against the (c_in, 4 * c_out)
-    kernel, interleaved into the output as it is written; no full-size
-    temporary is made.
+    Each band of input rows is one :func:`gemm_rows` product, interleaved
+    into the output as it is written; no full-size temporary is made.
     """
     h, w_in, c_in = data.shape
     kernel = _deconv_kernel(weight, c_in)
     c_out = weight.shape[3]
-    flat = data.reshape(-1, c_in)
     out = np.empty((h, 2, w_in, 2, c_out), np.result_type(data, weight, bias))
     band = max(1, _BAND_ROWS // w_in)
     for y0 in range(0, h, band):
         y1 = min(h, y0 + band)
-        y = _deconv_rows(flat[y0 * w_in:y1 * w_in], kernel, bias)
+        y = gemm_rows(data[y0:y1].reshape(-1, c_in), kernel, np.tile(bias, 4))
         # (y, x, dy, dx) -> (y, dy, x, dx), i.e. output pixel (2y + dy, 2x + dx)
         out[y0:y1] = y.reshape(y1 - y0, w_in, 2, 2, c_out).transpose(0, 2, 1, 3, 4)
     return out.reshape(2 * h, 2 * w_in, c_out)
@@ -481,8 +485,8 @@ def deconv2x2_at(data: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     w_in, c_in = data.shape[1], data.shape[2]
     kernel = _deconv_kernel(weight, c_in)
     parents, slot = np.unique((iy // 2) * w_in + ix // 2, return_inverse=True)
-    y = _deconv_rows(data[parents // w_in, parents % w_in], kernel, bias)
-    return y[slot.reshape(-1), 2 * (iy % 2) + ix % 2]
+    y = gemm_rows(data.reshape(-1, c_in), kernel, np.tile(bias, 4), parents[:, None])
+    return y.reshape(len(parents), 4, len(bias))[slot.reshape(-1), 2 * (iy % 2) + ix % 2]
 
 
 @dataclass(frozen=True)

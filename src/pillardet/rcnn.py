@@ -21,7 +21,7 @@ import numpy as np
 from .geometry import (Box3D, exp_extent, iou_3d_matrix, normalize_angle,
                        points_in_rect, project_to_bev)
 from .fpn import LateralMap
-from .grid import DenseFeatureMap, GridSpec, relu
+from .grid import DenseFeatureMap, GridSpec, gemm_rows, relu
 from .rpn import Detection, _sigmoid
 from .weights import WeightStore
 
@@ -117,10 +117,8 @@ def bilinear_sample(m: FeatureSource, spec: GridSpec,
     the map's dtype; the sum runs in the map's dtype.
     """
     sup = _bilinear_support(m, spec, pts)
-    # keyed ix * height + iy, a sparse volume's flat order, so a lateral
-    # map's bottom-up conv gets its cells sorted (a GEMM row's rounding
-    # can depend on its place in the band); an off-map corner keys past
-    # every cell, so it reads the slot after the last cell's: a zero row
+    # keyed ix * height + iy; an off-map corner keys past every cell, so
+    # it reads the slot after the last cell's: a zero row
     n_cells = m.height * m.width
     cells, corner_slot = np.unique(
         np.where(sup.inside, sup.ix * m.height + sup.iy, n_cells),
@@ -194,23 +192,23 @@ def rcnn_forward(rois: list[Box3D], m: FeatureSource, spec: GridSpec,
     """Shared MLP over flattened RoI grids.
 
     Returns (confidence logits (N,), residuals (N, 7), pooled grid
-    features (N, G, G, C)); RoIs never interact, so any ordering works.
+    features (N, G, G, C)); RoIs never interact, not even in rounding.
     """
     pooled = pool_roi_features(rois, m, spec, grid_size)
     x = pooled.reshape(len(rois), -1)
-    x = relu(x @ weights.get("rcnn.fc1.w") + weights.get("rcnn.fc1.b"))
-    x = relu(x @ weights.get("rcnn.fc2.w") + weights.get("rcnn.fc2.b"))
-    logits = (x @ weights.get("rcnn.cls.w") + weights.get("rcnn.cls.b"))[:, 0]
-    residuals = x @ weights.get("rcnn.reg.w") + weights.get("rcnn.reg.b")
+    x = relu(gemm_rows(x, weights.get("rcnn.fc1.w"), weights.get("rcnn.fc1.b")))
+    x = relu(gemm_rows(x, weights.get("rcnn.fc2.w"), weights.get("rcnn.fc2.b")))
+    logits = gemm_rows(x, weights.get("rcnn.cls.w"), weights.get("rcnn.cls.b"))[:, 0]
+    residuals = gemm_rows(x, weights.get("rcnn.reg.w"), weights.get("rcnn.reg.b"))
     return logits, residuals, pooled
 
 
 def seg_forward(pooled: np.ndarray, weights: WeightStore) -> np.ndarray:
     """Per-grid-point foreground logits from pooled features: (N, G, G)."""
     n, g, _, c = pooled.shape
-    x = pooled.reshape(-1, c)
-    x = relu(x @ weights.get("rcnn.seg.fc1.w") + weights.get("rcnn.seg.fc1.b"))
-    x = x @ weights.get("rcnn.seg.fc2.w") + weights.get("rcnn.seg.fc2.b")
+    x = relu(gemm_rows(pooled.reshape(-1, c), weights.get("rcnn.seg.fc1.w"),
+                       weights.get("rcnn.seg.fc1.b")))
+    x = gemm_rows(x, weights.get("rcnn.seg.fc2.w"), weights.get("rcnn.seg.fc2.b"))
     return x.reshape(n, g, g)
 
 

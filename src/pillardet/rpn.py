@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Box3D, exp_extent, iou_3d, iou_3d_tables
-from .grid import DenseFeatureMap, GridSpec, dense_conv2d
+from .grid import DenseFeatureMap, GridSpec, dense_conv2d, gemm_rows
 from .weights import WeightStore
 
 # regression channel order: [off_x, off_y, z, log_l, log_w, log_h, sin, cos]
@@ -176,8 +176,8 @@ def rpn_loss(preds: dict[int, HeadOutput],
 class _HeadSink:
     """Output sink of a head's shared 3x3 conv: each band it receives
     (``sink[y0:y1] = rows``) goes through ReLU and the 1x1 heads, as one
-    GEMM against their kernels side by side; only the heads' raw maps are
-    kept, as one (H, W, n_out) array."""
+    ``gemm_rows`` product against their kernels side by side; only the
+    heads' raw maps are kept, as one (H, W, n_out) array."""
 
     def __init__(self, shape: tuple[int, int, int], kernel: np.ndarray,
                  bias: np.ndarray, dtype):
@@ -188,8 +188,7 @@ class _HeadSink:
 
     def __setitem__(self, rows: slice, band: np.ndarray) -> None:
         x = np.maximum(band, 0.0).reshape(-1, self.shape[2])
-        y = x @ self._kernel
-        y += self._bias
+        y = gemm_rows(x, self._kernel, self._bias)
         self.maps[rows] = y.reshape(band.shape[:2] + self._kernel.shape[1:])
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import ODD_VALUES, SMALL_CONFIG_DICT
 from pillardet import fileio
-from pillardet.cli import main
+from pillardet.cli import _map_jobs, main
 from pillardet.config import config_from_dict
 from pillardet.grid import PointCloud
 from pillardet.pipeline import build_weights
@@ -252,6 +252,18 @@ class TestDetect:
         assert any(read_bytes(serial / n) for n in names)
         for n in names:
             assert read_bytes(serial / n) == read_bytes(parallel / n), n
+
+    def test_jobs_workers_share_the_cpus_as_blas_threads(self, monkeypatch):
+        names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "3")
+        # two workers, each reading the variables it was spawned with
+        seen = _map_jobs(os.getenv, names, 2)
+        assert seen == [str(max(1, len(os.sched_getaffinity(0)) // 2))] * 3
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
+        assert "OMP_NUM_THREADS" not in os.environ
+        assert os.environ["MKL_NUM_THREADS"] == "3"
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_inputs_sharing_a_stem_rejected_before_writing(

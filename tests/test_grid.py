@@ -7,8 +7,8 @@ from conftest import make_volume
 from pillardet import grid
 from pillardet.grid import (GridSpec, PointCloud, SparsePillarVolume,
                             backbone_forward, deconv2x2, dense_conv2d,
-                            conv3x3_at, densify, pillarize, reached_cells,
-                            sparse_conv2d)
+                            conv3x3_at, densify, gemm_rows, pillarize,
+                            reached_cells, sparse_conv2d)
 from pillardet.oracles import dense_conv_reference
 from pillardet.verify import border_volume
 from pillardet.weights import WeightStore
@@ -434,6 +434,60 @@ class TestConvAtCells:
         with pytest.raises(ValueError, match="incompatible"):
             conv3x3_at(v, np.zeros((3, 3, 2, 1)), np.arange(4))
 
+
+
+def gemm_case(n, indexed, dtype, rng):
+    """(x, weight, bias, index) of an n-row product with K = 64, N = 8: a
+    shape where OpenBLAS rounds a row by the row count of its call."""
+    if indexed:
+        x = rng.normal(size=(300, 32)).astype(dtype)
+        index = rng.integers(0, len(x), size=(n, 2))
+    else:
+        x, index = rng.normal(size=(n, 64)).astype(dtype), None
+    return (x, rng.normal(size=(64, 8)).astype(dtype),
+            rng.normal(size=8).astype(dtype), index)
+
+
+class TestGemmRows:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("indexed", [False, True], ids=["rows", "index"])
+    @pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 1500])
+    def test_every_row_equals_that_row_alone(self, n, indexed, dtype):
+        x, w, b, index = gemm_case(n, indexed, dtype, np.random.default_rng(n))
+        out = gemm_rows(x, w, b, index)
+        assert out.shape == (n, 8) and out.dtype == dtype
+        for i in range(n):
+            alone = (gemm_rows(x, w, b, index[i:i + 1]) if indexed
+                     else gemm_rows(x[i:i + 1], w, b))
+            assert alone.tobytes() == out[i].tobytes(), i
+        rows = x[index].reshape(n, 64) if indexed else x
+        tol = 1e-4 if dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(out, rows @ w + b, rtol=tol, atol=tol)
+
+    def test_without_bias_is_the_bare_product(self):
+        x, w, b, _ = gemm_case(700, False, np.float64, np.random.default_rng(3))
+        assert (gemm_rows(x, w) + b).tobytes() == gemm_rows(x, w, b).tobytes()
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["rows", "index"])
+    def test_holds_one_band_and_one_result_beyond_its_output(self, indexed):
+        # 3000 rows of K = 256: a whole gather would be 3 MB, a band 0.5 MB
+        rng = np.random.default_rng(4)
+        w = rng.standard_normal((256, 64), dtype=np.float32)
+        b = rng.standard_normal(64, dtype=np.float32)
+        if indexed:
+            x = rng.standard_normal((1000, 64), dtype=np.float32)
+            index = rng.integers(0, len(x), size=(3000, 4))
+        else:
+            x, index = rng.standard_normal((3000, 256), dtype=np.float32), None
+        tracemalloc.start()
+        try:
+            out = gemm_rows(x, w, b, index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (3000, 64)
+        # and NumPy's 32 KiB buffer for the bias add
+        assert peak <= out.nbytes + grid._BAND_ROWS * (256 + 64) * 4 + (64 << 10)
 
 def backbone_store(plan, seed=0):
     layout = {"pfe.linear.w": (4, plan[0]), "pfe.linear.b": (plan[0],),

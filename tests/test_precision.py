@@ -14,8 +14,8 @@ from pillardet.config import config_from_dict, weight_layout
 from pillardet.fpn import LateralMap
 from pillardet.grid import (DenseFeatureMap, GridSpec, PointCloud,
                             SparsePillarVolume, conv3x3_at, deconv2x2,
-                            deconv2x2_at, dense_conv2d, densify, pillarize,
-                            sparse_conv2d)
+                            deconv2x2_at, dense_conv2d, densify, gemm_rows,
+                            pillarize, sparse_conv2d)
 from pillardet.pipeline import DetectionPipeline
 from pillardet.rcnn import bilinear_sample
 from pillardet.synth import SceneSpec, generate_scene
@@ -64,6 +64,12 @@ def run_conv_at(rng, feat, weight):
                       np.array([0, 7, 8, 30, 47]))
 
 
+def run_gemm_rows(rng, feat, weight, index=None):
+    x = normal(rng, (4, 3), feat)
+    k = 3 if index is None else 3 * index.shape[1]
+    return gemm_rows(x, normal(rng, (k, 2), weight), normal(rng, 2, weight), index)
+
+
 def lateral_map(rng, feat, weight):
     return LateralMap(DenseFeatureMap(2, normal(rng, (3, 4, 2), feat)),
                       (volume(rng, feat),), normal(rng, (2, 2, 2, 2), weight),
@@ -93,6 +99,9 @@ KERNELS = {
     "sparse_conv2d-subm": lambda rng, f, w: run_sparse_conv(rng, f, w, 1, True),
     "sparse_conv2d-s2": lambda rng, f, w: run_sparse_conv(rng, f, w, 2, False),
     "conv3x3_at": run_conv_at,
+    "gemm_rows": run_gemm_rows,
+    "gemm_rows-index": lambda rng, f, w: run_gemm_rows(
+        rng, f, w, np.array([[0, 3], [2, 2], [1, 0]])),
     "LateralMap.dense": run_lateral_map_dense,
     "LateralMap.at": run_lateral_map_at,
 }
