@@ -78,8 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run all oracle comparison suites")
     common(p_verify)
-    p_verify.add_argument("--corrupt", action="store_true",
-                          help=argparse.SUPPRESS)  # negative control for tests
     return parser
 
 
@@ -219,7 +217,7 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     load_config(args.config)  # validated even though suites use fixed budgets
-    results = run_all(corrupt=args.corrupt)
+    results = run_all()
     width = max(len(r.name) for r in results)
     failed = [r for r in results if not r.passed]
     for r in results:

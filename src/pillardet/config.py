@@ -188,7 +188,8 @@ def volume_channels(cfg: PipelineConfig) -> dict[int, int]:
 
 
 def weight_layout(cfg: PipelineConfig) -> dict[str, tuple[int, ...]]:
-    """Every tensor name and shape the forward pipeline reads.
+    """Every tensor name and shape the forward pipeline reads, plus
+    ``rcnn.seg.*``, read only by the training-time head ``rcnn.seg_forward``.
 
     1x1 head convolutions are stored as plain (in, out) matrices; 3x3 and
     2x2 kernels as (kh, kw, in, out).

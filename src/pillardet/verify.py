@@ -7,7 +7,9 @@ values at chosen cells against a per-pixel deconvolution, concatenation
 and convolution, greedy against exhaustive NMS, analytic against
 finite-difference bilinear gradients, segmentation labels against direct
 point-in-rect evaluation, and the float32 pipeline against its float64
-upcast. Budgets are fixed; everything is seeded.
+upcast. Budgets are fixed; everything is seeded. The suites have no
+fault-injection option: their negative controls, one or more per suite,
+patch faults in from outside (``tests/test_verify.py``).
 """
 
 from __future__ import annotations
@@ -93,14 +95,12 @@ def geometry_suite(pairs: int = 150, samples: int = 1_000_000,
 
 
 def sparse_dense_suite(volumes: int = 40, seed: int = 1,
-                       tolerance: float = 1e-5,
-                       corrupt: bool = False) -> SuiteResult:
+                       tolerance: float = 1e-5) -> SuiteResult:
     """Densified sparse convolution vs the per-pixel dense reference.
 
     Each layer type runs on ``volumes`` 16x16 volumes, then on one 64x64
     volume whose output cells fill more than one GEMM band of the sparse
-    conv. ``corrupt`` perturbs one kernel weight on the sparse side only —
-    a negative control that must make the suite fail.
+    conv.
     """
     rng = np.random.default_rng(seed)
     modes = ((1, True), (1, False), (2, False))   # subm, regular s1 and s2
@@ -111,10 +111,7 @@ def sparse_dense_suite(volumes: int = 40, seed: int = 1,
         c_in, c_out = int(rng.integers(2, 6)), int(rng.integers(2, 6))
         v = random_volume(rng, size, size, c_in, density)
         w = rng.normal(size=(3, 3, c_in, c_out))
-        w_sparse = w.copy()
-        if corrupt:
-            w_sparse[1, 1, 0, 0] += 1e-3
-        out = sparse_conv2d(v, w_sparse, np.zeros(c_out), stride=stride,
+        out = sparse_conv2d(v, w, np.zeros(c_out), stride=stride,
                             submanifold=subm)
         ref = dense_conv_reference(densify(v).data, w, stride=stride)
         if subm:
@@ -166,14 +163,12 @@ def _deconv_per_pixel(data: np.ndarray, weight: np.ndarray,
 
 
 def lateral_case(rng: np.random.Generator, hs: int, ws: int, c_up: int,
-                 vols: list[SparsePillarVolume],
-                 corrupt_channel: int | None = None):
+                 vols: list[SparsePillarVolume]):
     """A random lateral map over ``vols`` and its per-pixel reference.
 
     The semantic map is ``hs`` x ``ws`` cells of random features. The
     reference deconvolves it pixel by pixel, concatenates the densified
-    volumes and convolves per pixel. ``corrupt_channel`` perturbs that
-    input channel's kernel weight on the map's side only.
+    volumes and convolves per pixel.
     """
     c_sem, c_out = int(rng.integers(1, 5)), int(rng.integers(1, 5))
     semantic = rng.normal(size=(hs, ws, c_sem))
@@ -182,11 +177,8 @@ def lateral_case(rng: np.random.Generator, hs: int, ws: int, c_up: int,
     c_in = c_up + sum(v.channels for v in vols)
     conv_w = rng.normal(size=(3, 3, c_in, c_out))
     conv_b = rng.normal(size=c_out)
-    w_map = conv_w.copy()
-    if corrupt_channel is not None:
-        w_map[1, 1, corrupt_channel, 0] += 1e-3
     lateral_map = LateralMap(DenseFeatureMap(2, semantic), tuple(vols),
-                             deconv_w, deconv_b, w_map, conv_b)
+                             deconv_w, deconv_b, conv_w, conv_b)
     up = relu(_deconv_per_pixel(semantic, deconv_w, deconv_b))
     merged = np.concatenate([up] + [densify(v).data for v in vols], axis=-1)
     return lateral_map, relu(dense_conv_reference(merged, conv_w) + conv_b)
@@ -199,8 +191,7 @@ def _max_abs_diff(got: np.ndarray, ref: np.ndarray) -> float:
 
 
 def split_lateral_suite(maps: int = 40, seed: int = 5,
-                        tolerance: float = 1e-5,
-                        corrupt: bool = False) -> SuiteResult:
+                        tolerance: float = 1e-5) -> SuiteResult:
     """The whole lateral map, :meth:`LateralMap.dense`, vs the per-pixel
     reference of :func:`lateral_case`.
 
@@ -208,9 +199,7 @@ def split_lateral_suite(maps: int = 40, seed: int = 5,
     volumes, each random, empty or touching only the map border. Then come
     one 48x40 map with a random volume whose reached cells fill more than
     one GEMM band of the sparse conv, and one 48x48 map with 512 upsampled
-    channels, read in three dense-conv chunks. ``corrupt`` perturbs one
-    bottom-up kernel weight on the map's side only, a negative control
-    that must make the suite fail.
+    channels, read in three dense-conv chunks.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -224,8 +213,7 @@ def split_lateral_suite(maps: int = 40, seed: int = 5,
             hs, ws, c_up = 24, 24, 512
         vols = ([random_volume(rng, 2 * ws, 2 * hs, int(rng.integers(1, 4)), 0.1)]
                 if k == maps else bottom_up_volumes(rng, k, 2 * ws, 2 * hs))
-        lateral_map, ref = lateral_case(rng, hs, ws, c_up, vols,
-                                        c_up if corrupt else None)
+        lateral_map, ref = lateral_case(rng, hs, ws, c_up, vols)
         worst = max(worst, _max_abs_diff(lateral_map.dense().data, ref))
     return SuiteResult("split-lateral", worst < tolerance, worst,
                        f"{maps} maps, random/empty/border volumes + 1 "
@@ -234,8 +222,7 @@ def split_lateral_suite(maps: int = 40, seed: int = 5,
 
 
 def pooling_at_cells_suite(maps: int = 40, seed: int = 6,
-                           tolerance: float = 1e-5,
-                           corrupt: bool = False) -> SuiteResult:
+                           tolerance: float = 1e-5) -> SuiteResult:
     """Lateral map values at chosen cells, :meth:`LateralMap.at`, vs the
     per-pixel reference of :func:`lateral_case`.
 
@@ -243,9 +230,7 @@ def pooling_at_cells_suite(maps: int = 40, seed: int = 6,
     every cell, no cell and every fourth column of a 64x64 map (256
     single-column strips in one canvas); volumes are as in the
     split-lateral suite. The last map has the shape of that suite's
-    multi-chunk one: 48x48 with 512 upsampled channels. ``corrupt``
-    perturbs one upsampled-half kernel weight on the map's side only, a
-    negative control that must make the suite fail.
+    multi-chunk one: 48x48 with 512 upsampled channels.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -259,8 +244,7 @@ def pooling_at_cells_suite(maps: int = 40, seed: int = 6,
             c_up = int(rng.integers(1, 5))
         h, w = 2 * hs, 2 * ws
         vols = bottom_up_volumes(rng, k, w, h)
-        lateral_map, ref = lateral_case(rng, hs, ws, c_up, vols,
-                                        0 if corrupt else None)
+        lateral_map, ref = lateral_case(rng, hs, ws, c_up, vols)
         iy, ix = np.nonzero(np.ones((h, w), dtype=bool))
         if kind == 0:
             pick = rng.integers(0, h * w, int(rng.integers(1, 2 * h * w)))
@@ -279,29 +263,48 @@ def pooling_at_cells_suite(maps: int = 40, seed: int = 6,
                        f"max abs diff {worst:.2e}")
 
 
+def clustered_detections(rng: np.random.Generator, n: int,
+                         bases: int = 12) -> list[Detection]:
+    """``n`` NMS candidates clustered as a detector's peaks are: jittered
+    copies of ``bases`` random boxes, each of its base's class.
+
+    A copy moves its base's BEV centre by N(0, 0.3 m) per axis, scales
+    each extent by exp(N(0, 0.1)) and turns the yaw by N(0, 0.2); its
+    score is uniform. Uniformly scattered boxes almost never overlap
+    enough to suppress one another, so they leave the greedy scan untested.
+    """
+    base = [replace(random_box(rng), class_id=int(rng.integers(0, 3)))
+            for _ in range(bases)]
+    dets = []
+    for b in [base[k] for k in rng.integers(0, bases, size=n)]:
+        cx, cy = rng.normal((b.cx, b.cy), 0.3).tolist()
+        length, width, height = (np.exp(rng.normal(0.0, 0.1, 3))
+                                 * (b.length, b.width, b.height)).tolist()
+        box = replace(b, cx=cx, cy=cy, length=length, width=width,
+                      height=height, yaw=b.yaw + float(rng.normal(0.0, 0.2)))
+        score = float(rng.random())
+        dets.append(Detection(box, b.class_id, score, iou_score=score))
+    return dets
+
+
 def nms_suite(scenes: int = 30, boxes_per_scene: int = 60,
               seed: int = 2) -> SuiteResult:
-    """Greedy NMS must match the exhaustive-matrix oracle exactly."""
+    """Greedy NMS must match the exhaustive-matrix oracle exactly, on
+    :func:`clustered_detections` candidates, so that many suppress."""
     rng = np.random.default_rng(seed)
     thresholds = {0: 0.8, 1: 0.55, 2: 0.55}
-    mismatches = 0
+    mismatches = suppressed = 0
     for _ in range(scenes):
-        dets = []
-        for _ in range(boxes_per_scene):
-            box = random_box(rng)
-            class_id = int(rng.integers(0, 3))
-            score = float(rng.random())
-            dets.append(Detection(Box3D(box.cx, box.cy, box.cz, box.length,
-                                        box.width, box.height, box.yaw,
-                                        class_id=class_id),
-                                  class_id, score, iou_score=score))
+        dets = clustered_detections(rng, boxes_per_scene)
         fast = nms_3d(dets, thresholds)
         slow = exhaustive_nms(dets, thresholds, iou_3d)
         if [id(d) for d in fast] != [id(d) for d in slow]:
             mismatches += 1
+        suppressed += len(dets) - len(slow)
     return SuiteResult("nms-brute-force", mismatches == 0, float(mismatches),
                        f"{scenes} scenes x {boxes_per_scene} boxes",
-                       f"{mismatches} mismatching scenes")
+                       f"{mismatches} mismatching scenes; {suppressed}/"
+                       f"{scenes * boxes_per_scene} candidates suppressed")
 
 
 def bilinear_fd_grad(data: np.ndarray, spec: GridSpec, p: np.ndarray,
@@ -393,8 +396,8 @@ def _detection_row(d: Detection) -> list[float]:
     return [b.cx, b.cy, b.cz, b.length, b.width, b.height, b.yaw, d.score]
 
 
-def float32_suite(scenes: int = 2, seed: int = 7, tolerance: float = 1e-6,
-                  corrupt: bool = False) -> SuiteResult:
+def float32_suite(scenes: int = 2, seed: int = 7,
+                  tolerance: float = 1e-6) -> SuiteResult:
     """The float32 pipeline vs its float64 upcast: two
     :meth:`DetectionPipeline.run` results compared.
 
@@ -408,17 +411,11 @@ def float32_suite(scenes: int = 2, seed: int = 7, tolerance: float = 1e-6,
     it). The share of float32 detections with a float64 twin (same class,
     every box field and score within 1e-3) is reported, not gated:
     near-tied peaks of seeded weights may swap at the top-k cut.
-    ``corrupt`` perturbs one heatmap bias on the float32 side only, a
-    negative control that must make the suite fail.
     """
     cfg = replace(PipelineConfig(), grid=GridSpec(
         x_min=-12.8, x_max=12.8, y_min=-12.8, y_max=12.8))
     store32 = WeightStore.seeded(weight_layout(cfg), seed)
     store64 = WeightStore({n: a.astype(np.float64) for n, a in store32.items()})
-    if corrupt:
-        tensors = dict(store32.items())
-        tensors["rpn.s4.hm.b"] = tensors["rpn.s4.hm.b"] + np.float32(1e-3)
-        store32 = WeightStore(tensors)
     pipe32, pipe64 = DetectionPipeline(cfg, store32), DetectionPipeline(cfg, store64)
     grid_size = cfg.roi_grid_size
     worst = 0.0
@@ -451,14 +448,14 @@ def float32_suite(scenes: int = 2, seed: int = 7, tolerance: float = 1e-6,
                        "with a float64 twin within 1e-3")
 
 
-def run_all(corrupt: bool = False) -> list[SuiteResult]:
+def run_all() -> list[SuiteResult]:
     return [
         geometry_suite(),
-        sparse_dense_suite(corrupt=corrupt),
-        split_lateral_suite(corrupt=corrupt),
-        pooling_at_cells_suite(corrupt=corrupt),
+        sparse_dense_suite(),
+        split_lateral_suite(),
+        pooling_at_cells_suite(),
         nms_suite(),
         bilinear_suite(),
         aux_label_suite(),
-        float32_suite(corrupt=corrupt),
+        float32_suite(),
     ]

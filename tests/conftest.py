@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pillardet import verify
 from pillardet.config import PipelineConfig, config_from_dict
 from pillardet.geometry import RotatedRect2D
 from pillardet.grid import GridSpec, SparsePillarVolume
@@ -70,3 +71,29 @@ def footprint_margin(xy: np.ndarray, rect: RotatedRect2D) -> np.ndarray:
         cross = (bx - ax) * (xy[..., 1] - ay) - (by - ay) * (xy[..., 0] - ax)
         margin = np.minimum(margin, cross / math.hypot(bx - ax, by - ay))
     return margin
+
+
+def half_cell_shifted(roi_grids):
+    """``roi_grids`` with every point moved half a grid cell along its
+    RoI's length."""
+    def shifted(rois, grid_size):
+        pts = roi_grids(rois, grid_size)
+        for n, r in enumerate(rois):
+            step = 0.5 * r.length / grid_size
+            pts[n, ..., 0] += step * math.cos(r.yaw)
+            pts[n, ..., 1] += step * math.sin(r.yaw)
+        return pts
+    return shifted
+
+
+def raise_sparse_conv_weight(monkeypatch):
+    """``verify.sparse_conv2d`` with kernel weight [1, 1, 0, 0] raised by
+    1e-3: the sparse side of the sparse-dense suite only."""
+    sparse_conv2d = verify.sparse_conv2d
+
+    def perturbed(volume, weight, *args, **kwargs):
+        weight = weight.copy()
+        weight[1, 1, 0, 0] += 1e-3
+        return sparse_conv2d(volume, weight, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "sparse_conv2d", perturbed)

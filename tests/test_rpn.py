@@ -13,6 +13,7 @@ from pillardet.rpn import (Detection, HeadOutput, decode_proposals,
                            encode_targets, gaussian_radius, nms_3d, rectify,
                            rectify_detections, rpn_forward, rpn_loss,
                            targets_as_predictions)
+from pillardet.verify import clustered_detections
 from pillardet.weights import WeightStore
 
 SPEC = GridSpec(x_min=-12.8, x_max=12.8, y_min=-12.8, y_max=12.8,
@@ -297,20 +298,18 @@ class TestNms:
         assert len(ious) > 0 and ious.max() <= 0.3
 
     def test_matches_exhaustive_oracle(self):
+        # clustered, as a detector's peaks are: uniformly scattered boxes
+        # would leave nothing to suppress
         rng = np.random.default_rng(5)
         thresholds = {VEH: 0.8, PED: 0.55, CYC: 0.55}
+        suppressed = 0
         for _ in range(20):
-            dets = []
-            for _ in range(80):
-                cid = int(rng.integers(0, 3))
-                b = Box3D(rng.uniform(-12, 12), rng.uniform(-12, 12),
-                          rng.uniform(-0.5, 0.5), rng.uniform(0.8, 5),
-                          rng.uniform(0.8, 5), rng.uniform(0.8, 2),
-                          rng.uniform(-math.pi, math.pi), class_id=cid)
-                dets.append(Detection(b, cid, float(rng.random())))
+            dets = clustered_detections(rng, 80)
             fast = nms_3d(dets, thresholds)
             slow = exhaustive_nms(dets, thresholds, iou_3d)
             assert [id(d) for d in fast] == [id(d) for d in slow]
+            suppressed += len(dets) - len(slow)
+        assert suppressed > 0
 
     def test_output_is_subset_of_input(self):
         rng = np.random.default_rng(6)
