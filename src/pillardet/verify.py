@@ -263,10 +263,9 @@ def pooling_at_cells_suite(maps: int = 40, seed: int = 6,
                        f"max abs diff {worst:.2e}")
 
 
-def clustered_detections(rng: np.random.Generator, n: int,
-                         bases: int = 12) -> list[Detection]:
+def clustered_detections(rng: np.random.Generator, n: int) -> list[Detection]:
     """``n`` NMS candidates clustered as a detector's peaks are: jittered
-    copies of ``bases`` random boxes, each of its base's class.
+    copies of 12 random boxes, each of its base's class.
 
     A copy moves its base's BEV centre by N(0, 0.3 m) per axis, scales
     each extent by exp(N(0, 0.1)) and turns the yaw by N(0, 0.2); its
@@ -274,9 +273,9 @@ def clustered_detections(rng: np.random.Generator, n: int,
     enough to suppress one another, so they leave the greedy scan untested.
     """
     base = [replace(random_box(rng), class_id=int(rng.integers(0, 3)))
-            for _ in range(bases)]
+            for _ in range(12)]
     dets = []
-    for b in [base[k] for k in rng.integers(0, bases, size=n)]:
+    for b in [base[k] for k in rng.integers(0, len(base), size=n)]:
         cx, cy = rng.normal((b.cx, b.cy), 0.3).tolist()
         length, width, height = (np.exp(rng.normal(0.0, 0.1, 3))
                                  * (b.length, b.width, b.height)).tolist()
