@@ -21,6 +21,11 @@ The dense conv reads its input by row ranges, one chunk at a time, and a
 lateral answers with the deconvolution of just the semantic rows that
 chunk reaches (:class:`_UpsampledRows`), so the 2x map exists only a
 chunk at a time (about 5 MB of the 72 MB P3 one on a full-range scene).
+The conv writes its output one band of rows at a time into a sink
+(:class:`_BlendSink`) that finishes the band: each volume's conv at the
+band's reached cells, computed a few bands at a time in row order
+(:class:`_ReachedRows`), then bias and ReLU. No map-sized temporary is
+made beside the map itself.
 The pooling map is only read under the RoI grids (a few percent of its
 cells on a full-range scene), so it is never built: :meth:`LateralMap.at`
 evaluates the same recipe at the cells asked for. Its up half is one
@@ -89,6 +94,67 @@ class _UpsampledRows:
             held = np.concatenate([held, new[max(0, r0 - end):]])
         self._held, self._first = held, r0
         return held[:r1 - r0]
+
+
+# least bottom-up cells of one conv3x3_at call of a band sink
+_BLEND_CELLS = 4 * _BAND_ROWS
+
+
+class _ReachedRows:
+    """One bottom-up volume's bias-free conv at the cells it reaches, read
+    band by band in row order.
+
+    The reached cells are sorted by map row, then column. A band of map
+    rows ``[y0, y1)`` takes the rows of its cells; the cells not yet
+    computed that it reaches are computed then, by one :func:`conv3x3_at`
+    call over at least ``_BLEND_CELLS`` of them in whole ``_BAND_ROWS``
+    bands, and the cells above ``y0`` are dropped. So at most a band's
+    cells and one such call's are held; bands never move backwards.
+    """
+
+    def __init__(self, v: SparsePillarVolume, weight: np.ndarray):
+        reached = reached_cells(v)
+        iy, ix = reached % v.ny, reached // v.ny
+        order = np.lexsort((ix, iy))
+        self._cells, self._iy, self._ix = reached[order], iy[order], ix[order]
+        self._args = (v, weight)
+        self._held = np.empty((0, weight.shape[3]),
+                              np.result_type(v.features, weight))
+        self._first = 0  # the reached cell held[0] is
+
+    def add_to(self, out: np.ndarray, y0: int) -> None:
+        """Add the conv at the reached cells of map rows ``[y0, y0 +
+        len(out))`` to ``out``, those rows of the map."""
+        lo, hi = np.searchsorted(self._iy, (y0, y0 + len(out)))
+        end = self._first + len(self._held)
+        if hi > end:
+            n = -(-max(hi - end, _BLEND_CELLS) // _BAND_ROWS) * _BAND_ROWS
+            new = conv3x3_at(*self._args, self._cells[end:end + n])
+            self._held = np.concatenate([self._held[lo - self._first:], new])
+            self._first = lo
+        rows = self._held[lo - self._first:hi - self._first]
+        out[self._iy[lo:hi] - y0, self._ix[lo:hi]] += rows
+
+
+class _BlendSink:
+    """Output sink of a lateral's up-half conv: each band it receives
+    (``sink[y0:y1] = rows``) gets each bottom-up volume's conv added at
+    the cells it reaches (:class:`_ReachedRows`), then bias and ReLU, and
+    is kept in ``data``, the whole map."""
+
+    def __init__(self, lateral: "LateralMap"):
+        self.shape = (lateral.height, lateral.width, lateral.channels)
+        self.data = np.empty(self.shape, lateral.dtype)
+        self._finish = lateral._finish
+        self._volumes = [_ReachedRows(v, w) for v, w in lateral._volume_kernels()]
+
+    def __setitem__(self, rows: slice, band: np.ndarray) -> None:
+        y0, y1, _ = rows.indices(self.shape[0])
+        out = self.data[y0:y1]
+        out[...] = band
+        for volume in self._volumes:
+            volume.add_to(out, y0)
+        self._finish(out)
 
 
 # rows of the map bands the queried cells are cut into
@@ -177,10 +243,11 @@ class LateralMap:
 
     def dense(self) -> DenseFeatureMap:
         """The whole map. The up half is one dense conv whose input is
-        deconvolved as its chunks reach the rows, never whole; each volume's
-        conv is added at the cells its active sites reach."""
+        deconvolved as its chunks reach the rows, never whole; each band
+        it writes is finished in its sink (:class:`_BlendSink`), each
+        volume's conv added at the band's cells its active sites reach."""
         up = _UpsampledRows(self.semantic.data, self.deconv_w, self.deconv_b)
-        return DenseFeatureMap(self.stride, self._blend(self._up_conv(up)))
+        return DenseFeatureMap(self.stride, self._up_conv(up, _BlendSink(self)).data)
 
     def at(self, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
         """Map values at cells (``iy[k]``, ``ix[k]``) -> (K, C).
@@ -197,33 +264,30 @@ class LateralMap:
             raise IndexError(f"cells outside the {h}x{w} lateral map")
         if not len(iy):
             return np.zeros((0, self.channels), self.dtype)
-        return self._blend(self._up_half(iy, ix), ix * h + iy)
+        out, cells = self._up_half(iy, ix), ix * h + iy
+        for v, w in self._volume_kernels():
+            out += conv3x3_at(v, w, cells)
+        return self._finish(out)
 
-    def _up_conv(self, up) -> np.ndarray:
+    def _up_conv(self, up, out=None):
         """The up half's conv, without bias, over an upsampled array or row
-        source; the zero bias carries the map's dtype into the conv."""
+        source, into ``out`` when given; the zero bias carries the map's
+        dtype into the conv."""
         c_up = self.deconv_w.shape[3]
         return dense_conv2d(up, self.conv_w[:, :, :c_up],
-                            np.zeros(self.channels, self.dtype))
+                            np.zeros(self.channels, self.dtype), out=out)
 
-    def _blend(self, out: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
-        """Add each bottom-up volume's conv to the up half's ``out``, then
-        bias and ReLU, in place.
-
-        Kernel input channels are sliced in concat order: the up half takes
-        the first, each volume the next ``v.channels``. With ``cells``
-        (keys ``ix * height + iy``) ``out`` holds one row per cell; without,
-        it is the whole map, and each volume adds at the cells it reaches.
-        """
+    def _volume_kernels(self):
+        """Each bottom-up volume with its slice of the kernel: input
+        channels are sliced in concat order, the up half taking the first
+        and each volume the next ``v.channels``."""
         start = self.deconv_w.shape[3]
         for v in self.bottom_up:
-            w = self.conv_w[:, :, start:start + v.channels]
+            yield v, self.conv_w[:, :, start:start + v.channels]
             start += v.channels
-            if cells is None:
-                reached = reached_cells(v)
-                out[reached % v.ny, reached // v.ny] += conv3x3_at(v, w, reached)
-            else:
-                out += conv3x3_at(v, w, cells)
+
+    def _finish(self, out: np.ndarray) -> np.ndarray:
+        """Bias and ReLU, in place, once every half's conv is in ``out``."""
         out += self.conv_b
         return np.maximum(out, 0.0, out=out)
 
@@ -264,12 +328,20 @@ def lateral(semantic: DenseFeatureMap, bottom_up: tuple[SparsePillarVolume, ...]
                       weights.get(f"{prefix}.conv.b"))
 
 
-def build_pyramid(backbone: BackboneFeatures,
-                  weights: WeightStore) -> dict[int, DenseFeatureMap]:
-    """Proposal-stage levels by stride: C5+C4 -> P4, then P4+C3 -> P3."""
-    p4 = lateral(backbone.c5, (backbone.c4,), weights, "neck.p4").dense()
-    p3 = lateral(p4, (backbone.c3,), weights, "neck.p3").dense()
-    return {4: p3, 8: p4}
+def build_pyramid(backbone: BackboneFeatures, weights: WeightStore,
+                  strides=(4, 8)) -> dict[int, DenseFeatureMap]:
+    """Proposal-stage levels by stride: C5+C4 -> P4, then P4+C3 -> P3.
+
+    Only the levels at ``strides`` are returned, and only those and the
+    levels they are built from are built: P3 needs P4, P4 needs none.
+    Strides other than 4 and 8 name no level (stride 16 is C5).
+    """
+    pyramid = {}
+    if 4 in strides or 8 in strides:
+        pyramid[8] = lateral(backbone.c5, (backbone.c4,), weights, "neck.p4").dense()
+    if 4 in strides:
+        pyramid[4] = lateral(pyramid[8], (backbone.c3,), weights, "neck.p3").dense()
+    return {s: pyramid[s] for s in (4, 8) if s in strides}
 
 
 def build_pooling_map(backbone: BackboneFeatures,

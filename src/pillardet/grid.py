@@ -253,9 +253,15 @@ def _out_dim(n: int, stride: int) -> int:
     return (n - 1) // stride + 1
 
 
-# rows of each gemm_rows GEMM, or pixel rows of one dense conv band, whose
-# product and accumulator stay in cache while the nine offsets add into it
+# rows of each gemm_rows GEMM: a fixed count, so a row's rounding never
+# depends on how many rows its call has
 _BAND_ROWS = 512
+# pixel rows of one dense conv band, rounded down to whole output rows (at
+# least one): the rows of each of its nine offset GEMMs. Apart from
+# _BAND_ROWS, so refine's GEMMs and small gemm_rows calls are not padded.
+# A full-range scene's dense convs on 2 vCPUs: 2048 ran ~15% faster than
+# one 378-pixel row, and 4096 or 8192 ~5% slower than 2048
+_CONV_BAND_PIXELS = 2048
 # bytes of padded input a dense conv holds at once, rounded to whole bands
 _CHUNK_BYTES = 4 << 20
 
@@ -369,9 +375,11 @@ def dense_conv2d(data, weight: np.ndarray, bias: np.ndarray,
     plane (ky % stride, kx % stride), so each offset's GEMM operand is a
     contiguous row range and nothing is copied per offset. Outputs are
     computed over the plane width and the extra columns dropped; rows are
-    accumulated band by band. The planes are never held whole: one buffer
-    takes the plane rows of one chunk of output rows (a whole number of
-    bands, about ``_CHUNK_BYTES``) at a time.
+    accumulated band by band, a band being the whole output rows of about
+    ``_CONV_BAND_PIXELS`` plane pixels (5 rows of a 376-wide map), so each
+    offset GEMM has that many rows. The planes are never held whole: one
+    buffer takes the plane rows of one chunk of output rows (a whole number
+    of bands, about ``_CHUNK_BYTES``) at a time.
 
     Both ends stream. The input is read only as ``data[r0:r1]``, one row
     range per chunk, ranges never moving backwards, so any object with
@@ -397,7 +405,7 @@ def dense_conv2d(data, weight: np.ndarray, bias: np.ndarray,
         raise ValueError(f"output shape {out.shape} != {(h_out, w_out, c_out)}")
     reach = 2 // s  # largest plane shift of a kernel offset
     width = w_out + reach
-    band = max(1, _BAND_ROWS // width)
+    band = max(1, _CONV_BAND_PIXELS // width)
     chunk = band * max(1, _CHUNK_BYTES // (s * s * band * width * c_in * dtype.itemsize))
     # one spare row: the last band's shifted row range ends up to `reach`
     # pixels past the chunk's plane rows

@@ -3,7 +3,9 @@
 Stage order: pillarize -> backbone -> pyramid -> center heads -> pooling
 map -> proposal decoding -> IoU-aware rescoring -> NMS -> RoI refinement.
 The pooling map is lazy, so building it right after the heads costs only
-its bottom-up branches and lets the pyramid go before decoding.
+its bottom-up branches and lets the pyramid go before decoding. Only the
+pyramid levels the heads or the pooling map read are built (no P3 when
+every class is detected at stride 8 and the pooling map deconvolves P4).
 Every produced map's dims are asserted against the grid arithmetic
 (dims = cells / stride) so a wiring mistake fails loudly instead of
 producing plausible nonsense. Maps are computed in the weights' dtype;
@@ -84,9 +86,13 @@ class DetectionPipeline:
         shapes["C3"] = (backbone.c3.ny, backbone.c3.nx)
         shapes["C4"] = (backbone.c4.ny, backbone.c4.nx)
         shapes["C5"] = (backbone.c5.height, backbone.c5.width)
-        pyramid = clock("pyramid", lambda: build_pyramid(backbone, self.weights))
-        shapes["P3"] = (pyramid[4].height, pyramid[4].width)
-        shapes["P4"] = (pyramid[8].height, pyramid[8].width)
+        # the levels the heads and the pooling map read
+        read = set(cfg.level_classes) | {2 * cfg.pool_stride}
+        pyramid = clock("pyramid", lambda: build_pyramid(
+            backbone, self.weights, read))
+        # P3 at stride 4, as C3; no loop variable keeps a level alive
+        shapes.update({f"P{s.bit_length()}": (m.height, m.width)
+                       for s, m in pyramid.items()})
         heads = clock("heads", lambda: rpn_forward(
             pyramid, self.weights, cfg.level_classes))
         for stride, head in heads.items():
@@ -120,11 +126,12 @@ def _assert_shapes(shapes: dict[str, tuple[int, int]], spec,
     expected = {
         "C3": 4, "C4": 8, "C5": 16, "P3": 4, "P4": 8, "pool": pool_stride,
     }
-    for name, stride in expected.items():
+    for name, dims in shapes.items():
+        stride = expected[name]
         want = (spec.ny // stride, spec.nx // stride)
-        if shapes[name] != want:
+        if dims != want:
             raise ShapeContractError(
-                f"{name} dims {shapes[name]} != expected {want} "
+                f"{name} dims {dims} != expected {want} "
                 f"(grid {spec.ny}x{spec.nx} / stride {stride})"
             )
 

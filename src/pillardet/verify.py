@@ -198,7 +198,7 @@ def split_lateral_suite(maps: int = 40, seed: int = 5,
     Each of ``maps`` maps, 2 to 14 cells a side, has one or two bottom-up
     volumes, each random, empty or touching only the map border. Then come
     one 48x40 map with a random volume whose reached cells fill more than
-    one GEMM band of the sparse conv, and one 48x48 map with 512 upsampled
+    one GEMM band of the sparse conv, and one 96x48 map with 512 upsampled
     channels, read in three dense-conv chunks.
     """
     rng = np.random.default_rng(seed)
@@ -209,8 +209,8 @@ def split_lateral_suite(maps: int = 40, seed: int = 5,
             c_up = int(rng.integers(1, 5))
         elif k == maps:
             hs, ws, c_up = 24, 20, int(rng.integers(1, 5))
-        else:  # 20-row chunks of about 4 MiB of float64 input
-            hs, ws, c_up = 24, 24, 512
+        else:  # 40-row chunks: one 2000-pixel band of float64 input, 8 MB
+            hs, ws, c_up = 48, 24, 512
         vols = ([random_volume(rng, 2 * ws, 2 * hs, int(rng.integers(1, 4)), 0.1)]
                 if k == maps else bottom_up_volumes(rng, k, 2 * ws, 2 * hs))
         lateral_map, ref = lateral_case(rng, hs, ws, c_up, vols)
@@ -229,8 +229,8 @@ def pooling_at_cells_suite(maps: int = 40, seed: int = 6,
     Cell sets are by turns a random subset with repeats, the border ring,
     every cell, no cell and every fourth column of a 64x64 map (256
     single-column strips in one canvas); volumes are as in the
-    split-lateral suite. The last map has the shape of that suite's
-    multi-chunk one: 48x48 with 512 upsampled channels.
+    split-lateral suite. The last map is 48x48 with 512 upsampled
+    channels.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0

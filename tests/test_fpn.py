@@ -8,8 +8,9 @@ from pillardet.fpn import (LateralMap, _UpsampledRows, _downsample_chain,
                            _pack_strips, build_pooling_map, build_pyramid,
                            lateral)
 from pillardet.grid import (DenseFeatureMap, PointCloud, SparsePillarVolume,
-                            backbone_forward, deconv2x2, dense_conv2d,
-                            densify, pillarize, relu)
+                            backbone_forward, conv3x3_at, deconv2x2,
+                            dense_conv2d, densify, pillarize, reached_cells,
+                            relu)
 from pillardet.oracles import dense_conv_reference
 from pillardet.weights import WeightStore
 
@@ -145,6 +146,57 @@ class TestLateralMerge:
         # every semantic row deconvolved once, in whole deconv bands
         assert len(deconvolved) > 2 and sum(deconvolved) == hs
         assert all(n % 5 == 0 for n in deconvolved[:-1])
+
+    @pytest.mark.parametrize("dtype", STORE_DTYPES)
+    def test_band_sink_gives_the_bits_of_a_whole_map_blend(self, monkeypatch,
+                                                           dtype):
+        # 4-row conv bands of 40 cells, bottom-up conv rows in calls of at
+        # least 24 cells rounded to 8: each volume's reached cells are
+        # computed once, in row order, a few bands at a time, and the map
+        # has the bits of adding each volume at all its reached cells at once
+        rng = np.random.default_rng(33)
+        hs, ws, c_sem, c_up, c_out = 15, 20, 3, 4, 5
+        semantic = DenseFeatureMap(8, rng.normal(size=(hs, ws, c_sem)).astype(dtype))
+        vols = []
+        for c, density in ((2, 0.02), (3, 0.3)):
+            v = make_volume(rng, 2 * ws, 2 * hs, c, density=density)
+            vols.append(SparsePillarVolume(4, v.nx, v.ny, v.coords,
+                                           v.features.astype(dtype)))
+        deconv_w = rng.normal(size=(2, 2, c_sem, c_up)).astype(dtype)
+        deconv_b = rng.normal(size=c_up).astype(dtype)
+        conv_w = rng.normal(size=(3, 3, c_up + 5, c_out)).astype(dtype)
+        conv_b = rng.normal(size=c_out).astype(dtype)
+        lateral_map = LateralMap(semantic, tuple(vols), deconv_w, deconv_b,
+                                 conv_w, conv_b)
+        monkeypatch.setattr(grid, "_CONV_BAND_PIXELS", 4 * (2 * ws + 2))
+        monkeypatch.setattr(fpn, "_BLEND_CELLS", 24)
+        monkeypatch.setattr(fpn, "_BAND_ROWS", 8)
+        calls = []
+
+        def logged_conv(v, w, cells):
+            calls.append((v, cells))
+            return conv3x3_at(v, w, cells)
+
+        monkeypatch.setattr(fpn, "conv3x3_at", logged_conv)
+        banded = lateral_map.dense().data
+        monkeypatch.undo()
+        up = relu(deconv2x2(semantic.data, deconv_w, deconv_b))
+        whole = dense_conv2d(up, conv_w[:, :, :c_up], np.zeros(c_out, dtype))
+        start = c_up
+        for v in vols:
+            reached = reached_cells(v)
+            whole[reached % v.ny, reached // v.ny] += conv3x3_at(
+                v, conv_w[:, :, start:start + v.channels], reached)
+            start += v.channels
+        whole = relu(whole + conv_b)
+        assert banded.dtype == dtype
+        assert banded.tobytes() == whole.tobytes()
+        for v in vols:
+            reached = reached_cells(v)
+            row_order = reached[np.lexsort((reached // v.ny, reached % v.ny))]
+            mine = [cells for u, cells in calls if u is v]
+            assert len(mine) > 3 and max(map(len, mine)) <= 4 * 2 * ws
+            np.testing.assert_array_equal(np.concatenate(mine), row_order)
 
     def test_upsampled_rows_are_read_forwards_only(self):
         rng = np.random.default_rng(32)

@@ -256,7 +256,7 @@ class TestDenseOps:
         # tall enough for two full accumulation bands plus a partial one
         w = 5
         width = (w - 1) // stride + 1 + 2 // stride
-        band = max(1, grid._BAND_ROWS // width)
+        band = max(1, grid._CONV_BAND_PIXELS // width)
         h = stride * (2 * band + 1) + 1
         rng = np.random.default_rng(stride)
         x = rng.normal(size=(h, w, 2))
@@ -274,7 +274,7 @@ class TestDenseOps:
         # of one chunk spanning the whole map
         w, c = 7, 3
         width = (w - 1) // stride + 1 + 2 // stride
-        band = max(1, grid._BAND_ROWS // width)
+        band = max(1, grid._CONV_BAND_PIXELS // width)
         h_out = 4 * band + band // 2 + 1
         rng = np.random.default_rng(10 + stride)
         x = rng.normal(size=(stride * (h_out - 1) + 1, w, c)).astype(dtype)
@@ -316,7 +316,7 @@ class TestDenseOps:
         # gives the bits of the array call
         w, c = 9, 3
         width = (w - 1) // stride + 1 + 2 // stride
-        band = max(1, grid._BAND_ROWS // width)
+        band = max(1, grid._CONV_BAND_PIXELS // width)
         h_out = 9 * band + 1
         rng = np.random.default_rng(20 + stride)
         x = rng.normal(size=(stride * h_out, w, c)).astype(dtype)
@@ -332,6 +332,29 @@ class TestDenseOps:
         assert all(a0 <= b0 and a1 <= b1 for (a0, a1), (b0, b1)
                    in zip(source.requests, source.requests[1:]))
         assert sink.rows == list(range(h_out))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_dense_conv_bits_do_not_depend_on_the_band_size(self, monkeypatch,
+                                                             stride):
+        # a 376-wide float32 map, as the full-range P3 level, through a row
+        # source into a sink: one-row bands (GEMMs of one plane row) and the
+        # default bands of several rows give the same bits, so a BLAS that
+        # rounds a row by its GEMM's row count fails here
+        h, w, c_in, c_out = 48, 376, 128, 64
+        rng = np.random.default_rng(30 + stride)
+        x = rng.standard_normal((h, w, c_in), dtype=np.float32)
+        wt = rng.standard_normal((3, 3, c_in, c_out), dtype=np.float32)
+        b = rng.standard_normal(c_out, dtype=np.float32)
+        shape = ((h - 1) // stride + 1, (w - 1) // stride + 1, c_out)
+        width = shape[1] + 2 // stride
+        assert shape[0] > 2 * (grid._CONV_BAND_PIXELS // width) > 2
+        banded = RowSink(shape, np.float32)
+        dense_conv2d(RowSource(x), wt, b, stride=stride, out=banded)
+        monkeypatch.setattr(grid, "_CONV_BAND_PIXELS", 1)
+        one_row = RowSink(shape, np.float32)
+        dense_conv2d(RowSource(x), wt, b, stride=stride, out=one_row)
+        assert banded.rows == one_row.rows == list(range(shape[0]))
+        assert banded.data.tobytes() == one_row.data.tobytes()
 
     def test_dense_conv_rejects_a_sink_of_the_wrong_shape(self):
         with pytest.raises(ValueError, match="output shape"):

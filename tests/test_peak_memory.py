@@ -11,8 +11,9 @@ import pytest
 from conftest import SMALL_CONFIG_DICT
 from pillardet import pipeline
 from pillardet.config import PipelineConfig, config_from_dict
-from pillardet.fpn import build_pyramid
-from pillardet.grid import PointCloud, backbone_forward, pillarize
+from pillardet.fpn import LateralMap, build_pyramid
+from pillardet.grid import (DenseFeatureMap, PointCloud, SparsePillarVolume,
+                            backbone_forward, pillarize, reached_cells)
 from pillardet.pipeline import DetectionPipeline
 from pillardet.rpn import rpn_forward
 from pillardet.synth import SceneSpec, generate_scene
@@ -62,6 +63,29 @@ def test_heads_never_hold_a_whole_shared_map(full_range):
               * p3.itemsize)
     assert shared >= 32 << 20
     assert transient < shared // 2
+
+
+def test_lateral_holds_under_half_a_map_beyond_its_output():
+    # a site on every third row and column reaches every cell of the
+    # 256 x 256 x 128 float32 map (32 MB): adding its conv at all reached
+    # cells at once would hold their gathered map rows and conv rows
+    rng = np.random.default_rng(8)
+    h = w = 256
+    c_sem = c_up = 8
+    c_bu, c_out = 16, 128
+    keys = (np.arange(0, w, 3)[:, None] * h + np.arange(0, h, 3)).ravel()
+    volume = SparsePillarVolume(
+        4, w, h, np.stack([keys // h, keys % h], axis=1),
+        rng.standard_normal((len(keys), c_bu), dtype=np.float32))
+    assert len(reached_cells(volume)) == h * w
+    f32 = lambda *shape: rng.standard_normal(shape, dtype=np.float32)
+    lateral = LateralMap(
+        DenseFeatureMap(8, f32(h // 2, w // 2, c_sem)), (volume,),
+        f32(2, 2, c_sem, c_up), f32(c_up), f32(3, 3, c_up + c_bu, c_out),
+        f32(c_out))
+    out, transient = transient_peak(lateral.dense)
+    assert out.data.nbytes == h * w * c_out * 4
+    assert transient < out.data.nbytes // 2
 
 
 @pytest.mark.parametrize("pool_stride, kept", [(2, {4}), (4, {8}), (8, set())])

@@ -6,7 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 
+from conftest import SMALL_CONFIG_DICT
 from pillardet import pipeline
+from pillardet.config import config_from_dict
+from pillardet.fileio import format_detections
+from pillardet.fpn import LateralMap
 from pillardet.pipeline import DetectionPipeline
 from pillardet.synth import SceneSpec, generate_scene
 from pillardet.verify import float32_suite
@@ -48,3 +52,33 @@ def test_float32_suite_checks_the_heads_the_pipeline_decodes(monkeypatch):
     assert float32_suite(scenes=1).passed
     monkeypatch.setattr(pipeline, "rpn_forward", upcast)
     assert not float32_suite(scenes=1).passed
+
+
+def test_no_stage_reads_p3_so_it_is_not_built(monkeypatch):
+    # every class on the stride-8 head and the pooling map (stride 4)
+    # deconvolving P4: P3's lateral is never convolved, and the detections
+    # are those of a run that builds it
+    cfg = config_from_dict({**SMALL_CONFIG_DICT, "class_strides": {
+        "vehicle": 8, "pedestrian": 8, "cyclist": 8}})
+    cloud, _ = generate_scene(SceneSpec(seed=3), cfg.grid)
+    built = []
+    dense = LateralMap.dense
+
+    def logged_dense(self):
+        built.append(self.stride)
+        return dense(self)
+
+    monkeypatch.setattr(LateralMap, "dense", logged_dense)
+    result = DetectionPipeline(cfg).run(cloud)
+    assert built == [8]
+    assert "P3" not in result.shapes and "P4" in result.shapes
+    build = pipeline.build_pyramid
+    monkeypatch.setattr(pipeline, "build_pyramid",
+                        lambda backbone, weights, strides: build(backbone, weights))
+    built.clear()
+    every_level = DetectionPipeline(cfg).run(cloud)
+    assert built == [8, 4]
+    assert result.detections
+    assert (format_detections(result.detections)
+            == format_detections(every_level.detections))
+
