@@ -1,13 +1,22 @@
-"""Brute-force reference implementations used to validate the fast paths.
+"""Brute-force reference implementations used to validate the fast paths,
+each defined here once.
 
 Each oracle is deliberately naive and structurally independent of the code
-it checks: Monte-Carlo sampling instead of polygon clipping, per-pixel
-loops instead of shift-and-matmul, a full pairwise matrix instead of lazy
-IoU evaluation, finite differences instead of analytic gradients. All are
-deterministic given a seed.
+it checks: Monte-Carlo sampling instead of polygon clipping
+(:func:`mc_rotated_iou`), edge cross products instead of a rotation into
+the rect frame (:func:`footprint_margin`), per-pixel loops instead of
+banded GEMMs (:func:`dense_conv_reference`, :func:`deconv_reference` and
+:func:`lateral_reference`), a full pairwise matrix instead of lazy IoU
+evaluation (:func:`exhaustive_nms`), finite differences instead of
+analytic gradients (:func:`finite_difference_grad`). All are
+deterministic given a seed. The module imports only ``__future__``,
+``math``, ``numpy`` and the data classes ``Box3D``, ``RotatedRect2D`` and
+``GridSpec``, never a kernel (``tests/test_imports.py`` checks it).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -62,6 +71,24 @@ def mc_rotated_iou(a: RotatedRect2D, b: RotatedRect2D,
     return both / either
 
 
+def footprint_margin(xy: np.ndarray, rect: RotatedRect2D) -> np.ndarray:
+    """Least signed distance of each (..., 2) point to the four edge lines
+    of ``rect``: > 0 inside, < 0 outside and 0 on the boundary.
+
+    Built from edge cross products against ``rect.corners()``, so it shares
+    nothing with ``geometry.points_in_rect``, which rotates each point into
+    the rect frame. Corners and edges of an axis-aligned rect with dyadic
+    fields are exact, so points on its boundary read exactly 0.
+    """
+    xy = np.asarray(xy, dtype=np.float64)
+    corners = rect.corners()
+    margin = np.full(xy.shape[:-1], np.inf)
+    for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]):
+        cross = (bx - ax) * (xy[..., 1] - ay) - (by - ay) * (xy[..., 0] - ax)
+        margin = np.minimum(margin, cross / math.hypot(bx - ax, by - ay))
+    return margin
+
+
 def dense_conv_reference(data: np.ndarray, weight: np.ndarray,
                          stride: int = 1) -> np.ndarray:
     """Per-output-pixel 3x3 convolution with zero padding 1 (no bias).
@@ -82,6 +109,31 @@ def dense_conv_reference(data: np.ndarray, weight: np.ndarray,
                             ox * stride:ox * stride + 3]
             out[oy, ox] = np.tensordot(window, weight, axes=([0, 1, 2], [0, 1, 2]))
     return out
+
+
+def deconv_reference(data: np.ndarray, weight: np.ndarray,
+                     bias: np.ndarray) -> np.ndarray:
+    """2x2 stride-2 transposed convolution, one output pixel at a time, in
+    the dtype ``data``, ``weight`` and ``bias`` promote to."""
+    h, w, _ = data.shape
+    out = np.empty((2 * h, 2 * w, weight.shape[3]),
+                   np.result_type(data, weight, bias))
+    for y in range(2 * h):
+        for x in range(2 * w):
+            out[y, x] = data[y // 2, x // 2] @ weight[y % 2, x % 2] + bias
+    return out
+
+
+def lateral_reference(semantic: np.ndarray, deconv_w: np.ndarray,
+                      deconv_b: np.ndarray, bottom_up, conv_w: np.ndarray,
+                      conv_b: np.ndarray) -> np.ndarray:
+    """A lateral map from its formula, in the dtype the inputs promote to:
+    the (H, W, C) ``semantic`` map deconvolved plus bias, ReLU, concatenated
+    with the dense (2H, 2W, C_k) ``bottom_up`` maps, convolved plus bias,
+    ReLU."""
+    up = np.maximum(deconv_reference(semantic, deconv_w, deconv_b), 0.0)
+    merged = np.concatenate([up, *bottom_up], axis=-1)
+    return np.maximum(dense_conv_reference(merged, conv_w) + conv_b, 0.0)
 
 
 def exhaustive_nms(dets, iou_thresholds: dict[int, float], iou_fn) -> list:

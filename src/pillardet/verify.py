@@ -5,11 +5,11 @@ re-run the correctness gates in the field: rotated IoU against Monte
 Carlo, sparse against dense convolution, whole lateral maps and their
 values at chosen cells against a per-pixel deconvolution, concatenation
 and convolution, greedy against exhaustive NMS, analytic against
-finite-difference bilinear gradients, segmentation labels against direct
-point-in-rect evaluation, and the float32 pipeline against its float64
-upcast. Budgets are fixed; everything is seeded. The suites have no
-fault-injection option: their negative controls, one or more per suite,
-patch faults in from outside (``tests/test_verify.py``).
+finite-difference bilinear gradients, segmentation labels against the
+edge-cross-product footprint margin, and the float32 pipeline against its
+float64 upcast. Budgets are fixed; everything is seeded. The suites have
+no fault-injection option: their negative controls, one or more per
+suite, patch faults in from outside (``tests/test_verify.py``).
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from .geometry import (Box3D, RotatedRect2D, iou_3d, project_to_bev,
 from .config import PipelineConfig, weight_layout
 from .fpn import LateralMap
 from .grid import (DenseFeatureMap, GridSpec, SparsePillarVolume, densify,
-                   relu, sparse_conv2d)
-from .oracles import dense_conv_reference, exhaustive_nms, mc_rotated_iou
+                   sparse_conv2d)
+from .oracles import (dense_conv_reference, exhaustive_nms, footprint_margin,
+                      lateral_reference, mc_rotated_iou)
 from .pipeline import DetectionPipeline
 from .rcnn import aux_seg_labels, bilinear_sample, rcnn_forward
 from .rpn import Detection, nms_3d
@@ -151,24 +152,12 @@ def bottom_up_volumes(rng: np.random.Generator, k: int, nx: int,
     return vols
 
 
-def _deconv_per_pixel(data: np.ndarray, weight: np.ndarray,
-                      bias: np.ndarray) -> np.ndarray:
-    """2x2 stride-2 transposed conv, one output pixel at a time."""
-    h, w, _ = data.shape
-    out = np.empty((2 * h, 2 * w, weight.shape[3]))
-    for y in range(2 * h):
-        for x in range(2 * w):
-            out[y, x] = data[y // 2, x // 2] @ weight[y % 2, x % 2] + bias
-    return out
-
-
 def lateral_case(rng: np.random.Generator, hs: int, ws: int, c_up: int,
                  vols: list[SparsePillarVolume]):
-    """A random lateral map over ``vols`` and its per-pixel reference.
+    """A random lateral map over ``vols`` and its
+    :func:`~pillardet.oracles.lateral_reference` over the densified volumes.
 
-    The semantic map is ``hs`` x ``ws`` cells of random features. The
-    reference deconvolves it pixel by pixel, concatenates the densified
-    volumes and convolves per pixel.
+    The semantic map is ``hs`` x ``ws`` cells of random features.
     """
     c_sem, c_out = int(rng.integers(1, 5)), int(rng.integers(1, 5))
     semantic = rng.normal(size=(hs, ws, c_sem))
@@ -179,9 +168,9 @@ def lateral_case(rng: np.random.Generator, hs: int, ws: int, c_up: int,
     conv_b = rng.normal(size=c_out)
     lateral_map = LateralMap(DenseFeatureMap(2, semantic), tuple(vols),
                              deconv_w, deconv_b, conv_w, conv_b)
-    up = relu(_deconv_per_pixel(semantic, deconv_w, deconv_b))
-    merged = np.concatenate([up] + [densify(v).data for v in vols], axis=-1)
-    return lateral_map, relu(dense_conv_reference(merged, conv_w) + conv_b)
+    return lateral_map, lateral_reference(
+        semantic, deconv_w, deconv_b, [densify(v).data for v in vols],
+        conv_w, conv_b)
 
 
 def _max_abs_diff(got: np.ndarray, ref: np.ndarray) -> float:
@@ -354,20 +343,14 @@ def bilinear_suite(samples: int = 200, seed: int = 3,
                        f"max rel err {worst:.2e}")
 
 
-def _inside_ccw(p: tuple[float, float],
-                corners: list[tuple[float, float]]) -> bool:
-    """``p`` is on the left of (or on) every edge of a CCW polygon."""
-    return all((bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) >= 0.0
-               for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]))
-
-
 def aux_label_suite(rois: int = 100, seed: int = 4) -> SuiteResult:
     """Grid-point labels vs an independent rebuild of each label.
 
     Each grid point is placed from the RoI's center, yaw and the cell
-    offset (i + 0.5) / G directly, and tested against the ground-truth
-    footprints' corners by edge cross products, so neither the RoI grid
-    nor the containment test of the labelled code is reused.
+    offset (i + 0.5) / G directly, and is inside a ground-truth footprint
+    where :func:`~pillardet.oracles.footprint_margin` reads >= 0, so
+    neither the RoI grid nor the containment test of the labelled code is
+    reused.
     """
     rng = np.random.default_rng(seed)
     mismatches = 0
@@ -376,16 +359,14 @@ def aux_label_suite(rois: int = 100, seed: int = 4) -> SuiteResult:
         gts = [random_box(rng, span=6.0) for _ in range(int(rng.integers(1, 4)))]
         g = int(rng.integers(1, 9))
         labels = aux_seg_labels([roi], gts, g)[0]
-        footprints = [project_to_bev(b).corners() for b in gts]
+        offset = (np.arange(g) + 0.5) / g - 0.5
+        lx, ly = offset[:, None] * roi.length, offset[None, :] * roi.width
         c, s = math.cos(roi.yaw), math.sin(roi.yaw)
-        for i in range(g):
-            for j in range(g):
-                lx = ((i + 0.5) / g - 0.5) * roi.length
-                ly = ((j + 0.5) / g - 0.5) * roi.width
-                p = (roi.cx + c * lx - s * ly, roi.cy + s * lx + c * ly)
-                inside = any(_inside_ccw(p, f) for f in footprints)
-                if bool(labels[i, j]) != inside:
-                    mismatches += 1
+        points = np.stack([roi.cx + c * lx - s * ly,
+                           roi.cy + s * lx + c * ly], axis=-1)
+        inside = np.any([footprint_margin(points, project_to_bev(b)) >= 0.0
+                         for b in gts], axis=0)
+        mismatches += int(np.count_nonzero(labels.astype(bool) != inside))
     return SuiteResult("aux-seg-labels", mismatches == 0, float(mismatches),
                        f"{rois} RoIs", f"{mismatches} mismatching grid points")
 

@@ -1,12 +1,10 @@
 import math
 
-import numpy as np
 import pytest
 
 from pillardet import verify
 from pillardet.config import PipelineConfig, config_from_dict
-from pillardet.geometry import RotatedRect2D
-from pillardet.grid import GridSpec, SparsePillarVolume
+from pillardet.grid import GridSpec
 
 
 SMALL_CONFIG_DICT = {
@@ -44,33 +42,6 @@ def small_config() -> PipelineConfig:
 @pytest.fixture
 def small_grid(small_config) -> GridSpec:
     return small_config.grid
-
-
-def make_volume(rng: np.random.Generator, nx: int, ny: int, channels: int,
-                density: float = 0.15) -> SparsePillarVolume:
-    """Random sparse volume with sorted unique coords."""
-    n = max(1, int(nx * ny * density))
-    keys = np.sort(rng.choice(nx * ny, size=n, replace=False))
-    coords = np.stack([keys // ny, keys % ny], axis=1)
-    return SparsePillarVolume(1, nx, ny, coords, rng.normal(size=(n, channels)))
-
-
-def footprint_margin(xy: np.ndarray, rect: RotatedRect2D) -> np.ndarray:
-    """Least signed distance of each (..., 2) point to the four edge lines
-    of ``rect``: > 0 inside, < 0 outside and 0 on the boundary.
-
-    Built from edge cross products against ``rect.corners()``, so it shares
-    nothing with ``geometry.points_in_rect``, which rotates each point into
-    the rect frame. Corners and edges of an axis-aligned rect with dyadic
-    fields are exact, so points on its boundary read exactly 0.
-    """
-    xy = np.asarray(xy, dtype=np.float64)
-    corners = rect.corners()
-    margin = np.full(xy.shape[:-1], np.inf)
-    for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]):
-        cross = (bx - ax) * (xy[..., 1] - ay) - (by - ay) * (xy[..., 0] - ax)
-        margin = np.minimum(margin, cross / math.hypot(bx - ax, by - ay))
-    return margin
 
 
 def half_cell_shifted(roi_grids):

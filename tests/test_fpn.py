@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conftest import make_volume
 from pillardet import fpn, grid
 from pillardet.config import config_from_dict, weight_layout
 from pillardet.fpn import (LateralMap, _UpsampledRows, _downsample_chain,
@@ -11,7 +10,8 @@ from pillardet.grid import (DenseFeatureMap, PointCloud, SparsePillarVolume,
                             backbone_forward, conv3x3_at, deconv2x2,
                             dense_conv2d, densify, pillarize, reached_cells,
                             relu)
-from pillardet.oracles import dense_conv_reference
+from pillardet.oracles import lateral_reference
+from pillardet.verify import random_volume
 from pillardet.weights import WeightStore
 
 
@@ -42,6 +42,13 @@ def dense_values(pool):
 # agree to float32 rounding (~2e-8 on these maps), float64 ones to 1e-10.
 STORE_DTYPES = [np.float32, np.float64]
 FORMULA_ATOL = {np.float32: 1e-6, np.float64: 1e-10}
+
+
+def stored_lateral_reference(store, prefix, semantic, bottom_up):
+    """:func:`lateral_reference` with the ``prefix`` lateral's weights."""
+    return lateral_reference(
+        semantic, store.get(f"{prefix}.deconv.w"), store.get(f"{prefix}.deconv.b"),
+        bottom_up, store.get(f"{prefix}.conv.w"), store.get(f"{prefix}.conv.b"))
 
 
 def forward_to_backbone(cfg, seed=0, n_points=150, dtype=np.float32):
@@ -103,11 +110,8 @@ class TestLateralMerge:
             m3 = lateral(p4, (backbone.c3,), store, "neck.p3")
             p3 = m3.dense()
             np.testing.assert_array_equal(p3.data, dense_values(m3))
-            up = relu(deconv2x2(p4.data, store.get("neck.p3.deconv.w"),
-                                store.get("neck.p3.deconv.b")))
-            merged = np.concatenate([up, densify(backbone.c3).data], axis=-1)
-            expected = relu(dense_conv_reference(merged, store.get("neck.p3.conv.w"))
-                            + store.get("neck.p3.conv.b"))
+            expected = stored_lateral_reference(store, "neck.p3", p4.data,
+                                                [densify(backbone.c3).data])
             assert p3.data.dtype == expected.dtype == dtype
             np.testing.assert_allclose(p3.data, expected, atol=FORMULA_ATOL[dtype])
 
@@ -118,7 +122,7 @@ class TestLateralMerge:
         rng = np.random.default_rng(31)
         hs, ws, c_sem, c_up, c_out = 23, 100, 3, 4, 5
         semantic = DenseFeatureMap(8, rng.normal(size=(hs, ws, c_sem)).astype(dtype))
-        vol = make_volume(rng, 2 * ws, 2 * hs, 2, density=0.05)
+        vol = random_volume(rng, 2 * ws, 2 * hs, 2, density=0.05)
         vol = SparsePillarVolume(4, vol.nx, vol.ny, vol.coords,
                                  vol.features.astype(dtype))
         deconv_w = rng.normal(size=(2, 2, c_sem, c_up)).astype(dtype)
@@ -159,7 +163,7 @@ class TestLateralMerge:
         semantic = DenseFeatureMap(8, rng.normal(size=(hs, ws, c_sem)).astype(dtype))
         vols = []
         for c, density in ((2, 0.02), (3, 0.3)):
-            v = make_volume(rng, 2 * ws, 2 * hs, c, density=density)
+            v = random_volume(rng, 2 * ws, 2 * hs, c, density=density)
             vols.append(SparsePillarVolume(4, v.nx, v.ny, v.coords,
                                            v.features.astype(dtype)))
         deconv_w = rng.normal(size=(2, 2, c_sem, c_up)).astype(dtype)
@@ -292,14 +296,11 @@ class TestPoolingMap:
             pyramid = build_pyramid(backbone, store)
             pool = build_pooling_map(backbone, pyramid, store, 2,
                                      cfg.bottom_up_strides)
-            up = relu(deconv2x2(pyramid[4].data, store.get("neck.pool.deconv.w"),
-                                store.get("neck.pool.deconv.b")))
             branches = [densify(_downsample_chain(backbone.volume_at(s), 2, store,
                                                   f"neck.pool.s{s}")).data
                         for s in (1, 2)]
-            merged = np.concatenate([up] + branches, axis=-1)
-            expected = relu(dense_conv_reference(merged, store.get("neck.pool.conv.w"))
-                            + store.get("neck.pool.conv.b"))
+            expected = stored_lateral_reference(store, "neck.pool",
+                                                pyramid[4].data, branches)
             assert expected.dtype == dtype
             np.testing.assert_allclose(dense_values(pool), expected,
                                        atol=FORMULA_ATOL[dtype])
@@ -312,11 +313,8 @@ class TestPoolingMap:
             pyramid = build_pyramid(backbone, store)
             pool = build_pooling_map(backbone, pyramid, store, 4,
                                      cfg.bottom_up_strides)
-            up = relu(deconv2x2(pyramid[8].data, store.get("neck.pool.deconv.w"),
-                                store.get("neck.pool.deconv.b")))
-            merged = np.concatenate([up, densify(backbone.c3).data], axis=-1)
-            expected = relu(dense_conv_reference(merged, store.get("neck.pool.conv.w"))
-                            + store.get("neck.pool.conv.b"))
+            expected = stored_lateral_reference(store, "neck.pool", pyramid[8].data,
+                                                [densify(backbone.c3).data])
             assert expected.dtype == dtype
             np.testing.assert_allclose(dense_values(pool), expected,
                                        atol=FORMULA_ATOL[dtype])
@@ -343,11 +341,8 @@ class TestPoolingMap:
             pyramid = build_pyramid(backbone, store)
             pool = build_pooling_map(backbone, pyramid, store, 4,
                                      cfg.bottom_up_strides)
-            up = relu(deconv2x2(pyramid[8].data, store.get("neck.pool.deconv.w"),
-                                store.get("neck.pool.deconv.b")))
-            merged = np.concatenate([up, densify(backbone.c3).data], axis=-1)
-            expected = relu(dense_conv_reference(merged, store.get("neck.pool.conv.w"))
-                            + store.get("neck.pool.conv.b"))
+            expected = stored_lateral_reference(store, "neck.pool", pyramid[8].data,
+                                                [densify(backbone.c3).data])
             iy, ix = np.meshgrid(np.arange(pool.height),
                                  np.arange(1, pool.width, 4), indexing="ij")
             iy, ix = iy.ravel(), ix.ravel()
@@ -395,12 +390,10 @@ class TestPoolingMap:
             pool = build_pooling_map(backbone, pyramid, store, 4,
                                      cfg.bottom_up_strides)
             assert pool.bottom_up == ()
-            conv_w = store.get("neck.pool.conv.w")
-            assert conv_w.shape == (3, 3, cfg.pool_channels, cfg.pool_channels)
-            up = relu(deconv2x2(pyramid[8].data, store.get("neck.pool.deconv.w"),
-                                store.get("neck.pool.deconv.b")))
-            expected = relu(dense_conv_reference(up, conv_w)
-                            + store.get("neck.pool.conv.b"))
+            assert store.get("neck.pool.conv.w").shape == (
+                3, 3, cfg.pool_channels, cfg.pool_channels)
+            expected = stored_lateral_reference(store, "neck.pool",
+                                                pyramid[8].data, [])
             assert expected.dtype == dtype
             np.testing.assert_allclose(dense_values(pool), expected,
                                        atol=FORMULA_ATOL[dtype])

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import footprint_margin
 from pillardet.geometry import (Box3D, RotatedRect2D, heading_delta, iou_3d,
                                 iou_3d_matrix, iou_3d_tables, near_pairs,
                                 points_in_rect, polygon_area, project_to_bev,
                                 rotated_iou_bev)
-from pillardet.oracles import mc_rotated_iou
+from pillardet.oracles import footprint_margin, mc_rotated_iou
 
 
 def random_rect(rng, span=3.0):

@@ -3,14 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_volume
 from pillardet import grid
 from pillardet.grid import (GridSpec, PointCloud, SparsePillarVolume,
                             backbone_forward, deconv2x2, dense_conv2d,
                             conv3x3_at, densify, gemm_rows, pillarize,
                             reached_cells, sparse_conv2d)
-from pillardet.oracles import dense_conv_reference
-from pillardet.verify import border_volume
+from pillardet.oracles import (deconv_reference, dense_conv_reference,
+                               lateral_reference)
+from pillardet.verify import border_volume, random_volume
 from pillardet.weights import WeightStore
 
 
@@ -115,7 +115,7 @@ class TestPillarize:
 
 class TestSparseConv:
     def test_submanifold_rejects_stride_two(self):
-        v = make_volume(np.random.default_rng(0), 8, 8, 3)
+        v = random_volume(np.random.default_rng(0), 8, 8, 3)
         w = np.zeros((3, 3, 3, 3))
         with pytest.raises(ValueError):
             sparse_conv2d(v, w, np.zeros(3), stride=2, submanifold=True)
@@ -132,7 +132,7 @@ class TestSparseConv:
     def test_submanifold_preserves_active_set(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            v = make_volume(rng, 12, 12, 4)
+            v = random_volume(rng, 12, 12, 4)
             out = sparse_conv2d(v, rng.normal(size=(3, 3, 4, 5)),
                                 rng.normal(size=5), submanifold=True)
             assert np.array_equal(out.coords, v.coords)
@@ -157,7 +157,7 @@ class TestSparseConv:
         ones = np.ones((3, 3, 1, 1))
         for _ in range(20):
             nx, ny = (int(n) for n in rng.integers(1, 15, 2))
-            v = make_volume(rng, nx, ny, 2, density=float(rng.uniform(0.02, 0.3)))
+            v = random_volume(rng, nx, ny, 2, density=float(rng.uniform(0.02, 0.3)))
             count = dense_conv_reference(densify(
                 SparsePillarVolume(1, nx, ny, v.coords, np.ones((v.n_active, 1)))
             ).data, ones, stride=stride)[:, :, 0]
@@ -173,7 +173,7 @@ class TestSparseConv:
         rng = np.random.default_rng(3)
         for _ in range(25):
             c_in, c_out = int(rng.integers(2, 6)), int(rng.integers(2, 6))
-            v = make_volume(rng, 14, 14, c_in)
+            v = random_volume(rng, 14, 14, c_in)
             w = rng.normal(size=(3, 3, c_in, c_out))
             out = sparse_conv2d(v, w, np.zeros(c_out), stride=stride,
                                 submanifold=submanifold)
@@ -186,7 +186,7 @@ class TestSparseConv:
 
     def test_bias_applies_at_active_sites_only(self):
         rng = np.random.default_rng(4)
-        v = make_volume(rng, 10, 10, 3)
+        v = random_volume(rng, 10, 10, 3)
         w = rng.normal(size=(3, 3, 3, 4))
         bias = rng.normal(size=4)
         out = sparse_conv2d(v, w, bias, stride=1)
@@ -219,7 +219,7 @@ class TestDensify:
     def test_sites_at_their_cells_and_zero_elsewhere(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            v = make_volume(rng, 10, 7, 3)
+            v = random_volume(rng, 10, 7, 3)
             m = densify(v)
             assert m.data.shape == (7, 10, 3)
             active = np.zeros((7, 10), dtype=bool)
@@ -394,12 +394,24 @@ class TestDenseOps:
         rng = np.random.default_rng(10)
         x = rng.normal(size=(3, 5, 4))
         w, b = rng.normal(size=(2, 2, 4, 3)), rng.normal(size=3)
-        out = deconv2x2(x, w, b)
-        for y in range(6):
-            for xx in range(10):
-                np.testing.assert_allclose(
-                    out[y, xx], x[y // 2, xx // 2] @ w[y % 2, xx % 2] + b,
-                    atol=1e-12)
+        np.testing.assert_allclose(deconv2x2(x, w, b), deconv_reference(x, w, b),
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_per_pixel_references_compute_in_their_inputs_dtype(self, dtype):
+        rng = np.random.default_rng(12)
+        x, bottom_up = rng.normal(size=(3, 5, 4)), rng.normal(size=(6, 10, 2))
+        w, b = rng.normal(size=(2, 2, 4, 3)), rng.normal(size=3)
+        conv_w, conv_b = rng.normal(size=(3, 3, 5, 2)), rng.normal(size=2)
+        x, bottom_up, w, b, conv_w, conv_b = (
+            a.astype(dtype) for a in (x, bottom_up, w, b, conv_w, conv_b))
+        deconv = deconv_reference(x, w, b)
+        outs = [dense_conv_reference(x, conv_w[:, :, :4]), deconv,
+                lateral_reference(x, w, b, [bottom_up], conv_w, conv_b)]
+        assert [o.dtype for o in outs] == [dtype] * 3
+        # the kernel sums in another order: equal to float32 rounding
+        np.testing.assert_allclose(deconv, deconv2x2(x, w, b), rtol=1e-6,
+                                   atol=1e-6)
 
     def test_deconv_at_cells_equals_full_map_rows(self):
         rng = np.random.default_rng(11)
@@ -416,7 +428,7 @@ class TestDenseOps:
 def conv_at_case(name, stride, rng):
     """(volume, kernel, output cells) of one named ``conv3x3_at`` case."""
     nx, ny = (90, 50) if name == "many-bands" else (9, 6)
-    v = make_volume(rng, nx, ny, 3, density=0.2)
+    v = random_volume(rng, nx, ny, 3, density=0.2)
     if name == "empty-volume":
         v = SparsePillarVolume.empty(1, nx, ny, 3)
     elif name == "border-only":

@@ -1,10 +1,16 @@
-"""Every name a package module imports is read by that module.
+"""Every name a package module imports is read by that module, and the
+oracles import no kernel.
 
 No linter runs in the test command, so this is the unused-import check:
 it parses each ``src/pillardet/*.py`` module (``__init__.py``, whose
 imports are the public API, is skipped) and fails on any imported name
 the module never reads. A deliberate re-export carries ``# noqa: F401``
 on the line of the name it keeps.
+
+The brute-force references in ``oracles.py`` stay structurally
+independent of the code they check: that module may import only
+``__future__``, ``math``, ``numpy`` and the data classes ``Box3D``,
+``RotatedRect2D`` and ``GridSpec``.
 """
 
 import ast
@@ -14,6 +20,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pillardet"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ORACLE_MODULES = {"__future__", "math", "numpy"}
+DATA_CLASSES = {"Box3D", "RotatedRect2D", "GridSpec"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,3 +54,34 @@ def test_check_finds_an_unused_name_and_honours_noqa():
               "from json import dumps  # noqa: F401\n"
               "print(sys.argv, pi)\n")
     assert unused_imports(source) == ["2: os", "4: tau"]
+
+
+def kernel_imports(source: str) -> list[str]:
+    """``line: name`` of each import in ``source`` that is neither a module
+    in ``ORACLE_MODULES`` nor a name in ``DATA_CLASSES``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(a.lineno, a.name) for a in node.names
+                      if a.name.split(".")[0] not in ORACLE_MODULES]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] not in ORACLE_MODULES):
+            found += [(a.lineno, a.name) for a in node.names
+                      if a.name not in DATA_CLASSES]
+    return [f"{line}: {name}" for line, name in found]
+
+
+def test_oracles_import_no_kernel():
+    assert kernel_imports((PACKAGE / "oracles.py").read_text()) == []
+
+
+def test_check_finds_a_kernel_import_and_passes_data_classes():
+    source = ("from __future__ import annotations\n"
+              "import math\n"
+              "import numpy as np\n"
+              "from .grid import deconv2x2\n"
+              "import pillardet.fpn\n"
+              "from .geometry import (RotatedRect2D,\n"
+              "                       iou_3d)\n")
+    assert kernel_imports(source) == [
+        "4: deconv2x2", "5: pillardet.fpn", "7: iou_3d"]

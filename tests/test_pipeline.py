@@ -1,16 +1,18 @@
 """One wiring of the forward pass: ``DetectionPipeline.run`` hands back the
 head maps and the pooling map its later stages read, and the float32
-verify suite compares those, not a wiring of its own."""
+verify suite compares those, not a wiring of its own. Each head cell reads
+only the points within its receptive reach."""
 
 from dataclasses import replace
 
 import numpy as np
 
 from conftest import SMALL_CONFIG_DICT
-from pillardet import pipeline
+from pillardet import pipeline, rpn
 from pillardet.config import config_from_dict
 from pillardet.fileio import format_detections
 from pillardet.fpn import LateralMap
+from pillardet.grid import PointCloud
 from pillardet.pipeline import DetectionPipeline
 from pillardet.synth import SceneSpec, generate_scene
 from pillardet.verify import float32_suite
@@ -82,3 +84,75 @@ def test_no_stage_reads_p3_so_it_is_not_built(monkeypatch):
     assert (format_detections(result.detections)
             == format_detections(every_level.detections))
 
+
+
+def head_reach(stride: int) -> int:
+    """Pillars right of a stride-``stride`` head cell's first pillar that
+    its values can read.
+
+    A 3x3 conv adds the cell size of its input, a 2x2 deconv adds nothing
+    on the right and a lateral takes the farther reach of its inputs: the
+    backbone reaches 1, 4, 10, 22 and 46 pillars at strides 1 to 16, P4
+    54 and P3 58, and the heads' shared conv adds the level's stride.
+    """
+    size, reach = 1, 1                 # the submanifold conv on the pillars
+    backbone = {}
+    for _ in range(4):                 # a stride-2 conv, then a 3x3 conv
+        reach += size
+        size *= 2
+        reach += size
+        backbone[size] = reach
+    level = {16: backbone[16]}
+    for s in (8, 4):
+        level[s] = max(level[2 * s], backbone[s]) + s
+    return level[stride] + stride
+
+
+def checked_columns(cfg, stride: int) -> int:
+    """Head-map columns whose cells read no pillar of the right half of
+    the grid."""
+    return (cfg.grid.nx // 2 - 1 - head_reach(stride)) // stride + 1
+
+
+def far_left_changes(cfg, seed: int) -> list[tuple[int, str]]:
+    """``(stride, field)`` of each head map whose :func:`checked_columns`
+    change when every point right of the grid's middle is dropped from the
+    scene of ``seed``; every level must change somewhere, or the drop
+    shows nothing."""
+    spec = cfg.grid
+    cloud, _ = generate_scene(SceneSpec(seed=seed), spec)
+    cut = spec.x_min + spec.nx // 2 * spec.pillar_size
+    left = PointCloud(cloud.data[cloud.data[:, 0] <= cut])
+    pipe = DetectionPipeline(cfg)
+    whole, part = pipe.run(cloud).heads, pipe.run(left).heads
+    changes = []
+    for s in whole:
+        n = checked_columns(cfg, s)
+        maps = [(f, getattr(whole[s], f), getattr(part[s], f))
+                for f in ("heatmap", "reg", "iou")]
+        assert any(not np.array_equal(a, b) for _, a, b in maps)
+        changes += [(s, f) for f, a, b in maps
+                    if a[:, :n].tobytes() != b[:, :n].tobytes()]
+    return changes
+
+
+def test_head_cells_beyond_their_reach_ignore_the_right_half(small_config):
+    # the reach is 62 pillars, 6.2 m, at both strides; on these scenes
+    # changes come at most 4.8 m left of the middle
+    for s in small_config.level_classes:
+        assert head_reach(s) == 62
+        assert 4 * checked_columns(small_config, s) >= small_config.grid.nx // s
+    for seed in (1, 2, 3):
+        assert far_left_changes(small_config, seed) == []
+
+
+def test_locality_check_catches_a_wraparound_read(monkeypatch, small_config):
+    # the heads' shared conv reads its input rolled by one column, so the
+    # first column reads the last
+    conv = rpn.dense_conv2d
+
+    def rolled(data, *args, **kwargs):
+        return conv(np.roll(data, 1, axis=1), *args, **kwargs)
+
+    monkeypatch.setattr(rpn, "dense_conv2d", rolled)
+    assert far_left_changes(small_config, 1)

@@ -8,7 +8,7 @@ inputs promote to float64. Geometry never leaves float64.
 import numpy as np
 import pytest
 
-from conftest import SMALL_CONFIG_DICT, make_volume
+from conftest import SMALL_CONFIG_DICT
 from pillardet import fileio, pipeline, rcnn
 from pillardet.config import config_from_dict, weight_layout
 from pillardet.fpn import LateralMap
@@ -19,6 +19,7 @@ from pillardet.grid import (DenseFeatureMap, GridSpec, PointCloud,
 from pillardet.pipeline import DetectionPipeline
 from pillardet.rcnn import bilinear_sample
 from pillardet.synth import SceneSpec, generate_scene
+from pillardet.verify import random_volume
 from pillardet.weights import WeightStore, as_float
 
 F32, F64 = np.float32, np.float64
@@ -31,7 +32,7 @@ def normal(rng, shape, dtype):
 
 
 def volume(rng, dtype, nx=8, ny=6, channels=3):
-    v = make_volume(rng, nx, ny, channels)
+    v = random_volume(rng, nx, ny, channels)
     return SparsePillarVolume(1, nx, ny, v.coords, v.features.astype(dtype))
 
 

@@ -4,19 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import footprint_margin, half_cell_shifted, make_volume
+from conftest import half_cell_shifted
 from pillardet import rcnn
 from pillardet.fpn import LateralMap
 from pillardet.geometry import Box3D, iou_3d, project_to_bev
 from pillardet.grid import DenseFeatureMap, GridSpec
-from pillardet.oracles import finite_difference_grad
+from pillardet.oracles import finite_difference_grad, footprint_margin
 from pillardet.rcnn import (LossReport, RcnnLossParts, aux_seg_labels,
                             bilinear_sample, confidence_target,
                             decode_residuals, encode_residuals,
                             pool_roi_features, rcnn_forward, rcnn_loss, refine,
                             roi_grids, sample_proposals, seg_forward)
 from pillardet.rpn import Detection
-from pillardet.verify import bilinear_fd_grad
+from pillardet.verify import bilinear_fd_grad, random_volume
 from pillardet.weights import WeightStore
 
 SPEC = GridSpec(x_min=-4.0, x_max=4.0, y_min=-4.0, y_max=4.0,
@@ -265,7 +265,7 @@ class TestForward:
 
     def test_lazy_pooling_map_pools_like_its_dense_values(self):
         rng = np.random.default_rng(9)
-        vol = make_volume(rng, 16, 16, 2)
+        vol = random_volume(rng, 16, 16, 2)
         pool = LateralMap(DenseFeatureMap(2, rng.normal(size=(8, 8, 3))),
                           (vol,), rng.normal(size=(2, 2, 3, 4)),
                           rng.normal(size=4), rng.normal(size=(3, 3, 6, 5)),

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import footprint_margin
 from pillardet.fileio import format_gt
 from pillardet.geometry import project_to_bev, rotated_iou_bev
 from pillardet.grid import GridSpec
 from pillardet.metrics import evaluate_levels
+from pillardet.oracles import footprint_margin
 from pillardet.synth import (JitterSpec, SceneSpec, generate_scene,
                              jitter_detections, points_in_box, scene_seed,
                              splitmix64)
