@@ -44,7 +44,8 @@ import numpy as np
 from .grid import (BackboneFeatures, DenseFeatureMap, SparsePillarVolume,
                    conv3x3_at, deconv2x2, deconv2x2_at, dense_conv2d,
                    _BAND_ROWS, _relu_volume, reached_cells, sparse_conv2d)
-# densify stays importable here: traced runs patch this module's call sites
+# unused here: perfbench/tracing.py's PATCH_POINTS and its restore test read
+# fpn.densify; the name goes when ROADMAP item 2 moves spans into the package
 from .grid import densify  # noqa: F401
 from .weights import WeightStore
 

@@ -519,7 +519,7 @@ def _relu_volume(v: SparsePillarVolume) -> SparsePillarVolume:
 
 
 def backbone_forward(v: SparsePillarVolume, weights: WeightStore,
-                     channels: tuple[int, ...] = (16, 32, 64, 128, 256)) -> BackboneFeatures:
+                     channels: tuple[int, ...]) -> BackboneFeatures:
     """Run the five-stage hierarchy on a stride-1 pillar volume.
 
     Stage 1 is a single submanifold conv; stages 2-4 each apply a regular

@@ -4,7 +4,8 @@ each defined here once.
 Each oracle is deliberately naive and structurally independent of the code
 it checks: Monte-Carlo sampling instead of polygon clipping
 (:func:`mc_rotated_iou`), edge cross products instead of a rotation into
-the rect frame (:func:`footprint_margin`), per-pixel loops instead of
+the rect frame (:func:`footprint_margin`), one RoI at a time instead of
+all at once (:func:`roi_grid_reference`), per-pixel loops instead of
 banded GEMMs (:func:`dense_conv_reference`, :func:`deconv_reference` and
 :func:`lateral_reference`), a full pairwise matrix instead of lazy IoU
 evaluation (:func:`exhaustive_nms`), finite differences instead of
@@ -20,7 +21,7 @@ import math
 
 import numpy as np
 
-from .geometry import RotatedRect2D
+from .geometry import Box3D, RotatedRect2D
 
 
 def mc_rotated_iou(a: RotatedRect2D, b: RotatedRect2D,
@@ -87,6 +88,15 @@ def footprint_margin(xy: np.ndarray, rect: RotatedRect2D) -> np.ndarray:
         cross = (bx - ax) * (xy[..., 1] - ay) - (by - ay) * (xy[..., 0] - ax)
         margin = np.minimum(margin, cross / math.hypot(bx - ax, by - ay))
     return margin
+
+
+def roi_grid_reference(roi: Box3D, grid_size: int) -> np.ndarray:
+    """The (G, G, 2) grid points of one RoI, placed from its center, yaw
+    and the (i + 0.5) / G - 0.5 offsets along its length (i) and width (j)."""
+    offset = (np.arange(grid_size) + 0.5) / grid_size - 0.5
+    lx, ly = offset[:, None] * roi.length, offset[None, :] * roi.width
+    c, s = math.cos(roi.yaw), math.sin(roi.yaw)
+    return np.stack([roi.cx + c * lx - s * ly, roi.cy + s * lx + c * ly], -1)
 
 
 def dense_conv_reference(data: np.ndarray, weight: np.ndarray,

@@ -218,11 +218,10 @@ def confidence_target(iou: np.ndarray) -> np.ndarray:
 
 
 def sample_proposals(proposals: list[Box3D], gt: list[Box3D], seed: int,
-                     sample_size: int = 128, pos_iou: float = 0.55
-                     ) -> SampledProposals:
+                     sample_size: int = 128) -> SampledProposals:
     """Draw up to ``sample_size`` RoIs aiming for a 1:1 positive ratio.
 
-    Positives overlap some ground-truth box with 3D IoU >= ``pos_iou`` and
+    Positives overlap some ground-truth box with 3D IoU >= 0.55 and
     carry their best-IoU box for targets. When one pool is short, the
     other fills up to the cap. Selection uses only the seeded generator.
     """
@@ -234,7 +233,7 @@ def sample_proposals(proposals: list[Box3D], gt: list[Box3D], seed: int,
         matrix = iou_3d_matrix(proposals, gt)
         iou = matrix.max(axis=1)
         gt_idx = matrix.argmax(axis=1)
-    positive = iou >= pos_iou
+    positive = iou >= 0.55
 
     rng = np.random.default_rng(seed)
     pos_pool = np.nonzero(positive)[0]

@@ -65,10 +65,10 @@ class RpnTargets:
     mask: np.ndarray      # (H, W) bool, True at object centers
 
 
-def gaussian_radius(length_cells: float, width_cells: float,
-                    min_overlap: float = 0.1) -> float:
-    """Splat radius guaranteeing ``min_overlap`` IoU for shifted corners."""
+def gaussian_radius(length_cells: float, width_cells: float) -> float:
+    """Splat radius guaranteeing 0.1 IoU for shifted corners."""
     h, w = length_cells, width_cells
+    min_overlap = 0.1
     a1 = 1.0
     b1 = h + w
     c1 = w * h * (1 - min_overlap) / (1 + min_overlap)

@@ -30,6 +30,8 @@ CLASS_SIZES = {
     CYCLIST: (1.8, 0.8, 1.7),
 }
 
+POINTS_PER_OBJECT = (30, 200)   # surface points per object, inclusive
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -54,8 +56,6 @@ class SceneSpec:
     seed: int = 0
     counts: dict = field(default_factory=lambda: {VEHICLE: 6, PEDESTRIAN: 4,
                                                   CYCLIST: 3})
-    size_jitter: float = 0.2
-    points_per_object: tuple[int, int] = (30, 200)
     noise_density: float = 0.05        # clutter points per square meter
     max_attempts: int = 200            # placement tries per object
 
@@ -106,12 +106,13 @@ def generate_scene(spec: SceneSpec,
     boxes: list[Box3D] = []
     rects: list[RotatedRect2D] = []
     total = sum(spec.counts.values())
+    jitter = 0.2
     for class_id in sorted(spec.counts):
         base = CLASS_SIZES[class_id]
         for _ in range(spec.counts[class_id]):
             placed = False
             for _attempt in range(spec.max_attempts):
-                l, w, h = (d * rng.uniform(1 - spec.size_jitter, 1 + spec.size_jitter)
+                l, w, h = (d * rng.uniform(1 - jitter, 1 + jitter)
                            for d in base)
                 margin = 0.5 * math.hypot(l, w) + grid.pillar_size
                 if (grid.x_max - grid.x_min <= 2 * margin
@@ -141,8 +142,7 @@ def generate_scene(spec: SceneSpec,
 
     chunks = []
     for box in boxes:
-        n = int(rng.integers(spec.points_per_object[0],
-                             spec.points_per_object[1] + 1))
+        n = int(rng.integers(POINTS_PER_OBJECT[0], POINTS_PER_OBJECT[1] + 1))
         xyz = _sample_surface_points(box, n, rng)
         chunks.append(np.column_stack([xyz, rng.random(n)]))
 

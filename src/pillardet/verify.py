@@ -7,7 +7,8 @@ values at chosen cells against a per-pixel deconvolution, concatenation
 and convolution, greedy against exhaustive NMS, analytic against
 finite-difference bilinear gradients, segmentation labels against the
 edge-cross-product footprint margin, and the float32 pipeline against its
-float64 upcast. Budgets are fixed; everything is seeded. The suites have
+float64 upcast. Each suite fixes its own budget, seed and tolerance; the
+acceptance criteria alone raise three suites' budgets. The suites have
 no fault-injection option: their negative controls, one or more per
 suite, patch faults in from outside (``tests/test_verify.py``).
 """
@@ -26,7 +27,7 @@ from .fpn import LateralMap
 from .grid import (DenseFeatureMap, GridSpec, SparsePillarVolume, densify,
                    sparse_conv2d)
 from .oracles import (dense_conv_reference, exhaustive_nms, footprint_margin,
-                      lateral_reference, mc_rotated_iou)
+                      lateral_reference, mc_rotated_iou, roi_grid_reference)
 from .pipeline import DetectionPipeline
 from .rcnn import aux_seg_labels, bilinear_sample, rcnn_forward
 from .rpn import Detection, nms_3d
@@ -43,8 +44,8 @@ class SuiteResult:
     detail: str = ""
 
 
-def random_rect(rng: np.random.Generator, span: float = 3.0) -> RotatedRect2D:
-    return RotatedRect2D(rng.uniform(-span, span), rng.uniform(-span, span),
+def random_rect(rng: np.random.Generator) -> RotatedRect2D:
+    return RotatedRect2D(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0),
                          rng.uniform(0.8, 5.0), rng.uniform(0.8, 5.0),
                          rng.uniform(-math.pi, math.pi))
 
@@ -64,9 +65,9 @@ def random_volume(rng: np.random.Generator, nx: int, ny: int, channels: int,
     return SparsePillarVolume(1, nx, ny, coords, rng.normal(size=(n, channels)))
 
 
-def geometry_suite(pairs: int = 150, samples: int = 1_000_000,
-                   seed: int = 0, tolerance: float = 3e-3) -> SuiteResult:
+def geometry_suite() -> SuiteResult:
     """Clipping IoU vs Monte Carlo, plus symmetry and rigid invariance."""
+    pairs, samples, seed = 150, 1_000_000, 0
     rng = np.random.default_rng(seed)
     rects_a, rects_b, moved_a, moved_b = [], [], [], []
     for _ in range(pairs):
@@ -89,14 +90,13 @@ def geometry_suite(pairs: int = 150, samples: int = 1_000_000,
     max_mc = 0.0
     for k, (a, b, v) in enumerate(zip(rects_a, rects_b, iou.tolist())):
         max_mc = max(max_mc, abs(v - mc_rotated_iou(a, b, samples, seed=seed + k)))
-    passed = max_mc <= tolerance and max_sym == 0.0 and max_rigid <= 1e-9
+    passed = max_mc <= 3e-3 and max_sym == 0.0 and max_rigid <= 1e-9
     return SuiteResult("geometry-mc-iou", passed, max(max_mc, max_rigid),
                        f"{pairs} pairs x {samples} samples",
                        f"mc={max_mc:.2e} sym={max_sym:.2e} rigid={max_rigid:.2e}")
 
 
-def sparse_dense_suite(volumes: int = 40, seed: int = 1,
-                       tolerance: float = 1e-5) -> SuiteResult:
+def sparse_dense_suite(volumes: int = 40, seed: int = 1) -> SuiteResult:
     """Densified sparse convolution vs the per-pixel dense reference.
 
     Each layer type runs on ``volumes`` 16x16 volumes, then on one 64x64
@@ -120,7 +120,7 @@ def sparse_dense_suite(volumes: int = 40, seed: int = 1,
             mask[v.coords[:, 1], v.coords[:, 0]] = True
             ref = ref * mask[:, :, None]
         worst = max(worst, float(np.abs(densify(out).data - ref).max()))
-    return SuiteResult("sparse-dense-conv", worst < tolerance, worst,
+    return SuiteResult("sparse-dense-conv", worst < 1e-5, worst,
                        f"{volumes} volumes + 1 multi-band x 3 layer types",
                        f"max abs diff {worst:.2e}")
 
@@ -179,8 +179,7 @@ def _max_abs_diff(got: np.ndarray, ref: np.ndarray) -> float:
     return float(np.abs(got - ref).max(initial=0.0))
 
 
-def split_lateral_suite(maps: int = 40, seed: int = 5,
-                        tolerance: float = 1e-5) -> SuiteResult:
+def split_lateral_suite() -> SuiteResult:
     """The whole lateral map, :meth:`LateralMap.dense`, vs the per-pixel
     reference of :func:`lateral_case`.
 
@@ -190,7 +189,8 @@ def split_lateral_suite(maps: int = 40, seed: int = 5,
     one GEMM band of the sparse conv, and one 96x48 map with 512 upsampled
     channels, read in three dense-conv chunks.
     """
-    rng = np.random.default_rng(seed)
+    maps = 40
+    rng = np.random.default_rng(5)
     worst = 0.0
     for k in range(maps + 2):
         if k < maps:
@@ -204,14 +204,13 @@ def split_lateral_suite(maps: int = 40, seed: int = 5,
                 if k == maps else bottom_up_volumes(rng, k, 2 * ws, 2 * hs))
         lateral_map, ref = lateral_case(rng, hs, ws, c_up, vols)
         worst = max(worst, _max_abs_diff(lateral_map.dense().data, ref))
-    return SuiteResult("split-lateral", worst < tolerance, worst,
+    return SuiteResult("split-lateral", worst < 1e-5, worst,
                        f"{maps} maps, random/empty/border volumes + 1 "
                        "multi-band + 1 multi-chunk",
                        f"max abs diff {worst:.2e}")
 
 
-def pooling_at_cells_suite(maps: int = 40, seed: int = 6,
-                           tolerance: float = 1e-5) -> SuiteResult:
+def pooling_at_cells_suite() -> SuiteResult:
     """Lateral map values at chosen cells, :meth:`LateralMap.at`, vs the
     per-pixel reference of :func:`lateral_case`.
 
@@ -221,7 +220,8 @@ def pooling_at_cells_suite(maps: int = 40, seed: int = 6,
     split-lateral suite. The last map is 48x48 with 512 upsampled
     channels.
     """
-    rng = np.random.default_rng(seed)
+    maps = 40
+    rng = np.random.default_rng(6)
     worst = 0.0
     for k in range(maps + 1):
         kind = k % 5
@@ -246,7 +246,7 @@ def pooling_at_cells_suite(maps: int = 40, seed: int = 6,
         elif kind == 4:
             iy, ix = iy[ix % 4 == 1], ix[ix % 4 == 1]
         worst = max(worst, _max_abs_diff(lateral_map.at(iy, ix), ref[iy, ix]))
-    return SuiteResult("pooling-at-cells", worst < tolerance, worst,
+    return SuiteResult("pooling-at-cells", worst < 1e-5, worst,
                        f"{maps} maps, random/border/all/no/strided cells "
                        "+ 1 multi-chunk",
                        f"max abs diff {worst:.2e}")
@@ -318,8 +318,7 @@ def bilinear_fd_grad(data: np.ndarray, spec: GridSpec, p: np.ndarray,
     return ((values[0::2] - values[1::2]) / (2.0 * h)).reshape(data.shape)
 
 
-def bilinear_suite(samples: int = 200, seed: int = 3,
-                   tolerance: float = 1e-4) -> SuiteResult:
+def bilinear_suite(samples: int = 200, seed: int = 3) -> SuiteResult:
     """Analytic bilinear gradients vs central finite differences."""
     rng = np.random.default_rng(seed)
     spec = GridSpec(x_min=0.0, x_max=0.8, y_min=0.0, y_max=0.8,
@@ -338,32 +337,29 @@ def bilinear_suite(samples: int = 200, seed: int = 3,
         rel = np.abs(analytic - fd) / denom
         worst = max(worst, float(rel[np.abs(fd) > 1e-9].max()
                                  if np.any(np.abs(fd) > 1e-9) else 0.0))
-    return SuiteResult("bilinear-fd-grad", worst < tolerance, worst,
+    return SuiteResult("bilinear-fd-grad", worst < 1e-4, worst,
                        f"{samples} random (map, point) pairs",
                        f"max rel err {worst:.2e}")
 
 
-def aux_label_suite(rois: int = 100, seed: int = 4) -> SuiteResult:
+def aux_label_suite() -> SuiteResult:
     """Grid-point labels vs an independent rebuild of each label.
 
-    Each grid point is placed from the RoI's center, yaw and the cell
-    offset (i + 0.5) / G directly, and is inside a ground-truth footprint
-    where :func:`~pillardet.oracles.footprint_margin` reads >= 0, so
-    neither the RoI grid nor the containment test of the labelled code is
-    reused.
+    Each grid point is placed by
+    :func:`~pillardet.oracles.roi_grid_reference` and is inside a
+    ground-truth footprint where
+    :func:`~pillardet.oracles.footprint_margin` reads >= 0, so neither the
+    RoI grid nor the containment test of the labelled code is reused.
     """
-    rng = np.random.default_rng(seed)
+    rois = 100
+    rng = np.random.default_rng(4)
     mismatches = 0
     for _ in range(rois):
         roi = random_box(rng, span=6.0)
         gts = [random_box(rng, span=6.0) for _ in range(int(rng.integers(1, 4)))]
         g = int(rng.integers(1, 9))
         labels = aux_seg_labels([roi], gts, g)[0]
-        offset = (np.arange(g) + 0.5) / g - 0.5
-        lx, ly = offset[:, None] * roi.length, offset[None, :] * roi.width
-        c, s = math.cos(roi.yaw), math.sin(roi.yaw)
-        points = np.stack([roi.cx + c * lx - s * ly,
-                           roi.cy + s * lx + c * ly], axis=-1)
+        points = roi_grid_reference(roi, g)
         inside = np.any([footprint_margin(points, project_to_bev(b)) >= 0.0
                          for b in gts], axis=0)
         mismatches += int(np.count_nonzero(labels.astype(bool) != inside))
@@ -376,8 +372,7 @@ def _detection_row(d: Detection) -> list[float]:
     return [b.cx, b.cy, b.cz, b.length, b.width, b.height, b.yaw, d.score]
 
 
-def float32_suite(scenes: int = 2, seed: int = 7,
-                  tolerance: float = 1e-6) -> SuiteResult:
+def float32_suite() -> SuiteResult:
     """The float32 pipeline vs its float64 upcast: two
     :meth:`DetectionPipeline.run` results compared.
 
@@ -386,12 +381,13 @@ def float32_suite(scenes: int = 2, seed: int = 7,
     in the rounding of their maps. The suite compares the runs' head maps,
     then the pooled features, logits and residuals that each run's pooling
     map gives for one fixed proposal list (the float64 run's): every value
-    must agree within ``tolerance`` absolute, about eight float32 ulps of
+    must agree within 1e-6 absolute, about eight float32 ulps of
     1 (heatmaps lie in [0, 1], the pooled features and R-CNN outputs below
     it). The share of float32 detections with a float64 twin (same class,
     every box field and score within 1e-3) is reported, not gated:
     near-tied peaks of seeded weights may swap at the top-k cut.
     """
+    scenes, seed = 2, 7
     cfg = replace(PipelineConfig(), grid=GridSpec(
         x_min=-12.8, x_max=12.8, y_min=-12.8, y_max=12.8))
     store32 = WeightStore.seeded(weight_layout(cfg), seed)
@@ -422,7 +418,7 @@ def float32_suite(scenes: int = 2, seed: int = 7,
             near = np.abs(rows64 - _detection_row(d)).max(axis=1) <= 1e-3
             twins += bool(np.any(near & (cls64 == d.class_id)))
         total += len(dets32)
-    return SuiteResult("float32", worst <= tolerance, worst,
+    return SuiteResult("float32", worst <= 1e-6, worst,
                        f"{scenes} scenes, head maps + R-CNN at fixed proposals",
                        f"max abs diff {worst:.2e}; {twins}/{total} detections "
                        "with a float64 twin within 1e-3")

@@ -69,7 +69,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("name", ["sample_size", "pos_iou"])
     def test_removed_sampling_fields_rejected(self, name):
-        # refinement sampling takes its cap and IoU rule as arguments
+        # refinement sampling takes its cap as an argument and fixes its
+        # IoU rule
         with pytest.raises(ConfigError, match=f"unknown .*'{name}'"):
             config_from_dict({name: 1})
 

@@ -9,7 +9,8 @@ from pillardet import rcnn
 from pillardet.fpn import LateralMap
 from pillardet.geometry import Box3D, iou_3d, project_to_bev
 from pillardet.grid import DenseFeatureMap, GridSpec
-from pillardet.oracles import finite_difference_grad, footprint_margin
+from pillardet.oracles import (finite_difference_grad, footprint_margin,
+                               roi_grid_reference)
 from pillardet.rcnn import (LossReport, RcnnLossParts, aux_seg_labels,
                             bilinear_sample, confidence_target,
                             decode_residuals, encode_residuals,
@@ -69,12 +70,7 @@ class TestGridPoints:
         grids = roi_grids(rois, g)
         assert grids.shape == (500, g, g, 2)
         for roi, pts in zip(rois, grids):
-            lx = (-0.5 + (np.arange(g) + 0.5) / g) * roi.length
-            ly = (-0.5 + (np.arange(g) + 0.5) / g) * roi.width
-            c, s = math.cos(roi.yaw), math.sin(roi.yaw)
-            gx = roi.cx + c * lx[:, None] - s * ly[None, :]
-            gy = roi.cy + s * lx[:, None] + c * ly[None, :]
-            assert pts.tobytes() == np.stack([gx, gy], axis=-1).tobytes()
+            assert pts.tobytes() == roi_grid_reference(roi, g).tobytes()
 
 
 class TestBilinear:
@@ -393,8 +389,7 @@ class TestAuxSegLabels:
     def label_pairs():
         """(label, edge-cross-product oracle) per grid point of 24 random
         batches of 1 to 4 RoIs, each batch sharing its ground truth; each
-        point is placed here from the RoI's center, yaw and (i + 0.5) / G
-        offsets along its length and width."""
+        point is placed by ``oracles.roi_grid_reference``."""
         rng = np.random.default_rng(13)
         for _ in range(24):
             gts = [Box3D(rng.uniform(-3, 3), rng.uniform(-3, 3), 0,
@@ -409,11 +404,7 @@ class TestAuxSegLabels:
             labels = aux_seg_labels(rois, gts, g)
             assert labels.shape == (len(rois), g, g)
             for roi, roi_labels in zip(rois, labels):
-                c, s = math.cos(roi.yaw), math.sin(roi.yaw)
-                u = ((np.arange(g) + 0.5) / g - 0.5)[:, None] * roi.length
-                v = ((np.arange(g) + 0.5) / g - 0.5)[None, :] * roi.width
-                pts = np.stack([roi.cx + c * u - s * v,
-                                roi.cy + s * u + c * v], axis=-1)
+                pts = roi_grid_reference(roi, g)
                 margin = np.max([footprint_margin(pts, project_to_bev(b))
                                  for b in gts], axis=0)
                 # random boxes put no grid point within rounding of an edge

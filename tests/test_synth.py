@@ -9,9 +9,9 @@ from pillardet.geometry import project_to_bev, rotated_iou_bev
 from pillardet.grid import GridSpec
 from pillardet.metrics import evaluate_levels
 from pillardet.oracles import footprint_margin
-from pillardet.synth import (JitterSpec, SceneSpec, generate_scene,
-                             jitter_detections, points_in_box, scene_seed,
-                             splitmix64)
+from pillardet.synth import (POINTS_PER_OBJECT, JitterSpec, SceneSpec,
+                             generate_scene, jitter_detections, points_in_box,
+                             scene_seed, splitmix64)
 
 GRID = GridSpec(x_min=-20.0, x_max=20.0, y_min=-20.0, y_max=20.0,
                 z_min=-2.0, z_max=4.0, pillar_size=0.1)
@@ -81,7 +81,7 @@ class TestGenerateScene:
             outer = assert_matches_oracle(
                 scaled_about_center(cloud.xyz, b, 1.0 + 1e-6), b).sum()
             assert outer <= b.num_points <= inner
-            assert inner - outer >= spec.points_per_object[0]
+            assert inner - outer >= POINTS_PER_OBJECT[0]
 
     def test_points_respect_grid_bounds(self):
         cloud, _ = generate_scene(SceneSpec(seed=8), GRID)

@@ -5,7 +5,10 @@ faults, each patched in from outside through a name the suite calls, so
 the shipped suites have no fault-injection option. Each fault must make
 its suite return ``passed=False``. An ``ast`` check keeps the table's keys
 equal to the suites ``run_all`` calls, so a new suite cannot ship without
-a control.
+a control. A second one keeps the gates fixed: a suite parameter with a
+default that no caller in ``src/``, ``tests/`` or ``demos/`` passes must be
+a constant in the suite instead, so no caller can loosen a gate without a
+diff to the suite.
 """
 
 import ast
@@ -17,14 +20,15 @@ import numpy as np
 import pytest
 
 from conftest import half_cell_shifted, raise_sparse_conv_weight
-from pillardet import geometry, rcnn, verify
+from pillardet import geometry, pipeline, rcnn, verify
 from pillardet.fpn import LateralMap
 from pillardet.geometry import iou_3d
 from pillardet.pipeline import DetectionPipeline
 from pillardet.rcnn import bilinear_sample
 from pillardet.weights import WeightStore
 
-VERIFY = Path(__file__).resolve().parent.parent / "src" / "pillardet" / "verify.py"
+ROOT = Path(__file__).resolve().parent.parent
+VERIFY = ROOT / "src" / "pillardet" / "verify.py"
 
 
 def clip_three_edges(monkeypatch):
@@ -107,11 +111,25 @@ def raise_float32_heatmap_bias(monkeypatch):
     monkeypatch.setattr(verify, "DetectionPipeline", perturbed)
 
 
+def upcast_float32_heads(monkeypatch):
+    """``pipeline.rpn_forward`` upcasts its head maps to float64, so the
+    float32 run's heads are float64 too."""
+    forward = pipeline.rpn_forward
+
+    def upcast(*args, **kwargs):
+        return {s: replace(h, heatmap=h.heatmap.astype(np.float64),
+                           reg=h.reg.astype(np.float64),
+                           iou=h.iou.astype(np.float64))
+                for s, h in forward(*args, **kwargs).items()}
+
+    monkeypatch.setattr(pipeline, "rpn_forward", upcast)
+
+
 # suite -> (fault, the max error it gives or None). The four given errors
 # are those of the fault-injection option the suites once had; float32's
 # is a float32 run minus a float64 one, so it is held only to the suite's
-# own scale. keep_every_candidate failing shows that the NMS suite's
-# candidates do suppress.
+# own scale, and a head of the wrong dtype reads inf. keep_every_candidate
+# failing shows that the NMS suite's candidates do suppress.
 MUTANTS = {
     "geometry_suite": [(clip_three_edges, None)],
     "sparse_dense_suite": [
@@ -125,7 +143,8 @@ MUTANTS = {
     "bilinear_suite": [(reverse_bilinear_weights, None)],
     "aux_label_suite": [(shift_roi_grids, None)],
     "float32_suite": [
-        (raise_float32_heatmap_bias, pytest.approx(2.497e-04, abs=1e-6))],
+        (raise_float32_heatmap_bias, pytest.approx(2.497e-04, abs=1e-6)),
+        (upcast_float32_heads, np.inf)],
 }
 
 
@@ -157,3 +176,44 @@ def test_check_finds_a_planted_suite():
                           "def run_all():\n"
                           "    return [b_suite(x=1), a_suite()]\n") == [
         "a_suite", "b_suite"]
+
+
+def unset_suite_parameters(verify_source: str, callers: list[str]) -> list[str]:
+    """``suite.param`` of each defaulted parameter of a suite that
+    ``run_all`` calls in ``verify_source`` which no call in ``callers``
+    passes, by keyword or by position."""
+    names = run_all_suites(verify_source)
+    suites = {node.name: node.args for node in ast.parse(verify_source).body
+              if isinstance(node, ast.FunctionDef) and node.name in names}
+    calls = [node for source in callers for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call)]
+    passed = set()
+    for call in calls:
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        if name in suites:
+            params = suites[name].posonlyargs + suites[name].args
+            passed.update(f"{name}.{p.arg}" for p in params[:len(call.args)])
+            passed.update(f"{name}.{k.arg}" for k in call.keywords)
+    unset = []
+    for name, args in suites.items():
+        params = args.posonlyargs + args.args
+        defaulted = params[len(params) - len(args.defaults):] + [
+            p for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        unset += [f"{name}.{p.arg}" for p in defaulted
+                  if f"{name}.{p.arg}" not in passed]
+    return unset
+
+
+def test_every_suite_parameter_has_a_caller():
+    callers = [path.read_text() for folder in ("src", "tests", "demos")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert unset_suite_parameters(VERIFY.read_text(), callers) == []
+
+
+def test_check_finds_a_planted_unset_parameter():
+    verify_source = ("def a_suite(rounds=1, seed=2, tolerance=3, *, extra=4):\n"
+                     "    pass\n"
+                     "def run_all():\n"
+                     "    return [a_suite()]\n")
+    callers = ["a_suite(10, tolerance=1)\n", "verify.a_suite(extra=5)\n"]
+    assert unset_suite_parameters(verify_source, callers) == ["a_suite.seed"]
