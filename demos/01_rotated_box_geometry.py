@@ -46,13 +46,16 @@ for _ in range(4):
     cases.append(("random pair", a, b))
 
 print(f"{'case':<28}{'clipped':>10}{'monte-carlo':>13}{'|diff|':>10}")
-for name, a, b in cases:
-    clip = rotated_iou_bev(a, b)
+# one batched call clips every pair: pair k is (a[k], b[k])
+clips = rotated_iou_bev([a for _, a, _ in cases], [b for _, _, b in cases])
+for (name, a, b), clip in zip(cases, clips.tolist()):
     mc = mc_rotated_iou(a, b, samples=1_000_000, seed=1)
     print(f"{name:<28}{clip:>10.5f}{mc:>13.5f}{abs(clip - mc):>10.1e}")
 
 print("\n== 3D IoU adds the vertical overlap ==")
 a = Box3D(0, 0, 0.0, 1, 1, 1, 0.0)
-for dz in (0.0, 0.5, 1.0):
-    b = Box3D(0, 0, dz, 1, 1, 1, 0.0)
-    print(f"  unit cubes offset dz={dz}: iou_3d = {iou_3d(a, b):.4f}")
+offsets = (0.0, 0.5, 1.0)
+ious = iou_3d([a] * len(offsets),
+              [Box3D(0, 0, dz, 1, 1, 1, 0.0) for dz in offsets])
+for dz, iou in zip(offsets, ious.tolist()):
+    print(f"  unit cubes offset dz={dz}: iou_3d = {iou:.4f}")

@@ -168,12 +168,25 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     return _read(PipelineConfig, raw, "")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict, or a ConfigError naming a key they
+    repeat: ``json`` alone would keep its last value without a word."""
+    seen: set[str] = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ConfigError(f"key '{_escaped(key)}' occurs twice")
+        seen.add(key)
+    return dict(pairs)
+
+
 def load_config(path: str | None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
     with open(path, "r", encoding="utf-8") as f:
         try:
-            raw = json.load(f)
+            raw = json.load(f, object_pairs_hook=_unique_keys)
+        except ConfigError as exc:
+            raise ConfigError(f"config file {path}: {exc}") from exc
         except ValueError as exc:  # bad syntax, bad UTF-8, oversize integer
             raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):

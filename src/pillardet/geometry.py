@@ -182,22 +182,16 @@ def _rows(a: Sequence, b: Sequence,
     return rows[:len(a)], rows[len(a):]
 
 
-def _pairwise(a, b, kind, fields: tuple[str, ...], kernel):
-    """``kernel(rows of a, rows of b)`` (see :func:`_rows`) for two
-    ``kind`` items, a float, or two equal-length sequences of them, an
-    (N,) array."""
-    scalar = isinstance(a, kind)
-    if scalar != isinstance(b, kind):
-        raise TypeError("pass two boxes or two equal-length batches of boxes")
-    if scalar:
-        a, b = [a], [b]
-    elif len(a) != len(b):
+def _pairwise(a: Sequence, b: Sequence, fields: tuple[str, ...], kernel):
+    """(N,) ``kernel(rows of a, rows of b)`` (see :func:`_rows`) for two
+    equal-length sequences of boxes, in chunks of ``_CHUNK`` pairs."""
+    if len(a) != len(b):
         raise ValueError(f"batches differ in length: {len(a)} vs {len(b)}")
     out = np.empty(len(a))
     for k in range(0, len(a), _CHUNK):
         out[k:k + _CHUNK] = kernel(*_rows(a[k:k + _CHUNK], b[k:k + _CHUNK],
                                           fields))
-    return float(out[0]) if scalar else out
+    return out
 
 
 def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -387,24 +381,21 @@ def _ious_3d(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
                   (inter_bev <= 0.0) | (z_overlap <= 0.0) | (union <= 0.0))
 
 
-def rotated_iou_bev(a, b):
-    """IoU of rotated rectangles on the BEV plane, in [0, 1].
+def rotated_iou_bev(a: Sequence[RotatedRect2D],
+                    b: Sequence[RotatedRect2D]) -> np.ndarray:
+    """IoUs of rotated rectangles on the BEV plane, in [0, 1]: the (N,)
+    array of pair k = (a[k], b[k]) for two equal-length sequences."""
+    return _pairwise(a, b, _RECT_FIELDS, _bev_ious)
 
-    Takes two :class:`RotatedRect2D` and returns a float, or two
-    equal-length sequences of them and returns the (N,) pairwise IoUs.
+
+def iou_3d(a: Sequence[Box3D], b: Sequence[Box3D]) -> np.ndarray:
+    """3D IoUs, rotated BEV intersection times vertical overlap: the (N,)
+    array of pair k = (a[k], b[k]) for two equal-length sequences.
+
+    The whole batch is clipped by one vectorised kernel, so callers gather
+    their pairs into one call; one pair is a batch of one.
     """
-    return _pairwise(a, b, RotatedRect2D, _RECT_FIELDS, _bev_ious)
-
-
-def iou_3d(a, b):
-    """3D IoU: rotated BEV intersection times vertical overlap.
-
-    Takes two :class:`Box3D` and returns a float, or two equal-length
-    sequences of them and returns the (N,) pairwise IoUs. A batch is
-    clipped by one vectorised kernel, so callers gather their pairs into
-    one call.
-    """
-    return _pairwise(a, b, Box3D, _BOX_FIELDS, _ious_3d)
+    return _pairwise(a, b, _BOX_FIELDS, _ious_3d)
 
 
 def near_pairs(boxes_a: Sequence[Box3D],

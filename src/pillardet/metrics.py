@@ -61,21 +61,17 @@ def split_difficulty(gt: Sequence[Box3D], level: str) -> list[Box3D]:
 
 def match_detections(dets: Sequence[Detection], gt: Sequence[Box3D],
                      iou_threshold: float,
-                     ious: np.ndarray | None = None) -> list[MatchResult]:
+                     ious: np.ndarray) -> list[MatchResult]:
     """Greedy score-ordered matching of one class within one scene.
 
     Each detection takes the highest-IoU still-unmatched ground-truth box
     with IoU >= threshold; ties in score break toward the earlier index.
-    ``ious`` is the (len(dets), len(gt)) table of
-    :func:`iou_3d_tables` when the caller has clipped the pairs already;
-    without it, one :func:`iou_3d_tables` call makes it.
+    ``ious`` is the (len(dets), len(gt)) IoU table of the pairs, as
+    :func:`iou_3d_tables` or :func:`iou_3d_matrix` gives it.
     """
     # the class of the boxes matched, for the error message
     check_iou_threshold(next((x.class_id for x in (*dets, *gt)), None),
                         iou_threshold)
-    if ious is None:
-        # clip with this module's iou_3d, which a tracer may patch
-        (ious,) = iou_3d_tables([([d.box for d in dets], gt)], clip=iou_3d)
     # per detection: (gt index, IoU) of the pairs above threshold
     candidates: list[list[tuple[int, float]]] = [[] for _ in dets]
     i, j = np.nonzero(ious >= iou_threshold)

@@ -107,6 +107,19 @@ class TestSynth:
                      "--out", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err == f"error: {err}\n"
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"seed": 1, "seed": 2}', "seed"),
+        ('{"top_k": {"vehicle": 5, "vehicle": 7}}', "vehicle"),
+    ])
+    def test_repeated_key_is_one_error_line(self, tmp_path, capsys, text,
+                                            key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["synth", "--config", str(bad), "--scenes", "0",
+                     "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: config file {bad}: key '{key}' occurs twice\n"
+
     @pytest.mark.parametrize("text, path", ODD_VALUES)
     def test_wrongly_typed_value_is_one_error_line(self, tmp_path, capsys,
                                                    text, path):

@@ -8,19 +8,7 @@ from pillardet.geometry import (Box3D, RotatedRect2D, heading_delta, iou_3d,
                                 points_in_rect, polygon_area, project_to_bev,
                                 rotated_iou_bev)
 from pillardet.oracles import footprint_margin, mc_rotated_iou
-
-
-def random_rect(rng, span=3.0):
-    return RotatedRect2D(rng.uniform(-span, span), rng.uniform(-span, span),
-                         rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0),
-                         rng.uniform(-math.pi, math.pi))
-
-
-def random_box(rng, span=5.0):
-    return Box3D(rng.uniform(-span, span), rng.uniform(-span, span),
-                 rng.uniform(-1, 1), rng.uniform(0.5, 5.0),
-                 rng.uniform(0.5, 5.0), rng.uniform(0.5, 3.0),
-                 rng.uniform(-math.pi, math.pi))
+from pillardet.verify import random_box, random_rect
 
 
 class TestBox3D:
@@ -138,12 +126,12 @@ class TestPointsInRect:
 class TestRotatedIou:
     def test_identical_rects(self):
         rect = RotatedRect2D(1.0, -2.0, 3.0, 1.5, 0.7)
-        assert rotated_iou_bev(rect, rect) == 1.0
+        assert rotated_iou_bev([rect], [rect]).tolist() == [1.0]
 
     def test_offset_unit_squares(self):
         a = RotatedRect2D(0, 0, 1, 1, 0)
         b = RotatedRect2D(0.5, 0, 1, 1, 0)
-        assert rotated_iou_bev(a, b) == pytest.approx(1 / 3, abs=1e-12)
+        assert rotated_iou_bev([a], [b]) == pytest.approx([1 / 3], abs=1e-12)
 
     def test_forty_five_degree_overlap(self):
         # octagonal intersection of area 2*(sqrt(2)-1)
@@ -151,13 +139,15 @@ class TestRotatedIou:
         b = RotatedRect2D(0, 0, 1, 1, math.pi / 4)
         inter = 2 * (math.sqrt(2) - 1)
         expected = inter / (2 - inter)
-        assert rotated_iou_bev(a, b) == pytest.approx(expected, abs=1e-12)
-        assert rotated_iou_bev(a, b) == pytest.approx(
-            mc_rotated_iou(a, b, 1_000_000, seed=3), abs=2e-3)
+        (iou,) = rotated_iou_bev([a], [b])
+        assert iou == pytest.approx(expected, abs=1e-12)
+        assert iou == pytest.approx(mc_rotated_iou(a, b, 1_000_000, seed=3),
+                                    abs=2e-3)
 
     def test_degenerate_rect_gives_zero(self):
         a = RotatedRect2D(0, 0, 1, 1, 0)
-        assert rotated_iou_bev(a, RotatedRect2D(0, 0, 0.0, 1, 0)) == 0.0
+        assert rotated_iou_bev([a], [RotatedRect2D(0, 0, 0.0, 1, 0)]).tolist() \
+            == [0.0]
 
     def test_symmetry_is_exact(self):
         rng = np.random.default_rng(2)
@@ -195,39 +185,44 @@ class TestRotatedIou:
 
     def test_against_monte_carlo(self):
         rng = np.random.default_rng(5)
-        for k in range(50):
+        pairs = []
+        for _ in range(50):
             a = random_rect(rng)
-            b = RotatedRect2D(a.cx + rng.uniform(-2, 2), a.cy + rng.uniform(-2, 2),
-                              rng.uniform(0.5, 5), rng.uniform(0.5, 5),
-                              rng.uniform(-math.pi, math.pi))
-            assert rotated_iou_bev(a, b) == pytest.approx(
-                mc_rotated_iou(a, b, 200_000, seed=k), abs=7e-3)
+            pairs.append((a, RotatedRect2D(
+                a.cx + rng.uniform(-2, 2), a.cy + rng.uniform(-2, 2),
+                rng.uniform(0.5, 5), rng.uniform(0.5, 5),
+                rng.uniform(-math.pi, math.pi))))
+        ious = rotated_iou_bev(*zip(*pairs))
+        for k, ((a, b), iou) in enumerate(zip(pairs, ious.tolist())):
+            assert iou == pytest.approx(mc_rotated_iou(a, b, 200_000, seed=k),
+                                        abs=7e-3)
 
 
 class TestIou3D:
     def test_identical_boxes(self):
         box = Box3D(1, 2, 0.5, 4, 2, 1.5, 0.3)
-        assert iou_3d(box, box) == 1.0
+        assert iou_3d([box], [box]).tolist() == [1.0]
 
     def test_z_disjoint(self):
         a = Box3D(0, 0, 0, 1, 1, 1, 0)
-        assert iou_3d(a, Box3D(0, 0, 5, 1, 1, 1, 0)) == 0.0
+        assert iou_3d([a], [Box3D(0, 0, 5, 1, 1, 1, 0)]).tolist() == [0.0]
 
     def test_offset_unit_cubes(self):
         a = Box3D(0, 0, 0, 1, 1, 1, 0)
         b = Box3D(0.5, 0, 0, 1, 1, 1, 0)
-        assert iou_3d(a, b) == pytest.approx(1 / 3, abs=1e-12)
+        assert iou_3d([a], [b]) == pytest.approx([1 / 3], abs=1e-12)
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(6)
-        pairs = [(random_box(rng), random_box(rng)) for _ in range(200)]
+        pairs = [(random_box(rng, span=5.0), random_box(rng, span=5.0))
+                 for _ in range(200)]
         a, b = [p[0] for p in pairs], [p[1] for p in pairs]
         assert iou_3d(a, b).tolist() == iou_3d(b, a).tolist()
 
     def test_matrix_matches_elementwise(self):
         rng = np.random.default_rng(7)
-        boxes_a = [random_box(rng) for _ in range(40)]
-        boxes_b = [random_box(rng) for _ in range(30)]
+        boxes_a = [random_box(rng, span=5.0) for _ in range(40)]
+        boxes_b = [random_box(rng, span=5.0) for _ in range(30)]
         # far pairs: every circumcircle test rejects them
         boxes_b += [Box3D(50.0 + 3 * k, -40.0, 0.0, 4.0, 2.0, 1.5, 0.1 * k)
                     for k in range(5)]
@@ -239,7 +234,7 @@ class TestIou3D:
             boxes_b.append(Box3D(5.0 + eps, 0.0, 0.0, 3.0, 4.0, 1.0, corner_yaw))
         for _ in range(20):
             t = rng.uniform(-math.pi, math.pi)
-            a, b = random_box(rng), random_box(rng)
+            a, b = random_box(rng, span=5.0), random_box(rng, span=5.0)
             reach = 0.5 * (a.bev_diagonal + b.bev_diagonal)
             boxes_a.append(a)
             boxes_b.append(Box3D(a.cx + reach * math.cos(t), a.cy + reach * math.sin(t),
@@ -260,7 +255,7 @@ class TestIouTables:
         """Near and far boxes: a cluster around the origin, and a few boxes
         40 m away whose circumcircles touch nothing in it."""
         def boxes(n):
-            return [random_box(rng) for _ in range(n)] + \
+            return [random_box(rng, span=5.0) for _ in range(n)] + \
                 [Box3D(40.0 + 6 * k, 0.0, 0.0, 4.0, 2.0, 1.5, 0.3 * k)
                  for k in range(int(rng.integers(0, 3)))]
         return [(boxes(9), boxes(7)), (boxes(12),), (boxes(5), boxes(11))]
@@ -272,10 +267,12 @@ class TestIouTables:
             for group, table in zip(groups, iou_3d_tables(groups)):
                 a, b = group[0], group[-1]
                 assert table.shape == (len(a), len(b))
+                i, j = near_pairs(a, b)
+                if len(group) == 1:
+                    ahead = i < j
+                    i, j = i[ahead], j[ahead]
                 want = np.zeros((len(a), len(b)))
-                for i, j in zip(*near_pairs(a, b)):
-                    if len(group) == 2 or i < j:
-                        want[i, j] = iou_3d(a[i], b[j])
+                want[i, j] = iou_3d([a[k] for k in i], [b[k] for k in j])
                 assert table.tolist() == want.tolist()
                 assert table.any() and not table.all()
 
@@ -290,7 +287,7 @@ class TestIouTables:
 
     def test_empty_lists_and_empty_groups(self):
         rng = np.random.default_rng(63)
-        b = [random_box(rng) for _ in range(4)]
+        b = [random_box(rng, span=5.0) for _ in range(4)]
         assert iou_3d_tables([]) == []
         tables = iou_3d_tables([([], b), (b, []), ([],), ([], [])])
         assert [t.shape for t in tables] == [(0, 4), (4, 0), (0, 0), (0, 0)]
@@ -331,6 +328,14 @@ class TestHeadingDelta:
 
 
 # -- bit reference: the one-pair-at-a-time clipper on Python lists ----------
+#
+# ref_clip_polygon ... ref_ious run, one pair at a time, the very algorithm
+# that geometry vectorises (the same clip, merge and shoelace steps in the
+# same float order), so that TestBatchedKernelBitExact can ask for equal
+# bits. That makes them a bit reference, not an independent oracle: they
+# stay here rather than in oracles.py, which holds only references that
+# are structurally independent of the code they check (its docstring and
+# the import rule in test_imports.py say so).
 
 def ref_clip_polygon(poly, clip):
     """Sutherland-Hodgman clip of ``poly`` against convex CCW ``clip``."""
@@ -517,12 +522,11 @@ class TestBatchedKernelBitExact:
         picked = pairs[::400]
         a, b = [p[0] for p in picked], [p[1] for p in picked]
         batch = iou_3d(a, b)
-        assert batch.tolist() == [iou_3d(x, y) for x, y in picked]
+        assert batch.tolist() == [iou_3d([x], [y])[0] for x, y in picked]
         ra = [project_to_bev(x) for x in a]
         rb = [project_to_bev(x) for x in b]
         assert rotated_iou_bev(ra, rb).tolist() == [
-            rotated_iou_bev(x, y) for x, y in zip(ra, rb)]
-        assert all(type(iou_3d(x, y)) is float for x, y in picked[:5])
+            rotated_iou_bev([x], [y])[0] for x, y in zip(ra, rb)]
 
     def test_zero_extent_rects(self):
         rng = np.random.default_rng(77)

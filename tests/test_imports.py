@@ -1,11 +1,12 @@
-"""Every name a package module imports is read by that module, and the
-oracles import no kernel.
+"""Every name a package module, test or demo imports is read by that
+file, and the oracles import no kernel.
 
 No linter runs in the test command, so this is the unused-import check:
 it parses each ``src/pillardet/*.py`` module (``__init__.py``, whose
-imports are the public API, is skipped) and fails on any imported name
-the module never reads. A deliberate re-export carries ``# noqa: F401``
-on the line of the name it keeps.
+imports are the public API, is skipped), ``tests/*.py`` and
+``demos/*.py``, and fails on any imported name the file never reads. A
+deliberate re-export carries ``# noqa: F401`` on the line of the name it
+keeps.
 
 The brute-force references in ``oracles.py`` stay structurally
 independent of the code they check: that module may import only
@@ -18,8 +19,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pillardet"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pillardet"
+MODULES = (sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+           + sorted((ROOT / "tests").glob("*.py"))
+           + sorted((ROOT / "demos").glob("*.py")))
 ORACLE_MODULES = {"__future__", "math", "numpy"}
 DATA_CLASSES = {"Box3D", "RotatedRect2D", "GridSpec"}
 

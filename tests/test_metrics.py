@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pillardet import metrics, rpn
-from pillardet.geometry import Box3D, heading_delta, iou_3d, iou_3d_tables
+from pillardet.geometry import Box3D, heading_delta, iou_3d, iou_3d_matrix
 from pillardet.metrics import (ClassMetrics, MatchResult, evaluate_levels,
                                match_detections, split_difficulty)
 from pillardet.rpn import Detection, nms_3d, rectify_detections
@@ -56,14 +56,15 @@ class TestMatching:
     def test_each_gt_matched_at_most_once(self):
         gt = [box(0, 0)]
         dets = [det(gt[0], 0.9), det(gt[0], 0.8)]
-        results = match_detections(dets, gt, 0.7)
+        results = match_detections(dets, gt, 0.7,
+                                   iou_3d_matrix([d.box for d in dets], gt))
         matched = [r for r in results if r.gt_index is not None]
         assert len(matched) == 1 and matched[0].det_index == 0
 
     def test_heading_error_range(self):
         gt = [box(0, 0, yaw=0.0)]
         d = det(box(0, 0, yaw=2.8), 1.0)
-        (r,) = match_detections([d], gt, 0.5)
+        (r,) = match_detections([d], gt, 0.5, iou_3d_matrix([d.box], gt))
         assert 0.0 <= r.heading_error <= math.pi
         assert r.heading_error == pytest.approx(2.8)
 
@@ -188,8 +189,10 @@ class TestApAph:
     def test_match_rejects_threshold_outside_unit_interval(self, threshold):
         # at 0 a far pair's zero IoU would match
         gt = [box(0, 0, cls=2), box(30, 0, cls=2)]
+        dets = perfect_dets(gt)[:1]
         with pytest.raises(ValueError, match=r"class 2 must be in \(0, 1\]"):
-            match_detections(perfect_dets(gt)[:1], gt, threshold)
+            match_detections(dets, gt, threshold,
+                             iou_3d_matrix([d.box for d in dets], gt))
 
 
 def interpolated_area_loop(recall, precision):
@@ -251,7 +254,7 @@ class TestInterpolatedArea:
         assert metrics._interpolated_area(recall, prec) == 0.0
 
 
-def clip_every_pair(dets, gt, iou_threshold, ious=None):
+def clip_every_pair(dets, gt, iou_threshold, ious):
     """The greedy match without the circumcircle skip: every det-GT pair
     is clipped, here, whatever IoUs the caller passes."""
     every_pair = iou_3d([d.box for d in dets for _ in gt],
@@ -332,37 +335,21 @@ class TestFarPairSkip:
 
         monkeypatch.setattr(metrics, "iou_3d", counting)
         rng = np.random.default_rng(942)
-        touching = pairs = calls = 0
+        touching = pairs = 0
         for _ in range(40):
-            for dets, gt in zip(*random_scene_set(rng)):
-                for cls in range(3):
-                    d = [x for x in dets if x.class_id == cls]
-                    g = [x for x in gt if x.class_id == cls]
-                    clipped.clear()
-                    match_detections(d, g, THRESHOLDS[cls])
-                    pairs += len(d) * len(g)
-                    calls += len(clipped)
-                    for a, b in clipped:
-                        reach = 0.5 * (a.bev_diagonal + b.bev_diagonal)
-                        dist2 = (a.cx - b.cx) ** 2 + (a.cy - b.cy) ** 2
-                        assert dist2 <= reach * reach
-                        touching += dist2 == reach * reach
-        assert touching > 0 and calls < pairs / 2
+            det_scenes, gt_scenes = random_scene_set(rng)
+            evaluate_levels(det_scenes, gt_scenes, THRESHOLDS)
+            pairs += sum(sum(d.class_id == g.class_id for d in dets for g in gt)
+                         for dets, gt in zip(det_scenes, gt_scenes))
+        for a, b in clipped:
+            reach = 0.5 * (a.bev_diagonal + b.bev_diagonal)
+            dist2 = (a.cx - b.cx) ** 2 + (a.cy - b.cy) ** 2
+            assert dist2 <= reach * reach
+            touching += dist2 == reach * reach
+        assert touching > 0 and len(clipped) < pairs / 2
 
 
 class TestPrecomputedIous:
-    def test_match_with_and_without_precomputed_ious(self):
-        rng = np.random.default_rng(943)
-        for _ in range(30):
-            for dets, gt in zip(*random_scene_set(rng)):
-                for cls in range(3):
-                    d = [x for x in dets if x.class_id == cls]
-                    g = [x for x in gt if x.class_id == cls]
-                    (table,) = iou_3d_tables([([x.box for x in d], g)])
-                    for thr in (THRESHOLDS[cls], 1e-9):
-                        assert match_detections(d, g, thr, table) == \
-                            match_detections(d, g, thr)
-
     def test_one_batched_clip_per_set(self, monkeypatch):
         batches = []
 

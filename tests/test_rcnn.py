@@ -346,11 +346,13 @@ class TestSampling:
         props = self.proposals(rng, n_pos=40, n_neg=40)
         gt = self.gt()
         batch = sample_proposals(props, gt, seed=5)
-        for roi, pos, gi in zip(batch.rois, batch.positive, batch.gt_index):
-            best = max(iou_3d(roi, g) for g in gt)
+        ious = iou_3d([roi for roi in batch.rois for _ in gt],
+                      list(gt) * len(batch)).reshape(len(batch), len(gt))
+        for row, pos, gi in zip(ious, batch.positive, batch.gt_index):
+            best = row.max()
             assert pos == (best >= 0.55)
             if pos:
-                assert iou_3d(roi, gt[gi]) == pytest.approx(best, abs=1e-12)
+                assert row[gi] == pytest.approx(best, abs=1e-12)
 
     def test_empty_proposals_give_empty_batch(self):
         batch = sample_proposals([], self.gt(), seed=0)

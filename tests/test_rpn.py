@@ -319,36 +319,13 @@ class TestNms:
         assert all(d in dets for d in kept)
 
     def test_equals_the_lazy_scan(self):
-        """Against the scan the batched NMS replaced: per class, in score
-        order, each box is clipped against the boxes kept so far only."""
-        def lazy_scan(dets, iou_thresholds):
-            kept_idx = []
-            by_class = {}
-            for i, d in enumerate(dets):
-                by_class.setdefault(d.class_id, []).append(i)
-            for class_id, idx in sorted(by_class.items()):
-                thr = iou_thresholds[class_id]
-                kept_boxes = []
-                for i in sorted(idx, key=lambda i: (-dets[i].rectified_score, i)):
-                    box = dets[i].box
-                    radius = 0.5 * box.bev_diagonal
-                    suppressed = False
-                    for kb, kr in kept_boxes:
-                        reach = radius + kr
-                        if (box.cx - kb.cx) ** 2 + (box.cy - kb.cy) ** 2 > reach * reach:
-                            continue
-                        if iou_3d(box, kb) > thr:
-                            suppressed = True
-                            break
-                    if not suppressed:
-                        kept_boxes.append((box, radius))
-                        kept_idx.append(i)
-            kept_idx.sort(key=lambda i: (-dets[i].rectified_score, i))
-            return [dets[i] for i in kept_idx]
-
+        """On the draws the one-pair-at-a-time scan it replaced was checked
+        on: ties in score, exact duplicates and a least-positive threshold,
+        against the exhaustive oracle."""
         rng = np.random.default_rng(8)
         # the least positive double: any overlap suppresses a cyclist
         thresholds = {VEH: 0.7, PED: 0.3, CYC: 5e-324}
+        suppressed = 0
         for _ in range(12):
             dets = []
             for _ in range(int(rng.integers(0, 70))):
@@ -361,5 +338,8 @@ class TestNms:
                 dets.append(Detection(b, cid, float(rng.integers(0, 4)) / 4))
                 if rng.random() < 0.2:   # an exact duplicate box
                     dets.append(Detection(b, cid, float(rng.integers(0, 4)) / 4))
+            slow = exhaustive_nms(dets, thresholds, iou_3d)
             assert [id(d) for d in nms_3d(dets, thresholds)] == \
-                [id(d) for d in lazy_scan(dets, thresholds)]
+                [id(d) for d in slow]
+            suppressed += len(dets) - len(slow)
+        assert suppressed > 0
