@@ -17,15 +17,16 @@ against the per-pixel oracle on the concatenated input by ``verify``.
 
 The pyramid levels are read everywhere by the center heads, so they are
 built whole, by :meth:`LateralMap.dense`; their upsampled halves are not.
-The dense conv reads its input by row ranges, one chunk at a time, and a
-lateral answers with the deconvolution of just the semantic rows that
-chunk reaches (:class:`_UpsampledRows`), so the 2x map exists only a
-chunk at a time (about 5 MB of the 72 MB P3 one on a full-range scene).
-The conv writes its output one band of rows at a time into a sink
-(:class:`_BlendSink`) that finishes the band: each volume's conv at the
-band's reached cells, computed a few bands at a time in row order
-(:class:`_ReachedRows`), then bias and ReLU. No map-sized temporary is
-made beside the map itself.
+Both halves are read through one forward-only window, :class:`_Rows`,
+which computes rows as reads reach them and drops the rows above each
+read. The dense conv reads its input by row ranges, one chunk at a time,
+from the deconvolution of just the semantic rows that chunk reaches, so
+the 2x map exists only a chunk at a time (about 5 MB of the 72 MB P3 one
+on a full-range scene). The conv writes its output one band of rows at a
+time into a sink (:class:`_BlendSink`) that finishes the band: each
+volume's conv at the band's reached cells, computed a few bands at a time
+in row order, then bias and ReLU. No map-sized temporary is made beside
+the map.
 The pooling map is only read under the RoI grids (a few percent of its
 cells on a full-range scene), so it is never built: :meth:`LateralMap.at`
 evaluates the same recipe at the cells asked for. Its up half is one
@@ -62,24 +63,19 @@ def _downsample_chain(volume: SparsePillarVolume, target_stride: int,
     return v
 
 
-class _UpsampledRows:
-    """``relu(deconv2x2(data, weight, bias))`` as a row source for
-    :func:`~pillardet.grid.dense_conv2d`, never held whole.
+class _Rows:
+    """Rows of a ``shape`` array computed as they are read, forwards only.
 
-    A request for rows ``[r0, r1)`` deconvolves the input rows not yet
-    deconvolved that it reaches, rounded up to whole bands of input rows of
-    at most ``_BAND_ROWS`` pixels, so each input row is deconvolved once.
-    Rows above ``r0`` are dropped; requests never move backwards.
+    A read ``[r0, r1)`` that reaches rows not yet computed makes one
+    ``more(start, stop)`` call, ``start`` the first of them, which returns
+    rows from ``start`` to ``stop`` or beyond (whole bands, so each row is
+    computed once). Rows above ``r0`` are dropped: reads never go backwards.
     """
 
-    def __init__(self, data: np.ndarray, weight: np.ndarray, bias: np.ndarray):
-        h, w, _ = data.shape
-        self.shape = (2 * h, 2 * w, weight.shape[3])
-        self.dtype = np.result_type(data, weight, bias)
-        self._args = (data, weight, bias)
-        self._band = max(1, _BAND_ROWS // w)  # input rows per band
-        self._held = np.empty((0,) + self.shape[1:], self.dtype)
-        self._first = 0  # the upsampled row held[0] is
+    def __init__(self, more, shape: tuple[int, ...], dtype):
+        self.shape, self.dtype, self._more = shape, np.dtype(dtype), more
+        self._held = np.empty((0,) + shape[1:], self.dtype)
+        self._first = 0  # the row held[0] is
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         r0, r1, _ = rows.indices(self.shape[0])
@@ -88,73 +84,68 @@ class _UpsampledRows:
         end = self._first + len(self._held)
         held = self._held[r0 - self._first:]
         if r1 > end:
-            data, weight, bias = self._args
-            p1 = min(data.shape[0], -(-r1 // (2 * self._band)) * self._band)
-            new = deconv2x2(data[end // 2:p1], weight, bias)
-            np.maximum(new, 0.0, out=new)
+            new = self._more(end, r1)
             held = np.concatenate([held, new[max(0, r0 - end):]])
         self._held, self._first = held, r0
         return held[:r1 - r0]
+
+
+def _upsampled_rows(data: np.ndarray, weight: np.ndarray,
+                    bias: np.ndarray) -> _Rows:
+    """``relu(deconv2x2(data, weight, bias))`` as :class:`_Rows`: a read
+    deconvolves the input rows it reaches, in whole bands of input rows of
+    at most ``_BAND_ROWS`` pixels."""
+    h, w, _ = data.shape
+    band = max(1, _BAND_ROWS // w)  # input rows per band
+
+    def more(start, stop):
+        p1 = min(h, -(-stop // (2 * band)) * band)  # end of stop's band
+        new = deconv2x2(data[start // 2:p1], weight, bias)
+        return np.maximum(new, 0.0, out=new)
+
+    return _Rows(more, (2 * h, 2 * w, weight.shape[3]),
+                 np.result_type(data, weight, bias))
 
 
 # least bottom-up cells of one conv3x3_at call of a band sink
 _BLEND_CELLS = 4 * _BAND_ROWS
 
 
-class _ReachedRows:
-    """One bottom-up volume's bias-free conv at the cells it reaches, read
-    band by band in row order.
+def _reached_rows(v: SparsePillarVolume, weight: np.ndarray):
+    """One bottom-up volume's bias-free conv at the cells it reaches, sorted
+    by map row, then column: their rows, columns and conv rows, the last as
+    :class:`_Rows` computed by :func:`conv3x3_at` calls over at least
+    ``_BLEND_CELLS`` cells in whole ``_BAND_ROWS`` bands, in row order."""
+    reached = reached_cells(v)
+    cells = reached[np.lexsort((reached // v.ny, reached % v.ny))]
 
-    The reached cells are sorted by map row, then column. A band of map
-    rows ``[y0, y1)`` takes the rows of its cells; the cells not yet
-    computed that it reaches are computed then, by one :func:`conv3x3_at`
-    call over at least ``_BLEND_CELLS`` of them in whole ``_BAND_ROWS``
-    bands, and the cells above ``y0`` are dropped. So at most a band's
-    cells and one such call's are held; bands never move backwards.
-    """
+    def more(start, stop):
+        n = -(-max(stop - start, _BLEND_CELLS) // _BAND_ROWS) * _BAND_ROWS
+        return conv3x3_at(v, weight, cells[start:start + n])
 
-    def __init__(self, v: SparsePillarVolume, weight: np.ndarray):
-        reached = reached_cells(v)
-        iy, ix = reached % v.ny, reached // v.ny
-        order = np.lexsort((ix, iy))
-        self._cells, self._iy, self._ix = reached[order], iy[order], ix[order]
-        self._args = (v, weight)
-        self._held = np.empty((0, weight.shape[3]),
-                              np.result_type(v.features, weight))
-        self._first = 0  # the reached cell held[0] is
-
-    def add_to(self, out: np.ndarray, y0: int) -> None:
-        """Add the conv at the reached cells of map rows ``[y0, y0 +
-        len(out))`` to ``out``, those rows of the map."""
-        lo, hi = np.searchsorted(self._iy, (y0, y0 + len(out)))
-        end = self._first + len(self._held)
-        if hi > end:
-            n = -(-max(hi - end, _BLEND_CELLS) // _BAND_ROWS) * _BAND_ROWS
-            new = conv3x3_at(*self._args, self._cells[end:end + n])
-            self._held = np.concatenate([self._held[lo - self._first:], new])
-            self._first = lo
-        rows = self._held[lo - self._first:hi - self._first]
-        out[self._iy[lo:hi] - y0, self._ix[lo:hi]] += rows
+    return cells % v.ny, cells // v.ny, _Rows(
+        more, (len(cells), weight.shape[3]), np.result_type(v.features, weight))
 
 
 class _BlendSink:
     """Output sink of a lateral's up-half conv: each band it receives
-    (``sink[y0:y1] = rows``) gets each bottom-up volume's conv added at
-    the cells it reaches (:class:`_ReachedRows`), then bias and ReLU, and
-    is kept in ``data``, the whole map."""
+    (``sink[y0:y1] = band``) gets each bottom-up volume's conv rows at the
+    cells it reaches added (:func:`_reached_rows`), then bias and ReLU, and
+    is kept in ``data``, the whole map. Bands come in row order."""
 
     def __init__(self, lateral: "LateralMap"):
         self.shape = (lateral.height, lateral.width, lateral.channels)
         self.data = np.empty(self.shape, lateral.dtype)
         self._finish = lateral._finish
-        self._volumes = [_ReachedRows(v, w) for v, w in lateral._volume_kernels()]
+        self._volumes = [_reached_rows(v, w) for v, w in lateral._volume_kernels()]
 
     def __setitem__(self, rows: slice, band: np.ndarray) -> None:
         y0, y1, _ = rows.indices(self.shape[0])
         out = self.data[y0:y1]
         out[...] = band
-        for volume in self._volumes:
-            volume.add_to(out, y0)
+        for iy, ix, conv in self._volumes:
+            lo, hi = np.searchsorted(iy, (y0, y1))
+            out[iy[lo:hi] - y0, ix[lo:hi]] += conv[lo:hi]
         self._finish(out)
 
 
@@ -247,7 +238,7 @@ class LateralMap:
         deconvolved as its chunks reach the rows, never whole; each band
         it writes is finished in its sink (:class:`_BlendSink`), each
         volume's conv added at the band's cells its active sites reach."""
-        up = _UpsampledRows(self.semantic.data, self.deconv_w, self.deconv_b)
+        up = _upsampled_rows(self.semantic.data, self.deconv_w, self.deconv_b)
         return DenseFeatureMap(self.stride, self._up_conv(up, _BlendSink(self)).data)
 
     def at(self, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:

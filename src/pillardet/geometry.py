@@ -426,10 +426,14 @@ def iou_3d_tables(groups: Sequence[tuple[Sequence[Box3D], ...]],
     only. The pairs of every group whose BEV circumcircles touch
     (:func:`near_pairs`) are clipped in a single ``clip`` call, which has
     :func:`iou_3d`'s batch signature. Every other cell holds 0: a far
-    pair's exact IoU, and a pair an ``(a,)`` group leaves out.
+    pair's exact IoU, and a pair an ``(a,)`` group leaves out. Any other
+    group is a ``ValueError``.
     """
     tables, left, right, cells = [], [], [], []
     for group in groups:
+        if len(group) not in (1, 2):
+            raise ValueError(f"a group is (a,) or (a, b), got {len(group)} "
+                             f"box lists")
         a, b = group[0], group[-1]
         i, j = near_pairs(a, b)
         if len(group) == 1:

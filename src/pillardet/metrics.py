@@ -67,11 +67,15 @@ def match_detections(dets: Sequence[Detection], gt: Sequence[Box3D],
     Each detection takes the highest-IoU still-unmatched ground-truth box
     with IoU >= threshold; ties in score break toward the earlier index.
     ``ious`` is the (len(dets), len(gt)) IoU table of the pairs, as
-    :func:`iou_3d_tables` or :func:`iou_3d_matrix` gives it.
+    :func:`iou_3d_tables` or :func:`iou_3d_matrix` gives it; a table of
+    another shape is a ``ValueError``.
     """
     # the class of the boxes matched, for the error message
     check_iou_threshold(next((x.class_id for x in (*dets, *gt)), None),
                         iou_threshold)
+    if np.shape(ious) != (len(dets), len(gt)):
+        raise ValueError(f"IoU table shape {np.shape(ious)} is not "
+                         f"{(len(dets), len(gt))}, (detections, ground truth)")
     # per detection: (gt index, IoU) of the pairs above threshold
     candidates: list[list[tuple[int, float]]] = [[] for _ in dets]
     i, j = np.nonzero(ious >= iou_threshold)

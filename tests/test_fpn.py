@@ -3,9 +3,9 @@ import pytest
 
 from pillardet import fpn, grid
 from pillardet.config import config_from_dict, weight_layout
-from pillardet.fpn import (LateralMap, _UpsampledRows, _downsample_chain,
-                           _pack_strips, build_pooling_map, build_pyramid,
-                           lateral)
+from pillardet.fpn import (LateralMap, _BlendSink, _Rows, _downsample_chain,
+                           _pack_strips, _upsampled_rows, build_pooling_map,
+                           build_pyramid, lateral)
 from pillardet.grid import (DenseFeatureMap, PointCloud, SparsePillarVolume,
                             backbone_forward, conv3x3_at, deconv2x2,
                             dense_conv2d, densify, pillarize, reached_cells,
@@ -204,14 +204,42 @@ class TestLateralMerge:
 
     def test_upsampled_rows_are_read_forwards_only(self):
         rng = np.random.default_rng(32)
-        up = _UpsampledRows(rng.normal(size=(6, 300, 2)),
-                            rng.normal(size=(2, 2, 2, 3)), rng.normal(size=3))
+        args = (rng.normal(size=(6, 300, 2)), rng.normal(size=(2, 2, 2, 3)),
+                rng.normal(size=3))
+        up = _upsampled_rows(*args)
         assert up.shape == (12, 600, 3)
-        whole = relu(deconv2x2(up._args[0], *up._args[1:]))
+        whole = relu(deconv2x2(*args))
         np.testing.assert_array_equal(up[0:5], whole[0:5])
         np.testing.assert_array_equal(up[4:12], whole[4:12])
         with pytest.raises(ValueError, match="in order"):
             up[3:6]
+
+    def test_rows_window_computes_each_row_once_and_aligns_a_skip(self):
+        whole = np.arange(40.0).reshape(20, 2)
+        calls = []
+
+        def more(start, stop):
+            calls.append((start, stop))
+            return whole[start:stop + 2]  # past stop, as whole bands run
+
+        rows = _Rows(more, whole.shape, whole.dtype)
+        for r0, r1 in ((0, 3), (9, 12), (11, 15), (15, 15), (16, 20)):
+            np.testing.assert_array_equal(rows[r0:r1], whole[r0:r1])
+        assert calls == [(0, 3), (5, 12), (14, 15), (17, 20)]
+
+    def test_band_sink_reads_each_volume_forwards_only(self):
+        # a band written above one already written would re-read bottom-up
+        # conv rows the sink has dropped
+        rng = np.random.default_rng(34)
+        semantic = DenseFeatureMap(8, rng.normal(size=(10, 10, 3)))
+        v = random_volume(rng, 20, 20, 2, density=0.3)
+        v = SparsePillarVolume(4, v.nx, v.ny, v.coords, v.features)
+        sink = _BlendSink(LateralMap(
+            semantic, (v,), rng.normal(size=(2, 2, 3, 4)), rng.normal(size=4),
+            rng.normal(size=(3, 3, 6, 5)), rng.normal(size=5)))
+        sink[4:8] = np.zeros((4, 20, 5))
+        with pytest.raises(ValueError, match="rows are read in order"):
+            sink[0:4] = np.zeros((4, 20, 5))
 
     def test_verify_suite_streams_a_map_over_three_chunks(self, monkeypatch):
         from pillardet.verify import split_lateral_suite
@@ -228,7 +256,7 @@ class TestLateralMerge:
                 return self.source[rows]
 
         def counting_conv(data, *args, **kwargs):
-            if isinstance(data, _UpsampledRows):
+            if isinstance(data, _Rows):
                 data = CountedRows(data)
             return conv(data, *args, **kwargs)
 

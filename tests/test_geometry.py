@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pillardet import geometry
 from pillardet.geometry import (Box3D, RotatedRect2D, heading_delta, iou_3d,
                                 iou_3d_matrix, iou_3d_tables, near_pairs,
                                 points_in_rect, polygon_area, project_to_bev,
@@ -260,21 +262,41 @@ class TestIouTables:
                  for k in range(int(rng.integers(0, 3)))]
         return [(boxes(9), boxes(7)), (boxes(12),), (boxes(5), boxes(11))]
 
-    def test_near_pairs_equal_per_pair_iou_and_the_rest_zero(self):
+    @staticmethod
+    def every_pair_table(group):
+        """The group's table from one clip of all its pairs, with no screen;
+        an ``(a,)`` group keeps only its pairs i < j."""
+        a, b = group[0], group[-1]
+        i, j = np.indices((len(a), len(b))).reshape(2, -1)
+        table = iou_3d([a[k] for k in i], [b[k] for k in j])
+        table = table.reshape(len(a), len(b))
+        return np.triu(table, 1) if len(group) == 1 else table
+
+    def tables_and_every_pair_tables(self):
         rng = np.random.default_rng(61)
         for _ in range(3):
             groups = self.groups(rng)
-            for group, table in zip(groups, iou_3d_tables(groups)):
-                a, b = group[0], group[-1]
-                assert table.shape == (len(a), len(b))
-                i, j = near_pairs(a, b)
-                if len(group) == 1:
-                    ahead = i < j
-                    i, j = i[ahead], j[ahead]
-                want = np.zeros((len(a), len(b)))
-                want[i, j] = iou_3d([a[k] for k in i], [b[k] for k in j])
-                assert table.tolist() == want.tolist()
-                assert table.any() and not table.all()
+            yield from zip(iou_3d_tables(groups),
+                           map(self.every_pair_table, groups))
+
+    def test_near_pairs_equal_per_pair_iou_and_the_rest_zero(self):
+        for table, want in self.tables_and_every_pair_tables():
+            assert table.shape == want.shape
+            assert table.tolist() == want.tolist()
+            assert table.any() and not table.all()
+
+    def test_every_pair_tables_catch_a_screen_of_half_the_reach(
+            self, monkeypatch):
+        def half_reach(a, b):
+            def shrunk(boxes):
+                return [replace(x, length=x.length / 2, width=x.width / 2)
+                        for x in boxes]
+            return near_pairs(shrunk(a), shrunk(b))
+
+        monkeypatch.setattr(geometry, "near_pairs", half_reach)
+        pairs = list(self.tables_and_every_pair_tables())
+        assert len(pairs) == 9
+        assert not any(t.tolist() == want.tolist() for t, want in pairs)
 
     def test_one_box_list_fills_only_pairs_ahead(self):
         rng = np.random.default_rng(62)
@@ -291,6 +313,14 @@ class TestIouTables:
         assert iou_3d_tables([]) == []
         tables = iou_3d_tables([([], b), (b, []), ([],), ([], [])])
         assert [t.shape for t in tables] == [(0, 4), (4, 0), (0, 0), (0, 0)]
+
+    @pytest.mark.parametrize("size", [0, 3])
+    def test_group_of_other_than_one_or_two_lists_rejected(self, size):
+        # (a, b, c) would be read as (a, c); () has no first list
+        rng = np.random.default_rng(66)
+        b = [random_box(rng, span=5.0) for _ in range(4)]
+        with pytest.raises(ValueError, match=f"got {size} box lists"):
+            iou_3d_tables([(b, b), (b,) * size])
 
     def test_all_groups_make_one_clip_call(self):
         rng = np.random.default_rng(64)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,24 @@ class TestMatching:
         (r,) = match_detections([d], gt, 0.5, iou_3d_matrix([d.box], gt))
         assert 0.0 <= r.heading_error <= math.pi
         assert r.heading_error == pytest.approx(2.8)
+
+    @pytest.mark.parametrize("wrong", [lambda t: t[:, :2],
+                                       lambda t: np.pad(t, ((0, 0), (0, 2))),
+                                       lambda t: t.T],
+                             ids=["2x2", "2x5", "3x2"])
+    def test_iou_table_must_be_dets_by_gt(self, wrong):
+        # 2 detections on ground-truth boxes 0 and 2 of 3: a (2, 2) table
+        # would leave detection 1 unmatched, a (2, 5) one would be read as
+        # it is, a (3, 2) one would index past its rows
+        gt = [box(0, 0), box(20, 0), box(40, 0)]
+        dets = [det(gt[0], 0.9), det(gt[2], 0.8)]
+        right = iou_3d_matrix([d.box for d in dets], gt)
+        assert [r.gt_index for r in match_detections(dets, gt, 0.7, right)] \
+            == [0, 2]
+        table = wrong(right)
+        with pytest.raises(ValueError, match=re.escape(
+                f"shape {table.shape} is not (2, 3)")):
+            match_detections(dets, gt, 0.7, table)
 
 
 class TestApAph:
