@@ -308,8 +308,10 @@ def nms_3d(dets: list[Detection],
     Ties break toward the earlier input index. Survivors are returned in
     descending score order. Each class's boxes, in score order, are one
     ``(boxes,)`` group of a single :func:`iou_3d_tables` call, so all
-    classes' near pairs are clipped at once; the greedy scan then reads
-    the suppressions from each class's table.
+    classes' near pairs are clipped at once, each class's screened at its
+    threshold: a pair whose IoU bound falls short of it holds 0. The
+    greedy scan then reads the suppressions, the cells above the
+    threshold, from each class's table.
     """
     for class_id, thr in iou_thresholds.items():
         check_iou_threshold(class_id, thr)
@@ -319,9 +321,11 @@ def nms_3d(dets: list[Detection],
     classes = sorted(by_class)
     orders = [sorted(by_class[c], key=lambda i: (-dets[i].rectified_score, i))
               for c in classes]
-    # clip with this module's iou_3d, which a tracer may patch
+    # clip with this module's iou_3d, which a tracer may patch; the scan
+    # reads only cells above the threshold, so the rest may be screened
     tables = iou_3d_tables([([dets[i].box for i in order],) for order in orders],
-                           clip=iou_3d)
+                           clip=iou_3d,
+                           at_least=[iou_thresholds[c] for c in classes])
     kept_idx: list[int] = []
     for class_id, order, table in zip(classes, orders, tables):
         suppresses: list[list[int]] = [[] for _ in order]

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from pillardet import verify
+from pillardet import geometry, verify
 from pillardet.config import PipelineConfig, config_from_dict
 from pillardet.grid import GridSpec
 
@@ -55,6 +55,12 @@ def half_cell_shifted(roi_grids):
             pts[n, ..., 1] += step * math.sin(r.yaw)
         return pts
     return shifted
+
+
+def iou_bounds(a, b):
+    """The upper bounds on ``iou_3d(a, b)`` that the IoU screen of
+    ``geometry.iou_3d_tables`` reads, pair k being (a[k], b[k])."""
+    return geometry._pairwise(a, b, geometry._BOX_FIELDS, geometry._iou_bounds)
 
 
 def raise_sparse_conv_weight(monkeypatch):

@@ -4,13 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import iou_bounds
 from pillardet import geometry
 from pillardet.geometry import (Box3D, RotatedRect2D, heading_delta, iou_3d,
                                 iou_3d_matrix, iou_3d_tables, near_pairs,
                                 points_in_rect, polygon_area, project_to_bev,
                                 rotated_iou_bev)
 from pillardet.oracles import footprint_margin, mc_rotated_iou
-from pillardet.verify import random_box, random_rect
+from pillardet.verify import clustered_detections, random_box, random_rect
 
 
 class TestBox3D:
@@ -348,6 +349,107 @@ class TestIouTables:
         assert matrix.tolist() == every_pair.tolist()
         assert matrix.tolist() == matrix.T.tolist()
         assert (np.diag(matrix) > 0.999).all()
+
+
+def detector_scale_pairs(rng, n):
+    """``n`` Box3D pairs at detector scale: extents 0.1-20 m (log-uniform),
+    centres within +-200 m. Pair k's second box is, by k mod 5, a jittered
+    copy of the first, the first turned by a quarter turn (each yaw an exact
+    multiple of pi/2 in the even pairs), the first with its length and
+    width swapped and a quarter turn (the same footprint), an equal box, or
+    the first box itself.
+
+    Sub-millimetre boxes kilometres from the origin are left out: there
+    the clip itself errs (for jittered pairs of 0.2-0.6 mm boxes 3.5 km
+    out it reads up to 0.0096 above the bound), and the screen follows
+    the bound.
+    """
+    ext = np.exp(rng.uniform(math.log(0.1), math.log(20.0), (n, 3)))
+    cx, cy = rng.uniform(-200.0, 200.0, (2, n))
+    cz = rng.uniform(-2.0, 2.0, n)
+    yaw = rng.uniform(-math.pi, math.pi, n)
+    yaw[::2] = rng.integers(-1, 3, len(yaw[::2])) * (0.5 * math.pi)
+    jitter = rng.normal(size=(n, 7))
+    pairs = []
+    for k, (x, y, z, (length, width, height), t, g) in enumerate(zip(
+            cx.tolist(), cy.tolist(), cz.tolist(), ext.tolist(), yaw.tolist(),
+            jitter.tolist())):
+        a = Box3D(x, y, z, length, width, height, t)
+        kind = k % 5
+        if kind == 0:
+            step = 0.3 * min(length, width)
+            b = Box3D(x + step * g[0], y + step * g[1], z + 0.1 * height * g[2],
+                      length * math.exp(0.1 * g[3]), width * math.exp(0.1 * g[4]),
+                      height * math.exp(0.1 * g[5]), t + 0.2 * g[6])
+        elif kind in (1, 2):
+            turn = math.copysign(0.5 * math.pi, g[0])
+            b = (Box3D(x, y, z, length, width, height, t + turn) if kind == 1
+                 else Box3D(x, y, z, width, length, height, t + turn))
+        elif kind == 3:
+            b = Box3D(x, y, z, length, width, height, t)
+        else:
+            b = a
+        pairs.append((a, b))
+    return pairs
+
+
+class TestIouScreen:
+    """The IoU bound that ``iou_3d_tables(..., at_least=...)`` screens near
+    pairs with, and the screened tables."""
+
+    def test_bound_is_at_least_the_clip(self):
+        rng = np.random.default_rng(68)
+        pairs = detector_scale_pairs(rng, 100_000)
+        a, b = [p[0] for p in pairs], [p[1] for p in pairs]
+        clip, bound = iou_3d(a, b), iou_bounds(a, b)
+        assert (clip > 0.0).mean() > 0.99
+        # the screen skips a pair only where bound < threshold - slack
+        assert (clip - bound).max() <= geometry._BOUND_SLACK
+        # exact for equal boxes, and for the same footprint turned
+        for kind in (2, 3, 4):
+            assert (bound[kind::5] > 1.0 - 1e-12).all()
+        assert (bound[0::5] < 0.5).any()
+
+    def test_screened_tables_keep_every_cell_at_or_above_the_threshold(self):
+        rng = np.random.default_rng(67)
+        boxes = [d.box for d in clustered_detections(rng, 150)]
+        groups = [(boxes[:50],), (boxes[50:100], boxes[100:]), (boxes[100:],)]
+        every_pair = iou_3d_tables(groups)
+        for at_least in ([0.8, 0.55, 0.3], [0.1, 1.0, 0.55]):
+            skipped = 0
+            for got, want, thr in zip(iou_3d_tables(groups, at_least=at_least),
+                                      every_pair, at_least):
+                above = want >= thr
+                assert got[above].tolist() == want[above].tolist()
+                assert ((got == want) | (got == 0.0)).all()
+                skipped += np.count_nonzero(got != want)
+            assert skipped > 0
+
+    def test_identical_boxes_survive_a_threshold_of_one(self):
+        rng = np.random.default_rng(69)
+        boxes = [random_box(rng, span=100.0) for _ in range(30)]
+        equal = [replace(b) for b in boxes]
+        every_pair = iou_3d_tables([(boxes, equal), (boxes + boxes,)])
+        screened = iou_3d_tables([(boxes, equal), (boxes + boxes,)],
+                                 at_least=[1.0, 1.0])
+        same = (np.arange(30), np.arange(30)), (np.arange(30), np.arange(30, 60))
+        for got, want, cells in zip(screened, every_pair, same):
+            assert got[cells].tolist() == want[cells].tolist()
+            assert (got[cells] > 0.999).all()
+
+    @pytest.mark.parametrize("at_least, match", [
+        ([0.5], "1 thresholds for 2 groups"),
+        ([0.5, 0.5, 0.5], "3 thresholds for 2 groups"),
+        ([0.5, 0.0], r"in \(0, 1\], got 0.0"),
+        ([-0.1, 0.5], "got -0.1"),
+        ([0.5, 1.5], "got 1.5"),
+        ([math.nan, 0.5], "got nan")])
+    def test_bad_thresholds_rejected(self, at_least, match):
+        rng = np.random.default_rng(70)
+        b = [random_box(rng, span=5.0) for _ in range(4)]
+        with pytest.raises(ValueError, match=match) as err:
+            iou_3d_tables([(b,), (b, b)], at_least=at_least)
+        assert "\n" not in str(err.value)
 
 
 class TestHeadingDelta:

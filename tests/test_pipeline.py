@@ -1,16 +1,18 @@
 """One wiring of the forward pass: ``DetectionPipeline.run`` hands back the
 head maps and the pooling map its later stages read, and the float32
 verify suite compares those, not a wiring of its own. Each head cell reads
-only the points within its receptive reach."""
+only the points within its receptive reach, and a pillar volume shifted by
+whole C5 cells shifts every map cell beyond that reach of the borders."""
 
 import numpy as np
 
 from conftest import SMALL_CONFIG_DICT
-from pillardet import pipeline, rpn
+from pillardet import fpn, grid, pipeline, rpn
 from pillardet.config import config_from_dict
 from pillardet.fileio import format_detections
 from pillardet.fpn import LateralMap
-from pillardet.grid import PointCloud
+from pillardet.grid import (PointCloud, SparsePillarVolume, backbone_forward,
+                            pillarize)
 from pillardet.pipeline import DetectionPipeline
 from pillardet.synth import SceneSpec, generate_scene
 
@@ -138,3 +140,108 @@ def test_locality_check_catches_a_wraparound_read(monkeypatch, small_config):
 
     monkeypatch.setattr(rpn, "dense_conv2d", rolled)
     assert far_left_changes(small_config, 1)
+
+
+# the crowded_near benchmark grid and scene recipe: 512 x 512 pillars
+NEAR_CONFIG = {"grid": {"x_min": -25.6, "x_max": 25.6, "y_min": -25.6,
+                        "y_max": 25.6, "z_min": -2.0, "z_max": 4.0,
+                        "pillar_size": 0.1}}
+CROWDED_SCENE = {"counts": {0: 20, 1: 30, 2: 20}, "noise_density": 2.0}
+# (dx, dy) in pillars: whole C5 cells, y-offsets no multiple of a conv band
+SHIFTS = ((0, 16), (16, 32))
+
+
+def shifted(volume: SparsePillarVolume, dx: int, dy: int) -> SparsePillarVolume:
+    """``volume`` moved by (dx, dy) pillars; pillars moved off the grid
+    are dropped."""
+    coords = volume.coords + (dx, dy)
+    keep = (coords[:, 0] < volume.nx) & (coords[:, 1] < volume.ny)
+    return SparsePillarVolume(1, volume.nx, volume.ny, coords[keep],
+                              volume.features[keep])
+
+
+def pyramid_and_head_maps(cfg, weights, volume) -> dict[str, tuple[int, np.ndarray]]:
+    """P3, P4 and every head map of ``volume``, by name, with their stride."""
+    backbone = backbone_forward(volume, weights, cfg.backbone_channels)
+    pyramid = pipeline.build_pyramid(backbone, weights, (4, 8))
+    heads = pipeline.rpn_forward(pyramid, weights, cfg.level_classes)
+    maps = {f"P{s.bit_length()}": (s, m.data) for s, m in pyramid.items()}
+    maps.update({f"s{s}.{f}": (s, getattr(h, f)) for s, h in heads.items()
+                 for f in ("heatmap", "reg", "iou")})
+    return maps
+
+
+def shift_mismatches() -> list[tuple[int, int, str]]:
+    """``(dx, dy, map)`` of each map of :func:`pyramid_and_head_maps` whose
+    interior differs, in any bit, from the base run's shifted by (dx, dy)
+    of :data:`SHIFTS`, for the crowded scene of seed 1.
+
+    A stride-s cell is interior if no pillar it reads lies within the
+    grid border in either run, nor is dropped by the shift: it reads at
+    most ``head_reach(s)`` pillars right of its first pillar and, as each
+    deconvolution child reads a parent that starts up to one child cell
+    left of it, ``head_reach(s)`` + 8 + 4 pillars left of it.
+    """
+    cfg = config_from_dict(NEAR_CONFIG)
+    weights = DetectionPipeline(cfg).weights
+    cloud, _ = generate_scene(SceneSpec(seed=1, **CROWDED_SCENE), cfg.grid)
+    volume = pillarize(cloud, cfg.grid, weights)
+    base = pyramid_and_head_maps(cfg, weights, volume)
+    mismatches = []
+    for dx, dy in SHIFTS:
+        moved = pyramid_and_head_maps(cfg, weights, shifted(volume, dx, dy))
+        for name, (s, a) in base.items():
+            b = moved[name][1]
+            lo, hi = -(-(head_reach(s) + 12) // s), -(-(head_reach(s) + 1) // s)
+            h, w = a.shape[:2]
+            ry, rx = dy // s, dx // s
+            if (a[lo:h - ry - hi, lo:w - rx - hi].tobytes()
+                    != b[lo + ry:h - hi, lo + rx:w - hi].tobytes()):
+                mismatches.append((dx, dy, name))
+    return mismatches
+
+
+def test_maps_shift_with_the_pillar_volume_bit_for_bit():
+    assert shift_mismatches() == []
+
+
+def scale_first_rows_of_later_chunks(monkeypatch):
+    """Every ``dense_conv2d`` call scales the first output row of each
+    chunk after its first by 1 + 1e-6: a fault that depends on absolute
+    row position. A chunk starts where the conv reads a new input row
+    range ``data[r0:r1]``, at output row (r0 + 1) // stride."""
+    conv = grid.dense_conv2d
+
+    def scaled(data, weight, bias, stride=1, out=None):
+        starts = []
+
+        class Rows:
+            shape, dtype = data.shape, data.dtype
+
+            def __getitem__(self, rows):
+                starts.append((rows.start + 1) // stride)
+                return data[rows]
+
+        h, w = ((n - 1) // stride + 1 for n in data.shape[:2])
+        target = out if out is not None else np.empty(
+            (h, w, weight.shape[3]), np.result_type(data.dtype, weight, bias))
+
+        class Sink:
+            shape = target.shape
+
+            def __setitem__(self, rows, value):
+                if rows.start in starts[1:]:
+                    value = value.copy()
+                    value[0] *= 1 + 1e-6
+                target[rows] = value
+
+        conv(Rows(), weight, bias, stride, out=Sink())
+        return target
+
+    for module in (grid, fpn, rpn):
+        monkeypatch.setattr(module, "dense_conv2d", scaled)
+
+
+def test_shift_check_catches_a_chunk_edge_fault(monkeypatch):
+    scale_first_rows_of_later_chunks(monkeypatch)
+    assert shift_mismatches()

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from pillardet import grid
+from conftest import iou_bounds
+from pillardet import geometry, grid, rpn
 from pillardet.config import weight_layout
-from pillardet.geometry import Box3D, iou_3d
+from pillardet.geometry import Box3D, iou_3d, near_pairs
 from pillardet.grid import DenseFeatureMap, GridSpec, dense_conv2d
 from pillardet.oracles import exhaustive_nms
 from pillardet.rpn import (Detection, HeadOutput, decode_proposals,
@@ -297,11 +298,13 @@ class TestNms:
         ious = iou_3d([kept[k].box for k in i], [kept[k].box for k in j])
         assert len(ious) > 0 and ious.max() <= 0.3
 
-    def test_matches_exhaustive_oracle(self):
+    @pytest.mark.parametrize("thresholds", [
+        {VEH: 0.8, PED: 0.55, CYC: 0.55}, {VEH: 0.3, PED: 0.3, CYC: 0.3},
+        {VEH: 0.1, PED: 0.1, CYC: 0.1}])
+    def test_matches_exhaustive_oracle(self, thresholds):
         # clustered, as a detector's peaks are: uniformly scattered boxes
         # would leave nothing to suppress
         rng = np.random.default_rng(5)
-        thresholds = {VEH: 0.8, PED: 0.55, CYC: 0.55}
         suppressed = 0
         for _ in range(20):
             dets = clustered_detections(rng, 80)
@@ -343,3 +346,37 @@ class TestNms:
                 [id(d) for d in slow]
             suppressed += len(dets) - len(slow)
         assert suppressed > 0
+
+
+class TestNmsScreen:
+    """NMS clips only the same-class near pairs whose IoU bound reaches
+    their class threshold less the screen's slack."""
+
+    THRESHOLDS = {VEH: 0.8, PED: 0.55, CYC: 0.3}
+
+    def test_clips_only_pairs_whose_bound_reaches_the_threshold(
+            self, monkeypatch):
+        clipped = []
+
+        def counting(a, b):
+            clipped.extend(zip(a, b))   # one call clips a whole batch
+            return iou_3d(a, b)
+
+        monkeypatch.setattr(rpn, "iou_3d", counting)
+        rng = np.random.default_rng(11)
+        near = 0
+        for _ in range(10):
+            dets = clustered_detections(rng, 80)
+            nms_3d(dets, self.THRESHOLDS)
+            for c in self.THRESHOLDS:
+                boxes = [d.box for d in dets if d.class_id == c]
+                i, j = near_pairs(boxes, boxes)
+                near += int(np.count_nonzero(i < j))
+        a, b = [p[0] for p in clipped], [p[1] for p in clipped]
+        thr = np.array([self.THRESHOLDS[x.class_id] for x in a])
+        assert [x.class_id for x in a] == [y.class_id for y in b]
+        assert (iou_bounds(a, b) >= thr - geometry._BOUND_SLACK).all()
+        # the screen keeps pairs that end below their threshold too
+        ious = iou_3d(a, b)
+        assert (ious < thr).any() and (ious > thr).any()
+        assert 0 < len(clipped) < near

@@ -84,6 +84,14 @@ def suppressed_still_suppress(monkeypatch):
     monkeypatch.setattr(verify, "nms_3d", greedy)
 
 
+def halve_iou_bound(monkeypatch):
+    """The IoU bound of the NMS screen is halved, so the screen skips
+    pairs that suppress."""
+    bounds = geometry._iou_bounds
+    monkeypatch.setattr(geometry, "_iou_bounds",
+                        lambda ra, rb: 0.5 * bounds(ra, rb))
+
+
 def reverse_bilinear_weights(monkeypatch):
     """``verify.bilinear_sample`` returns its support weights in reverse
     corner order, so they disagree with the blend it returns."""
@@ -139,7 +147,8 @@ MUTANTS = {
     "pooling_at_cells_suite": [
         (raise_upsampled_weight, pytest.approx(6.94722214921617e-03, rel=1e-6))],
     "nms_suite": [(keep_every_candidate, None),
-                  (suppressed_still_suppress, None)],
+                  (suppressed_still_suppress, None),
+                  (halve_iou_bound, None)],
     "bilinear_suite": [(reverse_bilinear_weights, None)],
     "aux_label_suite": [(shift_roi_grids, None)],
     "float32_suite": [
