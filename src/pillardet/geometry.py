@@ -168,23 +168,28 @@ _HYPOT_GUARD = 1e-20
 _BOUND_SLACK = 1e-8
 
 
-def _rows(a: Sequence, b: Sequence,
-          fields: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Float64 rows of the items of ``a`` and of ``b``: their fields, with
-    ``math.cos`` and ``math.sin`` of the yaw (field 4) inserted after it.
-    An item met in many pairs is read once."""
-    items = [*a, *b]
-    _, first, where = np.unique(np.fromiter(map(id, items), np.int64, len(items)),
-                                return_index=True, return_inverse=True)
-    distinct = [items[k] for k in first.tolist()]
-    cols = np.array(list(map(attrgetter(*fields), distinct)),
-                    np.float64).reshape(len(distinct), len(fields))
+def _fields(boxes: Sequence, fields: tuple[str, ...]) -> np.ndarray:
+    """Float64 field table of ``boxes``, one row each: their ``fields``,
+    with ``math.cos`` and ``math.sin`` of the yaw (field 4) inserted after
+    it."""
+    cols = np.array(list(map(attrgetter(*fields), boxes)),
+                    np.float64).reshape(len(boxes), len(fields))
     yaws = cols[:, 4].tolist()
-    rows = np.concatenate(
+    return np.concatenate(
         [cols[:, :5],
          np.fromiter(map(math.cos, yaws), np.float64, len(yaws))[:, None],
          np.fromiter(map(math.sin, yaws), np.float64, len(yaws))[:, None],
-         cols[:, 5:]], axis=1)[where]
+         cols[:, 5:]], axis=1)
+
+
+def _rows(a: Sequence, b: Sequence,
+          fields: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_fields` rows of the items of ``a`` and of ``b``. An item met
+    in many pairs is read once."""
+    items = [*a, *b]
+    _, first, where = np.unique(np.fromiter(map(id, items), np.int64, len(items)),
+                                return_index=True, return_inverse=True)
+    rows = _fields([items[k] for k in first.tolist()], fields)[where]
     return rows[:len(a)], rows[len(a):]
 
 
@@ -440,23 +445,39 @@ def iou_3d(a: Sequence[Box3D], b: Sequence[Box3D]) -> np.ndarray:
     return _pairwise(a, b, _BOX_FIELDS, _ious_3d)
 
 
-def near_pairs(boxes_a: Sequence[Box3D],
-               boxes_b: Sequence[Box3D]) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (i, j), in row-major order, of the pairs whose BEV
-    circumcircles touch or overlap.
+def _near(ra: np.ndarray, rb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j), in row-major order, of the pairs of
+    :func:`_fields` rows ``ra[i]`` and ``rb[j]`` whose BEV circumcircles
+    touch or overlap.
 
     Every other pair is disjoint on the BEV plane: its IoU is exactly
-    zero and need not be clipped.
+    zero and need not be clipped. A radius is ``0.5 * math.hypot(length,
+    width)``, as :attr:`Box3D.bev_diagonal` gives it, so exactly touching
+    circles stay near.
     """
-    def circles(boxes):
-        return np.array([(b.cx, b.cy, 0.5 * b.bev_diagonal) for b in boxes],
-                        np.float64).reshape(len(boxes), 3)
+    def radii(rows):
+        return 0.5 * np.fromiter(map(math.hypot, rows[:, 2].tolist(),
+                                     rows[:, 3].tolist()), np.float64, len(rows))
 
-    ca = circles(boxes_a)
-    cb = ca if boxes_b is boxes_a else circles(boxes_b)
-    reach = ca[:, 2:] + cb[:, 2]
-    dist2 = (ca[:, :1] - cb[:, 0]) ** 2 + (ca[:, 1:2] - cb[:, 1]) ** 2
-    return np.nonzero(dist2 <= reach * reach)
+    radius_a = radii(ra)
+    reach = radius_a[:, None] + (radius_a if rb is ra else radii(rb))
+    reach *= reach
+    # squared distances in place: dx * dx + dy * dy
+    dx = ra[:, :1] - rb[:, 0]
+    dx *= dx
+    dy = ra[:, 1:2] - rb[:, 1]
+    dy *= dy
+    dx += dy
+    return np.nonzero(dx <= reach)
+
+
+def near_pairs(boxes_a: Sequence[Box3D],
+               boxes_b: Sequence[Box3D]) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j), in row-major order, of the pairs of
+    ``boxes_a[i]`` and ``boxes_b[j]`` whose BEV circumcircles touch or
+    overlap: the pairs :func:`iou_3d_tables` clips (see :func:`_near`)."""
+    ra = _fields(boxes_a, _BOX_FIELDS)
+    return _near(ra, ra if boxes_b is boxes_a else _fields(boxes_b, _BOX_FIELDS))
 
 
 def iou_3d_tables(groups: Sequence[tuple[Sequence[Box3D], ...]],
@@ -466,11 +487,13 @@ def iou_3d_tables(groups: Sequence[tuple[Sequence[Box3D], ...]],
 
     A group ``(a, b)`` gives the (len(a), len(b)) table of all its pairs;
     a group ``(a,)`` gives the (len(a), len(a)) table of its pairs i < j
-    only. The pairs of every group whose BEV circumcircles touch
-    (:func:`near_pairs`) are clipped in a single ``clip`` call, which has
-    :func:`iou_3d`'s batch signature. Every other cell holds 0: a far
-    pair's exact IoU, and a pair an ``(a,)`` group leaves out. Any other
-    group is a ``ValueError``.
+    only. Each distinct box list of a group is read once into a
+    :func:`_fields` table, which gives both its near pairs, those whose
+    BEV circumcircles touch (:func:`_near`), and the rows of the IoU
+    screen below. The near pairs of every group are clipped in a single
+    ``clip`` call, which has :func:`iou_3d`'s batch signature. Every other
+    cell holds 0: a far pair's exact IoU, and a pair an ``(a,)`` group
+    leaves out. Any other group is a ``ValueError``.
 
     ``at_least``, one threshold in (0, 1] per group, screens the near
     pairs too: a pair is clipped only if an upper bound on its IoU, taken
@@ -496,12 +519,13 @@ def iou_3d_tables(groups: Sequence[tuple[Sequence[Box3D], ...]],
             raise ValueError(f"a group is (a,) or (a, b), got {len(group)} "
                              f"box lists")
         a, b = group[0], group[-1]
-        i, j = near_pairs(a, b)
+        ra = _fields(a, _BOX_FIELDS)
+        rb = ra if b is a else _fields(b, _BOX_FIELDS)
+        i, j = _near(ra, rb)
         if len(group) == 1:
             ahead = i < j
             i, j = i[ahead], j[ahead]
         if at_least is not None and len(i):
-            ra, rb = _rows(a, b, _BOX_FIELDS)
             reach = _iou_bounds(ra[i], rb[j]) >= at_least[n] - _BOUND_SLACK
             i, j = i[reach], j[reach]
         tables.append(np.zeros((len(a), len(b))))

@@ -106,8 +106,10 @@ def evaluate_levels(det_scenes: Sequence[Sequence[Detection]],
 
     Each class in each scene is one ``(detection boxes, ground truth)``
     group of a single :func:`iou_3d_tables` call, so the near pairs of
-    all of them are clipped at once; :func:`match_detections` then reads
-    its class and scene's table.
+    all of them are clipped at once, each group's screened at its class's
+    threshold: a pair whose IoU bound falls short of it holds 0.
+    :func:`match_detections` then reads its class and scene's table, whose
+    cells at or above the threshold, the only ones it reads, are exact.
     """
     for cls, thr in iou_thresholds.items():
         check_iou_threshold(cls, thr)
@@ -118,10 +120,15 @@ def evaluate_levels(det_scenes: Sequence[Sequence[Detection]],
                           [g for g in gt if g.class_id == class_id])
                          for dets, gt in zip(det_scenes, gt_scenes)]
               for class_id in sorted(iou_thresholds)}
-    # clip with this module's iou_3d, which a tracer may patch
+    # clip with this module's iou_3d, which a tracer may patch; the match
+    # reads only cells at or above the threshold, so the rest may be screened
     tables = iter(iou_3d_tables([([d.box for d in cls_dets], cls_gt)
                                  for scenes in groups.values()
-                                 for cls_dets, cls_gt in scenes], clip=iou_3d))
+                                 for cls_dets, cls_gt in scenes],
+                                clip=iou_3d,
+                                at_least=[iou_thresholds[class_id]
+                                          for class_id, scenes in groups.items()
+                                          for _ in scenes]))
     report: dict[str, dict[int, ClassMetrics]] = {level: {} for level in LEVELS}
     for class_id, scenes in groups.items():
         # (score, is_tp, heading_weight) per non-ignored detection, per level

@@ -63,6 +63,15 @@ def iou_bounds(a, b):
     return geometry._pairwise(a, b, geometry._BOX_FIELDS, geometry._iou_bounds)
 
 
+def halve_iou_bound(monkeypatch):
+    """The IoU bound of the screen in ``geometry.iou_3d_tables`` is halved,
+    so the screen skips pairs at or above their threshold: pairs that
+    suppress in NMS and that match in evaluation."""
+    bounds = geometry._iou_bounds
+    monkeypatch.setattr(geometry, "_iou_bounds",
+                        lambda ra, rb: 0.5 * bounds(ra, rb))
+
+
 def raise_sparse_conv_weight(monkeypatch):
     """``verify.sparse_conv2d`` with kernel weight [1, 1, 0, 0] raised by
     1e-3: the sparse side of the sparse-dense suite only."""

@@ -288,13 +288,16 @@ class TestIouTables:
 
     def test_every_pair_tables_catch_a_screen_of_half_the_reach(
             self, monkeypatch):
-        def half_reach(a, b):
-            def shrunk(boxes):
-                return [replace(x, length=x.length / 2, width=x.width / 2)
-                        for x in boxes]
-            return near_pairs(shrunk(a), shrunk(b))
+        near = geometry._near
 
-        monkeypatch.setattr(geometry, "near_pairs", half_reach)
+        def half_reach(ra, rb):
+            def shrunk(rows):
+                out = rows.copy()
+                out[:, 2:4] /= 2    # length and width
+                return out
+            return near(shrunk(ra), shrunk(rb))
+
+        monkeypatch.setattr(geometry, "_near", half_reach)
         pairs = list(self.tables_and_every_pair_tables())
         assert len(pairs) == 9
         assert not any(t.tolist() == want.tolist() for t, want in pairs)

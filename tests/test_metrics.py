@@ -4,8 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from pillardet import metrics, rpn
-from pillardet.geometry import Box3D, heading_delta, iou_3d, iou_3d_matrix
+from conftest import halve_iou_bound, iou_bounds
+from pillardet import geometry, metrics, rpn
+from pillardet.geometry import (Box3D, heading_delta, iou_3d, iou_3d_matrix,
+                                near_pairs)
 from pillardet.metrics import (ClassMetrics, MatchResult, evaluate_levels,
                                match_detections, split_difficulty)
 from pillardet.rpn import Detection, nms_3d, rectify_detections
@@ -336,16 +338,69 @@ def report_hex(report):
             for level, classes in report.items()}
 
 
+def far_pair_sets():
+    """The 40 random scene sets the far-pair and screen tests share."""
+    rng = np.random.default_rng(941)
+    return [random_scene_set(rng) for _ in range(40)]
+
+
+def circles_touch(a, b):
+    """(near, touching) of the BEV circumcircles of two boxes given as
+    (cx, cy, length, width)."""
+    reach = 0.5 * (math.hypot(a[2], a[3]) + math.hypot(b[2], b[3]))
+    dist2 = (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
+    return dist2 <= reach * reach, dist2 == reach * reach
+
+
 class TestFarPairSkip:
     def test_same_ap_aph_as_clipping_every_pair(self, monkeypatch):
-        rng = np.random.default_rng(941)
-        sets = [random_scene_set(rng) for _ in range(40)]
+        sets = far_pair_sets()
         fast = [report_hex(evaluate_levels(d, g, THRESHOLDS)) for d, g in sets]
         monkeypatch.setattr(metrics, "match_detections", clip_every_pair)
         ref = [report_hex(evaluate_levels(d, g, THRESHOLDS)) for d, g in sets]
         assert fast == ref
 
     def test_far_pairs_are_not_clipped(self, monkeypatch):
+        clipped, screened = [], []
+
+        def counting(a, b):
+            clipped.extend(zip(a, b))   # one call clips a whole batch
+            return iou_3d(a, b)
+
+        bounds = geometry._iou_bounds
+
+        def spying(ra, rb):
+            # the rows of the near pairs that reach the IoU screen
+            screened.extend(zip(ra[:, :4].tolist(), rb[:, :4].tolist()))
+            return bounds(ra, rb)
+
+        monkeypatch.setattr(metrics, "iou_3d", counting)
+        monkeypatch.setattr(geometry, "_iou_bounds", spying)
+        rng = np.random.default_rng(942)
+        pairs = 0
+        for _ in range(40):
+            det_scenes, gt_scenes = random_scene_set(rng)
+            evaluate_levels(det_scenes, gt_scenes, THRESHOLDS)
+            pairs += sum(sum(d.class_id == g.class_id for d in dets for g in gt)
+                         for dets, gt in zip(det_scenes, gt_scenes))
+        for a, b in clipped:
+            assert circles_touch((a.cx, a.cy, a.length, a.width),
+                                 (b.cx, b.cy, b.length, b.width))[0]
+        # exactly touching pairs are near: they reach the screen, not the clip
+        touching = 0
+        for a, b in screened:
+            near, touch = circles_touch(a, b)
+            assert near
+            touching += touch
+        assert touching > 0 and len(clipped) < pairs / 2
+
+
+class TestEvalScreen:
+    """Evaluation clips only the same-class det-GT near pairs whose IoU
+    bound reaches their class's eval threshold less the screen's slack."""
+
+    def test_clips_only_pairs_whose_bound_reaches_the_threshold(
+            self, monkeypatch):
         clipped = []
 
         def counting(a, b):
@@ -353,19 +408,36 @@ class TestFarPairSkip:
             return iou_3d(a, b)
 
         monkeypatch.setattr(metrics, "iou_3d", counting)
-        rng = np.random.default_rng(942)
-        touching = pairs = 0
-        for _ in range(40):
-            det_scenes, gt_scenes = random_scene_set(rng)
+        # scene of each detection box and each GT box, by identity
+        det_scene, gt_scene = {}, {}
+        sets, near = far_pair_sets(), 0
+        for det_scenes, gt_scenes in sets:
             evaluate_levels(det_scenes, gt_scenes, THRESHOLDS)
-            pairs += sum(sum(d.class_id == g.class_id for d in dets for g in gt)
-                         for dets, gt in zip(det_scenes, gt_scenes))
-        for a, b in clipped:
-            reach = 0.5 * (a.bev_diagonal + b.bev_diagonal)
-            dist2 = (a.cx - b.cx) ** 2 + (a.cy - b.cy) ** 2
-            assert dist2 <= reach * reach
-            touching += dist2 == reach * reach
-        assert touching > 0 and len(clipped) < pairs / 2
+            for dets, gt in zip(det_scenes, gt_scenes):
+                det_scene.update((id(d.box), id(dets)) for d in dets)
+                gt_scene.update((id(g), id(dets)) for g in gt)
+                for c in THRESHOLDS:
+                    i, _ = near_pairs([d.box for d in dets if d.class_id == c],
+                                      [g for g in gt if g.class_id == c])
+                    near += len(i)
+        a, b = [p[0] for p in clipped], [p[1] for p in clipped]
+        assert [det_scene[id(x)] for x in a] == [gt_scene[id(y)] for y in b]
+        assert [x.class_id for x in a] == [y.class_id for y in b]
+        thr = np.array([THRESHOLDS[x.class_id] for x in a])
+        assert (iou_bounds(a, b) >= thr - geometry._BOUND_SLACK).all()
+        # the screen keeps pairs that end below their threshold too
+        ious = iou_3d(a, b)
+        assert (ious < thr).any() and (ious >= thr).any()
+        assert 0 < len(clipped) < near
+
+    def test_a_halved_bound_changes_some_report(self, monkeypatch):
+        sets = far_pair_sets()
+        halve_iou_bound(monkeypatch)
+        screened = [report_hex(evaluate_levels(d, g, THRESHOLDS))
+                    for d, g in sets]
+        monkeypatch.setattr(metrics, "match_detections", clip_every_pair)
+        ref = [report_hex(evaluate_levels(d, g, THRESHOLDS)) for d, g in sets]
+        assert screened != ref
 
 
 class TestPrecomputedIous:

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import half_cell_shifted, raise_sparse_conv_weight
+from conftest import (half_cell_shifted, halve_iou_bound,
+                      raise_sparse_conv_weight)
 from pillardet import geometry, pipeline, rcnn, verify
 from pillardet.fpn import LateralMap
 from pillardet.geometry import iou_3d
@@ -82,14 +83,6 @@ def suppressed_still_suppress(monkeypatch):
         return kept
 
     monkeypatch.setattr(verify, "nms_3d", greedy)
-
-
-def halve_iou_bound(monkeypatch):
-    """The IoU bound of the NMS screen is halved, so the screen skips
-    pairs that suppress."""
-    bounds = geometry._iou_bounds
-    monkeypatch.setattr(geometry, "_iou_bounds",
-                        lambda ra, rb: 0.5 * bounds(ra, rb))
 
 
 def reverse_bilinear_weights(monkeypatch):
