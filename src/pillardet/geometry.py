@@ -168,40 +168,37 @@ _HYPOT_GUARD = 1e-20
 _BOUND_SLACK = 1e-8
 
 
-def _fields(boxes: Sequence, fields: tuple[str, ...]) -> np.ndarray:
-    """Float64 field table of ``boxes``, one row each: their ``fields``,
-    with ``math.cos`` and ``math.sin`` of the yaw (field 4) inserted after
-    it."""
+def _fields(boxes: Sequence,
+            fields: tuple[str, ...] = _BOX_FIELDS) -> np.ndarray:
+    """Float64 field table of ``boxes``, one row each: cx, cy, length,
+    width, yaw, ``math.cos`` and ``math.sin`` of the yaw, cz, height.
+    Rects, read with ``_RECT_FIELDS``, are unit-height slabs at z = 0."""
     cols = np.array(list(map(attrgetter(*fields), boxes)),
                     np.float64).reshape(len(boxes), len(fields))
     yaws = cols[:, 4].tolist()
-    return np.concatenate(
-        [cols[:, :5],
-         np.fromiter(map(math.cos, yaws), np.float64, len(yaws))[:, None],
-         np.fromiter(map(math.sin, yaws), np.float64, len(yaws))[:, None],
-         cols[:, 5:]], axis=1)
-
-
-def _rows(a: Sequence, b: Sequence,
-          fields: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_fields` rows of the items of ``a`` and of ``b``. An item met
-    in many pairs is read once."""
-    items = [*a, *b]
-    _, first, where = np.unique(np.fromiter(map(id, items), np.int64, len(items)),
-                                return_index=True, return_inverse=True)
-    rows = _fields([items[k] for k in first.tolist()], fields)[where]
-    return rows[:len(a)], rows[len(a):]
+    out = np.zeros((len(boxes), 9))
+    out[:, :5] = cols[:, :5]
+    out[:, 5] = np.fromiter(map(math.cos, yaws), np.float64, len(yaws))
+    out[:, 6] = np.fromiter(map(math.sin, yaws), np.float64, len(yaws))
+    out[:, 7:] = cols[:, 5:] if len(fields) > 5 else (0.0, 1.0)
+    return out
 
 
 def _pairwise(a: Sequence, b: Sequence, fields: tuple[str, ...], kernel):
-    """(N,) ``kernel(rows of a, rows of b)`` (see :func:`_rows`) for two
-    equal-length sequences of boxes, in chunks of ``_CHUNK`` pairs."""
+    """(N,) ``kernel(rows of a, rows of b)`` (see :func:`_fields`) for two
+    equal-length sequences of boxes, in chunks of ``_CHUNK`` pairs. An
+    item met in many pairs of a chunk is read once."""
     if len(a) != len(b):
         raise ValueError(f"batches differ in length: {len(a)} vs {len(b)}")
     out = np.empty(len(a))
     for k in range(0, len(a), _CHUNK):
-        out[k:k + _CHUNK] = kernel(*_rows(a[k:k + _CHUNK], b[k:k + _CHUNK],
-                                          fields))
+        items = [*a[k:k + _CHUNK], *b[k:k + _CHUNK]]
+        _, first, where = np.unique(
+            np.fromiter(map(id, items), np.int64, len(items)),
+            return_index=True, return_inverse=True)
+        rows = _fields([items[i] for i in first.tolist()], fields)[where]
+        half = len(items) // 2
+        out[k:k + _CHUNK] = kernel(rows[:half], rows[half:])
     return out
 
 
@@ -227,19 +224,24 @@ def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return less
 
 
+def _to_world(rows: np.ndarray, lx: np.ndarray,
+              ly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """World x and y of offsets ``lx`` along the length and ``ly`` along
+    the width of the boxes in :func:`_fields` rows, which carry trailing
+    axes that broadcast against the offsets."""
+    cx, cy, c, s = rows[:, 0], rows[:, 1], rows[:, 5], rows[:, 6]
+    return cx + c * lx - s * ly, cy + s * lx + c * ly
+
+
 def _corners(rects: np.ndarray) -> np.ndarray:
-    """Corners of (cx, cy, length, width, yaw, cos, sin) rows, as
-    :meth:`RotatedRect2D.corners` computes them: (2, N, 5) x and y planes
-    of the four counter-clockwise corners and the first again, closing the
-    polygon."""
-    cx, cy, length, width, _, c, s = (rects[:, k:k + 1] for k in range(7))
+    """Corners of :func:`_fields` rows, as :meth:`RotatedRect2D.corners`
+    computes them: (2, N, 5) x and y planes of the four counter-clockwise
+    corners and the first again, closing the polygon."""
+    rows = rects[:, :, None]
     # a sign flip is exact: hl * -1.0 is -hl
-    lx = (0.5 * length) * _CORNER_SIGNS[0]
-    ly = (0.5 * width) * _CORNER_SIGNS[1]
-    out = np.empty((2,) + lx.shape)
-    out[0] = cx + c * lx - s * ly
-    out[1] = cy + s * lx + c * ly
-    return out
+    lx = (0.5 * rows[:, 2]) * _CORNER_SIGNS[0]
+    ly = (0.5 * rows[:, 3]) * _CORNER_SIGNS[1]
+    return np.stack(_to_world(rows, lx, ly))
 
 
 def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -327,9 +329,8 @@ def _polygon_areas(poly: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def _intersection_areas(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
-    """BEV intersection areas of the rects in (cx, cy, length, width, yaw,
-    cos, sin) rows ``ra[k]`` and ``rb[k]``; zero where either area is not
-    positive.
+    """BEV intersection areas of the rects of :func:`_fields` rows
+    ``ra[k]`` and ``rb[k]``; zero where either area is not positive.
 
     Each pair's operands are put in a canonical order first, so an area is
     exactly symmetric (bit-identical) under argument swap.
@@ -352,16 +353,6 @@ def _intersection_areas(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ratio(inter: np.ndarray, union: np.ndarray, zero: np.ndarray) -> np.ndarray:
-    """inter / union where ``zero`` is False, clamped to at most 1 (away
-    from tiny clipping noise just above it); 0 elsewhere."""
-    out = np.zeros(len(inter))
-    ok = ~zero
-    q = inter[ok] / union[ok]
-    out[ok] = np.where(q < 1.0, q, 1.0)
-    return out
-
-
 def polygon_area(poly: Sequence[tuple[float, float]]) -> float:
     """Shoelace area of a simple polygon (absolute value)."""
     xy = np.array(poly, np.float64).reshape(-1, 2)
@@ -369,17 +360,11 @@ def polygon_area(poly: Sequence[tuple[float, float]]) -> float:
     return float(_polygon_areas(closed.T[:, None, :], np.array([len(xy)]))[0])
 
 
-def _bev_ious(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
-    area_a, area_b = ra[:, 2] * ra[:, 3], rb[:, 2] * rb[:, 3]
-    inter = _intersection_areas(ra, rb)
-    union = area_a + area_b - inter
-    return _ratio(inter, union,
-                  (area_a <= 0.0) | (area_b <= 0.0) | (union <= 0.0))
-
-
 def _ious_3d(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
-    # row columns: cx, cy, length, width, yaw, cos, sin, cz, height
-    inter_bev = _intersection_areas(ra[:, :7], rb[:, :7])
+    """3D IoUs of the boxes in :func:`_fields` rows ``ra[k]`` and
+    ``rb[k]``, clamped to at most 1 (away from tiny clipping noise just
+    above it); 0 where the intersection or the union is not positive."""
+    inter_bev = _intersection_areas(ra, rb)
     half_a, half_b = 0.5 * ra[:, 8], 0.5 * rb[:, 8]
     top_a, top_b = ra[:, 7] + half_a, rb[:, 7] + half_b
     bottom_a, bottom_b = ra[:, 7] - half_a, rb[:, 7] - half_b
@@ -388,13 +373,16 @@ def _ious_3d(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
     inter = inter_bev * z_overlap
     union = (ra[:, 2] * ra[:, 3] * ra[:, 8] + rb[:, 2] * rb[:, 3] * rb[:, 8]
              - inter)
-    return _ratio(inter, union,
-                  (inter_bev <= 0.0) | (z_overlap <= 0.0) | (union <= 0.0))
+    out = np.zeros(len(inter))
+    ok = ~((inter_bev <= 0.0) | (z_overlap <= 0.0) | (union <= 0.0))
+    q = inter[ok] / union[ok]
+    out[ok] = np.where(q < 1.0, q, 1.0)
+    return out
 
 
 def _iou_bounds(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
     """Upper bounds on the 3D IoUs of the boxes in rows ``ra[k]`` and
-    ``rb[k]`` (see :func:`_rows`), from the two boxes alone.
+    ``rb[k]`` (see :func:`_fields`), from the two boxes alone.
 
     The BEV overlap lies in both boxes, so its extent along either box's
     length or width axis is at most the overlap of the two boxes'
@@ -431,8 +419,12 @@ def _iou_bounds(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
 def rotated_iou_bev(a: Sequence[RotatedRect2D],
                     b: Sequence[RotatedRect2D]) -> np.ndarray:
     """IoUs of rotated rectangles on the BEV plane, in [0, 1]: the (N,)
-    array of pair k = (a[k], b[k]) for two equal-length sequences."""
-    return _pairwise(a, b, _RECT_FIELDS, _bev_ious)
+    array of pair k = (a[k], b[k]) for two equal-length sequences.
+
+    Each rect is read as a unit-height slab at z = 0 and clipped by
+    :func:`iou_3d`'s kernel: the vertical overlap is exactly 1, so each
+    IoU is the BEV one."""
+    return _pairwise(a, b, _RECT_FIELDS, _ious_3d)
 
 
 def iou_3d(a: Sequence[Box3D], b: Sequence[Box3D]) -> np.ndarray:
@@ -475,9 +467,10 @@ def near_pairs(boxes_a: Sequence[Box3D],
                boxes_b: Sequence[Box3D]) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (i, j), in row-major order, of the pairs of
     ``boxes_a[i]`` and ``boxes_b[j]`` whose BEV circumcircles touch or
-    overlap: the pairs :func:`iou_3d_tables` clips (see :func:`_near`)."""
-    ra = _fields(boxes_a, _BOX_FIELDS)
-    return _near(ra, ra if boxes_b is boxes_a else _fields(boxes_b, _BOX_FIELDS))
+    overlap: the pairs :func:`iou_3d_tables` may clip (see :func:`_near`);
+    given ``at_least``, it clips only those its screen keeps."""
+    ra = _fields(boxes_a)
+    return _near(ra, ra if boxes_b is boxes_a else _fields(boxes_b))
 
 
 def iou_3d_tables(groups: Sequence[tuple[Sequence[Box3D], ...]],
@@ -519,8 +512,8 @@ def iou_3d_tables(groups: Sequence[tuple[Sequence[Box3D], ...]],
             raise ValueError(f"a group is (a,) or (a, b), got {len(group)} "
                              f"box lists")
         a, b = group[0], group[-1]
-        ra = _fields(a, _BOX_FIELDS)
-        rb = ra if b is a else _fields(b, _BOX_FIELDS)
+        ra = _fields(a)
+        rb = ra if b is a else _fields(b)
         i, j = _near(ra, rb)
         if len(group) == 1:
             ahead = i < j

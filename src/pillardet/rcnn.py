@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (Box3D, exp_extent, iou_3d_matrix, normalize_angle,
-                       points_in_rect, project_to_bev)
+from .geometry import (Box3D, _fields, _to_world, exp_extent, iou_3d_matrix,
+                       normalize_angle, points_in_rect, project_to_bev)
 from .fpn import LateralMap
 from .grid import DenseFeatureMap, GridSpec, gemm_rows, relu
 from .rpn import Detection, _sigmoid
@@ -57,16 +57,11 @@ def roi_grids(rois: list[Box3D], grid_size: int) -> np.ndarray:
     with j; points are inset by half a grid cell so G = 1 lands on the
     center.
     """
-    g = grid_size
-    cx, cy, length, width, c, s = np.array(
-        [(r.cx, r.cy, r.length, r.width, math.cos(r.yaw), math.sin(r.yaw))
-         for r in rois], dtype=np.float64).reshape(-1, 6).T[:, :, None, None]
-    offset = -0.5 + (np.arange(g) + 0.5) / g
-    lx = offset[:, None] * length
-    ly = offset[None, :] * width
-    gx = cx + c * lx - s * ly
-    gy = cy + s * lx + c * ly
-    return np.stack([gx, gy], axis=-1)
+    rows = _fields(rois)[:, :, None, None]
+    offset = -0.5 + (np.arange(grid_size) + 0.5) / grid_size
+    lx = offset[:, None] * rows[:, 2]
+    ly = offset[None, :] * rows[:, 3]
+    return np.stack(_to_world(rows, lx, ly), axis=-1)
 
 
 @dataclass(frozen=True)

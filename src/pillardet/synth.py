@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import CLASS_IDS
-from .geometry import (Box3D, RotatedRect2D, iou_3d, near_pairs,
-                       points_in_rect, project_to_bev, rotated_iou_bev)
+from .geometry import (Box3D, _fields, _intersection_areas, _near, _to_world,
+                       iou_3d, points_in_rect, project_to_bev)
 from .grid import GridSpec, PointCloud
 from .rpn import Detection
 
@@ -60,9 +60,11 @@ class SceneSpec:
     max_attempts: int = 200            # placement tries per object
 
 
-def _sample_surface_points(box: Box3D, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform samples on the box surface (LiDAR hits exteriors)."""
-    l, w, h = box.length, box.width, box.height
+def _sample_surface_points(row: np.ndarray, n: int,
+                           rng: np.random.Generator) -> np.ndarray:
+    """Uniform samples on the surface of the box in a (1, 9)
+    :func:`~pillardet.geometry._fields` row (LiDAR hits exteriors)."""
+    l, w, h = row[0, 2], row[0, 3], row[0, 8]
     areas = np.array([w * h, w * h, l * h, l * h, l * w, l * w])
     face = rng.choice(6, size=n, p=areas / areas.sum())
     u = rng.uniform(-0.5, 0.5, n)
@@ -80,12 +82,8 @@ def _sample_surface_points(box: Box3D, n: int, rng: np.random.Generator) -> np.n
         else:        # top/bottom
             local[m] = np.column_stack([u[m] * l, v[m] * w,
                                         np.full(m.sum(), (0.5 if f == 4 else -0.5) * h)])
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    world = np.empty_like(local)
-    world[:, 0] = box.cx + c * local[:, 0] - s * local[:, 1]
-    world[:, 1] = box.cy + s * local[:, 0] + c * local[:, 1]
-    world[:, 2] = box.cz + local[:, 2]
-    return world
+    x, y = _to_world(row[:, :, None], local[None, :, 0], local[None, :, 1])
+    return np.column_stack([x[0], y[0], row[0, 7] + local[:, 2]])
 
 
 def points_in_box(xyz: np.ndarray, box: Box3D) -> np.ndarray:
@@ -104,8 +102,8 @@ def generate_scene(spec: SceneSpec,
     """
     rng = np.random.default_rng(spec.seed)
     boxes: list[Box3D] = []
-    rects: list[RotatedRect2D] = []
     total = sum(spec.counts.values())
+    table = np.empty((total, 9))    # field rows of the placed boxes
     jitter = 0.2
     for class_id in sorted(spec.counts):
         base = CLASS_SIZES[class_id]
@@ -124,14 +122,14 @@ def generate_scene(spec: SceneSpec,
                 cz = grid.z_min + 0.5 * h + rng.uniform(0.0, lift)
                 yaw = rng.uniform(-math.pi, math.pi)
                 cand = Box3D(cx, cy, cz, l, w, h, yaw, class_id=class_id)
-                cand_rect = project_to_bev(cand)
+                row, placed_rows = _fields([cand]), table[:len(boxes)]
                 # only placed boxes whose circumcircles touch the candidate's
                 # can overlap it
-                near = near_pairs([cand], boxes)[1].tolist()
-                if not near or np.all(rotated_iou_bev(
-                        [cand_rect] * len(near), [rects[k] for k in near]) == 0.0):
+                near = _near(row, placed_rows)[1]
+                if not len(near) or not (_intersection_areas(
+                        row.repeat(len(near), 0), placed_rows[near]) > 0.0).any():
+                    table[len(boxes)] = row[0]
                     boxes.append(cand)
-                    rects.append(cand_rect)
                     placed = True
                     break
             if not placed:
@@ -141,9 +139,9 @@ def generate_scene(spec: SceneSpec,
                 )
 
     chunks = []
-    for box in boxes:
+    for k in range(len(boxes)):
         n = int(rng.integers(POINTS_PER_OBJECT[0], POINTS_PER_OBJECT[1] + 1))
-        xyz = _sample_surface_points(box, n, rng)
+        xyz = _sample_surface_points(table[k:k + 1], n, rng)
         chunks.append(np.column_stack([xyz, rng.random(n)]))
 
     area = (grid.x_max - grid.x_min) * (grid.y_max - grid.y_min)

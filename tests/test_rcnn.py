@@ -143,17 +143,24 @@ class TestBilinear:
             np.testing.assert_allclose(analytic[~sig], 0.0, atol=1e-9)
         assert worst < 1e-4
 
-    def test_batched_probes_equal_per_entry_differences(self):
+    @pytest.mark.parametrize("spec,size,span,seed,draws", [
+        (SPEC, 6, (-4.2, 4.2), 5, 30),
+        # the bilinear-fd-grad gate's own maps: 8 x 8 cells of 0.1 m
+        (GridSpec(x_min=0.0, x_max=0.8, y_min=0.0, y_max=0.8,
+                  z_min=0.0, z_max=1.0, pillar_size=0.1), 8, (-0.1, 0.9), 3, 50),
+    ], ids=["6x6", "8x8"])
+    def test_batched_probes_equal_per_entry_differences(self, spec, size, span,
+                                                        seed, draws):
         # the bilinear-fd-grad gate takes every difference from one sampler
         # call; some points lie near or off the map's edge
-        rng = np.random.default_rng(5)
-        for _ in range(30):
-            data = rng.normal(size=(6, 6, 1))
-            p = rng.uniform(-4.2, 4.2, size=(1, 2))
+        rng = np.random.default_rng(seed)
+        for _ in range(draws):
+            data = rng.normal(size=(size, size, 1))
+            p = rng.uniform(*span, size=(1, 2))
             fd = finite_difference_grad(
-                lambda x: bilinear_sample(DenseFeatureMap(1, x), SPEC, p)[0][0, 0],
+                lambda x: bilinear_sample(DenseFeatureMap(1, x), spec, p)[0][0, 0],
                 data, h=1e-3)
-            assert bilinear_fd_grad(data, SPEC, p, h=1e-3).tobytes() == fd.tobytes()
+            assert bilinear_fd_grad(data, spec, p, h=1e-3).tobytes() == fd.tobytes()
 
 
 class TestBilinearChunks:
