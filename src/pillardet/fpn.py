@@ -68,8 +68,9 @@ class _Rows:
 
     A read ``[r0, r1)`` that reaches rows not yet computed makes one
     ``more(start, stop)`` call, ``start`` the first of them, which returns
-    rows from ``start`` to ``stop`` or beyond (whole bands, so each row is
-    computed once). Rows above ``r0`` are dropped: reads never go backwards.
+    rows from ``start`` to ``stop`` or beyond (whole bands or row pairs, so
+    each row is computed once). Rows above ``r0`` are dropped: reads never
+    go backwards.
     """
 
     def __init__(self, more, shape: tuple[int, ...], dtype):
@@ -93,14 +94,12 @@ class _Rows:
 def _upsampled_rows(data: np.ndarray, weight: np.ndarray,
                     bias: np.ndarray) -> _Rows:
     """``relu(deconv2x2(data, weight, bias))`` as :class:`_Rows`: a read
-    deconvolves the input rows it reaches, in whole bands of input rows of
-    at most ``_BAND_ROWS`` pixels."""
+    deconvolves the input rows it reaches, each input row once, as one
+    :func:`deconv2x2` call."""
     h, w, _ = data.shape
-    band = max(1, _BAND_ROWS // w)  # input rows per band
 
     def more(start, stop):
-        p1 = min(h, -(-stop // (2 * band)) * band)  # end of stop's band
-        new = deconv2x2(data[start // 2:p1], weight, bias)
+        new = deconv2x2(data[start // 2:-(-stop // 2)], weight, bias)
         return np.maximum(new, 0.0, out=new)
 
     return _Rows(more, (2 * h, 2 * w, weight.shape[3]),

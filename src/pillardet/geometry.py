@@ -184,8 +184,8 @@ def _fields(boxes: Sequence,
     return out
 
 
-def _pairwise(a: Sequence, b: Sequence, fields: tuple[str, ...], kernel):
-    """(N,) ``kernel(rows of a, rows of b)`` (see :func:`_fields`) for two
+def _pairwise(a: Sequence, b: Sequence, fields: tuple[str, ...]):
+    """(N,) ``_ious_3d(rows of a, rows of b)`` (see :func:`_fields`) for two
     equal-length sequences of boxes, in chunks of ``_CHUNK`` pairs. An
     item met in many pairs of a chunk is read once."""
     if len(a) != len(b):
@@ -198,7 +198,7 @@ def _pairwise(a: Sequence, b: Sequence, fields: tuple[str, ...], kernel):
             return_index=True, return_inverse=True)
         rows = _fields([items[i] for i in first.tolist()], fields)[where]
         half = len(items) // 2
-        out[k:k + _CHUNK] = kernel(rows[:half], rows[half:])
+        out[k:k + _CHUNK] = _ious_3d(rows[:half], rows[half:])
     return out
 
 
@@ -353,13 +353,6 @@ def _intersection_areas(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
     return out
 
 
-def polygon_area(poly: Sequence[tuple[float, float]]) -> float:
-    """Shoelace area of a simple polygon (absolute value)."""
-    xy = np.array(poly, np.float64).reshape(-1, 2)
-    closed = np.vstack([xy, xy[:1]]) if len(xy) else np.zeros((1, 2))
-    return float(_polygon_areas(closed.T[:, None, :], np.array([len(xy)]))[0])
-
-
 def _ious_3d(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
     """3D IoUs of the boxes in :func:`_fields` rows ``ra[k]`` and
     ``rb[k]``, clamped to at most 1 (away from tiny clipping noise just
@@ -424,7 +417,7 @@ def rotated_iou_bev(a: Sequence[RotatedRect2D],
     Each rect is read as a unit-height slab at z = 0 and clipped by
     :func:`iou_3d`'s kernel: the vertical overlap is exactly 1, so each
     IoU is the BEV one."""
-    return _pairwise(a, b, _RECT_FIELDS, _ious_3d)
+    return _pairwise(a, b, _RECT_FIELDS)
 
 
 def iou_3d(a: Sequence[Box3D], b: Sequence[Box3D]) -> np.ndarray:
@@ -434,7 +427,7 @@ def iou_3d(a: Sequence[Box3D], b: Sequence[Box3D]) -> np.ndarray:
     The whole batch is clipped by one vectorised kernel, so callers gather
     their pairs into one call; one pair is a batch of one.
     """
-    return _pairwise(a, b, _BOX_FIELDS, _ious_3d)
+    return _pairwise(a, b, _BOX_FIELDS)
 
 
 def _near(ra: np.ndarray, rb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -461,16 +454,6 @@ def _near(ra: np.ndarray, rb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dy *= dy
     dx += dy
     return np.nonzero(dx <= reach)
-
-
-def near_pairs(boxes_a: Sequence[Box3D],
-               boxes_b: Sequence[Box3D]) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (i, j), in row-major order, of the pairs of
-    ``boxes_a[i]`` and ``boxes_b[j]`` whose BEV circumcircles touch or
-    overlap: the pairs :func:`iou_3d_tables` may clip (see :func:`_near`);
-    given ``at_least``, it clips only those its screen keeps."""
-    ra = _fields(boxes_a)
-    return _near(ra, ra if boxes_b is boxes_a else _fields(boxes_b))
 
 
 def iou_3d_tables(groups: Sequence[tuple[Sequence[Box3D], ...]],

@@ -452,35 +452,25 @@ def dense_conv2d(data, weight: np.ndarray, bias: np.ndarray,
     return out
 
 
-def _deconv_kernel(weight: np.ndarray, c_in: int) -> np.ndarray:
-    """A 2x2 deconv kernel laid out for one GEMM: (c_in, 4 * c_out).
-
-    Column block ``2 * dy + dx`` holds ``weight[dy, dx]``, so a pixel's
-    product row lists its four output cells in (dy, dx) order.
-    """
-    if weight.shape[:3] != (2, 2, c_in):
-        raise ValueError(f"deconv kernel shape {weight.shape} incompatible with input")
-    return weight.transpose(2, 0, 1, 3).reshape(c_in, 4 * weight.shape[3])
-
-
 def deconv2x2(data: np.ndarray, weight: np.ndarray,
               bias: np.ndarray) -> np.ndarray:
     """Stride-2 transposed convolution with a 2x2 kernel: exact 2x upsample.
 
-    Each band of input rows is one :func:`gemm_rows` product, interleaved
-    into the output as it is written; no full-size temporary is made.
+    All input pixels are one :func:`gemm_rows` product against the kernel
+    laid out as (c_in, 4 * c_out), column block ``2 * dy + dx`` holding
+    ``weight[dy, dx]``, interleaved into the output. The pipeline passes
+    it a chunk's rows of a map, or the parents :func:`deconv2x2_at` asks for.
     """
     h, w_in, c_in = data.shape
-    kernel = _deconv_kernel(weight, c_in)
+    if weight.shape[:3] != (2, 2, c_in):
+        raise ValueError(f"deconv kernel shape {weight.shape} incompatible with input")
     c_out = weight.shape[3]
-    out = np.empty((h, 2, w_in, 2, c_out), np.result_type(data, weight, bias))
-    band = max(1, _BAND_ROWS // w_in)
-    for y0 in range(0, h, band):
-        y1 = min(h, y0 + band)
-        y = gemm_rows(data[y0:y1].reshape(-1, c_in), kernel, np.tile(bias, 4))
-        # (y, x, dy, dx) -> (y, dy, x, dx), i.e. output pixel (2y + dy, 2x + dx)
-        out[y0:y1] = y.reshape(y1 - y0, w_in, 2, 2, c_out).transpose(0, 2, 1, 3, 4)
-    return out.reshape(2 * h, 2 * w_in, c_out)
+    y = gemm_rows(data.reshape(-1, c_in),
+                  weight.transpose(2, 0, 1, 3).reshape(c_in, 4 * c_out),
+                  np.tile(bias, 4))
+    # (y, x, dy, dx) -> (y, dy, x, dx), i.e. output pixel (2y + dy, 2x + dx)
+    return y.reshape(h, w_in, 2, 2, c_out).transpose(0, 2, 1, 3, 4).reshape(
+        2 * h, 2 * w_in, c_out)
 
 
 def deconv2x2_at(data: np.ndarray, weight: np.ndarray, bias: np.ndarray,
@@ -488,13 +478,14 @@ def deconv2x2_at(data: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     """Rows ``deconv2x2(data, weight, bias)[iy, ix]``, as (K, c_out).
 
     Only the input pixels under the requested output cells are
-    deconvolved, one GEMM row per distinct parent pixel.
+    deconvolved: :func:`deconv2x2` of the distinct parent pixels laid out
+    as a one-pixel-wide column, whose output row pair ``2k, 2k + 1``
+    holds parent k's four children.
     """
     w_in, c_in = data.shape[1], data.shape[2]
-    kernel = _deconv_kernel(weight, c_in)
     parents, slot = np.unique((iy // 2) * w_in + ix // 2, return_inverse=True)
-    y = gemm_rows(data.reshape(-1, c_in), kernel, np.tile(bias, 4), parents[:, None])
-    return y.reshape(len(parents), 4, len(bias))[slot.reshape(-1), 2 * (iy % 2) + ix % 2]
+    column = deconv2x2(data.reshape(-1, c_in)[parents, None], weight, bias)
+    return column[2 * slot.reshape(-1) + iy % 2, ix % 2]
 
 
 @dataclass(frozen=True)

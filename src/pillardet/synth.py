@@ -69,19 +69,14 @@ def _sample_surface_points(row: np.ndarray, n: int,
     face = rng.choice(6, size=n, p=areas / areas.sum())
     u = rng.uniform(-0.5, 0.5, n)
     v = rng.uniform(-0.5, 0.5, n)
+    # per point: its face's axis (+-x, +-y, top/bottom), then u's and v's
+    axes = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1]])[face // 2].T
     local = np.empty((n, 3))
-    for f in range(6):
-        m = face == f
-        if f < 2:    # +-x faces
-            local[m] = np.column_stack([np.full(m.sum(), (0.5 if f == 0 else -0.5) * l),
-                                        u[m] * w, v[m] * h])
-        elif f < 4:  # +-y faces
-            local[m] = np.column_stack([u[m] * l,
-                                        np.full(m.sum(), (0.5 if f == 2 else -0.5) * w),
-                                        v[m] * h])
-        else:        # top/bottom
-            local[m] = np.column_stack([u[m] * l, v[m] * w,
-                                        np.full(m.sum(), (0.5 if f == 4 else -0.5) * h)])
+    rows = np.arange(n)
+    local[rows, axes[0]] = 0.5 - face % 2  # +0.5 on even faces, -0.5 on odd
+    local[rows, axes[1]] = u
+    local[rows, axes[2]] = v
+    local *= (l, w, h)
     x, y = _to_world(row[:, :, None], local[None, :, 0], local[None, :, 1])
     return np.column_stack([x[0], y[0], row[0, 7] + local[:, 2]])
 

@@ -60,7 +60,7 @@ def half_cell_shifted(roi_grids):
 def iou_bounds(a, b):
     """The upper bounds on ``iou_3d(a, b)`` that the IoU screen of
     ``geometry.iou_3d_tables`` reads, pair k being (a[k], b[k])."""
-    return geometry._pairwise(a, b, geometry._BOX_FIELDS, geometry._iou_bounds)
+    return geometry._iou_bounds(geometry._fields(a), geometry._fields(b))
 
 
 def halve_iou_bound(monkeypatch):

@@ -6,12 +6,19 @@ import pytest
 
 from conftest import iou_bounds
 from pillardet import geometry
-from pillardet.geometry import (Box3D, RotatedRect2D, heading_delta, iou_3d,
-                                iou_3d_matrix, iou_3d_tables, near_pairs,
-                                points_in_rect, polygon_area, project_to_bev,
-                                rotated_iou_bev)
+from pillardet.geometry import (Box3D, RotatedRect2D, _fields, _near,
+                                _polygon_areas, heading_delta, iou_3d,
+                                iou_3d_matrix, iou_3d_tables, points_in_rect,
+                                project_to_bev, rotated_iou_bev)
 from pillardet.oracles import footprint_margin, mc_rotated_iou
 from pillardet.verify import clustered_detections, random_box, random_rect
+
+
+def polygon_area(poly):
+    """``_polygon_areas`` of one polygon given as (x, y) vertices."""
+    xy = np.array(poly, np.float64).reshape(-1, 2)
+    closed = np.vstack([xy, xy[:1]]) if len(xy) else np.zeros((1, 2))
+    return float(_polygon_areas(closed.T[:, None, :], np.array([len(xy)]))[0])
 
 
 class TestBox3D:
@@ -337,7 +344,7 @@ class TestIouTables:
         groups = self.groups(rng)
         tables = iou_3d_tables(groups, clip=counting)
         assert len(batches) == 1
-        near = [near_pairs(g[0], g[-1]) for g in groups]
+        near = [_near(_fields(g[0]), _fields(g[-1])) for g in groups]
         assert batches[0] == sum(len(i) if len(g) == 2 else int((i < j).sum())
                                  for g, (i, j) in zip(groups, near))
         assert len(tables) == len(groups)

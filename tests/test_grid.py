@@ -413,16 +413,23 @@ class TestDenseOps:
         np.testing.assert_allclose(deconv, deconv2x2(x, w, b), rtol=1e-6,
                                    atol=1e-6)
 
-    def test_deconv_at_cells_equals_full_map_rows(self):
+    @pytest.mark.parametrize("h, w_in, c_in, c_out, dtype", [
+        (4, 6, 5, 3, np.float64),
+        # 1200 input pixels: the whole map is three GEMMs, while the
+        # cells' parents are one column of at most 300 rows
+        (30, 40, 128, 128, np.float32)])
+    def test_deconv_at_cells_equals_full_map_rows(self, h, w_in, c_in, c_out,
+                                                  dtype):
         rng = np.random.default_rng(11)
-        x = rng.normal(size=(4, 6, 5))
-        w, b = rng.normal(size=(2, 2, 5, 3)), rng.normal(size=3)
-        iy = rng.integers(0, 8, 30)
-        ix = rng.integers(0, 12, 30)
+        x = rng.normal(size=(h, w_in, c_in)).astype(dtype)
+        w = rng.normal(size=(2, 2, c_in, c_out)).astype(dtype)
+        b = rng.normal(size=c_out).astype(dtype)
+        iy = rng.integers(0, 2 * h, 300)
+        ix = rng.integers(0, 2 * w_in, 300)
         np.testing.assert_array_equal(grid.deconv2x2_at(x, w, b, iy, ix),
                                       deconv2x2(x, w, b)[iy, ix])
         none = np.zeros(0, dtype=np.int64)
-        assert grid.deconv2x2_at(x, w, b, none, none).shape == (0, 3)
+        assert grid.deconv2x2_at(x, w, b, none, none).shape == (0, c_out)
 
 
 def conv_at_case(name, stride, rng):

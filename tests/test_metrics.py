@@ -6,8 +6,8 @@ import pytest
 
 from conftest import halve_iou_bound, iou_bounds
 from pillardet import geometry, metrics, rpn
-from pillardet.geometry import (Box3D, heading_delta, iou_3d, iou_3d_matrix,
-                                near_pairs)
+from pillardet.geometry import (Box3D, _fields, _near, heading_delta, iou_3d,
+                                iou_3d_matrix)
 from pillardet.metrics import (ClassMetrics, MatchResult, evaluate_levels,
                                match_detections, split_difficulty)
 from pillardet.rpn import Detection, nms_3d, rectify_detections
@@ -417,8 +417,8 @@ class TestEvalScreen:
                 det_scene.update((id(d.box), id(dets)) for d in dets)
                 gt_scene.update((id(g), id(dets)) for g in gt)
                 for c in THRESHOLDS:
-                    i, _ = near_pairs([d.box for d in dets if d.class_id == c],
-                                      [g for g in gt if g.class_id == c])
+                    i, _ = _near(_fields([d.box for d in dets if d.class_id == c]),
+                                 _fields([g for g in gt if g.class_id == c]))
                     near += len(i)
         a, b = [p[0] for p in clipped], [p[1] for p in clipped]
         assert [det_scene[id(x)] for x in a] == [gt_scene[id(y)] for y in b]

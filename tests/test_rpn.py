@@ -7,7 +7,7 @@ import pytest
 from conftest import iou_bounds
 from pillardet import geometry, grid, rpn
 from pillardet.config import weight_layout
-from pillardet.geometry import Box3D, iou_3d, near_pairs
+from pillardet.geometry import Box3D, _fields, _near, iou_3d
 from pillardet.grid import DenseFeatureMap, GridSpec, dense_conv2d
 from pillardet.oracles import exhaustive_nms
 from pillardet.rpn import (Detection, HeadOutput, decode_proposals,
@@ -370,7 +370,7 @@ class TestNmsScreen:
             nms_3d(dets, self.THRESHOLDS)
             for c in self.THRESHOLDS:
                 boxes = [d.box for d in dets if d.class_id == c]
-                i, j = near_pairs(boxes, boxes)
+                i, j = _near(_fields(boxes), _fields(boxes))
                 near += int(np.count_nonzero(i < j))
         a, b = [p[0] for p in clipped], [p[1] for p in clipped]
         thr = np.array([self.THRESHOLDS[x.class_id] for x in a])
