@@ -18,15 +18,19 @@ against the per-pixel oracle on the concatenated input by ``verify``.
 The pyramid levels are read everywhere by the center heads, so they are
 built whole, by :meth:`LateralMap.dense`; their upsampled halves are not.
 Both halves are read through one forward-only window, :class:`_Rows`,
-which computes rows as reads reach them and drops the rows above each
-read. The dense conv reads its input by row ranges, one chunk at a time,
-from the deconvolution of just the semantic rows that chunk reaches, so
-the 2x map exists only a chunk at a time (about 5 MB of the 72 MB P3 one
-on a full-range scene). The conv writes its output one band of rows at a
-time into a sink (:class:`_BlendSink`) that finishes the band: each
-volume's conv at the band's reached cells, computed a few bands at a time
-in row order, then bias and ReLU. No map-sized temporary is made beside
-the map.
+which computes rows into one buffer as reads reach them, after the held
+rows a read still needs. The dense conv reads its input by row ranges,
+one chunk at a time, and :func:`~pillardet.grid.deconv2x2` writes just
+the semantic rows that chunk reaches, interleaved, into that buffer, so
+the 2x map exists once and only a chunk at a time (4.4 MB of the 72 MB
+P3 one on a full-range scene). The conv writes its output one band of
+rows at a time into a sink (:class:`_BlendSink`) that finishes the band:
+each volume's conv at the band's reached cells, computed a few bands at
+a time in row order, then bias and ReLU. No map-sized temporary is made
+beside the map. Building P3 thus holds 16 MB beside P3 and P4
+(tracemalloc, full-range scene): the window's chunk, the conv's padded
+planes of it (4.4 MB each), the conv's band accumulators, the bottom-up
+conv rows and one :func:`~pillardet.grid.conv3x3_at` call's gather.
 The pooling map is only read under the RoI grids (a few percent of its
 cells on a full-range scene), so it is never built: :meth:`LateralMap.at`
 evaluates the same recipe at the cells asked for. Its up half is one
@@ -66,44 +70,61 @@ def _downsample_chain(volume: SparsePillarVolume, target_stride: int,
 class _Rows:
     """Rows of a ``shape`` array computed as they are read, forwards only.
 
-    A read ``[r0, r1)`` that reaches rows not yet computed makes one
-    ``more(start, stop)`` call, ``start`` the first of them, which returns
-    rows from ``start`` to ``stop`` or beyond (whole bands or row pairs, so
-    each row is computed once). Rows above ``r0`` are dropped: reads never
-    go backwards.
+    A read ``[r0, r1)`` that reaches rows not yet computed has them written
+    by one ``fill(start, stop, out)`` call into the rows ``out`` of one
+    buffer, after the rows it still holds: ``start`` is the first row not
+    yet computed, and ``stop`` is at least ``least`` rows on, rounded up to
+    a whole number of ``multiple`` rows (row pairs or bands, so each row is
+    computed once) and clipped to the array. Rows above ``r0`` are dropped:
+    reads never go backwards, and a read's rows are a view of the buffer,
+    valid until the next read.
     """
 
-    def __init__(self, more, shape: tuple[int, ...], dtype):
-        self.shape, self.dtype, self._more = shape, np.dtype(dtype), more
-        self._held = np.empty((0,) + shape[1:], self.dtype)
-        self._first = 0  # the row held[0] is
+    def __init__(self, fill, shape: tuple[int, ...], dtype, least: int = 1,
+                 multiple: int = 1):
+        self.shape, self.dtype, self._fill = shape, np.dtype(dtype), fill
+        self._least, self._multiple = least, multiple
+        self._buf = np.empty((0,) + shape[1:], self.dtype)
+        self._base = self._end = 0  # rows [base, end) are buf[:end - base]
+        self._first = 0  # the first row of the last read
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         r0, r1, _ = rows.indices(self.shape[0])
         if r0 < self._first:
             raise ValueError(f"row {r0} was dropped; rows are read in order")
-        end = self._first + len(self._held)
-        held = self._held[r0 - self._first:]
-        if r1 > end:
-            new = self._more(end, r1)
-            held = np.concatenate([held, new[max(0, r0 - end):]])
-        self._held, self._first = held, r0
-        return held[:r1 - r0]
+        start = self._end
+        if r1 > start:
+            n = -(-max(r1 - start, self._least) // self._multiple) * self._multiple
+            stop = min(self.shape[0], start + n)
+            # the held rows from r0 on move to the front; rows a read skips
+            # are computed too
+            keep = max(0, start - r0)
+            held = self._buf[start - keep - self._base:start - self._base]
+            if len(self._buf) < keep + stop - start:
+                # a larger buffer: the old one goes before it is made
+                held, self._buf = held.copy(), None
+                self._buf = np.empty((keep + stop - start,) + self.shape[1:],
+                                     self.dtype)
+            self._buf[:keep] = held
+            self._fill(start, stop, self._buf[keep:keep + stop - start])
+            self._base, self._end = start - keep, stop
+        self._first = r0
+        return self._buf[r0 - self._base:r1 - self._base]
 
 
 def _upsampled_rows(data: np.ndarray, weight: np.ndarray,
                     bias: np.ndarray) -> _Rows:
     """``relu(deconv2x2(data, weight, bias))`` as :class:`_Rows`: a read
     deconvolves the input rows it reaches, each input row once, as one
-    :func:`deconv2x2` call."""
+    :func:`deconv2x2` call into the window's buffer."""
     h, w, _ = data.shape
 
-    def more(start, stop):
-        new = deconv2x2(data[start // 2:-(-stop // 2)], weight, bias)
-        return np.maximum(new, 0.0, out=new)
+    def fill(start, stop, out):
+        deconv2x2(data[start // 2:stop // 2], weight, bias, out=out)
+        np.maximum(out, 0.0, out=out)
 
-    return _Rows(more, (2 * h, 2 * w, weight.shape[3]),
-                 np.result_type(data, weight, bias))
+    return _Rows(fill, (2 * h, 2 * w, weight.shape[3]),
+                 np.result_type(data, weight, bias), multiple=2)
 
 
 # least bottom-up cells of one conv3x3_at call of a band sink
@@ -118,12 +139,12 @@ def _reached_rows(v: SparsePillarVolume, weight: np.ndarray):
     reached = reached_cells(v)
     cells = reached[np.lexsort((reached // v.ny, reached % v.ny))]
 
-    def more(start, stop):
-        n = -(-max(stop - start, _BLEND_CELLS) // _BAND_ROWS) * _BAND_ROWS
-        return conv3x3_at(v, weight, cells[start:start + n])
+    def fill(start, stop, out):
+        conv3x3_at(v, weight, cells[start:stop], out=out)
 
     return cells % v.ny, cells // v.ny, _Rows(
-        more, (len(cells), weight.shape[3]), np.result_type(v.features, weight))
+        fill, (len(cells), weight.shape[3]), np.result_type(v.features, weight),
+        least=_BLEND_CELLS, multiple=_BAND_ROWS)
 
 
 class _BlendSink:
@@ -320,16 +341,20 @@ def lateral(semantic: DenseFeatureMap, bottom_up: tuple[SparsePillarVolume, ...]
 
 
 def build_pyramid(backbone: BackboneFeatures, weights: WeightStore,
-                  strides=(4, 8)) -> dict[int, DenseFeatureMap]:
+                  strides=(4, 8, 16)) -> dict[int, DenseFeatureMap]:
     """Proposal-stage levels by stride: C5+C4 -> P4, then P4+C3 -> P3.
 
-    Only the levels at ``strides`` are returned, and only those and the
+    ``strides`` are those of the maps read after the pyramid. Only the
+    levels at 4 and 8 among them are returned, and only those and the
     levels they are built from are built: P3 needs P4, P4 needs none.
-    Strides other than 4 and 8 name no level (stride 16 is C5).
+    Stride 16 is C5: unless it is among them, ``backbone.c5`` is released
+    (set to None) once P4 is built, so C5 dies before P3 is built.
     """
     pyramid = {}
     if 4 in strides or 8 in strides:
         pyramid[8] = lateral(backbone.c5, (backbone.c4,), weights, "neck.p4").dense()
+    if 16 not in strides:
+        backbone.c5 = None
     if 4 in strides:
         pyramid[4] = lateral(pyramid[8], (backbone.c3,), weights, "neck.p3").dense()
     return {s: pyramid[s] for s in (4, 8) if s in strides}
@@ -358,7 +383,7 @@ def build_pooling_map(backbone: BackboneFeatures,
 
     semantic_stride = pool_stride * 2
     semantic = pyramid.get(semantic_stride, backbone.c5)
-    if semantic.stride != semantic_stride:
+    if semantic is None or semantic.stride != semantic_stride:
         raise ValueError(
             f"no semantic map at stride {semantic_stride} for pooling "
             f"stride {pool_stride}"

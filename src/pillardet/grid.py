@@ -267,26 +267,38 @@ _CHUNK_BYTES = 4 << 20
 
 
 def gemm_rows(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None,
-              index: np.ndarray | None = None) -> np.ndarray:
+              index: np.ndarray | None = None, out=None):
     """``x @ weight + bias`` as GEMMs of exactly ``_BAND_ROWS`` rows, the last
     zero-padded: BLAS may round a row by its call's row count, so an output
     row depends on its own input row alone. With ``index``, an (M, J) table
-    of rows of ``x``, input row m is ``x[index[m]]`` side by side."""
+    of rows of ``x``, input row m is ``x[index[m]]`` side by side.
+
+    Each GEMM's rows, bias added, are written as ``out[i:j] = rows``, into
+    ``out`` when given (an (M, N) array, or any object that takes such
+    assignments, as :func:`deconv2x2`'s interleaving does), else into a new
+    array; the result is ``out``.
+    """
     m = len(x) if index is None else len(index)
-    out = np.empty((-(-m // _BAND_ROWS) * _BAND_ROWS, weight.shape[1]),
-                   np.result_type(x, weight, *(() if bias is None else (bias,))))
+    if out is None:
+        out = np.empty((m, weight.shape[1]), np.result_type(
+            x, weight, *(() if bias is None else (bias,))))
     band = np.empty((_BAND_ROWS, weight.shape[0]), x.dtype)
+    y = np.empty((_BAND_ROWS, weight.shape[1]), out.dtype)
     for i in range(0, m, _BAND_ROWS):
         n = min(_BAND_ROWS, m - i)
-        rows = np.arange(i, i + n) if index is None else index[i:i + n]
-        # mode="clip" writes into the band; "raise" buffers its output
-        np.take(x, rows, axis=0, mode="clip",
-                out=band[:n].reshape(rows.shape + x.shape[1:]))
+        if index is None:
+            band[:n] = x[i:i + n]
+        else:
+            rows = index[i:i + n]
+            # mode="clip" writes into the band; "raise" buffers its output
+            np.take(x, rows, axis=0, mode="clip",
+                    out=band[:n].reshape(rows.shape + x.shape[1:]))
         band[n:] = 0
-        np.matmul(band, weight, out=out[i:i + _BAND_ROWS])
-    if bias is not None:
-        out += bias
-    return out[:m]
+        np.matmul(band, weight, out=y)
+        if bias is not None:
+            y += bias
+        out[i:i + n] = y[:n]
+    return out
 
 
 def reached_cells(v: SparsePillarVolume, stride: int = 1) -> np.ndarray:
@@ -307,7 +319,7 @@ def reached_cells(v: SparsePillarVolume, stride: int = 1) -> np.ndarray:
 
 
 def conv3x3_at(v: SparsePillarVolume, weight: np.ndarray, cells: np.ndarray,
-               stride: int = 1) -> np.ndarray:
+               stride: int = 1, out: np.ndarray | None = None) -> np.ndarray:
     """The bias-free 3x3 conv (zero padding 1) of ``densify(v)`` at ``cells``.
 
     ``cells`` are flat output cells ``ox * ny_out + oy`` of the grid at
@@ -315,7 +327,8 @@ def conv3x3_at(v: SparsePillarVolume, weight: np.ndarray, cells: np.ndarray,
     rows, in the dtype the features and kernel promote to. A neighbour
     table lists, per output cell, the feature row under each of the nine
     kernel offsets, a zero row where no site is active, for one
-    :func:`gemm_rows` product against the (9 * C, c_out) kernel.
+    :func:`gemm_rows` product against the (9 * C, c_out) kernel, into
+    ``out`` when given.
     """
     if weight.shape[:3] != (3, 3, v.channels):
         raise ValueError(
@@ -333,7 +346,7 @@ def conv3x3_at(v: SparsePillarVolume, weight: np.ndarray, cells: np.ndarray,
     table = index[x0[:, None, None] + k, y0[:, None, None] + k[:, None]]
     rows = np.concatenate([v.features, np.zeros((1, v.channels), v.features.dtype)])
     return gemm_rows(rows, weight.reshape(9 * v.channels, weight.shape[3]),
-                     index=table.reshape(len(cells), 9))
+                     index=table.reshape(len(cells), 9), out=out)
 
 
 def sparse_conv2d(v: SparsePillarVolume, weight: np.ndarray, bias: np.ndarray,
@@ -434,6 +447,8 @@ def dense_conv2d(data, weight: np.ndarray, bias: np.ndarray,
                 plane = planes[py, px]
                 plane[lo - c0:hi - c0, ix:ix + src.shape[1]] = src
                 plane[hi - c0:] = 0
+        # a row source may reuse the block's memory for its next read
+        del block, src
         for y0 in range(c0, c1, band):
             y1 = min(c1, y0 + band)
             n = (y1 - y0) * width
@@ -452,25 +467,46 @@ def dense_conv2d(data, weight: np.ndarray, bias: np.ndarray,
     return out
 
 
-def deconv2x2(data: np.ndarray, weight: np.ndarray,
-              bias: np.ndarray) -> np.ndarray:
+def deconv2x2(data: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Stride-2 transposed convolution with a 2x2 kernel: exact 2x upsample.
 
     All input pixels are one :func:`gemm_rows` product against the kernel
     laid out as (c_in, 4 * c_out), column block ``2 * dy + dx`` holding
-    ``weight[dy, dx]``, interleaved into the output. The pipeline passes
-    it a chunk's rows of a map, or the parents :func:`deconv2x2_at` asks for.
+    ``weight[dy, dx]``. Each GEMM's rows go straight to their output
+    pixels (``2y + dy``, ``2x + dx``), into ``out`` when given (a
+    C-contiguous (2h, 2w, c_out) array), else into a new array; the result
+    is ``out``. The pipeline passes it a chunk's rows of a map, or the
+    parents :func:`deconv2x2_at` asks for.
     """
     h, w_in, c_in = data.shape
     if weight.shape[:3] != (2, 2, c_in):
         raise ValueError(f"deconv kernel shape {weight.shape} incompatible with input")
     c_out = weight.shape[3]
-    y = gemm_rows(data.reshape(-1, c_in),
-                  weight.transpose(2, 0, 1, 3).reshape(c_in, 4 * c_out),
-                  np.tile(bias, 4))
-    # (y, x, dy, dx) -> (y, dy, x, dx), i.e. output pixel (2y + dy, 2x + dx)
-    return y.reshape(h, w_in, 2, 2, c_out).transpose(0, 2, 1, 3, 4).reshape(
-        2 * h, 2 * w_in, c_out)
+    shape = (2 * h, 2 * w_in, c_out)
+    if out is None:
+        out = np.empty(shape, np.result_type(data, weight, bias))
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"output must be a C-contiguous {shape} array")
+    # input pixel (y, x)'s row block 2 * dy + dx is output pixel
+    # (2y + dy, 2x + dx): (y, dy, x, (dx, c)) viewed as (y, x, dy, (dx, c))
+    children = out.reshape(h, 2, w_in, 2 * c_out).transpose(0, 2, 1, 3)
+    gemm_rows(data.reshape(-1, c_in),
+              weight.transpose(2, 0, 1, 3).reshape(c_in, 4 * c_out),
+              np.tile(bias, 4), out=_PixelRows(children))
+    return out
+
+
+class _PixelRows:
+    """An (h, w, ...) array written by ranges of its flat pixels: ``rows[i:j]
+    = values`` puts ``values[k]`` at pixel ``divmod(i + k, w)``."""
+
+    def __init__(self, pixels: np.ndarray):
+        self._pixels, self.dtype = pixels, pixels.dtype
+
+    def __setitem__(self, rows: slice, values: np.ndarray) -> None:
+        y, x = np.divmod(np.arange(rows.start, rows.stop), self._pixels.shape[1])
+        self._pixels[y, x] = values.reshape((len(y),) + self._pixels.shape[2:])
 
 
 def deconv2x2_at(data: np.ndarray, weight: np.ndarray, bias: np.ndarray,
@@ -488,15 +524,19 @@ def deconv2x2_at(data: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     return column[2 * slot.reshape(-1) + iy % 2, ix % 2]
 
 
-@dataclass(frozen=True)
+@dataclass
 class BackboneFeatures:
-    """Backbone hierarchy: sparse C1-C4 plus the dense C5 map."""
+    """Backbone hierarchy: sparse C1-C4 plus the dense C5 map.
+
+    ``c5`` is None once :func:`~pillardet.fpn.build_pyramid` has released
+    it, when no later stage reads it.
+    """
 
     c1: SparsePillarVolume
     c2: SparsePillarVolume
     c3: SparsePillarVolume
     c4: SparsePillarVolume
-    c5: DenseFeatureMap
+    c5: DenseFeatureMap | None
 
     def volume_at(self, stride: int) -> SparsePillarVolume:
         for v in (self.c1, self.c2, self.c3, self.c4):

@@ -5,7 +5,9 @@ map -> proposal decoding -> IoU-aware rescoring -> NMS -> RoI refinement.
 The pooling map is lazy, so building it right after the heads costs only
 its bottom-up branches and lets the pyramid go before decoding. Only the
 pyramid levels the heads or the pooling map read are built (no P3 when
-every class is detected at stride 8 and the pooling map deconvolves P4).
+every class is detected at stride 8 and the pooling map deconvolves P4),
+and C5 dies once P4 is built unless the pooling map deconvolves it (pool
+stride 8).
 Every produced map's dims are asserted against the grid arithmetic
 (dims = cells / stride) so a wiring mistake fails loudly instead of
 producing plausible nonsense. Maps are computed in the weights' dtype;
@@ -16,7 +18,7 @@ the head maps and R-CNN outputs are checked to be finite instead.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,8 +88,11 @@ class DetectionPipeline:
         shapes["C3"] = (backbone.c3.ny, backbone.c3.nx)
         shapes["C4"] = (backbone.c4.ny, backbone.c4.nx)
         shapes["C5"] = (backbone.c5.height, backbone.c5.width)
-        # the levels the heads and the pooling map read
+        # the maps the heads and the pooling map read: the pyramid releases
+        # C5 from this run's copy of the backbone unless the pooling map
+        # deconvolves it (pool stride 8); backbone_forward's result stays whole
         read = set(cfg.level_classes) | {2 * cfg.pool_stride}
+        backbone = replace(backbone)
         pyramid = clock("pyramid", lambda: build_pyramid(
             backbone, self.weights, read))
         # P3 at stride 4, as C3; no loop variable keeps a level alive

@@ -346,9 +346,8 @@ def refine(proposals: list[Detection], m: FeatureSource, spec: GridSpec,
         raise ValueError("refine: the R-CNN logits or residuals hold "
                          "non-finite values")
     out = []
-    for d, logit, r in zip(proposals, logits, residuals):
+    for d, score, r in zip(proposals, _sigmoid(logits).tolist(), residuals):
         refined = decode_residuals(d.box, r)
-        score = float(_sigmoid(logit))
         out.append(Detection(refined, d.class_id, score,
                              iou_score=d.iou_score, rectified_score=score))
     return out

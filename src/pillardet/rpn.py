@@ -222,7 +222,13 @@ def rpn_forward(pyramid: dict[int, DenseFeatureMap], weights: WeightStore,
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    """``0.5 * (1 + tanh(0.5 * x))`` as one new array: the first product
+    makes it, contiguous, and the rest run in place on it."""
+    out = np.multiply(x, 0.5)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def _local_peaks(hm: np.ndarray) -> np.ndarray:
@@ -265,7 +271,8 @@ def decode_proposals(heads: dict[int, HeadOutput], spec: GridSpec,
                 continue
             scores = hm[iy, ix]
             order = np.lexsort((ix, iy, -scores))[:top_k[class_id]]
-            for idx in order:
+            w_ious = _sigmoid(head.iou[iy[order], ix[order], 0]).tolist()
+            for idx, w_iou in zip(order, w_ious):
                 r, c = int(iy[idx]), int(ix[idx])
                 reg = head.reg[r, c].tolist()
                 cx = spec.x_min + (c + reg[0]) * cell
@@ -274,7 +281,6 @@ def decode_proposals(heads: dict[int, HeadOutput], spec: GridSpec,
                             exp_extent(reg[3]), exp_extent(reg[4]),
                             exp_extent(reg[5]),
                             math.atan2(reg[6], reg[7]), class_id=class_id)
-                w_iou = float(_sigmoid(head.iou[r, c, 0]))
                 dets.append(Detection(box, class_id, float(scores[idx]), w_iou))
     return dets
 

@@ -133,9 +133,9 @@ class TestLateralMerge:
                             4 * width * c_up * np.dtype(dtype).itemsize)
         deconvolved = []
 
-        def logged_deconv(data, w, b):
+        def logged_deconv(data, w, b, out=None):
             deconvolved.append(len(data))
-            return deconv2x2(data, w, b)
+            return deconv2x2(data, w, b, out=out)
 
         monkeypatch.setattr(fpn, "deconv2x2", logged_deconv)
         lateral_map = LateralMap(semantic, (vol,), deconv_w, deconv_b, conv_w,
@@ -175,9 +175,9 @@ class TestLateralMerge:
         monkeypatch.setattr(fpn, "_BAND_ROWS", 8)
         calls = []
 
-        def logged_conv(v, w, cells):
+        def logged_conv(v, w, cells, out=None):
             calls.append((v, cells))
-            return conv3x3_at(v, w, cells)
+            return conv3x3_at(v, w, cells, out=out)
 
         monkeypatch.setattr(fpn, "conv3x3_at", logged_conv)
         banded = lateral_map.dense().data
@@ -221,9 +221,9 @@ class TestLateralMerge:
         whole = relu(deconv2x2(*args))
         deconvolved = []
 
-        def logged_deconv(rows, w, b):
+        def logged_deconv(rows, w, b, out=None):
             deconvolved.append(rows[:, 0, 0].tolist())
-            return deconv2x2(rows, w, b)
+            return deconv2x2(rows, w, b, out=out)
 
         monkeypatch.setattr(fpn, "deconv2x2", logged_deconv)
         up = _upsampled_rows(*args)
@@ -237,14 +237,15 @@ class TestLateralMerge:
         whole = np.arange(40.0).reshape(20, 2)
         calls = []
 
-        def more(start, stop):
+        def fill(start, stop, out):
             calls.append((start, stop))
-            return whole[start:stop + 2]  # past stop, as whole bands run
+            out[...] = whole[start:stop]
 
-        rows = _Rows(more, whole.shape, whole.dtype)
-        for r0, r1 in ((0, 3), (9, 12), (11, 15), (15, 15), (16, 20)):
+        # whole bands of 5 rows, at least 2 per call
+        rows = _Rows(fill, whole.shape, whole.dtype, least=2, multiple=5)
+        for r0, r1 in ((0, 3), (9, 12), (11, 15), (15, 15), (16, 17), (19, 20)):
             np.testing.assert_array_equal(rows[r0:r1], whole[r0:r1])
-        assert calls == [(0, 3), (5, 12), (14, 15), (17, 20)]
+        assert calls == [(0, 5), (5, 15), (15, 20)]
 
     def test_band_sink_reads_each_volume_forwards_only(self):
         # a band written above one already written would re-read bottom-up

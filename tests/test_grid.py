@@ -397,6 +397,23 @@ class TestDenseOps:
         np.testing.assert_allclose(deconv2x2(x, w, b), deconv_reference(x, w, b),
                                    atol=1e-12)
 
+    def test_deconv_writes_into_the_buffer_it_is_given(self):
+        # 1400 input pixels: three GEMMs, whose bands end mid-row
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((20, 70, 6), dtype=np.float32)
+        w = rng.standard_normal((2, 2, 6, 5), dtype=np.float32)
+        b = rng.standard_normal(5, dtype=np.float32)
+        buf = np.full((41, 140, 5), np.nan, np.float32)
+        out = deconv2x2(x, w, b, out=buf[1:])
+        assert out.base is buf and np.isnan(buf[0]).all()
+        assert out.tobytes() == deconv2x2(x, w, b).tobytes()
+        np.testing.assert_allclose(out, deconv_reference(x, w, b), rtol=1e-5,
+                                   atol=1e-5)
+        for wrong in (buf[1:, :, :4], buf[1:, :, ::-1],
+                      np.asfortranarray(buf[1:])):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                deconv2x2(x, w, b, out=wrong)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_per_pixel_references_compute_in_their_inputs_dtype(self, dtype):
         rng = np.random.default_rng(12)
@@ -505,6 +522,23 @@ class TestGemmRows:
         rows = x[index].reshape(n, 64) if indexed else x
         tol = 1e-4 if dtype == np.float32 else 1e-12
         np.testing.assert_allclose(out, rows @ w + b, rtol=tol, atol=tol)
+
+    def test_writes_each_gemm_into_a_given_sink_in_order(self):
+        x, w, b, index = gemm_case(1300, True, np.float32, np.random.default_rng(5))
+        written = []
+
+        class Sink:
+            dtype = np.dtype(np.float32)
+
+            def __setitem__(self, rows, values):
+                written.append((rows.start, rows.stop, values.copy()))
+
+        sink = Sink()
+        assert gemm_rows(x, w, b, index, out=sink) is sink
+        assert [(i, j) for i, j, _ in written] == [(0, 512), (512, 1024),
+                                                   (1024, 1300)]
+        assert (np.concatenate([v for *_, v in written]).tobytes()
+                == gemm_rows(x, w, b, index).tobytes())
 
     def test_without_bias_is_the_bare_product(self):
         x, w, b, _ = gemm_case(700, False, np.float64, np.random.default_rng(3))

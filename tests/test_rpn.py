@@ -96,6 +96,17 @@ class TestHeads:
                 assert g.shape == e.shape and g.dtype == e.dtype == dtype
                 np.testing.assert_allclose(g, e, rtol=tol, atol=tol)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_sigmoid_has_the_bits_of_the_formula(self, dtype):
+        # the heads squash their maps' heatmap channels, decoding a few
+        # cells' IoU channel
+        maps = np.random.default_rng(4).normal(0, 6, (60, 70, 11)).astype(dtype)
+        for x in (maps[:, :, :2], maps[[3, 5, 9], [4, 4, 60], 10]):
+            formula = 0.5 * (1.0 + np.tanh(0.5 * x))
+            assert rpn._sigmoid(x).tobytes() == formula.tobytes()
+            alone = [rpn._sigmoid(v[None])[0] for v in x.ravel()]
+            assert alone == formula.ravel().tolist()
+
 
 class TestRpnLoss:
     def targets(self):

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from pillardet.fileio import format_gt
-from pillardet.geometry import iou_3d, project_to_bev, rotated_iou_bev
+from pillardet.geometry import Box3D, iou_3d, project_to_bev, rotated_iou_bev
 from pillardet.grid import GridSpec
 from pillardet.metrics import evaluate_levels
 from pillardet.oracles import footprint_margin
 from pillardet.synth import (POINTS_PER_OBJECT, JitterSpec, SceneSpec,
-                             generate_scene, jitter_detections, points_in_box,
-                             scene_seed, splitmix64)
+                             _count_points, generate_scene, jitter_detections,
+                             points_in_box, scene_seed, splitmix64)
 
 GRID = GridSpec(x_min=-20.0, x_max=20.0, y_min=-20.0, y_max=20.0,
                 z_min=-2.0, z_max=4.0, pillar_size=0.1)
@@ -83,6 +83,27 @@ class TestGenerateScene:
                 scaled_about_center(cloud.xyz, b, 1.0 + 1e-6), b).sum()
             assert outer <= b.num_points <= inner
             assert inner - outer >= POINTS_PER_OBJECT[0]
+
+    def test_count_screen_keeps_every_point_on_a_box_corner(self):
+        # corners lie on the circumcircle the counts screen with, here
+        # turned onto the x axis through the centre, where the screen's
+        # reach along x is the circumradius itself: each box's count over
+        # the screened points equals the whole cloud's, corners and points
+        # one ulp off them included
+        rng = np.random.default_rng(21)
+        boxes = []
+        for _ in range(300):
+            l, w = rng.uniform(0.3, 5, 2)
+            yaw = -math.atan2(w, l) + rng.choice([0.0, math.pi / 2, math.pi])
+            boxes.append(Box3D(*rng.uniform(-10, 10, 2), 0.0, l, w, 2.0, yaw))
+        corners = np.array([c for b in boxes for c in project_to_bev(b).corners()])
+        xy = np.concatenate([corners, *(np.nextafter(corners, to)
+                                        for to in (0.0, np.inf, -np.inf)),
+                             rng.uniform(-13, 13, (5000, 2))])
+        xyz = np.column_stack([xy, np.zeros(len(xy))])
+        whole = [int(np.count_nonzero(points_in_box(xyz, b))) for b in boxes]
+        assert _count_points(xyz, boxes) == whole
+        assert sum(whole) > len(boxes)
 
     def test_points_respect_grid_bounds(self):
         cloud, _ = generate_scene(SceneSpec(seed=8), GRID)
