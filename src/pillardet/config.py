@@ -85,6 +85,9 @@ def _validate(cfg: PipelineConfig) -> None:
             raise ConfigError(
                 "pool_bottom_up_strides: entries must be powers of two no "
                 "coarser than pool_stride")
+    if len(set(cfg.bottom_up_strides)) != len(cfg.bottom_up_strides):
+        raise ConfigError("pool_bottom_up_strides: each stride may be listed "
+                          "only once")
     if cfg.roi_grid_size < 1:
         raise ConfigError("roi_grid_size: must be >= 1")
     if len(cfg.mlp_channels) != 2 or any(c < 1 for c in cfg.mlp_channels):

@@ -26,11 +26,13 @@ the 2x map exists once and only a chunk at a time (4.4 MB of the 72 MB
 P3 one on a full-range scene). The conv writes its output one band of
 rows at a time into a sink (:class:`_BlendSink`) that finishes the band:
 each volume's conv at the band's reached cells, computed a few bands at
-a time in row order, then bias and ReLU. No map-sized temporary is made
-beside the map. Building P3 thus holds 16 MB beside P3 and P4
+a time in row order from one copy of the volume's features and one
+neighbour index, then bias and ReLU. No map-sized temporary is made
+beside the map. Building P3 thus holds 16.4 MB beside P3 and P4
 (tracemalloc, full-range scene): the window's chunk, the conv's padded
 planes of it (4.4 MB each), the conv's band accumulators, the bottom-up
-conv rows and one :func:`~pillardet.grid.conv3x3_at` call's gather.
+conv rows, C3's feature copy and neighbour index (1.6 MB) and one call's
+gathered rows.
 The pooling map is only read under the RoI grids (a few percent of its
 cells on a full-range scene), so it is never built: :meth:`LateralMap.at`
 evaluates the same recipe at the cells asked for. Its up half is one
@@ -48,7 +50,8 @@ import numpy as np
 
 from .grid import (BackboneFeatures, DenseFeatureMap, SparsePillarVolume,
                    conv3x3_at, deconv2x2, deconv2x2_at, dense_conv2d,
-                   _BAND_ROWS, _relu_volume, reached_cells, sparse_conv2d)
+                   _BAND_ROWS, _conv3x3_sampler, _relu_volume, reached_cells,
+                   sparse_conv2d)
 # unused here: perfbench/tracing.py's PATCH_POINTS and its restore test read
 # fpn.densify; the name goes when ROADMAP item 2 moves spans into the package
 from .grid import densify  # noqa: F401
@@ -135,12 +138,14 @@ def _reached_rows(v: SparsePillarVolume, weight: np.ndarray):
     """One bottom-up volume's bias-free conv at the cells it reaches, sorted
     by map row, then column: their rows, columns and conv rows, the last as
     :class:`_Rows` computed by :func:`conv3x3_at` calls over at least
-    ``_BLEND_CELLS`` cells in whole ``_BAND_ROWS`` bands, in row order."""
+    ``_BLEND_CELLS`` cells in whole ``_BAND_ROWS`` bands, in row order,
+    all from one copy of the volume's features (:func:`_conv3x3_sampler`)."""
     reached = reached_cells(v)
     cells = reached[np.lexsort((reached // v.ny, reached % v.ny))]
+    conv = _conv3x3_sampler(v, weight)
 
     def fill(start, stop, out):
-        conv3x3_at(v, weight, cells[start:stop], out=out)
+        conv(cells[start:stop], out=out)
 
     return cells % v.ny, cells // v.ny, _Rows(
         fill, (len(cells), weight.shape[3]), np.result_type(v.features, weight),

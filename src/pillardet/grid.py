@@ -330,6 +330,15 @@ def conv3x3_at(v: SparsePillarVolume, weight: np.ndarray, cells: np.ndarray,
     :func:`gemm_rows` product against the (9 * C, c_out) kernel, into
     ``out`` when given.
     """
+    return _conv3x3_sampler(v, weight, stride)(cells, out)
+
+
+def _conv3x3_sampler(v: SparsePillarVolume, weight: np.ndarray,
+                     stride: int = 1):
+    """:func:`conv3x3_at` of ``v`` and ``weight`` as a function of ``cells``
+    and ``out``: the feature rows with the zero row after them and the
+    neighbour index are built once, for every call, so calls on a volume's
+    cells a band at a time copy its features once."""
     if weight.shape[:3] != (3, 3, v.channels):
         raise ValueError(
             f"kernel shape {weight.shape} incompatible with {v.channels} input channels"
@@ -338,15 +347,20 @@ def conv3x3_at(v: SparsePillarVolume, weight: np.ndarray, cells: np.ndarray,
     # the zero row appended after the sites
     index = np.full((v.nx + 2, v.ny + 2), v.n_active, dtype=np.int32)
     index[v.coords[:, 0] + 1, v.coords[:, 1] + 1] = np.arange(v.n_active)
-    # output (ox, oy) reads padded cells (ox * stride + kx, oy * stride + ky)
-    # under offset (ky, kx), into table column 3 * ky + kx
-    ny_out = _out_dim(v.ny, stride)
-    x0, y0 = cells // ny_out * stride, cells % ny_out * stride
-    k = np.arange(3)
-    table = index[x0[:, None, None] + k, y0[:, None, None] + k[:, None]]
     rows = np.concatenate([v.features, np.zeros((1, v.channels), v.features.dtype)])
-    return gemm_rows(rows, weight.reshape(9 * v.channels, weight.shape[3]),
-                     index=table.reshape(len(cells), 9), out=out)
+    kernel = weight.reshape(9 * v.channels, weight.shape[3])
+    ny_out = _out_dim(v.ny, stride)
+    k = np.arange(3)
+
+    def at(cells: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # output (ox, oy) reads padded cells (ox * stride + kx,
+        # oy * stride + ky) under offset (ky, kx), into table column 3 * ky + kx
+        x0, y0 = cells // ny_out * stride, cells % ny_out * stride
+        table = index[x0[:, None, None] + k, y0[:, None, None] + k[:, None]]
+        return gemm_rows(rows, kernel, index=table.reshape(len(cells), 9),
+                         out=out)
+
+    return at
 
 
 def sparse_conv2d(v: SparsePillarVolume, weight: np.ndarray, bias: np.ndarray,
@@ -524,25 +538,35 @@ def deconv2x2_at(data: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     return column[2 * slot.reshape(-1) + iy % 2, ix % 2]
 
 
+# the field of each sparse backbone level, by stride
+_LEVEL_FIELDS = {1: "c1", 2: "c2", 4: "c3", 8: "c4"}
+
+
 @dataclass
 class BackboneFeatures:
-    """Backbone hierarchy: sparse C1-C4 plus the dense C5 map.
+    """Backbone hierarchy: sparse C1-C4 at strides 1, 2, 4 and 8 plus the
+    dense C5 map at stride 16.
 
-    ``c5`` is None once :func:`~pillardet.fpn.build_pyramid` has released
-    it, when no later stage reads it.
+    A level is None once released, after its last reader: a pipeline run
+    releases C1 and C2 once the backbone has run and C3 and C4 once the
+    pyramid is built, each unless the pooling map reads it, and
+    :func:`~pillardet.fpn.build_pyramid` releases C5 once P4 is built
+    unless the pooling map deconvolves it.
     """
 
-    c1: SparsePillarVolume
-    c2: SparsePillarVolume
-    c3: SparsePillarVolume
-    c4: SparsePillarVolume
+    c1: SparsePillarVolume | None
+    c2: SparsePillarVolume | None
+    c3: SparsePillarVolume | None
+    c4: SparsePillarVolume | None
     c5: DenseFeatureMap | None
 
     def volume_at(self, stride: int) -> SparsePillarVolume:
-        for v in (self.c1, self.c2, self.c3, self.c4):
-            if v.stride == stride:
-                return v
-        raise ValueError(f"no sparse volume at stride {stride}")
+        if stride not in _LEVEL_FIELDS:
+            raise ValueError(f"no sparse volume at stride {stride}")
+        v = getattr(self, _LEVEL_FIELDS[stride])
+        if v is None:
+            raise ValueError(f"the stride-{stride} volume was released")
+        return v
 
 
 def _relu_volume(v: SparsePillarVolume) -> SparsePillarVolume:
@@ -581,8 +605,8 @@ def backbone_forward(v: SparsePillarVolume, weights: WeightStore,
         stages.append(prev)
     c2, c3, c4 = stages[1], stages[2], stages[3]
 
-    dense_in = densify(c4)
-    d = dense_conv2d(dense_in.data, weights.get("backbone.s5.down.w"),
+    # the densified C4 dies once the stride-2 conv has read it
+    d = dense_conv2d(densify(c4).data, weights.get("backbone.s5.down.w"),
                      weights.get("backbone.s5.down.b"), stride=2)
     np.maximum(d, 0.0, out=d)
     d = dense_conv2d(d, weights.get("backbone.s5.conv.w"),

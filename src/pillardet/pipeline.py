@@ -7,7 +7,9 @@ its bottom-up branches and lets the pyramid go before decoding. Only the
 pyramid levels the heads or the pooling map read are built (no P3 when
 every class is detected at stride 8 and the pooling map deconvolves P4),
 and C5 dies once P4 is built unless the pooling map deconvolves it (pool
-stride 8).
+stride 8). Each sparse input dies with its last reader too: the pillar
+volume and C1 and C2 once the backbone has run, C3 and C4 once the pyramid
+is built, each unless the pooling map reads it (``bottom_up_strides``).
 Every produced map's dims are asserted against the grid arithmetic
 (dims = cells / stride) so a wiring mistake fails loudly instead of
 producing plausible nonsense. Maps are computed in the weights' dtype;
@@ -25,7 +27,7 @@ import numpy as np
 from . import fileio
 from .config import PipelineConfig, weight_layout
 from .fpn import LateralMap, build_pooling_map, build_pyramid
-from .grid import PointCloud, backbone_forward, pillarize
+from .grid import _LEVEL_FIELDS, PointCloud, backbone_forward, pillarize
 from .rcnn import refine
 from .rpn import (Detection, HeadOutput, decode_proposals, nms_3d,
                   rectify_detections, rpn_forward)
@@ -85,16 +87,23 @@ class DetectionPipeline:
         volume = clock("pillarize", lambda: pillarize(cloud, spec, self.weights))
         backbone = clock("backbone", lambda: backbone_forward(
             volume, self.weights, cfg.backbone_channels))
+        # of the pillar volume, only the decode gate below reads on
+        n_active = volume.n_active
+        del volume
         shapes["C3"] = (backbone.c3.ny, backbone.c3.nx)
         shapes["C4"] = (backbone.c4.ny, backbone.c4.nx)
         shapes["C5"] = (backbone.c5.height, backbone.c5.width)
+        # this run's copy of the backbone keeps C1 and C2 only where the
+        # pooling map reads them, and C3 and C4 (P3's and P4's inputs) too
+        # once the pyramid is built; backbone_forward's result stays whole
+        bottom_up = set(cfg.bottom_up_strides)
+        backbone = replace(backbone, **_released(bottom_up | {4, 8}))
         # the maps the heads and the pooling map read: the pyramid releases
-        # C5 from this run's copy of the backbone unless the pooling map
-        # deconvolves it (pool stride 8); backbone_forward's result stays whole
+        # C5 unless the pooling map deconvolves it (pool stride 8)
         read = set(cfg.level_classes) | {2 * cfg.pool_stride}
-        backbone = replace(backbone)
         pyramid = clock("pyramid", lambda: build_pyramid(
             backbone, self.weights, read))
+        backbone = replace(backbone, **_released(bottom_up))
         # P3 at stride 4, as C3; no loop variable keeps a level alive
         shapes.update({f"P{s.bit_length()}": (m.height, m.width)
                        for s, m in pyramid.items()})
@@ -105,16 +114,17 @@ class DetectionPipeline:
                        for a in (head.heatmap, head.reg, head.iou)):
                 raise ValueError(f"heads: the stride-{stride} head maps hold "
                                  "non-finite values")
-        # the pooling map keeps the one level it deconvolves; drop the rest
+        # the pooling map keeps the one level it deconvolves and the volumes
+        # it reads; drop the rest
         pooling_map = clock("pooling_map", lambda: build_pooling_map(
             backbone, pyramid, self.weights, cfg.pool_stride,
             cfg.bottom_up_strides))
         shapes["pool"] = (pooling_map.height, pooling_map.width)
-        del pyramid
+        del pyramid, backbone
         # a cloud with no occupied pillar carries no evidence; bias
         # propagation still texture-fills the maps, so gate the decode
         proposals = clock("decode", lambda: decode_proposals(
-            heads, spec, cfg.top_k) if volume.n_active else [])
+            heads, spec, cfg.top_k) if n_active else [])
         proposals = clock("rectify", lambda: rectify_detections(
             proposals, cfg.beta))
         proposals = clock("nms", lambda: nms_3d(proposals, cfg.nms_iou))
@@ -124,6 +134,13 @@ class DetectionPipeline:
         _assert_shapes(shapes, spec, cfg.pool_stride)
         return PipelineResult(detections, proposals, shapes, timings, heads,
                               pooling_map)
+
+
+def _released(kept: set[int]) -> dict[str, None]:
+    """``BackboneFeatures`` fields that release the sparse levels whose
+    strides are not in ``kept``, as ``replace`` arguments."""
+    return {name: None for stride, name in _LEVEL_FIELDS.items()
+            if stride not in kept}
 
 
 def _assert_shapes(shapes: dict[str, tuple[int, int]], spec,

@@ -177,6 +177,22 @@ class TestDetect:
         assert name in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
+    def test_repeated_pool_bottom_up_stride_is_validation_error(
+            self, tmp_path, capsys):
+        # a stride listed twice would merge the same volume into the pooling
+        # map twice
+        cfg = tmp_path / "twice.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG_DICT,
+                                   "pool_bottom_up_strides": [4, 4]}))
+        scene = tmp_path / "empty.pbk"
+        fileio.save_point_cloud(str(scene), PointCloud.empty())
+        assert main(["detect", "--config", str(cfg), "--out",
+                     str(tmp_path / "d"), str(scene)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "pool_bottom_up_strides" in err
+        assert "once" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "d").exists()
+
     # "pool_bottom_up_strides": [] is the semantics-only pooling map; a
     # class_strides that leaves a pyramid level without classes gives that
     # level no heads

@@ -415,8 +415,9 @@ class TestOddConfigs:
         code, err = self.synth(files, {**SMALL_CONFIG_DICT, "grid": grid,
                                        "pool_stride": pool_stride,
                                        "pool_bottom_up_strides": strides})
-        strides_ok = all(s in (1, 2, 4, 8) and s <= pool_stride
-                         for s in strides or ())
+        strides_ok = (all(s in (1, 2, 4, 8) and s <= pool_stride
+                          for s in strides or ())
+                      and len(set(strides or ())) == len(strides or ()))
         if not strides_ok:
             assert "pool_bottom_up_strides" in err
         elif nx % 16:

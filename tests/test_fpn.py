@@ -7,9 +7,9 @@ from pillardet.fpn import (LateralMap, _BlendSink, _Rows, _downsample_chain,
                            _pack_strips, _upsampled_rows, build_pooling_map,
                            build_pyramid, lateral)
 from pillardet.grid import (DenseFeatureMap, PointCloud, SparsePillarVolume,
-                            backbone_forward, conv3x3_at, deconv2x2,
-                            dense_conv2d, densify, pillarize, reached_cells,
-                            relu)
+                            _conv3x3_sampler, backbone_forward, conv3x3_at,
+                            deconv2x2, dense_conv2d, densify, pillarize,
+                            reached_cells, relu)
 from pillardet.oracles import lateral_reference
 from pillardet.verify import random_volume
 from pillardet.weights import WeightStore
@@ -154,8 +154,9 @@ class TestLateralMerge:
                                                            dtype):
         # 4-row conv bands of 40 cells, bottom-up conv rows in calls of at
         # least 24 cells rounded to 8: each volume's reached cells are
-        # computed once, in row order, a few bands at a time, and the map
-        # has the bits of adding each volume at all its reached cells at once
+        # computed once, in row order, a few bands at a time, from one
+        # sampler (one copy of its features), and the map has the bits of
+        # adding each volume at all its reached cells at once
         rng = np.random.default_rng(33)
         hs, ws, c_sem, c_up, c_out = 15, 20, 3, 4, 5
         semantic = DenseFeatureMap(8, rng.normal(size=(hs, ws, c_sem)).astype(dtype))
@@ -173,13 +174,19 @@ class TestLateralMerge:
         monkeypatch.setattr(grid, "_CONV_BAND_PIXELS", 4 * (2 * ws + 2))
         monkeypatch.setattr(fpn, "_BLEND_CELLS", 24)
         monkeypatch.setattr(fpn, "_BAND_ROWS", 8)
-        calls = []
+        samplers, calls = [], []
 
-        def logged_conv(v, w, cells, out=None):
-            calls.append((v, cells))
-            return conv3x3_at(v, w, cells, out=out)
+        def logged_sampler(v, w):
+            samplers.append(v)
+            conv = _conv3x3_sampler(v, w)
 
-        monkeypatch.setattr(fpn, "conv3x3_at", logged_conv)
+            def logged_conv(cells, out=None):
+                calls.append((v, cells))
+                return conv(cells, out=out)
+
+            return logged_conv
+
+        monkeypatch.setattr(fpn, "_conv3x3_sampler", logged_sampler)
         banded = lateral_map.dense().data
         monkeypatch.undo()
         up = relu(deconv2x2(semantic.data, deconv_w, deconv_b))
@@ -193,6 +200,7 @@ class TestLateralMerge:
         whole = relu(whole + conv_b)
         assert banded.dtype == dtype
         assert banded.tobytes() == whole.tobytes()
+        assert list(map(id, samplers)) == list(map(id, vols))
         for v in vols:
             reached = reached_cells(v)
             row_order = reached[np.lexsort((reached // v.ny, reached % v.ny))]

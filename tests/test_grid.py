@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -600,6 +601,20 @@ class TestBackbone:
                 feats.c4.stride, feats.c5.stride] == [1, 2, 4, 8, 16]
         assert (feats.c3.nx, feats.c4.nx) == (16, 8)
         assert feats.c5.data.shape == (4, 4, self.plan[4])
+
+    def test_volume_at_names_a_released_stride(self):
+        store = backbone_store(self.plan)
+        feats = backbone_forward(
+            pillarize(PointCloud.empty(), self.grid(), store), store, self.plan)
+        assert [id(feats.volume_at(s)) for s in (1, 2, 4, 8)] == [
+            id(feats.c1), id(feats.c2), id(feats.c3), id(feats.c4)]
+        released = replace(feats, c2=None)
+        assert released.volume_at(4) is feats.c3
+        with pytest.raises(ValueError) as exc:
+            released.volume_at(2)
+        assert str(exc.value) == "the stride-2 volume was released"
+        with pytest.raises(ValueError, match="no sparse volume at stride 16"):
+            released.volume_at(16)
 
     def test_channel_plan_echo(self):
         plan = (4, 8, 8, 16, 24)

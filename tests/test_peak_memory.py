@@ -1,5 +1,6 @@
 """Peak memory of the dense tail on a full-range scene, and the lifetime of
-C5 and the pyramid levels in a pipeline run."""
+the pillar volume, the backbone levels and the pyramid levels in a pipeline
+run."""
 
 import gc
 import tracemalloc
@@ -55,9 +56,9 @@ def test_pyramid_never_holds_a_whole_upsampled_map(full_range):
     up = (p3.shape[0] * p3.shape[1] * weights.get("neck.p3.deconv.w").shape[3]
           * p3.itemsize)
     assert up >= 64 << 20
-    # one chunk of the upsampled rows, the conv's planes of it and the
-    # bottom-up conv rows: 16.1 MB measured (20.7 MB when the deconvolved
-    # rows were held three times)
+    # one chunk of the upsampled rows, the conv's planes of it, the
+    # bottom-up conv rows and C3's feature copy and neighbour index: 16.4 MB
+    # measured (20.7 MB when the deconvolved rows were held three times)
     assert transient < up // 4
 
 
@@ -161,11 +162,58 @@ def test_c5_dies_before_p3_unless_the_pooling_map_reads_it(monkeypatch,
         assert result.pooling_map.semantic.data is c5[0]()
 
 
+@pytest.mark.parametrize("override, read", [
+    ({}, {4}),
+    ({"pool_stride": 2}, {2}),
+    ({"pool_bottom_up_strides": [1, 2, 4]}, {1, 2, 4}),
+    ({"pool_stride": 8, "pool_bottom_up_strides": [8]}, {8}),
+    ({"pool_bottom_up_strides": []}, set()),
+], ids=["default", "pool-stride-2", "strides-1-2-4", "pool-stride-8",
+        "semantics-only"])
+def test_sparse_volumes_die_with_their_last_reader(monkeypatch, override,
+                                                    read):
+    # the pillar volume dies once the backbone has run; C1 and C2 unless
+    # the pooling map reads them; C3 and C4 feed the pyramid and die once
+    # it is built unless the pooling map reads them; refine runs with the
+    # volumes the pooling map holds, those already at its stride
+    cfg = config_from_dict({**SMALL_CONFIG_DICT, **override})
+    volumes = {}
+    alive = {}
+    names = {1: "C1", 2: "C2", 4: "C3", 8: "C4"}
+
+    def watched(name, fn, record=None):
+        def call(*args):
+            gc.collect()
+            alive[name] = {n for n, r in volumes.items() if r() is not None}
+            out = fn(*args)
+            if record:
+                record(out)
+            return out
+        monkeypatch.setattr(pipeline, name, call)
+
+    watched("pillarize", pipeline.pillarize,
+            lambda v: volumes.update(volume=weakref.ref(v)))
+    watched("backbone_forward", pipeline.backbone_forward,
+            lambda b: volumes.update({names[s]: weakref.ref(b.volume_at(s))
+                                      for s in names}))
+    watched("build_pyramid", pipeline.build_pyramid)
+    watched("rpn_forward", pipeline.rpn_forward)
+    watched("build_pooling_map", pipeline.build_pooling_map)
+    watched("refine", pipeline.refine)
+    DetectionPipeline(cfg).run(small_scene_points(cfg, 3))
+    kept = {names[s] for s in read}
+    assert alive == {"pillarize": set(), "backbone_forward": {"volume"},
+                     "build_pyramid": kept | {"C3", "C4"},
+                     "rpn_forward": kept, "build_pooling_map": kept,
+                     "refine": {names[s] for s in read if s == cfg.pool_stride}}
+
+
 def test_a_full_range_run_holds_p3_p4_and_under_24_mb_more(full_range_scene):
     # C5 (9 MB) dies once P4 is built, and a lateral's upsampled rows are
-    # held once: the run held P3 + P4 + 20.2 MB (33.8 MB with C5 kept to
-    # the end and each upsampled chunk held three times); the rest is the
-    # sparse volumes, one conv chunk and the bottom-up conv rows
+    # held once: the run held P3 + P4 + 19.6 MB (20.2 MB with the pillar
+    # volume, C1 and C2 kept to the end, 33.8 MB with C5 kept too and each
+    # upsampled chunk held three times); the rest is C3 and C4, one conv
+    # chunk and the bottom-up conv rows
     cfg, weights, cloud = full_range_scene
     run = DetectionPipeline(cfg, weights).run
     # P3 and P4: 376 x 376 and 188 x 188 x 128 float32, 90.5 MB
