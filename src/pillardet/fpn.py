@@ -36,10 +36,19 @@ gathered rows.
 The pooling map is only read under the RoI grids (a few percent of its
 cells on a full-range scene), so it is never built: :meth:`LateralMap.at`
 evaluates the same recipe at the cells asked for. Its up half is one
-dense conv over a canvas of haloed strips around those cells side by
-side (3.5 cells computed per cell asked for on a full-range scene, 22
-for the whole map), deconvolving only the strips' parents. All other
-products are ``gemm_rows`` ones: ``.at()`` equals ``.dense()`` bit for bit.
+dense conv over a canvas of haloed strips around those cells, packed on
+lines of the map's width plus two columns and the lines stacked (3.9
+cells computed per cell asked for on a full-range scene, 22 for the
+whole map). That canvas is never whole either: it is a :class:`_Rows`
+source whose reads deconvolve only the parents of their lines' cells on
+the map, a GEMM band of parents at a time, and the conv writes into a
+sink (:class:`_CellSink`) that keeps only the asked cells' rows. Each
+bottom-up volume's conv rows are added to those in place, through
+``gemm_rows``' sink (:class:`_AddedRows`). All other products are
+``gemm_rows`` ones: ``.at()`` equals ``.dense()`` bit for bit. Evaluating
+the map under 500 RoIs holds 13.8 MB beside its result on a crowded
+near-range scene and 16.2 MB on a full-range one (tracemalloc; 24.6 and
+34.5 MB with the canvas whole).
 """
 
 from __future__ import annotations
@@ -200,6 +209,56 @@ def _pack_strips(qy: np.ndarray, qx: np.ndarray):
     return b[first] * t - 1, x[first] - 1, x[last] - x[first] + 3, strip_of
 
 
+# rows of a canvas line: a band of strips and its halo
+_LINE_ROWS = _STRIP_ROWS + 2
+
+
+def _pack_lines(widths: np.ndarray, width: int):
+    """Place strips of ``widths`` columns on lines of ``width`` columns,
+    widest first, each on the first line with room for it (first-fit
+    decreasing, so little of a line is left empty): each strip's line and
+    first column."""
+    line, col = np.empty((2, len(widths)), np.int64)
+    used = np.zeros(len(widths) + 1, np.int64)  # columns taken on each line
+    lines = 0
+    for k in np.argsort(-widths, kind="stable").tolist():
+        # the first line with room; the first empty one always has it
+        y = int(np.argmax(used[:lines + 1] + widths[k] <= width))
+        line[k], col[k] = y, used[y]
+        used[y] += widths[k]
+        lines = max(lines, y + 1)
+    return line, col
+
+
+class _CellSink:
+    """Output sink of the pooling map's up-half conv over a canvas of
+    ``shape``: of each band it receives (``sink[y0:y1] = band``), only the
+    rows of canvas cells (``cy[k]``, ``cx[k]``) are kept, as ``data[k]``."""
+
+    def __init__(self, shape, dtype, cy: np.ndarray, cx: np.ndarray):
+        self.shape = shape
+        self.data = np.empty((len(cy), shape[2]), dtype)
+        self._order = np.argsort(cy, kind="stable")
+        self._cy, self._cx = cy[self._order], cx[self._order]
+
+    def __setitem__(self, rows: slice, band: np.ndarray) -> None:
+        y0, y1, _ = rows.indices(self.shape[0])
+        lo, hi = np.searchsorted(self._cy, (y0, y1))
+        self.data[self._order[lo:hi]] = band[self._cy[lo:hi] - y0, self._cx[lo:hi]]
+
+
+class _AddedRows:
+    """``data`` as a :func:`~pillardet.grid.gemm_rows` sink that adds:
+    ``sink[i:j] = rows`` does ``data[i:j] += rows``. ``dtype`` is the
+    product's, so its rows round as when they are made apart and added."""
+
+    def __init__(self, data: np.ndarray, dtype):
+        self.data, self.dtype = data, np.dtype(dtype)
+
+    def __setitem__(self, rows: slice, values: np.ndarray) -> None:
+        self.data[rows] += values
+
+
 @dataclass(frozen=True, eq=False)
 class LateralMap:
     """One lateral connection: a pyramid level or the R-CNN pooling map.
@@ -283,7 +342,8 @@ class LateralMap:
             return np.zeros((0, self.channels), self.dtype)
         out, cells = self._up_half(iy, ix), ix * h + iy
         for v, w in self._volume_kernels():
-            out += conv3x3_at(v, w, cells)
+            conv3x3_at(v, w, cells, out=_AddedRows(out, np.result_type(
+                v.features, w)))
         return self._finish(out)
 
     def _up_conv(self, up, out=None):
@@ -311,27 +371,65 @@ class LateralMap:
     def _up_half(self, qy: np.ndarray, qx: np.ndarray) -> np.ndarray:
         """The up half's conv, without bias, at cells (``qy``, ``qx``).
 
-        One dense conv runs over a canvas of ``_STRIP_ROWS + 2`` rows that
-        holds the strips covering the cells (see :func:`_pack_strips`) side
-        by side: the upsampled map, zero off the map. A strip's inner cells
-        read only their own strip, so they get exactly the full map's
-        values. Only the parents of the strips' cells are deconvolved.
+        The strips covering the cells (see :func:`_pack_strips`) are laid
+        side by side on canvas lines of ``_LINE_ROWS`` rows and the map's
+        width plus two columns, a strip never straddling two lines, and one
+        dense conv runs over the lines stacked: the upsampled map, zero off
+        the map and after a line's last strip. A strip's inner cells read
+        only their own strip, so they get exactly the full map's values.
+        The canvas is a row source (:class:`_Rows`): the conv's chunks
+        deconvolve the parents of their lines' cells as they reach them;
+        its sink (:class:`_CellSink`) keeps the rows of the cells asked for.
         """
-        h, w = self.height, self.width
         map_y, map_x, widths, strip_of = _pack_strips(qy, qx)
-        canvas_x = np.cumsum(widths) - widths
-        # every canvas column's strip, and every canvas cell's map cell
-        s = np.repeat(np.arange(len(widths)), widths)
-        my, mx = np.broadcast_arrays(
-            map_y[s] + np.arange(_STRIP_ROWS + 2)[:, None],
-            map_x[s] + np.arange(len(s)) - canvas_x[s])
-        on = (my >= 0) & (my < h) & (mx >= 0) & (mx < w)
-        canvas = np.zeros(my.shape + (self.deconv_w.shape[3],), self.dtype)
-        canvas[on] = deconv2x2_at(self.semantic.data, self.deconv_w,
-                                  self.deconv_b, my[on], mx[on])
-        np.maximum(canvas, 0.0, out=canvas)
-        conv = self._up_conv(canvas)
-        return conv[qy - map_y[strip_of], canvas_x[strip_of] + qx - map_x[strip_of]]
+        width = self.width + 2
+        line, col = _pack_lines(widths, width)
+        canvas = self._canvas_rows(map_y, map_x, widths, line, col, width)
+        sink = _CellSink(
+            canvas.shape[:2] + (self.channels,), self.dtype,
+            line[strip_of] * _LINE_ROWS + qy - map_y[strip_of],
+            col[strip_of] + qx - map_x[strip_of])
+        return self._up_conv(canvas, sink).data
+
+    def _canvas_rows(self, map_y, map_x, widths, line, col, width) -> _Rows:
+        """The canvas of strips (top-left map cells ``map_y``, ``map_x``,
+        ``widths`` columns) placed at ``line``, ``col``, as :class:`_Rows`
+        read in whole lines. A read deconvolves the parents of its lines'
+        cells on the map, each once, by :func:`deconv2x2_at` calls of
+        ``_BAND_ROWS`` parents (one GEMM each, the last one short), so
+        no more than a band's children are held beside the lines; then
+        ReLU."""
+        h, w, w_sem = self.height, self.width, self.semantic.width
+        n_lines = int(line.max()) + 1
+        by_line = np.argsort(line, kind="stable")
+        first = np.searchsorted(line[by_line], np.arange(n_lines + 1))
+        dy = np.arange(_LINE_ROWS)[:, None]
+
+        def fill(start, stop, out):
+            l0, l1 = start // _LINE_ROWS, stop // _LINE_ROWS
+            strips = by_line[first[l0]:first[l1]]
+            # every strip column on these lines: its strip, its column in it
+            n = widths[strips]
+            s = np.repeat(strips, n)
+            dx = np.arange(len(s)) - np.repeat(np.cumsum(n) - n, n)
+            my, mx = map_y[s] + dy, map_x[s] + dx
+            # their cells on the map, as map and canvas cells
+            ry, i = np.nonzero((my >= 0) & (my < h) & (mx >= 0) & (mx < w))
+            my, mx = my[ry, i], mx[i]
+            oy, ox = (line[s[i]] - l0) * _LINE_ROWS + ry, col[s[i]] + dx[i]
+            # cells in parent order, cut before every _BAND_ROWS-th parent
+            parent = my // 2 * w_sem + mx // 2
+            order = np.argsort(parent, kind="stable")
+            cuts = np.flatnonzero(np.diff(parent[order], prepend=-1))[::_BAND_ROWS]
+            out[...] = 0
+            for a, b in zip(cuts, np.r_[cuts[1:], len(order)]):
+                k = order[a:b]
+                out[oy[k], ox[k]] = deconv2x2_at(self.semantic.data, self.deconv_w,
+                                                 self.deconv_b, my[k], mx[k])
+            np.maximum(out, 0.0, out=out)
+
+        return _Rows(fill, (n_lines * _LINE_ROWS, width, self.deconv_w.shape[3]),
+                     self.dtype, multiple=_LINE_ROWS)
 
 
 def lateral(semantic: DenseFeatureMap, bottom_up: tuple[SparsePillarVolume, ...],
@@ -346,22 +444,29 @@ def lateral(semantic: DenseFeatureMap, bottom_up: tuple[SparsePillarVolume, ...]
 
 
 def build_pyramid(backbone: BackboneFeatures, weights: WeightStore,
-                  strides=(4, 8, 16)) -> dict[int, DenseFeatureMap]:
+                  strides=(4, 8, 16), volumes=(4, 8)) -> dict[int, DenseFeatureMap]:
     """Proposal-stage levels by stride: C5+C4 -> P4, then P4+C3 -> P3.
 
-    ``strides`` are those of the maps read after the pyramid. Only the
-    levels at 4 and 8 among them are returned, and only those and the
-    levels they are built from are built: P3 needs P4, P4 needs none.
-    Stride 16 is C5: unless it is among them, ``backbone.c5`` is released
-    (set to None) once P4 is built, so C5 dies before P3 is built.
+    ``strides`` are those of the maps read after the pyramid, ``volumes``
+    those of the sparse volumes read after it. Only the levels at 4 and 8
+    among ``strides`` are returned, and only those and the levels they are
+    built from are built: P3 needs P4, P4 needs none. Each input is
+    released (set to None on ``backbone``) once the last lateral that reads
+    it is built, unless it is read later: C5 (stride 16 in ``strides``)
+    and C4 (stride 8 in ``volumes``) once P4 is built, so they die before
+    P3 is built, and C3 (stride 4 in ``volumes``) once P3 is built.
     """
     pyramid = {}
     if 4 in strides or 8 in strides:
         pyramid[8] = lateral(backbone.c5, (backbone.c4,), weights, "neck.p4").dense()
     if 16 not in strides:
         backbone.c5 = None
+    if 8 not in volumes:
+        backbone.c4 = None
     if 4 in strides:
         pyramid[4] = lateral(pyramid[8], (backbone.c3,), weights, "neck.p3").dense()
+    if 4 not in volumes:
+        backbone.c3 = None
     return {s: pyramid[s] for s in (4, 8) if s in strides}
 
 

@@ -273,6 +273,13 @@ def gemm_rows(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None,
     row depends on its own input row alone. With ``index``, an (M, J) table
     of rows of ``x``, input row m is ``x[index[m]]`` side by side.
 
+    A whole band of ``x`` that is C-contiguous is multiplied where it lies;
+    other bands (the last one when short, gathered or strided rows) are
+    copied into one band buffer, made only then. A caller that lays its
+    rows out in whole bands, zero rows after the last, makes no copy and
+    gets the bits of the padded one (as :func:`~pillardet.rcnn.rcnn_forward`
+    does with the pooled features).
+
     Each GEMM's rows, bias added, are written as ``out[i:j] = rows``, into
     ``out`` when given (an (M, N) array, or any object that takes such
     assignments, as :func:`deconv2x2`'s interleaving does), else into a new
@@ -282,19 +289,24 @@ def gemm_rows(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None,
     if out is None:
         out = np.empty((m, weight.shape[1]), np.result_type(
             x, weight, *(() if bias is None else (bias,))))
-    band = np.empty((_BAND_ROWS, weight.shape[0]), x.dtype)
+    band = None
     y = np.empty((_BAND_ROWS, weight.shape[1]), out.dtype)
     for i in range(0, m, _BAND_ROWS):
         n = min(_BAND_ROWS, m - i)
-        if index is None:
-            band[:n] = x[i:i + n]
+        if index is None and n == _BAND_ROWS and x[i:i + n].flags.c_contiguous:
+            rows = x[i:i + n]
         else:
-            rows = index[i:i + n]
-            # mode="clip" writes into the band; "raise" buffers its output
-            np.take(x, rows, axis=0, mode="clip",
-                    out=band[:n].reshape(rows.shape + x.shape[1:]))
-        band[n:] = 0
-        np.matmul(band, weight, out=y)
+            if band is None:
+                band = np.empty((_BAND_ROWS, weight.shape[0]), x.dtype)
+            if index is None:
+                band[:n] = x[i:i + n]
+            else:
+                # mode="clip" writes into the band; "raise" buffers its output
+                np.take(x, index[i:i + n], axis=0, mode="clip",
+                        out=band[:n].reshape(index[i:i + n].shape + x.shape[1:]))
+            band[n:] = 0
+            rows = band
+        np.matmul(rows, weight, out=y)
         if bias is not None:
             y += bias
         out[i:i + n] = y[:n]
@@ -548,10 +560,9 @@ class BackboneFeatures:
     dense C5 map at stride 16.
 
     A level is None once released, after its last reader: a pipeline run
-    releases C1 and C2 once the backbone has run and C3 and C4 once the
-    pyramid is built, each unless the pooling map reads it, and
-    :func:`~pillardet.fpn.build_pyramid` releases C5 once P4 is built
-    unless the pooling map deconvolves it.
+    releases C1 and C2 once the backbone has run, and
+    :func:`~pillardet.fpn.build_pyramid` releases C5 and C4 once P4 is
+    built and C3 once P3 is built, each unless the pooling map reads it.
     """
 
     c1: SparsePillarVolume | None

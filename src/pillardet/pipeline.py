@@ -8,8 +8,9 @@ pyramid levels the heads or the pooling map read are built (no P3 when
 every class is detected at stride 8 and the pooling map deconvolves P4),
 and C5 dies once P4 is built unless the pooling map deconvolves it (pool
 stride 8). Each sparse input dies with its last reader too: the pillar
-volume and C1 and C2 once the backbone has run, C3 and C4 once the pyramid
-is built, each unless the pooling map reads it (``bottom_up_strides``).
+volume and C1 and C2 once the backbone has run, C4 once P4 is built and C3
+once P3 is built, each unless the pooling map reads it
+(``bottom_up_strides``).
 Every produced map's dims are asserted against the grid arithmetic
 (dims = cells / stride) so a wiring mistake fails loudly instead of
 producing plausible nonsense. Maps are computed in the weights' dtype;
@@ -94,16 +95,15 @@ class DetectionPipeline:
         shapes["C4"] = (backbone.c4.ny, backbone.c4.nx)
         shapes["C5"] = (backbone.c5.height, backbone.c5.width)
         # this run's copy of the backbone keeps C1 and C2 only where the
-        # pooling map reads them, and C3 and C4 (P3's and P4's inputs) too
-        # once the pyramid is built; backbone_forward's result stays whole
+        # pooling map reads them; backbone_forward's result stays whole
         bottom_up = set(cfg.bottom_up_strides)
         backbone = replace(backbone, **_released(bottom_up | {4, 8}))
         # the maps the heads and the pooling map read: the pyramid releases
-        # C5 unless the pooling map deconvolves it (pool stride 8)
+        # C5 unless the pooling map deconvolves it (pool stride 8), and C4
+        # and C3 (P4's and P3's inputs) unless the pooling map reads them
         read = set(cfg.level_classes) | {2 * cfg.pool_stride}
         pyramid = clock("pyramid", lambda: build_pyramid(
-            backbone, self.weights, read))
-        backbone = replace(backbone, **_released(bottom_up))
+            backbone, self.weights, read, bottom_up))
         # P3 at stride 4, as C3; no loop variable keeps a level alive
         shapes.update({f"P{s.bit_length()}": (m.height, m.width)
                        for s, m in pyramid.items()})

@@ -3,9 +3,10 @@ import pytest
 
 from pillardet import fpn, grid
 from pillardet.config import config_from_dict, weight_layout
-from pillardet.fpn import (LateralMap, _BlendSink, _Rows, _downsample_chain,
-                           _pack_strips, _upsampled_rows, build_pooling_map,
-                           build_pyramid, lateral)
+from pillardet.fpn import (_LINE_ROWS, LateralMap, _BlendSink, _Rows,
+                           _downsample_chain, _pack_lines, _pack_strips,
+                           _upsampled_rows, build_pooling_map, build_pyramid,
+                           lateral)
 from pillardet.grid import (DenseFeatureMap, PointCloud, SparsePillarVolume,
                             _conv3x3_sampler, backbone_forward, conv3x3_at,
                             deconv2x2, dense_conv2d, densify, pillarize,
@@ -409,6 +410,98 @@ class TestPoolingMap:
             np.testing.assert_allclose(pool.at(iy, ix), expected[iy, ix], atol=atol)
             np.testing.assert_allclose(dense_values(pool), expected, atol=atol)
             np.testing.assert_array_equal(pool.dense().data, dense_values(pool))
+
+    @pytest.mark.parametrize("dtype", STORE_DTYPES)
+    def test_cells_on_many_lines_and_chunks_equal_dense_rows(self, monkeypatch,
+                                                              dtype):
+        # a 120 x 60 map asked at every fifth column of every third row:
+        # 30 bands of 12 one-column strips, 360 strips of width 3 on lines
+        # of 62 columns, 20 to a line; one 32-row conv band per 4 KiB
+        # chunk, so the canvas is read a few lines at a time
+        rng = np.random.default_rng(35)
+        c_sem, c_up, c_out = 3, 4, 5
+        semantic = DenseFeatureMap(8, rng.normal(size=(60, 30, c_sem)).astype(dtype))
+        vol = random_volume(rng, 60, 120, 2, density=0.1)
+        vol = SparsePillarVolume(4, vol.nx, vol.ny, vol.coords,
+                                 vol.features.astype(dtype))
+        lateral_map = LateralMap(
+            semantic, (vol,), rng.normal(size=(2, 2, c_sem, c_up)).astype(dtype),
+            rng.normal(size=c_up).astype(dtype),
+            rng.normal(size=(3, 3, c_up + 2, c_out)).astype(dtype),
+            rng.normal(size=c_out).astype(dtype))
+        whole = lateral_map.dense().data
+        iy, ix = np.meshgrid(np.arange(0, 120, 3), np.arange(2, 60, 5),
+                             indexing="ij")
+        iy, ix = iy.ravel(), ix.ravel()
+        map_y, map_x, widths, _ = _pack_strips(iy, ix)
+        line, col = _pack_lines(widths, 62)
+        assert len(widths) == 360 and line.max() == 17
+        on_map = ((np.minimum(map_y + _LINE_ROWS, 120) - np.maximum(map_y, 0))
+                  * (np.minimum(map_x + widths, 60) - np.maximum(map_x, 0)))
+        monkeypatch.setattr(grid, "_CHUNK_BYTES", 4 << 10)
+        reads, deconvolved = [], []
+        conv, deconv_at = fpn.dense_conv2d, fpn.deconv2x2_at
+
+        class CountedRows:
+            def __init__(self, source):
+                self.source, self.shape, self.dtype = source, source.shape, source.dtype
+
+            def __getitem__(self, rows):
+                reads.append(rows)
+                return self.source[rows]
+
+        def counting_conv(data, *args, **kwargs):
+            return conv(CountedRows(data), *args, **kwargs)
+
+        def logged_deconv_at(data, w, b, iy, ix):
+            deconvolved.append((len(iy), len(np.unique(iy // 2 * 30 + ix // 2))))
+            return deconv_at(data, w, b, iy, ix)
+
+        monkeypatch.setattr(fpn, "dense_conv2d", counting_conv)
+        monkeypatch.setattr(fpn, "deconv2x2_at", logged_deconv_at)
+        got = lateral_map.at(iy, ix)
+        assert got.dtype == dtype
+        assert got.tobytes() == whole[iy, ix].tobytes()
+        # one dense conv over 18 lines of 6 rows, read in four chunks; each
+        # canvas cell on the map deconvolved once, a GEMM band of parents
+        # (or fewer) at a time
+        assert len(reads) == 4 and reads[-1].stop == 18 * _LINE_ROWS
+        assert sum(cells for cells, _ in deconvolved) == on_map.sum()
+        assert len(deconvolved) > 4
+        assert max(parents for _, parents in deconvolved) <= grid._BAND_ROWS
+
+    def test_strips_as_wide_as_the_map(self):
+        # whole rows asked for: each band of rows is one strip of the map's
+        # width plus its two halo columns, a whole canvas line
+        cfg = tiny_config()
+        store, backbone = forward_to_backbone(cfg)
+        pool = build_pooling_map(backbone, build_pyramid(backbone, store),
+                                 store, 4, cfg.bottom_up_strides)
+        full = dense_values(pool)
+        w = pool.width
+        iy, ix = np.meshgrid([0, 1, 5, pool.height - 1], np.arange(w),
+                             indexing="ij")
+        iy, ix = np.r_[iy.ravel(), 9, 9], np.r_[ix.ravel(), 3, 7]
+        widths = _pack_strips(iy, ix)[2]
+        line, col = _pack_lines(widths, w + 2)
+        wide = widths == w + 2
+        assert wide.sum() == 3
+        assert len(set(line[wide])) == 3 and (col[wide] == 0).all()
+        assert not np.isin(line[~wide], line[wide]).any()
+        np.testing.assert_array_equal(pool.at(iy, ix), full[iy, ix])
+
+    def test_lines_hold_strips_apart_and_whole(self):
+        widths = np.random.default_rng(36).integers(3, 41, 300)
+        line, col = _pack_lines(widths, 42)
+        assert (col >= 0).all() and (col + widths <= 42).all()
+        for y in range(line.max() + 1):
+            on = line == y
+            taken = np.concatenate([np.arange(c, c + n) for c, n
+                                    in zip(col[on], widths[on])])
+            assert len(taken) == len(np.unique(taken))
+        # first fit leaves at most one line half empty or less, so it uses
+        # under twice the lines the columns need
+        assert line.max() + 1 <= 2 * -(-widths.sum() // 42)
 
     def test_empty_cell_set(self):
         cfg = tiny_config()

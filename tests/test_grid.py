@@ -566,6 +566,47 @@ class TestGemmRows:
         # and NumPy's 32 KiB buffer for the bias add
         assert peak <= out.nbytes + grid._BAND_ROWS * (256 + 64) * 4 + (64 << 10)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_whole_bands_are_read_in_place_with_the_copied_bits(self, dtype):
+        # two whole bands of K = 2048 and 300 zero rows after them: the
+        # whole bands are multiplied where they lie, a 4 or 8 MB band
+        # buffer never made, and the bits are those of the copied bands
+        rng = np.random.default_rng(6)
+        x = np.zeros((1324, 2048), dtype)
+        x[:1024] = rng.standard_normal((1024, 2048))
+        w = rng.standard_normal((2048, 16)).astype(dtype)
+        b = rng.standard_normal(16).astype(dtype)
+        band = grid._BAND_ROWS * 2048 * x.itemsize
+        tracemalloc.start()
+        try:
+            out = gemm_rows(x[:1024], w, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < band // 4
+        copied = gemm_rows(np.asfortranarray(x[:1024]), w, b)
+        assert out.tobytes() == copied.tobytes()
+        # a short last band is copied and zero-padded: the bits of the
+        # same rows read in place with their zero rows after them
+        padded = gemm_rows(x, w, b)
+        assert gemm_rows(x[:1100], w, b).tobytes() == padded[:1100].tobytes()
+
+    def test_a_strided_input_is_copied_into_a_band(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((1024, 4096), dtype=np.float32)
+        w = rng.standard_normal((2048, 16), dtype=np.float32)
+        strided = x[:, ::2]
+        assert not strided[:512].flags.c_contiguous
+        tracemalloc.start()
+        try:
+            out = gemm_rows(strided, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak >= grid._BAND_ROWS * 2048 * 4
+        assert out.tobytes() == gemm_rows(np.ascontiguousarray(strided), w).tobytes()
+
+
 def backbone_store(plan, seed=0):
     layout = {"pfe.linear.w": (4, plan[0]), "pfe.linear.b": (plan[0],),
               "backbone.s1.subm.w": (3, 3, plan[0], plan[0]),

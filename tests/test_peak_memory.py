@@ -11,13 +11,17 @@ import pytest
 
 from conftest import SMALL_CONFIG_DICT
 from pillardet import pipeline
-from pillardet.config import PipelineConfig, config_from_dict
-from pillardet.fpn import LateralMap, build_pyramid
-from pillardet.grid import (DenseFeatureMap, PointCloud, SparsePillarVolume,
-                            backbone_forward, pillarize, reached_cells)
+from pillardet.config import PipelineConfig, config_from_dict, weight_layout
+from pillardet.fpn import LateralMap, _pack_strips, build_pyramid
+from pillardet.geometry import Box3D
+from pillardet.grid import (DenseFeatureMap, GridSpec, PointCloud,
+                            SparsePillarVolume, backbone_forward, pillarize,
+                            reached_cells)
 from pillardet.pipeline import DetectionPipeline
+from pillardet.rcnn import pool_roi_features, rcnn_forward
 from pillardet.rpn import rpn_forward
 from pillardet.synth import SceneSpec, generate_scene
+from pillardet.weights import WeightStore
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +102,61 @@ def test_lateral_holds_under_half_a_map_beyond_its_output():
     assert transient < out.data.nbytes // 2
 
 
+def test_lateral_at_holds_under_half_a_canvas_beyond_its_result():
+    # every second column of a 256 x 256 map with 128 upsampled channels:
+    # one strip of the map's width per band of four rows, a 51 MB float32
+    # canvas of strips side by side; the canvas lines are deconvolved as
+    # the conv's chunks reach them and only the asked cells' rows are kept
+    rng = np.random.default_rng(9)
+    h = w = 256
+    c_sem, c_up, c_bu, c_out = 8, 128, 16, 16
+    keys = (np.arange(0, w, 5)[:, None] * h + np.arange(0, h, 5)).ravel()
+    volume = SparsePillarVolume(
+        4, w, h, np.stack([keys // h, keys % h], axis=1),
+        rng.standard_normal((len(keys), c_bu), dtype=np.float32))
+    f32 = lambda *shape: rng.standard_normal(shape, dtype=np.float32)
+    lateral = LateralMap(
+        DenseFeatureMap(8, f32(h // 2, w // 2, c_sem)), (volume,),
+        f32(2, 2, c_sem, c_up), f32(c_up), f32(3, 3, c_up + c_bu, c_out),
+        f32(c_out))
+    iy, ix = np.meshgrid(np.arange(h), np.arange(0, w, 2), indexing="ij")
+    iy, ix = iy.ravel(), ix.ravel()
+    # the canvas of the strips side by side, as one array
+    canvas = _pack_strips(iy, ix)[2].sum() * (4 + 2) * c_up * 4
+    assert canvas >= 48 << 20
+    out, transient = transient_peak(lambda: lateral.at(iy, ix))
+    assert out.shape == (len(iy), c_out)
+    # the window's lines and the conv's planes of a chunk, one band of
+    # parents' deconvolved cells and the bottom-up conv rows: 14.0 MB measured
+    # (137.5 MB with the whole canvas, its conv and a (K, C) sum)
+    assert transient < canvas // 2
+
+
+def test_rcnn_forward_holds_no_second_copy_of_the_pooled_features():
+    # 600 RoIs of 7 x 7 x 128 float32 features (15 MB): fc1 reads them
+    # where they are pooled, in whole 512-RoI bands, and no padded copy
+    # of a band (12.8 MB) is made
+    cfg = PipelineConfig()
+    weights = WeightStore.seeded(weight_layout(cfg), 0)
+    spec = GridSpec(x_min=-12.8, x_max=12.8, y_min=-12.8, y_max=12.8)
+    rng = np.random.default_rng(10)
+    m = DenseFeatureMap(4, rng.standard_normal((64, 64, cfg.pool_channels),
+                                               dtype=np.float32))
+    rois = [Box3D(x, y, 0.0, 4.0, 1.8, 1.6, yaw) for x, y, yaw in
+            zip(rng.uniform(-10, 10, 600), rng.uniform(-10, 10, 600),
+                rng.uniform(-np.pi, np.pi, 600))]
+    _, sampling = transient_peak(
+        lambda: pool_roi_features(rois, m, spec, cfg.roi_grid_size))
+    (_, _, pooled), transient = transient_peak(
+        lambda: rcnn_forward(rois, m, spec, weights, cfg.roi_grid_size))
+    assert pooled.shape == (600, 7, 7, cfg.pool_channels)
+    band = 512 * pooled[0].nbytes
+    assert band >= 12 << 20
+    # the MLP's layer outputs are smaller than what pooling holds: the
+    # two peaks were equal to 0.1 MB (6.7 MB apart with the padded copy)
+    assert transient - sampling < band // 4
+
+
 def small_scene_points(cfg, seed):
     rng = np.random.default_rng(seed)
     g = cfg.grid
@@ -173,9 +232,9 @@ def test_c5_dies_before_p3_unless_the_pooling_map_reads_it(monkeypatch,
 def test_sparse_volumes_die_with_their_last_reader(monkeypatch, override,
                                                     read):
     # the pillar volume dies once the backbone has run; C1 and C2 unless
-    # the pooling map reads them; C3 and C4 feed the pyramid and die once
-    # it is built unless the pooling map reads them; refine runs with the
-    # volumes the pooling map holds, those already at its stride
+    # the pooling map reads them; C4 and C3 feed P4 and P3 and die once
+    # those are built unless the pooling map reads them; refine runs with
+    # the volumes the pooling map holds, those already at its stride
     cfg = config_from_dict({**SMALL_CONFIG_DICT, **override})
     volumes = {}
     alive = {}
@@ -200,10 +259,21 @@ def test_sparse_volumes_die_with_their_last_reader(monkeypatch, override,
     watched("rpn_forward", pipeline.rpn_forward)
     watched("build_pooling_map", pipeline.build_pooling_map)
     watched("refine", pipeline.refine)
+    dense = LateralMap.dense
+
+    def watched_dense(self):
+        if self.stride == 4:  # P3, before its conv starts
+            gc.collect()
+            alive["P3"] = {n for n, r in volumes.items() if r() is not None}
+        return dense(self)
+
+    monkeypatch.setattr(LateralMap, "dense", watched_dense)
     DetectionPipeline(cfg).run(small_scene_points(cfg, 3))
     kept = {names[s] for s in read}
+    # C4 dies once P4 is built, before P3's build, unless the pooling map
+    # reads it (pool stride 8 with [8])
     assert alive == {"pillarize": set(), "backbone_forward": {"volume"},
-                     "build_pyramid": kept | {"C3", "C4"},
+                     "build_pyramid": kept | {"C3", "C4"}, "P3": kept | {"C3"},
                      "rpn_forward": kept, "build_pooling_map": kept,
                      "refine": {names[s] for s in read if s == cfg.pool_stride}}
 

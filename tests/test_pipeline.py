@@ -60,7 +60,7 @@ def test_no_stage_reads_p3_so_it_is_not_built(monkeypatch):
     assert "P3" not in result.shapes and "P4" in result.shapes
     build = pipeline.build_pyramid
     monkeypatch.setattr(pipeline, "build_pyramid",
-                        lambda backbone, weights, strides: build(backbone, weights))
+                        lambda backbone, weights, *_: build(backbone, weights))
     built.clear()
     every_level = DetectionPipeline(cfg).run(cloud)
     assert built == [8, 4]
