@@ -17,49 +17,49 @@ against the per-pixel oracle on the concatenated input by ``verify``.
 
 The pyramid levels are read everywhere by the center heads, so they are
 built whole, by :meth:`LateralMap.dense`; their upsampled halves are not.
-Both halves are read through one forward-only window, :class:`_Rows`,
-which computes rows into one buffer as reads reach them, after the held
-rows a read still needs. The dense conv reads its input by row ranges,
-one chunk at a time, and :func:`~pillardet.grid.deconv2x2` writes just
-the semantic rows that chunk reaches, interleaved, into that buffer, so
-the 2x map exists once and only a chunk at a time (4.4 MB of the 72 MB
-P3 one on a full-range scene). The conv writes its output one band of
-rows at a time into a sink (:class:`_BlendSink`) that finishes the band:
-each volume's conv at the band's reached cells, computed a few bands at
-a time in row order from one copy of the volume's features and one
-neighbour index, then bias and ReLU. No map-sized temporary is made
-beside the map. Building P3 thus holds 16.4 MB beside P3 and P4
-(tracemalloc, full-range scene): the window's chunk, the conv's padded
-planes of it (4.4 MB each), the conv's band accumulators, the bottom-up
-conv rows, C3's feature copy and neighbour index (1.6 MB) and one call's
-gathered rows.
+The dense conv reads its input by row ranges, one chunk at a time, from a
+row source (:class:`_RowSource`) that writes the rows asked for straight
+into the conv's padded planes: :func:`~pillardet.grid.deconv2x2` writes
+just the semantic rows that chunk reaches, interleaved, into the planes'
+interior, so the 2x map exists once and only a chunk at a time (4.4 MB
+of the 72 MB P3 one on a full-range scene). The conv writes its output
+one band of rows at a time into a sink (:class:`_BlendSink`) that
+finishes the band: each volume's conv at the band's reached cells,
+computed a few bands at a time in row order through one forward-only
+window (:class:`_Rows`) and one neighbour index, gathering from the
+volume's own storage, then bias and ReLU. No map-sized temporary is made
+beside the map. Building P3 thus holds 10.7 MB beside P3 and P4
+(tracemalloc, full-range scene): the conv's planes, its band
+accumulators, the bottom-up conv rows, C3's neighbour index and one
+call's gathered rows.
 The pooling map is only read under the RoI grids (a few percent of its
 cells on a full-range scene), so it is never built: :meth:`LateralMap.at`
 evaluates the same recipe at the cells asked for. Its up half is one
 dense conv over a canvas of haloed strips around those cells, packed on
 lines of the map's width plus two columns and the lines stacked (3.9
 cells computed per cell asked for on a full-range scene, 22 for the
-whole map). That canvas is never whole either: it is a :class:`_Rows`
-source whose reads deconvolve only the parents of their lines' cells on
-the map, a GEMM band of parents at a time, and the conv writes into a
+whole map). That canvas is never whole either: it is a row source
+whose fills deconvolve only the parents of their rows' cells on the map,
+a GEMM band of parents at a time, and the conv writes into a
 sink (:class:`_CellSink`) that keeps only the asked cells' rows. Each
 bottom-up volume's conv rows are added to those in place, through
 ``gemm_rows``' sink (:class:`_AddedRows`). All other products are
 ``gemm_rows`` ones: ``.at()`` equals ``.dense()`` bit for bit. Evaluating
-the map under 500 RoIs holds 13.8 MB beside its result on a crowded
-near-range scene and 16.2 MB on a full-range one (tracemalloc; 24.6 and
-34.5 MB with the canvas whole).
+the map under 500 RoIs holds 9.9 MB beside its result on a crowded
+near-range scene and 10.0 MB on a full-range one (tracemalloc; about 25
+and 35 MB with the canvas whole).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import (BackboneFeatures, DenseFeatureMap, SparsePillarVolume,
                    conv3x3_at, deconv2x2, deconv2x2_at, dense_conv2d,
-                   _BAND_ROWS, _conv3x3_sampler, _relu_volume, reached_cells,
+                   _BAND_ROWS, _conv3x3_sampler, reached_cells,
                    sparse_conv2d)
 # unused here: perfbench/tracing.py's PATCH_POINTS and its restore test read
 # fpn.densify; the name goes when ROADMAP item 2 moves spans into the package
@@ -73,8 +73,8 @@ def _downsample_chain(volume: SparsePillarVolume, target_stride: int,
     step = 0
     while v.stride < target_stride:
         name = f"{prefix}.down{step}"
-        v = _relu_volume(sparse_conv2d(v, weights.get(f"{name}.w"),
-                                       weights.get(f"{name}.b"), stride=2))
+        v = sparse_conv2d(v, weights.get(f"{name}.w"), weights.get(f"{name}.b"),
+                          stride=2, relu=True)
         step += 1
     return v
 
@@ -85,17 +85,15 @@ class _Rows:
     A read ``[r0, r1)`` that reaches rows not yet computed has them written
     by one ``fill(start, stop, out)`` call into the rows ``out`` of one
     buffer, after the rows it still holds: ``start`` is the first row not
-    yet computed, and ``stop`` is at least ``least`` rows on, rounded up to
-    a whole number of ``multiple`` rows (row pairs or bands, so each row is
-    computed once) and clipped to the array. Rows above ``r0`` are dropped:
+    yet computed, and ``stop`` is at least ``_BLEND_CELLS`` rows on,
+    rounded up to a whole number of ``_BAND_ROWS`` rows (GEMM bands, so
+    each row is computed once) and clipped to the array. Rows above ``r0`` are dropped:
     reads never go backwards, and a read's rows are a view of the buffer,
     valid until the next read.
     """
 
-    def __init__(self, fill, shape: tuple[int, ...], dtype, least: int = 1,
-                 multiple: int = 1):
+    def __init__(self, fill, shape: tuple[int, ...], dtype):
         self.shape, self.dtype, self._fill = shape, np.dtype(dtype), fill
-        self._least, self._multiple = least, multiple
         self._buf = np.empty((0,) + shape[1:], self.dtype)
         self._base = self._end = 0  # rows [base, end) are buf[:end - base]
         self._first = 0  # the first row of the last read
@@ -106,7 +104,7 @@ class _Rows:
             raise ValueError(f"row {r0} was dropped; rows are read in order")
         start = self._end
         if r1 > start:
-            n = -(-max(r1 - start, self._least) // self._multiple) * self._multiple
+            n = -(-max(r1 - start, _BLEND_CELLS) // _BAND_ROWS) * _BAND_ROWS
             stop = min(self.shape[0], start + n)
             # the held rows from r0 on move to the front; rows a read skips
             # are computed too
@@ -124,19 +122,39 @@ class _Rows:
         return self._buf[r0 - self._base:r1 - self._base]
 
 
+@dataclass(frozen=True)
+class _RowSource:
+    """A map of ``shape`` and ``dtype`` as :func:`~pillardet.grid.dense_conv2d`
+    reads a row source: ``fill(start, stop, out)`` writes its rows
+    ``[start, stop)`` into ``out``, for any row range."""
+
+    fill: Callable[[int, int, np.ndarray], None]
+    shape: tuple[int, int, int]
+    dtype: np.dtype
+
+
 def _upsampled_rows(data: np.ndarray, weight: np.ndarray,
-                    bias: np.ndarray) -> _Rows:
-    """``relu(deconv2x2(data, weight, bias))`` as :class:`_Rows`: a read
-    deconvolves the input rows it reaches, each input row once, as one
-    :func:`deconv2x2` call into the window's buffer."""
+                    bias: np.ndarray) -> _RowSource:
+    """``relu(deconv2x2(data, weight, bias))`` as a :class:`_RowSource`. A
+    fill deconvolves the input rows both of whose children it writes as one
+    :func:`deconv2x2` call straight into ``out``; an input row with one
+    child at either end of the range (a fill that starts or stops mid row
+    pair) is deconvolved on its own and that child copied, so such a row is
+    deconvolved once by each of the two fills that share it."""
     h, w, _ = data.shape
 
     def fill(start, stop, out):
-        deconv2x2(data[start // 2:stop // 2], weight, bias, out=out)
+        a, b = -(-start // 2), stop // 2  # both children in [start, stop)
+        if a < b:
+            deconv2x2(data[a:b], weight, bias, out=out[2 * a - start:2 * b - start])
+        if start % 2:
+            out[0] = deconv2x2(data[start // 2:start // 2 + 1], weight, bias)[1]
+        if stop % 2:
+            out[-1] = deconv2x2(data[stop // 2:stop // 2 + 1], weight, bias)[0]
         np.maximum(out, 0.0, out=out)
 
-    return _Rows(fill, (2 * h, 2 * w, weight.shape[3]),
-                 np.result_type(data, weight, bias), multiple=2)
+    return _RowSource(fill, (2 * h, 2 * w, weight.shape[3]),
+                      np.result_type(data, weight, bias))
 
 
 # least bottom-up cells of one conv3x3_at call of a band sink
@@ -148,7 +166,7 @@ def _reached_rows(v: SparsePillarVolume, weight: np.ndarray):
     by map row, then column: their rows, columns and conv rows, the last as
     :class:`_Rows` computed by :func:`conv3x3_at` calls over at least
     ``_BLEND_CELLS`` cells in whole ``_BAND_ROWS`` bands, in row order,
-    all from one copy of the volume's features (:func:`_conv3x3_sampler`)."""
+    all with one neighbour index (:func:`_conv3x3_sampler`)."""
     reached = reached_cells(v)
     cells = reached[np.lexsort((reached // v.ny, reached % v.ny))]
     conv = _conv3x3_sampler(v, weight)
@@ -157,8 +175,7 @@ def _reached_rows(v: SparsePillarVolume, weight: np.ndarray):
         conv(cells[start:stop], out=out)
 
     return cells % v.ny, cells // v.ny, _Rows(
-        fill, (len(cells), weight.shape[3]), np.result_type(v.features, weight),
-        least=_BLEND_CELLS, multiple=_BAND_ROWS)
+        fill, (len(cells), weight.shape[3]), np.result_type(v.features, weight))
 
 
 class _BlendSink:
@@ -319,7 +336,8 @@ class LateralMap:
 
     def dense(self) -> DenseFeatureMap:
         """The whole map. The up half is one dense conv whose input is
-        deconvolved as its chunks reach the rows, never whole; each band
+        deconvolved into its planes as its chunks reach the rows, never
+        whole (:func:`_upsampled_rows`); each band
         it writes is finished in its sink (:class:`_BlendSink`), each
         volume's conv added at the band's cells its active sites reach."""
         up = _upsampled_rows(self.semantic.data, self.deconv_w, self.deconv_b)
@@ -377,8 +395,8 @@ class LateralMap:
         dense conv runs over the lines stacked: the upsampled map, zero off
         the map and after a line's last strip. A strip's inner cells read
         only their own strip, so they get exactly the full map's values.
-        The canvas is a row source (:class:`_Rows`): the conv's chunks
-        deconvolve the parents of their lines' cells as they reach them;
+        The canvas is a row source (:class:`_RowSource`): the conv's chunks
+        deconvolve the parents of their rows' cells as they reach them;
         its sink (:class:`_CellSink`) keeps the rows of the cells asked for.
         """
         map_y, map_x, widths, strip_of = _pack_strips(qy, qx)
@@ -391,14 +409,16 @@ class LateralMap:
             col[strip_of] + qx - map_x[strip_of])
         return self._up_conv(canvas, sink).data
 
-    def _canvas_rows(self, map_y, map_x, widths, line, col, width) -> _Rows:
+    def _canvas_rows(self, map_y, map_x, widths, line, col, width) -> _RowSource:
         """The canvas of strips (top-left map cells ``map_y``, ``map_x``,
-        ``widths`` columns) placed at ``line``, ``col``, as :class:`_Rows`
-        read in whole lines. A read deconvolves the parents of its lines'
-        cells on the map, each once, by :func:`deconv2x2_at` calls of
-        ``_BAND_ROWS`` parents (one GEMM each, the last one short), so
-        no more than a band's children are held beside the lines; then
-        ReLU."""
+        ``widths`` columns) placed at ``line``, ``col``, as a
+        :class:`_RowSource`. A fill of any row range zeroes its rows and
+        deconvolves the parents of their cells on the map, each once, by
+        :func:`deconv2x2_at` calls of ``_BAND_ROWS`` parents (one GEMM
+        each, the last one short), so no more than a band's children are
+        held beside the conv's planes; then ReLU. A parent whose children
+        two fills share (a fill starting inside a line) is deconvolved by
+        each."""
         h, w, w_sem = self.height, self.width, self.semantic.width
         n_lines = int(line.max()) + 1
         by_line = np.argsort(line, kind="stable")
@@ -406,17 +426,20 @@ class LateralMap:
         dy = np.arange(_LINE_ROWS)[:, None]
 
         def fill(start, stop, out):
-            l0, l1 = start // _LINE_ROWS, stop // _LINE_ROWS
+            l0, l1 = start // _LINE_ROWS, -(-stop // _LINE_ROWS)
             strips = by_line[first[l0]:first[l1]]
             # every strip column on these lines: its strip, its column in it
             n = widths[strips]
             s = np.repeat(strips, n)
             dx = np.arange(len(s)) - np.repeat(np.cumsum(n) - n, n)
             my, mx = map_y[s] + dy, map_x[s] + dx
-            # their cells on the map, as map and canvas cells
-            ry, i = np.nonzero((my >= 0) & (my < h) & (mx >= 0) & (mx < w))
+            cy = line[s] * _LINE_ROWS + dy
+            # their cells on the map in rows [start, stop), as map cells and
+            # rows of `out`
+            ry, i = np.nonzero((my >= 0) & (my < h) & (mx >= 0) & (mx < w)
+                               & (cy >= start) & (cy < stop))
             my, mx = my[ry, i], mx[i]
-            oy, ox = (line[s[i]] - l0) * _LINE_ROWS + ry, col[s[i]] + dx[i]
+            oy, ox = cy[ry, i] - start, col[s[i]] + dx[i]
             # cells in parent order, cut before every _BAND_ROWS-th parent
             parent = my // 2 * w_sem + mx // 2
             order = np.argsort(parent, kind="stable")
@@ -428,8 +451,8 @@ class LateralMap:
                                                  self.deconv_b, my[k], mx[k])
             np.maximum(out, 0.0, out=out)
 
-        return _Rows(fill, (n_lines * _LINE_ROWS, width, self.deconv_w.shape[3]),
-                     self.dtype, multiple=_LINE_ROWS)
+        return _RowSource(fill, (n_lines * _LINE_ROWS, width, self.deconv_w.shape[3]),
+                          self.dtype)
 
 
 def lateral(semantic: DenseFeatureMap, bottom_up: tuple[SparsePillarVolume, ...],

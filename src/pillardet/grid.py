@@ -11,7 +11,7 @@ maps; point clouds and geometry stay float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,6 +104,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _padded_rows(n: int, channels: int, dtype) -> np.ndarray:
+    """Storage for the features of ``n`` sites: (n + 1, channels), the last
+    row zero. A writer fills ``[:n]`` and hands that view to
+    :class:`SparsePillarVolume`, which then keeps the storage as it is."""
+    rows = np.empty((n + 1, channels), dtype)
+    rows[n] = 0
+    return rows
+
+
 @dataclass(frozen=True)
 class SparsePillarVolume:
     """Active pillar sites at one stride.
@@ -112,6 +121,13 @@ class SparsePillarVolume:
     lexicographically by ix then iy; ``features`` is the aligned (N, C)
     float32 or float64 array (see :func:`~pillardet.weights.as_float`).
     ``nx``/``ny`` are the grid dims at this stride.
+
+    The features lie in ``padded``, (N + 1, C) storage whose last row is
+    zero, so a neighbour table can name "no site" as row N and gather from
+    the storage itself (:func:`conv3x3_at`). ``features`` given as
+    ``padded[:N]`` of such storage (as :func:`pillarize` and
+    :func:`sparse_conv2d` make them, see :func:`_padded_rows`) is taken as
+    it lies; any other (N, C) array is copied into new storage once.
     """
 
     stride: int
@@ -119,6 +135,7 @@ class SparsePillarVolume:
     ny: int
     coords: np.ndarray
     features: np.ndarray
+    padded: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=np.int64).reshape(-1, 2)
@@ -132,8 +149,18 @@ class SparsePillarVolume:
             if (coords.min() < 0 or coords[:, 0].max() >= self.nx
                     or coords[:, 1].max() >= self.ny):
                 raise ValueError("coords out of grid bounds")
+        padded = feats.base
+        if not (isinstance(padded, np.ndarray) and padded.flags.c_contiguous
+                and padded.shape == (len(feats) + 1, feats.shape[1])
+                and padded.dtype == feats.dtype
+                and feats.ctypes.data == padded.ctypes.data
+                and feats.strides == padded.strides and not padded[-1].any()):
+            padded = _padded_rows(len(feats), feats.shape[1], feats.dtype)
+            padded[:-1] = feats
+        padded.setflags(write=False)
         object.__setattr__(self, "coords", _freeze(coords))
-        object.__setattr__(self, "features", _freeze(feats))
+        object.__setattr__(self, "padded", padded)
+        object.__setattr__(self, "features", padded[:-1])
 
     @property
     def n_active(self) -> int:
@@ -243,7 +270,8 @@ def pillarize(points: PointCloud, spec: GridSpec,
     key_sorted = key[order]
     enc = enc[order]
     uniq, starts = np.unique(key_sorted, return_index=True)
-    pooled = np.maximum.reduceat(enc, starts, axis=0)
+    pooled = _padded_rows(len(uniq), channels, enc.dtype)[:-1]
+    np.maximum.reduceat(enc, starts, axis=0, out=pooled)
     coords = np.stack([uniq // ny, uniq % ny], axis=1)
     return SparsePillarVolume(1, nx, ny, coords, pooled)
 
@@ -337,8 +365,8 @@ def conv3x3_at(v: SparsePillarVolume, weight: np.ndarray, cells: np.ndarray,
     ``cells`` are flat output cells ``ox * ny_out + oy`` of the grid at
     ``stride``, in any order; the result is their (len(cells), c_out)
     rows, in the dtype the features and kernel promote to. A neighbour
-    table lists, per output cell, the feature row under each of the nine
-    kernel offsets, a zero row where no site is active, for one
+    table lists, per output cell, the row of ``v.padded`` under each of
+    the nine kernel offsets, its zero row where no site is active, for one
     :func:`gemm_rows` product against the (9 * C, c_out) kernel, into
     ``out`` when given.
     """
@@ -346,20 +374,20 @@ def conv3x3_at(v: SparsePillarVolume, weight: np.ndarray, cells: np.ndarray,
 
 
 def _conv3x3_sampler(v: SparsePillarVolume, weight: np.ndarray,
-                     stride: int = 1):
-    """:func:`conv3x3_at` of ``v`` and ``weight`` as a function of ``cells``
-    and ``out``: the feature rows with the zero row after them and the
-    neighbour index are built once, for every call, so calls on a volume's
-    cells a band at a time copy its features once."""
+                     stride: int = 1, bias: np.ndarray | None = None):
+    """:func:`conv3x3_at` of ``v`` and ``weight``, plus ``bias`` when given,
+    as a function of ``cells`` and ``out``: the neighbour index is built
+    once, for every call, and the rows are gathered from the volume's
+    storage, so calls on a volume's cells a band at a time copy none of
+    its features."""
     if weight.shape[:3] != (3, 3, v.channels):
         raise ValueError(
             f"kernel shape {weight.shape} incompatible with {v.channels} input channels"
         )
-    # feature row of each cell of the grid padded by one: its site's, or
-    # the zero row appended after the sites
+    # row of v.padded under each cell of the grid padded by one: its
+    # site's, or the zero row after the sites
     index = np.full((v.nx + 2, v.ny + 2), v.n_active, dtype=np.int32)
     index[v.coords[:, 0] + 1, v.coords[:, 1] + 1] = np.arange(v.n_active)
-    rows = np.concatenate([v.features, np.zeros((1, v.channels), v.features.dtype)])
     kernel = weight.reshape(9 * v.channels, weight.shape[3])
     ny_out = _out_dim(v.ny, stride)
     k = np.arange(3)
@@ -369,20 +397,25 @@ def _conv3x3_sampler(v: SparsePillarVolume, weight: np.ndarray,
         # oy * stride + ky) under offset (ky, kx), into table column 3 * ky + kx
         x0, y0 = cells // ny_out * stride, cells % ny_out * stride
         table = index[x0[:, None, None] + k, y0[:, None, None] + k[:, None]]
-        return gemm_rows(rows, kernel, index=table.reshape(len(cells), 9),
+        return gemm_rows(v.padded, kernel, bias, index=table.reshape(len(cells), 9),
                          out=out)
 
     return at
 
 
 def sparse_conv2d(v: SparsePillarVolume, weight: np.ndarray, bias: np.ndarray,
-                  stride: int = 1, submanifold: bool = False) -> SparsePillarVolume:
-    """3x3 sparse convolution with zero padding.
+                  stride: int = 1, submanifold: bool = False,
+                  relu: bool = False) -> SparsePillarVolume:
+    """3x3 sparse convolution with zero padding, then ReLU when ``relu``.
 
     Submanifold mode keeps the active set identical to the input (stride
     must be 1). Regular mode activates every output site that receives at
     least one contribution under the strided window. Bias applies at active
-    output sites only; inactive sites remain implicit zeros.
+    output sites only; inactive sites remain implicit zeros. The conv rows,
+    bias added in each GEMM, are written straight into the output volume's
+    storage, and ReLU runs there in place: the backbone and the pooling
+    map's downsampling chains pass ``relu=True``, ``verify``'s
+    sparse-dense suite the default.
     """
     if submanifold and stride != 1:
         raise ValueError("submanifold convolution requires stride 1")
@@ -391,9 +424,14 @@ def sparse_conv2d(v: SparsePillarVolume, weight: np.ndarray, bias: np.ndarray,
 
     ny_out = _out_dim(v.ny, stride)
     cells = v.keys() if submanifold else reached_cells(v, stride)
+    rows = _padded_rows(len(cells), weight.shape[3],
+                        np.result_type(v.features, weight, bias))[:-1]
+    _conv3x3_sampler(v, weight, stride, bias)(cells, rows)
+    if relu:
+        np.maximum(rows, 0.0, out=rows)
     return SparsePillarVolume(stride * v.stride, _out_dim(v.nx, stride), ny_out,
                               np.stack([cells // ny_out, cells % ny_out], axis=1),
-                              conv3x3_at(v, weight, cells, stride) + bias)
+                              rows)
 
 
 def densify(v: SparsePillarVolume) -> DenseFeatureMap:
@@ -420,10 +458,17 @@ def dense_conv2d(data, weight: np.ndarray, bias: np.ndarray,
     buffer takes the plane rows of one chunk of output rows (a whole number
     of bands, about ``_CHUNK_BYTES``) at a time.
 
-    Both ends stream. The input is read only as ``data[r0:r1]``, one row
-    range per chunk, ranges never moving backwards, so any object with
-    ``.shape``, ``.dtype`` and such row slicing can stand for the map (a
-    lateral's upsampled half deconvolves its rows as they are asked for).
+    Both ends stream. The input is an array or a row source: any object
+    with ``.shape``, ``.dtype`` and ``fill(start, stop, out)``, which writes
+    the map's rows ``[start, stop)`` into ``out``, a (stop - start, w, c)
+    array of the conv's dtype whose rows may lie apart (a lateral's
+    upsampled half deconvolves its rows as they are asked for). Each row
+    is asked for once, in order, as the chunks reach it. At stride 1
+    ``out`` is the plane's interior itself: the ``reach + 1`` rows that two
+    chunks share move to the top of the plane, and only the rows below
+    them are filled, so no row is held twice. At stride 2 the rows are
+    filled a row pair at a time into a small buffer and split into the
+    phase planes from there.
     The output is written one band at a time as ``out[y0:y1] = rows``,
     into ``out`` when given (any object with the output's ``.shape`` that
     takes such assignments, as the center heads' band epilogue does), else
@@ -442,6 +487,11 @@ def dense_conv2d(data, weight: np.ndarray, bias: np.ndarray,
         out = np.empty((h_out, w_out, c_out), dtype)
     elif out.shape != (h_out, w_out, c_out):
         raise ValueError(f"output shape {out.shape} != {(h_out, w_out, c_out)}")
+    if isinstance(data, np.ndarray):
+        def fill(start, stop, dst):
+            dst[...] = data[start:stop]
+    else:
+        fill = data.fill
     reach = 2 // s  # largest plane shift of a kernel offset
     width = w_out + reach
     band = max(1, _CONV_BAND_PIXELS // width)
@@ -451,30 +501,36 @@ def dense_conv2d(data, weight: np.ndarray, bias: np.ndarray,
     rows = min(chunk, h_out) + reach + 1
     planes = np.zeros((s, s, rows, width, c_in), dtype)
     flat = planes.reshape(s, s, rows * width, c_in)
-
+    # at stride 2, a row pair of input on its way to the phase planes
+    pair = np.empty((s, w_in, c_in), dtype) if s > 1 else None
+    filled = 0  # data rows read
     acc = np.empty((band * width, c_out), dtype)
     tmp = np.empty_like(acc)
     for c0 in range(0, h_out, chunk):
         c1 = min(h_out, c0 + chunk)
-        # plane row r of phase (py, px), buffer row r - c0, holds data row
-        # s*r + py - 1; the chunk's planes read data rows [r_lo, r_hi)
-        r_lo, r_hi = max(0, s * c0 - 1), min(h, s * (c0 + rows) - 1)
-        block = data[r_lo:r_hi]
+        # plane row r of phase (py, px) holds data row first + s * r + py;
+        # the rows the last chunk shares with this one move to the top
+        first = s * c0 - 1
+        if c0:
+            planes[:, :, :reach + 1] = planes[:, :, chunk:]
+        stop = min(h, first + s * rows)
+        if s == 1:
+            if stop > filled:
+                fill(filled, stop,
+                     planes[0, 0, filled - first:stop - first, 1:1 + w_in])
+        else:
+            # data column 2j + px - 1 is plane column j of phase px: column
+            # 0 of phase 0 is the padding
+            for a in range(filled, stop, 2):
+                b = min(stop, a + 2)
+                fill(a, b, pair[:b - a])
+                for d in range(a, b):
+                    py, r = (d - first) % 2, (d - first) // 2
+                    planes[py, 0, r, 1:1 + w_in // 2] = pair[d - a, 1::2]
+                    planes[py, 1, r, :w_out] = pair[d - a, 0::2]
+        filled = max(filled, stop)
         for py in range(s):
-            for px in range(s):
-                # the first plane row and column holding data, (iy, ix), hold
-                # data row and column (dy, dx); the padding above is only in
-                # the first, still zero, chunk
-                dy, dx = (py - 1) % s, (px - 1) % s
-                iy, ix = (dy + 1 - py) // s, (dx + 1 - px) // s
-                lo = max(c0, iy)
-                hi = max(lo, min(c0 + rows, iy + (h - dy + s - 1) // s))
-                src = block[s * (lo - iy) + dy - r_lo::s][:hi - lo, dx::s]
-                plane = planes[py, px]
-                plane[lo - c0:hi - c0, ix:ix + src.shape[1]] = src
-                plane[hi - c0:] = 0
-        # a row source may reuse the block's memory for its next read
-        del block, src
+            planes[py, :, -(-(stop - first - py) // s):] = 0
         for y0 in range(c0, c1, band):
             y1 = min(c1, y0 + band)
             n = (y1 - y0) * width
@@ -499,36 +555,46 @@ def deconv2x2(data: np.ndarray, weight: np.ndarray, bias: np.ndarray,
 
     All input pixels are one :func:`gemm_rows` product against the kernel
     laid out as (c_in, 4 * c_out), column block ``2 * dy + dx`` holding
-    ``weight[dy, dx]``. Each GEMM's rows go straight to their output
-    pixels (``2y + dy``, ``2x + dx``), into ``out`` when given (a
-    C-contiguous (2h, 2w, c_out) array), else into a new array; the result
-    is ``out``. The pipeline passes it a chunk's rows of a map, or the
-    parents :func:`deconv2x2_at` asks for.
+    ``weight[dy, dx]``. Each GEMM's rows, in the dtype the inputs promote
+    to, go straight to their output pixels (``2y + dy``, ``2x + dx``), into
+    ``out`` when given, else into a new array; the result is ``out``. An
+    ``out`` is a (2h, 2w, c_out) array whose rows may lie apart but whose
+    pixels lie side by side within a row, as in a dense conv's plane
+    (:func:`dense_conv2d`); it is written through a view that cannot copy.
+    The pipeline passes it a chunk's rows of a map, or the parents
+    :func:`deconv2x2_at` asks for.
     """
     h, w_in, c_in = data.shape
     if weight.shape[:3] != (2, 2, c_in):
         raise ValueError(f"deconv kernel shape {weight.shape} incompatible with input")
     c_out = weight.shape[3]
     shape = (2 * h, 2 * w_in, c_out)
+    dtype = np.result_type(data, weight, bias)
     if out is None:
-        out = np.empty(shape, np.result_type(data, weight, bias))
-    elif out.shape != shape or not out.flags.c_contiguous:
-        raise ValueError(f"output must be a C-contiguous {shape} array")
+        out = np.empty(shape, dtype)
     # input pixel (y, x)'s row block 2 * dy + dx is output pixel
     # (2y + dy, 2x + dx): (y, dy, x, (dx, c)) viewed as (y, x, dy, (dx, c))
-    children = out.reshape(h, 2, w_in, 2 * c_out).transpose(0, 2, 1, 3)
+    try:
+        children = np.reshape(out, (h, 2, w_in, 2 * c_out), copy=False)
+    except ValueError:  # another size, or a row's pixels not side by side
+        children = None
+    if children is None or out.shape != shape:
+        raise ValueError(f"output must be a {shape} array with C-contiguous "
+                         "pixel rows")
     gemm_rows(data.reshape(-1, c_in),
               weight.transpose(2, 0, 1, 3).reshape(c_in, 4 * c_out),
-              np.tile(bias, 4), out=_PixelRows(children))
+              np.tile(bias, 4),
+              out=_PixelRows(children.transpose(0, 2, 1, 3), dtype))
     return out
 
 
 class _PixelRows:
     """An (h, w, ...) array written by ranges of its flat pixels: ``rows[i:j]
-    = values`` puts ``values[k]`` at pixel ``divmod(i + k, w)``."""
+    = values`` puts ``values[k]`` at pixel ``divmod(i + k, w)``. ``dtype``
+    is that of the values, the product's."""
 
-    def __init__(self, pixels: np.ndarray):
-        self._pixels, self.dtype = pixels, pixels.dtype
+    def __init__(self, pixels: np.ndarray, dtype):
+        self._pixels, self.dtype = pixels, np.dtype(dtype)
 
     def __setitem__(self, rows: slice, values: np.ndarray) -> None:
         y, x = np.divmod(np.arange(rows.start, rows.stop), self._pixels.shape[1])
@@ -580,10 +646,6 @@ class BackboneFeatures:
         return v
 
 
-def _relu_volume(v: SparsePillarVolume) -> SparsePillarVolume:
-    return SparsePillarVolume(v.stride, v.nx, v.ny, v.coords, relu(v.features))
-
-
 def backbone_forward(v: SparsePillarVolume, weights: WeightStore,
                      channels: tuple[int, ...]) -> BackboneFeatures:
     """Run the five-stage hierarchy on a stride-1 pillar volume.
@@ -603,9 +665,8 @@ def backbone_forward(v: SparsePillarVolume, weights: WeightStore,
         )
 
     def conv(vol, name, stride=1, submanifold=False):
-        out = sparse_conv2d(vol, weights.get(f"{name}.w"), weights.get(f"{name}.b"),
-                            stride=stride, submanifold=submanifold)
-        return _relu_volume(out)
+        return sparse_conv2d(vol, weights.get(f"{name}.w"), weights.get(f"{name}.b"),
+                             stride=stride, submanifold=submanifold, relu=True)
 
     c1 = conv(v, "backbone.s1.subm", submanifold=True)
     stages = [c1]

@@ -101,59 +101,77 @@ def _bilinear_support(m: FeatureSource, spec: GridSpec,
     return BilinearSupport(iy, ix, weight, inside)
 
 
-def bilinear_sample(m: FeatureSource, spec: GridSpec, pts: np.ndarray,
-                    rows: int | None = None
+def bilinear_sample(m: FeatureSource, spec: GridSpec, pts: np.ndarray
                     ) -> tuple[np.ndarray, BilinearSupport]:
-    """Interpolate the map at (M, 2) BEV points -> (M, C) values; with
-    ``rows`` (at least M), (rows, C), the rows after the M-th zero.
+    """Interpolate the map at (M, 2) BEV points -> (M, C) values.
 
-    Corners off the map blend with zeros. The distinct on-map corner cells
-    are looked up with one ``m.at`` call. Also returns the corners and
-    weights used, which double as the analytic gradient. Each corner's
-    product with its float64 weight is formed in float64 and rounded to
-    the map's dtype; the sum runs in the map's dtype.
+    Corners off the map blend with zeros. Also returns the corners and
+    weights used, which double as the analytic gradient. The values are
+    :func:`_blend`'s, as :func:`pool_roi_features` pools them.
     """
-    sup = _bilinear_support(m, spec, pts)
-    # keyed ix * height + iy; an off-map corner keys past every cell, so
-    # it reads the slot after the last cell's: a zero row
+    return _blend(m, spec, pts, len(pts)), _bilinear_support(m, spec, pts)
+
+
+def _corner_keys(m: FeatureSource, sup: BilinearSupport) -> np.ndarray:
+    """Each corner's cell keyed ``ix * height + iy``; an off-map corner keys
+    past every cell."""
+    return np.where(sup.inside, sup.ix * m.height + sup.iy, m.height * m.width)
+
+
+def _blend(m: FeatureSource, spec: GridSpec, pts: np.ndarray,
+           rows: int) -> np.ndarray:
+    """The bilinear sample of the map at (M, 2) BEV points, as the first M
+    of ``rows`` (at least M) rows of (rows, C), the rest zero.
+
+    The distinct on-map corner cells are looked up with one ``m.at`` call,
+    before the result is made, so it is not held while the map computes.
+    Then each chunk of ``_BLEND_ROWS`` points is blended with its own
+    support, each corner's slot found by ``searchsorted`` in the sorted
+    cells, so no (M, 4) array is made. Each corner's product with its
+    float64 weight is formed in float64 and rounded to the map's dtype;
+    the sum runs in the map's dtype.
+    """
+    chunks = [pts[i:i + _BLEND_ROWS] for i in range(0, len(pts), _BLEND_ROWS)]
     n_cells = m.height * m.width
-    cells, corner_slot = np.unique(
-        np.where(sup.inside, sup.ix * m.height + sup.iy, n_cells),
-        return_inverse=True)
-    corner_slot = corner_slot.reshape(sup.inside.shape)
+    cells = np.unique(np.concatenate(
+        [np.unique(_corner_keys(m, _bilinear_support(m, spec, p))) for p in chunks]
+        + [np.zeros(0, np.int64)]))
     cells = cells[cells < n_cells]
     # the zero row is appended once the map's rows are made, so the copy
-    # is not held while the map computes them
+    # is not held while the map computes them; an off-map corner's key
+    # sorts after every cell, so its slot is that zero row
     values = m.at(cells % m.height, cells // m.height)
     values = np.concatenate([values, np.zeros((1, m.channels), m.dtype)],
                             dtype=m.dtype)
-    # blend a chunk of points at a time, scaling each corner gather in
-    # place: one chunk-sized gather is live, not (M, C); every slot is
-    # valid, and mode="clip" lets `take` skip its own output buffer
-    out = np.zeros((len(pts) if rows is None else rows, m.channels), m.dtype)
+    # scale each corner gather in place: one chunk-sized gather is live,
+    # not (M, C); every slot is valid, and mode="clip" lets `take` skip
+    # its own output buffer
+    out = np.zeros((rows, m.channels), m.dtype)
     corner = np.empty((min(len(pts), _BLEND_ROWS), m.channels), m.dtype)
-    for i in range(0, len(pts), _BLEND_ROWS):
-        o = out[i:min(len(pts), i + _BLEND_ROWS)]
-        c = corner[:len(o)]
+    for i, p in zip(range(0, len(pts), _BLEND_ROWS), chunks):
+        sup = _bilinear_support(m, spec, p)
+        slot = np.searchsorted(cells, _corner_keys(m, sup))
+        o, c = out[i:i + len(p)], corner[:len(p)]
         for k in range(4):
-            np.take(values, corner_slot[i:i + len(o), k], axis=0, out=c, mode="clip")
-            c *= sup.weight[i:i + len(o), k, None]
+            np.take(values, slot[:, k], axis=0, out=c, mode="clip")
+            c *= sup.weight[:, k, None]
             o += c
-    return out, sup
+    return out
 
 
 def pool_roi_features(rois: list[Box3D], m: FeatureSource, spec: GridSpec,
                       grid_size: int, rows: int | None = None) -> np.ndarray:
     """Pooled grid-point features for every RoI: (N, G, G, C); with
-    ``rows`` (at least N), (rows, G, G, C), the RoIs after the N-th zero."""
+    ``rows`` (at least N), (rows, G, G, C), the RoIs after the N-th zero.
+    The grid points are blended a chunk at a time (:func:`_blend`)."""
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
     rows = len(rois) if rows is None else rows
     if not rois:
         return np.zeros((rows, grid_size, grid_size, m.channels), m.dtype)
     pts = roi_grids(rois, grid_size).reshape(-1, 2)
-    feats, _ = bilinear_sample(m, spec, pts, rows * grid_size * grid_size)
-    return feats.reshape(rows, grid_size, grid_size, m.channels)
+    return _blend(m, spec, pts, rows * grid_size * grid_size).reshape(
+        rows, grid_size, grid_size, m.channels)
 
 
 def encode_residuals(roi: Box3D, target: Box3D) -> np.ndarray:

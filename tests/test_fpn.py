@@ -4,9 +4,9 @@ import pytest
 from pillardet import fpn, grid
 from pillardet.config import config_from_dict, weight_layout
 from pillardet.fpn import (_LINE_ROWS, LateralMap, _BlendSink, _Rows,
-                           _downsample_chain, _pack_lines, _pack_strips,
-                           _upsampled_rows, build_pooling_map, build_pyramid,
-                           lateral)
+                           _RowSource, _downsample_chain, _pack_lines,
+                           _pack_strips, _upsampled_rows, build_pooling_map,
+                           build_pyramid, lateral)
 from pillardet.grid import (DenseFeatureMap, PointCloud, SparsePillarVolume,
                             _conv3x3_sampler, backbone_forward, conv3x3_at,
                             deconv2x2, dense_conv2d, densify, pillarize,
@@ -14,6 +14,18 @@ from pillardet.grid import (DenseFeatureMap, PointCloud, SparsePillarVolume,
 from pillardet.oracles import lateral_reference
 from pillardet.verify import random_volume
 from pillardet.weights import WeightStore
+
+
+class CountedFills:
+    """A row source whose fills are logged as ``(start, stop)`` in ``log``."""
+
+    def __init__(self, source, log):
+        self.source, self.shape, self.dtype = source, source.shape, source.dtype
+        self.log = log
+
+    def fill(self, start, stop, out):
+        self.log.append((start, stop))
+        self.source.fill(start, stop, out)
 
 
 def tiny_config(extent=3.2, **overrides):
@@ -209,19 +221,25 @@ class TestLateralMerge:
             assert len(mine) > 3 and max(map(len, mine)) <= 4 * 2 * ws
             np.testing.assert_array_equal(np.concatenate(mine), row_order)
 
-    def test_upsampled_rows_are_read_forwards_only(self):
+    def test_upsampled_rows_fill_any_row_range_into_strided_rows(self):
+        # fills that start and stop mid row pair, into the interior of a
+        # wider buffer, as a dense conv's plane takes them
         rng = np.random.default_rng(32)
         args = (rng.normal(size=(6, 300, 2)), rng.normal(size=(2, 2, 2, 3)),
                 rng.normal(size=3))
         up = _upsampled_rows(*args)
         assert up.shape == (12, 600, 3)
         whole = relu(deconv2x2(*args))
-        np.testing.assert_array_equal(up[0:5], whole[0:5])
-        np.testing.assert_array_equal(up[4:12], whole[4:12])
-        with pytest.raises(ValueError, match="in order"):
-            up[3:6]
+        plane = np.full((14, 602, 3), np.nan)
+        for start, stop in ((0, 5), (5, 6), (6, 7), (7, 12), (3, 4), (2, 3)):
+            plane[:] = np.nan
+            up.fill(start, stop, plane[1:1 + stop - start, 1:601])
+            assert plane[1:1 + stop - start, 1:601].tobytes() == \
+                whole[start:stop].tobytes()
+            assert np.isnan(plane[1 + stop - start:]).all()
+            assert np.isnan(plane[:, [0, 601]]).all()
 
-    def test_upsampled_rows_deconvolve_each_coarse_row_once_over_a_skip(
+    def test_upsampled_rows_deconvolve_a_shared_row_pair_once_per_fill(
             self, monkeypatch):
         rng = np.random.default_rng(33)
         data = rng.normal(size=(9, 7, 2))
@@ -236,13 +254,17 @@ class TestLateralMerge:
 
         monkeypatch.setattr(fpn, "deconv2x2", logged_deconv)
         up = _upsampled_rows(*args)
-        for r0, r1 in ((0, 5), (9, 12), (11, 15), (17, 18)):
-            np.testing.assert_array_equal(up[r0:r1], whole[r0:r1])
-        # a read of rows [r0, r1) past the held ones deconvolves the coarse
-        # rows from the first not held to ceil(r1 / 2), each once
-        assert deconvolved == [[0, 1, 2], [3, 4, 5], [6, 7], [8]]
+        for r0, r1 in ((0, 5), (5, 9), (9, 10), (10, 18)):
+            out = np.empty((r1 - r0, 14, 3))
+            up.fill(r0, r1, out)
+            np.testing.assert_array_equal(out, whole[r0:r1])
+        # the coarse rows both of whose children a fill writes, in one
+        # call, then the row of a child at its start or its end: a row
+        # whose children two fills share is deconvolved by each
+        assert deconvolved == [[0, 1], [2], [3], [2], [4], [4], [5, 6, 7, 8]]
 
-    def test_rows_window_computes_each_row_once_and_aligns_a_skip(self):
+    def test_rows_window_computes_each_row_once_and_aligns_a_skip(
+            self, monkeypatch):
         whole = np.arange(40.0).reshape(20, 2)
         calls = []
 
@@ -251,7 +273,9 @@ class TestLateralMerge:
             out[...] = whole[start:stop]
 
         # whole bands of 5 rows, at least 2 per call
-        rows = _Rows(fill, whole.shape, whole.dtype, least=2, multiple=5)
+        monkeypatch.setattr(fpn, "_BLEND_CELLS", 2)
+        monkeypatch.setattr(fpn, "_BAND_ROWS", 5)
+        rows = _Rows(fill, whole.shape, whole.dtype)
         for r0, r1 in ((0, 3), (9, 12), (11, 15), (15, 15), (16, 17), (19, 20)):
             np.testing.assert_array_equal(rows[r0:r1], whole[r0:r1])
         assert calls == [(0, 5), (5, 15), (15, 20)]
@@ -275,24 +299,92 @@ class TestLateralMerge:
         reads = []
         conv = fpn.dense_conv2d
 
-        class CountedRows:
-            def __init__(self, source):
-                self.source, self.shape, self.dtype = source, source.shape, source.dtype
-                reads.append(0)
-
-            def __getitem__(self, rows):
-                reads[-1] += 1
-                return self.source[rows]
-
         def counting_conv(data, *args, **kwargs):
-            if isinstance(data, _Rows):
-                data = CountedRows(data)
+            if isinstance(data, _RowSource):
+                fills = []
+                reads.append(fills)
+                data = CountedFills(data, fills)
             return conv(data, *args, **kwargs)
 
         monkeypatch.setattr(fpn, "dense_conv2d", counting_conv)
         assert split_lateral_suite().passed
-        # one streamed map per case; the last one read in three chunks
-        assert len(reads) == 42 and reads[-1] >= 3
+        # one streamed map per case, each row filled once, in order; the
+        # last one read in three chunks
+        assert len(reads) == 42 and len(reads[-1]) >= 3
+        for fills in reads:
+            assert fills[0][0] == 0
+            assert all(a[1] == b[0] for a, b in zip(fills, fills[1:]))
+
+    @pytest.mark.parametrize("dtype", STORE_DTYPES)
+    def test_chunk_edges_mid_row_pair_and_mid_line_give_the_array_bits(
+            self, monkeypatch, dtype):
+        # 3-row conv chunks: the fills after the first start at rows 5, 8,
+        # 11, ..., so every other one starts mid row pair of the upsampled
+        # map and most start mid canvas line. .dense() has the bits of its
+        # conv reading the whole upsampled array, and .at() those rows
+        rng = np.random.default_rng(37)
+        hs, ws, c_sem, c_up, c_out = 15, 20, 3, 4, 5
+        data = rng.normal(size=(hs, ws, c_sem))
+        data[:, :, 0] = np.arange(hs)[:, None]  # each row's index
+        semantic = DenseFeatureMap(8, data.astype(dtype))
+        vol = random_volume(rng, 2 * ws, 2 * hs, 2, density=0.1)
+        vol = SparsePillarVolume(4, vol.nx, vol.ny, vol.coords,
+                                 vol.features.astype(dtype))
+        lateral_map = LateralMap(
+            semantic, (vol,), rng.normal(size=(2, 2, c_sem, c_up)).astype(dtype),
+            rng.normal(size=c_up).astype(dtype),
+            rng.normal(size=(3, 3, c_up + 2, c_out)).astype(dtype),
+            rng.normal(size=c_out).astype(dtype))
+        up = relu(deconv2x2(semantic.data, lateral_map.deconv_w,
+                            lateral_map.deconv_b))
+        array_path = lateral_map._up_conv(up, _BlendSink(lateral_map)).data
+        iy, ix = np.meshgrid(np.arange(0, 2 * hs, 2), np.arange(1, 2 * ws, 3),
+                             indexing="ij")
+        iy, ix = iy.ravel(), ix.ravel()
+        monkeypatch.setattr(grid, "_CONV_BAND_PIXELS", 3 * (2 * ws + 4))
+        monkeypatch.setattr(grid, "_CHUNK_BYTES", 1)
+        fills, rows, cells = [], [], []
+        conv, deconv, deconv_at = (fpn.dense_conv2d, fpn.deconv2x2,
+                                   fpn.deconv2x2_at)
+
+        def counting_conv(data, *args, **kwargs):
+            log = []
+            fills.append((data.shape[0], log))
+            return conv(CountedFills(data, log), *args, **kwargs)
+
+        def logged_deconv(data, w, b, out=None):
+            rows.extend(data[:, 0, 0].tolist())
+            return deconv(data, w, b, out=out)
+
+        def logged_deconv_at(data, w, b, iy, ix):
+            cells.extend((iy * 2 * ws + ix).tolist())
+            return deconv_at(data, w, b, iy, ix)
+
+        monkeypatch.setattr(fpn, "dense_conv2d", counting_conv)
+        monkeypatch.setattr(fpn, "deconv2x2", logged_deconv)
+        monkeypatch.setattr(fpn, "deconv2x2_at", logged_deconv_at)
+        dense = lateral_map.dense().data
+        got = lateral_map.at(iy, ix)
+        assert dense.dtype == got.dtype == dtype
+        assert dense.tobytes() == array_path.tobytes()
+        assert got.tobytes() == array_path[iy, ix].tobytes()
+        # each conv fills every row of its source once, forwards
+        assert len(fills) == 2
+        for height, log in fills:
+            assert [r for a, b in log for r in range(a, b)] == list(range(height))
+        (_, up_fills), (canvas_rows, canvas_fills) = fills
+        assert len(up_fills) == 10 and up_fills[1] == (5, 8)
+        assert sum(a % _LINE_ROWS != 0 for a, _ in canvas_fills) > 4
+        # a semantic row is deconvolved once, and once more if two fills
+        # share its children: the fill boundaries at odd upsampled rows
+        shared = [b // 2 for _, b in up_fills[:-1] if b % 2]
+        assert len(shared) == 5
+        assert sorted(rows) == sorted(list(range(hs)) + shared)
+        # each canvas cell on the map is deconvolved once
+        map_y, map_x, widths, _ = _pack_strips(iy, ix)
+        on_map = ((np.minimum(map_y + _LINE_ROWS, 2 * hs) - np.maximum(map_y, 0))
+                  * (np.minimum(map_x + widths, 2 * ws) - np.maximum(map_x, 0)))
+        assert len(cells) == on_map.sum() and canvas_rows > 6 * _LINE_ROWS
 
     def test_kernel_channel_mismatch_rejected(self):
         # 5 upsampled + 2 bottom-up channels, against a 6-channel kernel
@@ -417,7 +509,8 @@ class TestPoolingMap:
         # a 120 x 60 map asked at every fifth column of every third row:
         # 30 bands of 12 one-column strips, 360 strips of width 3 on lines
         # of 62 columns, 20 to a line; one 32-row conv band per 4 KiB
-        # chunk, so the canvas is read a few lines at a time
+        # chunk, so the canvas is filled a few lines at a time, from and to
+        # rows inside a line
         rng = np.random.default_rng(35)
         c_sem, c_up, c_out = 3, 4, 5
         semantic = DenseFeatureMap(8, rng.normal(size=(60, 30, c_sem)).astype(dtype))
@@ -439,19 +532,13 @@ class TestPoolingMap:
         on_map = ((np.minimum(map_y + _LINE_ROWS, 120) - np.maximum(map_y, 0))
                   * (np.minimum(map_x + widths, 60) - np.maximum(map_x, 0)))
         monkeypatch.setattr(grid, "_CHUNK_BYTES", 4 << 10)
+        # parents cut into GEMM bands of 200, so a fill's ~480 take 3 calls
+        monkeypatch.setattr(fpn, "_BAND_ROWS", 200)
         reads, deconvolved = [], []
         conv, deconv_at = fpn.dense_conv2d, fpn.deconv2x2_at
 
-        class CountedRows:
-            def __init__(self, source):
-                self.source, self.shape, self.dtype = source, source.shape, source.dtype
-
-            def __getitem__(self, rows):
-                reads.append(rows)
-                return self.source[rows]
-
         def counting_conv(data, *args, **kwargs):
-            return conv(CountedRows(data), *args, **kwargs)
+            return conv(CountedFills(data, reads), *args, **kwargs)
 
         def logged_deconv_at(data, w, b, iy, ix):
             deconvolved.append((len(iy), len(np.unique(iy // 2 * 30 + ix // 2))))
@@ -465,10 +552,12 @@ class TestPoolingMap:
         # one dense conv over 18 lines of 6 rows, read in four chunks; each
         # canvas cell on the map deconvolved once, a GEMM band of parents
         # (or fewer) at a time
-        assert len(reads) == 4 and reads[-1].stop == 18 * _LINE_ROWS
+        assert len(reads) == 4 and reads[-1][1] == 18 * _LINE_ROWS
+        assert reads[0][0] == 0
+        assert all(a[1] == b[0] for a, b in zip(reads, reads[1:]))
         assert sum(cells for cells, _ in deconvolved) == on_map.sum()
-        assert len(deconvolved) > 4
-        assert max(parents for _, parents in deconvolved) <= grid._BAND_ROWS
+        assert len(deconvolved) > 8
+        assert max(parents for _, parents in deconvolved) <= 200
 
     def test_strips_as_wide_as_the_map(self):
         # whole rows asked for: each band of rows is one strip of the map's

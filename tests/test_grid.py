@@ -24,19 +24,23 @@ def pfe_store(channels=4, identity=True, seed=0):
 
 
 class RowSource:
-    """An array seen only through ``.shape``, ``.dtype`` and row slices,
-    each answered with a copy and logged."""
+    """An array seen only through ``.shape``, ``.dtype`` and ``fill(start,
+    stop, out)``, each call logged and its ``out`` checked to take exactly
+    the rows asked for."""
 
     def __init__(self, data):
         self._data = data
         self.shape, self.dtype = data.shape, data.dtype
         self.requests = []
 
-    def __getitem__(self, rows):
-        r0, r1, step = rows.indices(self.shape[0])
-        assert step == 1
-        self.requests.append((r0, r1))
-        return self._data[r0:r1].copy()
+    def fill(self, start, stop, out):
+        assert 0 <= start < stop <= self.shape[0]
+        assert out.shape == (stop - start,) + self.shape[1:]
+        self.requests.append((start, stop))
+        out[...] = self._data[start:stop]
+
+    def rows_read(self):
+        return [r for start, stop in self.requests for r in range(start, stop)]
 
 
 class RowSink:
@@ -329,9 +333,9 @@ class TestDenseOps:
         assert dense_conv2d(source, wt, b, stride=stride, out=sink) is sink
         whole = dense_conv2d(x, wt, b, stride=stride)
         assert sink.data.tobytes() == whole.tobytes()
+        # one fill per chunk, forwards, each input row once
         assert len(source.requests) >= 3
-        assert all(a0 <= b0 and a1 <= b1 for (a0, a1), (b0, b1)
-                   in zip(source.requests, source.requests[1:]))
+        assert source.rows_read() == list(range(len(x)))
         assert sink.rows == list(range(h_out))
 
     @pytest.mark.parametrize("stride", [1, 2])
@@ -410,7 +414,13 @@ class TestDenseOps:
         assert out.tobytes() == deconv2x2(x, w, b).tobytes()
         np.testing.assert_allclose(out, deconv_reference(x, w, b), rtol=1e-5,
                                    atol=1e-5)
-        for wrong in (buf[1:, :, :4], buf[1:, :, ::-1],
+        # a plane's interior: rows apart, each row's pixels side by side
+        plane = np.full((42, 142, 5), np.nan, np.float32)
+        inner = deconv2x2(x, w, b, out=plane[1:41, 1:141])
+        assert inner.base is plane and inner.tobytes() == out.tobytes()
+        assert np.isnan(plane[[0, 41]]).all()
+        assert np.isnan(plane[:, [0, 141]]).all()
+        for wrong in (buf[1:, :, :4], buf[1:, :, ::-1], buf[1:, ::-1],
                       np.asfortranarray(buf[1:])):
             with pytest.raises(ValueError, match="C-contiguous"):
                 deconv2x2(x, w, b, out=wrong)
@@ -471,6 +481,31 @@ def conv_at_case(name, stride, rng):
 
 
 class TestConvAtCells:
+    def test_volume_storage_ends_in_a_zero_row_and_is_kept_as_it_lies(self):
+        # features written into zero-row storage are kept there; an array
+        # whose next row is not zero, or a plain one, is copied once, so
+        # the conv's empty neighbours always read zeros
+        rng = np.random.default_rng(14)
+        coords = np.array([[0, 1], [2, 2], [3, 0]])
+        rows = grid._padded_rows(3, 2, np.float64)
+        rows[:3] = rng.normal(size=(3, 2))
+        kept = SparsePillarVolume(1, 4, 4, coords, rows[:3])
+        assert kept.padded is rows and kept.features.base is rows
+        dirty = np.ones((4, 2))
+        dirty[:3] = rows[:3]
+        wt = rng.normal(size=(3, 3, 2, 2))
+        for features in (dirty[:3], rows[:3].copy()):
+            v = SparsePillarVolume(1, 4, 4, coords, features)
+            assert not np.shares_memory(v.padded, features)
+            assert v.padded.shape == (4, 2) and not v.padded[3].any()
+            assert v.features.base is v.padded
+            np.testing.assert_array_equal(v.features, kept.features)
+            cells = np.arange(16)
+            np.testing.assert_allclose(
+                conv3x3_at(v, wt, cells),
+                dense_conv_reference(densify(v).data, wt)[cells % 4, cells // 4],
+                atol=1e-12)
+
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("name", ["no-cells", "empty-volume", "border-only",
                                       "many-bands", "kernel-slice",

@@ -15,10 +15,10 @@ from pillardet.config import PipelineConfig, config_from_dict, weight_layout
 from pillardet.fpn import LateralMap, _pack_strips, build_pyramid
 from pillardet.geometry import Box3D
 from pillardet.grid import (DenseFeatureMap, GridSpec, PointCloud,
-                            SparsePillarVolume, backbone_forward, pillarize,
-                            reached_cells)
+                            SparsePillarVolume, backbone_forward, conv3x3_at,
+                            pillarize, reached_cells)
 from pillardet.pipeline import DetectionPipeline
-from pillardet.rcnn import pool_roi_features, rcnn_forward
+from pillardet.rcnn import pool_roi_features, rcnn_forward, roi_grids
 from pillardet.rpn import rpn_forward
 from pillardet.synth import SceneSpec, generate_scene
 from pillardet.weights import WeightStore
@@ -60,10 +60,11 @@ def test_pyramid_never_holds_a_whole_upsampled_map(full_range):
     up = (p3.shape[0] * p3.shape[1] * weights.get("neck.p3.deconv.w").shape[3]
           * p3.itemsize)
     assert up >= 64 << 20
-    # one chunk of the upsampled rows, the conv's planes of it, the
-    # bottom-up conv rows and C3's feature copy and neighbour index: 16.4 MB
-    # measured (20.7 MB when the deconvolved rows were held three times)
-    assert transient < up // 4
+    # the conv's planes, filled straight from the deconvolution, the
+    # bottom-up conv rows and C3's neighbour index: 10.7 MB measured (16.4
+    # MB with each upsampled chunk also held in a window and C3's features
+    # copied, 20.7 MB when the deconvolved rows were held three times)
+    assert transient < up // 6
 
 
 def test_heads_never_hold_a_whole_shared_map(full_range):
@@ -155,6 +156,44 @@ def test_rcnn_forward_holds_no_second_copy_of_the_pooled_features():
     # the MLP's layer outputs are smaller than what pooling holds: the
     # two peaks were equal to 0.1 MB (6.7 MB apart with the padded copy)
     assert transient - sampling < band // 4
+
+
+def test_conv3x3_at_gathers_from_the_volume_without_copying_it():
+    # 40k sites of 128 float32 channels (20 MB): the rows are gathered
+    # from the volume's own storage, its zero row included, so the call
+    # holds only the neighbour index and one GEMM band's buffers
+    rng = np.random.default_rng(11)
+    n, c_in, c_out = 40_000, 128, 16
+    keys = np.sort(rng.choice(256 * 256, n, replace=False))
+    volume = SparsePillarVolume(
+        4, 256, 256, np.stack([keys // 256, keys % 256], axis=1),
+        rng.standard_normal((n, c_in), dtype=np.float32))
+    weight = rng.standard_normal((3, 3, c_in, c_out), dtype=np.float32)
+    cells = reached_cells(volume)[::4]
+    out, transient = transient_peak(lambda: conv3x3_at(volume, weight, cells))
+    assert out.shape == (len(cells), c_out)
+    assert volume.features.nbytes > 20_000_000
+    # 3.6 MB measured (24.0 MB with a copy of the features and a zero row)
+    assert transient < volume.features.nbytes // 4
+
+
+def test_pool_roi_features_holds_no_whole_set_support():
+    # 2,000 RoIs of 7 x 7 points on a 4-channel map: 98,000 points, whose
+    # (M, 4) corner cells, weights and slots would be 3.1 MB each; the
+    # points are blended a chunk at a time, each with its own support
+    spec = GridSpec(x_min=-12.8, x_max=12.8, y_min=-12.8, y_max=12.8)
+    rng = np.random.default_rng(12)
+    m = DenseFeatureMap(4, rng.standard_normal((64, 64, 4), dtype=np.float32))
+    rois = [Box3D(x, y, 0.0, 4.0, 1.8, 1.6, yaw) for x, y, yaw in
+            zip(rng.uniform(-10, 10, 2000), rng.uniform(-10, 10, 2000),
+                rng.uniform(-np.pi, np.pi, 2000))]
+    _, grids = transient_peak(lambda: roi_grids(rois, 7))
+    pooled, transient = transient_peak(lambda: pool_roi_features(rois, m, spec, 7))
+    support = len(rois) * 49 * 4 * 8
+    assert pooled.shape == (2000, 7, 7, 4) and support > 3_000_000
+    # beyond placing the grid points, the blend held 0.4 MB measured
+    # (27.1 MB with the whole set's support and slots)
+    assert transient - grids < support // 2
 
 
 def small_scene_points(cfg, seed):

@@ -160,44 +160,69 @@ def shifted(volume: SparsePillarVolume, dx: int, dy: int) -> SparsePillarVolume:
                               volume.features[keep])
 
 
-def pyramid_and_head_maps(cfg, weights, volume) -> dict[str, tuple[int, np.ndarray]]:
-    """P3, P4 and every head map of ``volume``, by name, with their stride."""
+def pyramid_and_head_maps(cfg, weights, volume):
+    """P3, P4 and every head map of ``volume``, by name, with their stride;
+    and the lazy pooling map."""
     backbone = backbone_forward(volume, weights, cfg.backbone_channels)
     pyramid = pipeline.build_pyramid(backbone, weights, (4, 8))
     heads = pipeline.rpn_forward(pyramid, weights, cfg.level_classes)
     maps = {f"P{s.bit_length()}": (s, m.data) for s, m in pyramid.items()}
     maps.update({f"s{s}.{f}": (s, getattr(h, f)) for s, h in heads.items()
                  for f in ("heatmap", "reg", "iou")})
-    return maps
+    pool = pipeline.build_pooling_map(backbone, pyramid, weights,
+                                      cfg.pool_stride, cfg.bottom_up_strides)
+    return maps, pool
+
+
+def interior(s: int, size: int, shift: int) -> tuple[int, int]:
+    """The first and the end of the interior cells of a stride-``s`` map
+    axis of ``size`` cells in the base run, for a shift of ``shift`` cells."""
+    lo, hi = -(-(head_reach(s) + 12) // s), -(-(head_reach(s) + 1) // s)
+    return lo, size - shift - hi
 
 
 def shift_mismatches() -> list[tuple[int, int, str]]:
     """``(dx, dy, map)`` of each map of :func:`pyramid_and_head_maps` whose
     interior differs, in any bit, from the base run's shifted by (dx, dy)
-    of :data:`SHIFTS`, for the crowded scene of seed 1.
+    of :data:`SHIFTS`, for the crowded scene of seed 1; ``"pool"`` when the
+    pooling map's ``.at()`` rows differ at 1,500 sampled interior cells.
+    The shifted run asks for those cells beside as many others drawn
+    anywhere on the map, so they sit at other rows of its strip canvas.
 
     A stride-s cell is interior if no pillar it reads lies within the
     grid border in either run, nor is dropped by the shift: it reads at
     most ``head_reach(s)`` pillars right of its first pillar and, as each
     deconvolution child reads a parent that starts up to one child cell
-    left of it, ``head_reach(s)`` + 8 + 4 pillars left of it.
+    left of it, ``head_reach(s)`` + 8 + 4 pillars left of it. The pooling
+    map reads what P3 reads, within the same reach.
     """
     cfg = config_from_dict(NEAR_CONFIG)
     weights = DetectionPipeline(cfg).weights
     cloud, _ = generate_scene(SceneSpec(seed=1, **CROWDED_SCENE), cfg.grid)
     volume = pillarize(cloud, cfg.grid, weights)
-    base = pyramid_and_head_maps(cfg, weights, volume)
+    base, base_pool = pyramid_and_head_maps(cfg, weights, volume)
+    rng = np.random.default_rng(13)
     mismatches = []
     for dx, dy in SHIFTS:
-        moved = pyramid_and_head_maps(cfg, weights, shifted(volume, dx, dy))
+        moved, moved_pool = pyramid_and_head_maps(cfg, weights,
+                                                  shifted(volume, dx, dy))
         for name, (s, a) in base.items():
             b = moved[name][1]
-            lo, hi = -(-(head_reach(s) + 12) // s), -(-(head_reach(s) + 1) // s)
-            h, w = a.shape[:2]
             ry, rx = dy // s, dx // s
-            if (a[lo:h - ry - hi, lo:w - rx - hi].tobytes()
-                    != b[lo + ry:h - hi, lo + rx:w - hi].tobytes()):
+            (y0, y1), (x0, x1) = (interior(s, a.shape[0], ry),
+                                  interior(s, a.shape[1], rx))
+            if a[y0:y1, x0:x1].tobytes() != b[y0 + ry:y1 + ry,
+                                               x0 + rx:x1 + rx].tobytes():
                 mismatches.append((dx, dy, name))
+        s = cfg.pool_stride
+        ry, rx = dy // s, dx // s
+        iy = rng.integers(*interior(s, base_pool.height, ry), 1500)
+        ix = rng.integers(*interior(s, base_pool.width, rx), 1500)
+        others = (rng.integers(0, moved_pool.height, 1500),
+                  rng.integers(0, moved_pool.width, 1500))
+        got = moved_pool.at(np.r_[iy + ry, others[0]], np.r_[ix + rx, others[1]])
+        if base_pool.at(iy, ix).tobytes() != got[:1500].tobytes():
+            mismatches.append((dx, dy, "pool"))
     return mismatches
 
 
@@ -208,31 +233,39 @@ def test_maps_shift_with_the_pillar_volume_bit_for_bit():
 def scale_first_rows_of_later_chunks(monkeypatch):
     """Every ``dense_conv2d`` call scales the first output row of each
     chunk after its first by 1 + 1e-6: a fault that depends on absolute
-    row position. A chunk starts where the conv reads a new input row
-    range ``data[r0:r1]``, at output row (r0 + 1) // stride."""
+    row position. A chunk's input rows are all filled before its first
+    band is written, so a chunk starts at the first band written after a
+    fill."""
     conv = grid.dense_conv2d
 
     def scaled(data, weight, bias, stride=1, out=None):
-        starts = []
+        chunks = []
 
         class Rows:
             shape, dtype = data.shape, data.dtype
 
-            def __getitem__(self, rows):
-                starts.append((rows.start + 1) // stride)
-                return data[rows]
+            def fill(self, start, stop, rows):
+                chunks.append(None)
+                if isinstance(data, np.ndarray):
+                    rows[...] = data[start:stop]
+                else:
+                    data.fill(start, stop, rows)
 
         h, w = ((n - 1) // stride + 1 for n in data.shape[:2])
         target = out if out is not None else np.empty(
             (h, w, weight.shape[3]), np.result_type(data.dtype, weight, bias))
+        starts = []
 
         class Sink:
             shape = target.shape
 
             def __setitem__(self, rows, value):
-                if rows.start in starts[1:]:
-                    value = value.copy()
-                    value[0] *= 1 + 1e-6
+                if chunks and chunks[-1] is None:
+                    chunks[-1] = rows.start
+                    starts.append(rows.start)
+                    if len(starts) > 1:
+                        value = value.copy()
+                        value[0] *= 1 + 1e-6
                 target[rows] = value
 
         conv(Rows(), weight, bias, stride, out=Sink())
@@ -245,3 +278,33 @@ def scale_first_rows_of_later_chunks(monkeypatch):
 def test_shift_check_catches_a_chunk_edge_fault(monkeypatch):
     scale_first_rows_of_later_chunks(monkeypatch)
     assert shift_mismatches()
+
+
+def scale_first_row_of_later_fills(monkeypatch):
+    """Each row source a lateral's dense conv reads (an upsampled half, the
+    pooling map's strip canvas) writes the first row of each fill after its
+    first scaled by 1 + 1e-6: a fault where the conv's chunks meet, on the
+    input side. On the canvas those rows lie inside its lines, where the
+    asked cells are; the chunks' first output rows lie on the lines' halo
+    rows here (60-row chunks of 6-row lines), which no asked cell reads."""
+    conv = fpn.dense_conv2d
+
+    def scaled(data, *args, **kwargs):
+        if isinstance(data, fpn._RowSource):
+            source, starts = data, []
+
+            def fill(start, stop, out):
+                source.fill(start, stop, out)
+                if starts:
+                    out[0] *= 1 + 1e-6
+                starts.append(start)
+
+            data = fpn._RowSource(fill, source.shape, source.dtype)
+        return conv(data, *args, **kwargs)
+
+    monkeypatch.setattr(fpn, "dense_conv2d", scaled)
+
+
+def test_shift_check_catches_a_fill_edge_fault_in_the_pooling_map(monkeypatch):
+    scale_first_row_of_later_fills(monkeypatch)
+    assert {name for _, _, name in shift_mismatches()} >= {"P3", "pool"}
